@@ -6,7 +6,7 @@ with the solution family parameterized by a Schur spectral-zero
 polynomial.  The solver reformulates the problem through a nonstandard
 matrix Riccati equation (the covariance extension equation) and follows
 its solution vector from a closed-form central start to the target data
-with an Euler predictor and Newton corrector.
+with an RK4 predictor and Newton corrector.
 
 Typical use::
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
+from scipy.linalg import solve_discrete_lyapunov, toeplitz
 
 from .polyalg import CompanionData
 from .problem import InterpolationProblem
@@ -241,13 +241,6 @@ def cee_residual(P: np.ndarray, comp: CompanionData, g: np.ndarray) -> float:
     return float(np.linalg.norm(res, "fro"))
 
 
-def _stein_solve(Gamma: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``X - Gamma X Gamma' = rhs`` by dense vectorization."""
-    n = Gamma.shape[0]
-    A = np.eye(n * n) - np.kron(Gamma, Gamma)
-    return np.linalg.solve(A, rhs.ravel()).reshape(n, n)
-
-
 def recover_P(
     comp: CompanionData,
     p: np.ndarray,
@@ -270,7 +263,7 @@ def recover_P(
     G = comp.Gamma
     Gp = G @ p
     rhs = np.outer(g, g) - np.outer(Gp, Gp)
-    P = _stein_solve(G, rhs)
+    P = solve_discrete_lyapunov(G, rhs)
     scale = max(1.0, float(np.max(np.abs(P))))
     if np.max(np.abs(P - P.T)) > tol_sym * scale:
         raise SteinConsistencyError("recovered matrix is not symmetric")

@@ -30,6 +30,7 @@ from .analysis import (
     estimate_positive_degree,
     singular_values,
 )
+from .cee_core import RealnessError, SteinConsistencyError
 from .continuation import CorrectorError, PathError, SolveOptions, solve
 from .polyalg import MonicPolynomial, build_S, roots_and_schur, sym_coeffs
 from .problem import INF, InterpolationProblem, ProblemValidationError
@@ -265,9 +266,10 @@ def _single_run(config: MonteCarloConfig, seed: int, solve_opts) -> np.ndarray:
 def monte_carlo(config: MonteCarloConfig, solve_opts: SolveOptions | None = None) -> DegreeReport:
     """Repeat the pipeline ``config.runs`` times and aggregate singular values.
 
-    Runs are independent (each with seed ``seed ^ run_index``) and failures
-    are recorded, excluded from the mean, and counted.  Raises when every
-    run fails.
+    Runs are independent (each with seed ``seed ^ run_index``).  A run that
+    fails with one of the solver's typed errors is recorded, excluded from
+    the mean, and counted; any other exception propagates.  Raises
+    :class:`PathError` when every run fails.
     """
     records = []
     for r in range(config.runs):
@@ -275,8 +277,8 @@ def monte_carlo(config: MonteCarloConfig, solve_opts: SolveOptions | None = None
         try:
             sv = _single_run(config, seed_r, solve_opts)
             records.append(RunRecord(run=r, seed=seed_r, singular_values=sv))
-        except (ProblemValidationError, PathError, CorrectorError,
-                np.linalg.LinAlgError, ValueError, RuntimeError) as exc:
+        except (ProblemValidationError, PathError, CorrectorError, SteinConsistencyError,
+                RealnessError, np.linalg.LinAlgError) as exc:
             records.append(
                 RunRecord(run=r, seed=seed_r, singular_values=None,
                           error=f"{type(exc).__name__}: {exc}")

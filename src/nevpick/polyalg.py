@@ -14,9 +14,9 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import hankel, toeplitz
 
 __all__ = [
     "MonicPolynomial",
@@ -162,6 +162,22 @@ def build_d(sigma: MonicPolynomial) -> np.ndarray:
     return np.array([s[: n + 1 - k] @ s[k:] for k in range(n)])
 
 
+@lru_cache(maxsize=None)
+def _sym_index(m: int) -> tuple:
+    """Index arrays into a length ``m + 1`` zero-padded vector for :func:`build_S`.
+
+    Entry ``[i, j]`` of the first picks ``x[i + j]`` (Hankel part) and of the
+    second ``x[j - i]`` (upper Toeplitz part); positions outside either part
+    pick the padding zero at index ``m``.
+    """
+    i, j = np.indices((m, m))
+    hank = i + j
+    hank[hank >= m] = m
+    toep = j - i
+    toep[toep < 0] = m
+    return _readonly(hank), _readonly(toep)
+
+
 def build_S(x) -> np.ndarray:
     """Symmetrized-product matrix of a full coefficient vector.
 
@@ -172,12 +188,9 @@ def build_S(x) -> np.ndarray:
     entry of ``x`` may be 0 (e.g. a difference of monic polynomials).
     """
     v = _coeff_array(x)
-    m = v.size
-    H = hankel(v, np.zeros(m))
-    col = np.zeros(m)
-    col[0] = v[0]
-    Tu = toeplitz(col, v)
-    return H + Tu
+    hank, toep = _sym_index(v.size)
+    padded = np.append(v, 0.0)
+    return padded[hank] + padded[toep]
 
 
 def sym_coeffs(x, y) -> np.ndarray:

@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
-from scipy.linalg import solve_discrete_lyapunov
 
-from conftest import random_schur_monic
+from conftest import random_problem, random_schur_monic
 from nevpick.cee_core import (
     RealnessError,
     SteinConsistencyError,
-    _stein_solve,
     build_T,
     build_V,
     build_W,
@@ -19,8 +17,10 @@ from nevpick.cee_core import (
     recover_P,
     uU_from_covariance,
 )
+from nevpick.continuation import solve
+from nevpick.ingestion import default_bank_poles, exact_values, nodes_from_poles
 from nevpick.polyalg import MonicPolynomial, companion
-from nevpick.problem import INF, normalize
+from nevpick.problem import INF, InterpolationProblem, normalize
 
 
 def normalized_reference(reference_problem):
@@ -226,18 +226,36 @@ def operator_pair_stub(u, U):
     return OperatorPair(nu=1.0, u=u, U=U, u_dot=np.zeros_like(u), U_dot=np.zeros_like(U))
 
 
+def kronecker_stein_solve(Gamma, rhs):
+    """Reference solution of ``X - Gamma X Gamma' = rhs`` by dense vectorization."""
+    n = Gamma.shape[0]
+    A = np.eye(n * n) - np.kron(Gamma, Gamma)
+    return np.linalg.solve(A, rhs.ravel()).reshape(n, n)
+
+
 class TestSteinSolve:
-    def test_matches_scipy_oracle(self):
+    def test_recover_P_matches_kronecker_oracle(self):
+        # endpoints of real solves, at orders on both sides of the size where
+        # scipy switches from its direct to its bilinear Stein method
         rng = np.random.default_rng(42)
-        for _ in range(25):
-            n = int(rng.integers(1, 7))
-            sigma = random_schur_monic(rng, n)
-            comp = companion(sigma)
-            rhs = rng.standard_normal((n, n))
-            rhs = rhs + rhs.T
-            ours = _stein_solve(comp.Gamma, rhs)
-            oracle = solve_discrete_lyapunov(comp.Gamma, rhs)
-            assert np.allclose(ours, oracle, atol=1e-9)
+        problems = [random_problem(rng, int(rng.integers(1, 7))) for _ in range(8)]
+        sigma_true = MonicPolynomial.from_roots([0.5 * np.exp(1.1j), 0.5 * np.exp(-1.1j)])
+        a_true = MonicPolynomial.from_roots([0.7 * np.exp(2.0j), 0.7 * np.exp(-2.0j)])
+        for n in (12, 16):
+            poles = default_bank_poles(n)
+            problems.append(InterpolationProblem(
+                nodes_from_poles(poles), tuple(exact_values(sigma_true, a_true, poles)),
+                random_schur_monic(rng, n, r_max=0.6),
+            ))
+        for problem in problems:
+            sol = solve(problem)
+            comp = companion(problem.sigma)
+            g = g_of_p(operator_pair(build_cee_matrices(normalize(problem).problem), 1.0),
+                       comp, sol.p)
+            Gp = comp.Gamma @ sol.p
+            oracle = kronecker_stein_solve(comp.Gamma, np.outer(g, g) - np.outer(Gp, Gp))
+            P = recover_P(comp, sol.p, g)
+            assert np.max(np.abs(P - 0.5 * (oracle + oracle.T))) < 1e-12
 
 
 class TestRecoverP:

@@ -170,18 +170,30 @@ class TestPredictor:
         ctx = make_ctx(central)
         sol = solve(central)
         state = sol.trajectory[0]
-        assert np.array_equal(predictor(state, ctx), state.p)
+        assert np.array_equal(predictor(state.p, state.nu, state.nu + state.step, ctx), state.p)
 
     def test_first_step_correctable(self, reference_problem, reference_solution):
-        from dataclasses import replace
-
         ctx = make_ctx(reference_problem)
         sol = reference_solution
-        start = replace(sol.trajectory[0], step=0.1)
-        p_hat = predictor(start, ctx)
+        start = sol.trajectory[0]
+        p_hat = predictor(start.p, start.nu, 0.1, ctx)
         p, iters = corrector(p_hat, 0.1, ctx)
         assert iters <= 10
         assert np.max(np.abs(eval_G(p, 0.1, ctx))) <= 1e-12
+
+    def test_fourth_order(self, reference_problem, reference_solution):
+        # RK4 has local error O(dnu^5): halving the step cuts it about 32-fold
+        ctx = make_ctx(reference_problem)
+        nu = 0.65
+        start = max((s for s in reference_solution.trajectory if s.nu <= nu), key=lambda s: s.nu)
+        p, _ = corrector(predictor(start.p, start.nu, nu, ctx), nu, ctx)
+        errors = []
+        for dnu in (0.02, 0.01):
+            p_hat = predictor(p, nu, nu + dnu, ctx)
+            p_next, _ = corrector(p_hat, nu + dnu, ctx)
+            errors.append(np.max(np.abs(p_hat - p_next)))
+        assert errors[1] > 1e-10
+        assert errors[0] >= 16.0 * errors[1]
 
 
 class TestSolve:
@@ -291,6 +303,19 @@ class TestSolve:
         for t1, t2 in zip(s1.trajectory, s2.trajectory):
             assert t1.nu == t2.nu
             assert np.array_equal(t1.p, t2.p)
+
+    def test_reference_path_length(self, reference_solution):
+        assert reference_solution.trajectory[-1].nu == 1.0
+        assert len(reference_solution.trajectory) - 1 <= 60
+
+    def test_identity_suite_path_length(self):
+        # the 100 problems of acceptance criterion 6, drawn the same way
+        rng = np.random.default_rng(601)
+        total = 0
+        for _ in range(100):
+            n = int(rng.integers(1, 7))
+            total += len(solve(random_problem(rng, n)).trajectory)
+        assert total < 1500
 
     def test_path_error_on_impossible_step_floor(self, reference_problem):
         opts = SolveOptions(step_init=1e-9, step_min=1e-8)

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from scipy.signal import welch
 
+from nevpick.cee_core import SteinConsistencyError
+from nevpick.continuation import solve
 from nevpick.ingestion import (
     FilterBankSpec,
     MonteCarloConfig,
@@ -282,6 +284,30 @@ class TestMonteCarlo:
         sigma, a = degree2_system()
         with pytest.raises(ValueError):
             MonteCarloConfig(sigma=sigma, a=a, order=2, variant="bogus")
+
+    def test_typed_solver_error_counts_as_failed_run(self, monkeypatch):
+        calls = []
+
+        def solve_failing_first(problem, opts=None):
+            calls.append(problem)
+            if len(calls) == 1:
+                raise SteinConsistencyError("injected")
+            return solve(problem, opts)
+
+        monkeypatch.setattr("nevpick.ingestion.solve", solve_failing_first)
+        sigma, a = degree2_system()
+        rep = monte_carlo(MonteCarloConfig(sigma=sigma, a=a, order=2, variant="exact", runs=2))
+        assert rep.runs_failed == 1
+        assert rep.per_run[0].error == "SteinConsistencyError: injected"
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken_solve(problem, opts=None):
+            raise ValueError("shape mismatch")
+
+        monkeypatch.setattr("nevpick.ingestion.solve", broken_solve)
+        sigma, a = degree2_system()
+        with pytest.raises(ValueError, match="shape mismatch"):
+            monte_carlo(MonteCarloConfig(sigma=sigma, a=a, order=2, variant="exact"))
 
 
 class TestNodesFromPoles:
