@@ -39,7 +39,6 @@ from .cee_core import (
     SteinConsistencyError,
     cee_residual,
     recover_P,
-    uU_from_covariance,
 )
 from .continuation import (
     ContinuationState,
@@ -119,6 +118,5 @@ __all__ = [
     "singular_values",
     "solve",
     "spectral_density",
-    "uU_from_covariance",
     "validate",
 ]

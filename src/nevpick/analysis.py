@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .continuation import Solution, SolveOptions, solve
-from .polyalg import MonicPolynomial
+from .polyalg import TOL_ROOT_PAIR, MonicPolynomial, conjugate_pairs
 from .problem import InterpolationProblem
 
 __all__ = [
@@ -86,29 +86,20 @@ def estimate_positive_degree(svals, tau_rank: float = DEFAULT_TAU_RANK) -> int:
     return int(np.count_nonzero(s >= tau_rank * s[0]))
 
 
-def _conjugate_groups(points: np.ndarray, tol: float = 1e-8):
+def _conjugate_groups(points: np.ndarray):
     """Group a conjugate-closed point set into reals and conjugate pairs.
 
     Returns ``(modulus, |angle|, [indices])`` tuples; a pair contributes
     both indices, a real point stands alone.
     """
     points = np.asarray(points, dtype=complex)
-    used = np.zeros(points.size, dtype=bool)
     groups = []
-    for k, z in enumerate(points):
-        if used[k]:
-            continue
-        used[k] = True
-        if abs(z.imag) <= tol * (1.0 + abs(z)):
-            groups.append((abs(z), abs(np.angle(z)), [k]))
-            continue
-        dist = np.abs(points - np.conj(z))
-        dist[used] = np.inf
-        j = int(np.argmin(dist))
-        if not np.isfinite(dist[j]) or dist[j] > tol * (1.0 + abs(z)):
-            raise ValueError(f"point {z} has no conjugate partner")
-        used[j] = True
-        groups.append((abs(z), abs(np.angle(z)), [k, j]))
+    for k, j in enumerate(conjugate_pairs(points, TOL_ROOT_PAIR * (1.0 + np.abs(points)))):
+        if j is None:
+            raise ValueError(f"point {points[k]} has no conjugate partner")
+        if j >= k:
+            z = points[k]
+            groups.append((abs(z), abs(np.angle(z)), [k] if j == k else [k, j]))
     return groups
 
 
@@ -136,10 +127,10 @@ def dominant_zeros(zeros, m: int) -> list:
     zeros = np.asarray(zeros, dtype=complex)
     groups = _conjugate_groups(zeros)
     groups.sort(key=lambda g: (-g[0], g[1]))
-    idx = _select_groups(groups, m, "zeros")
+    real = {members[0] for _, _, members in groups if len(members) == 1}
     # real representatives come back exactly real
-    return [complex(z.real) if abs(z.imag) <= 1e-8 * (1 + abs(z)) else complex(z)
-            for z in zeros[idx]]
+    return [complex(zeros[k].real) if k in real else complex(zeros[k])
+            for k in _select_groups(groups, m, "zeros")]
 
 
 def _default_kept_nodes(problem: InterpolationProblem, m: int) -> list:

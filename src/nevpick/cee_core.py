@@ -3,9 +3,9 @@
 From a normalized problem (value 1/2 at infinity) this module builds
 
 * the scaled node Vandermonde matrix ``V`` with rows ``(1, 1/z_k, ..., 1/z_k^n)``,
-* the interpolation-value diagonal ``W(nu) = 1/2 I + nu (W - 1/2 I)``,
-* ``T(nu) = V^-1 W(nu) V - 1/2 I``, which is real for conjugate-symmetric
-  data and affine in ``nu`` (``T(nu) = nu * T(1)``),
+* the slope ``T_dot`` of ``T(nu) = V^-1 W(nu) V - 1/2 I``, where
+  ``W(nu) = 1/2 I + nu (W - 1/2 I)`` is the interpolation-value diagonal;
+  ``T`` is real for conjugate-symmetric data and ``T(nu) = nu * T_dot``,
 * the operator pair ``[u U] = [0 I] (I + T)^-1 T`` and its ``nu`` derivative,
 
 and it evaluates / solves the covariance extension equation
@@ -20,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_discrete_lyapunov, toeplitz
+from scipy.linalg import solve_discrete_lyapunov
 
-from .polyalg import CompanionData
-from .problem import InterpolationProblem
+from .polyalg import TOL_P_PH, TOL_P_PSD, TOL_P_SYM, TOL_REAL, CompanionData
+from .problem import InterpolationProblem, require_distinct
 
 __all__ = [
     "OperatorPair",
@@ -31,20 +31,12 @@ __all__ = [
     "RealnessError",
     "SteinConsistencyError",
     "build_V",
-    "build_W",
-    "build_T",
     "build_cee_matrices",
     "operator_pair",
-    "compute_uU",
-    "compute_uU_dot",
-    "uU_from_covariance",
     "g_of_p",
     "cee_residual",
     "recover_P",
 ]
-
-#: imaginary residue above which conjugate symmetry is considered broken
-TOL_REAL = 1e-9
 
 
 class RealnessError(ValueError):
@@ -94,137 +86,70 @@ class CeeMatrices:
         _frozen_fields(self, "V", "w_target", "T_dot")
 
 
-def _reciprocals(nodes) -> np.ndarray:
-    if isinstance(nodes, InterpolationProblem):
-        return nodes.node_reciprocals()
-    out = np.empty(len(nodes), dtype=complex)
-    for k, z in enumerate(nodes):
-        z = complex(z)
-        out[k] = 0.0 if (np.isinf(z.real) or np.isinf(z.imag)) else 1.0 / z
-    return out
-
-
-def build_V(nodes) -> np.ndarray:
+def build_V(zeta) -> np.ndarray:
     """Node matrix with row k equal to ``(1, z_k^-1, ..., z_k^-n)``.
 
+    Takes the reciprocal nodes ``zeta_k = 1/z_k`` (0 for the infinite node).
     This is the plain Vandermonde in the powers of ``z_k`` with each row
     scaled by ``z_k^-n``, which keeps entries O(1) for distant nodes and
     makes the row for the infinite node ``(1, 0, ..., 0)``.  Row scalings
     are harmless downstream: ``T`` is invariant under left multiplication
     of ``V`` by any nonsingular diagonal.
     """
-    zeta = _reciprocals(nodes)
-    m = zeta.size
-    for k in range(m):
-        for j in range(k + 1, m):
-            if abs(zeta[k] - zeta[j]) <= 1e-14:
-                raise ValueError(f"nodes {k} and {j} coincide; V would be singular")
-    return np.vander(zeta, N=m, increasing=True)
+    zeta = np.asarray(zeta, dtype=complex)
+    require_distinct(zeta)
+    return np.vander(zeta, N=zeta.size, increasing=True)
 
 
-def build_W(values, nu: float) -> np.ndarray:
-    """Diagonal of ``W(nu) = 1/2 I + nu (W - 1/2 I)`` as a 1-d array."""
-    w = np.asarray(values, dtype=complex)
-    return 0.5 + nu * (w - 0.5)
+def build_cee_matrices(problem: InterpolationProblem) -> CeeMatrices:
+    """Build V and the nu-independent slope ``T_dot`` for a normalized problem.
 
-
-def _real_similarity(V: np.ndarray, diag: np.ndarray, tol_real: float) -> np.ndarray:
-    """Real part of ``V^-1 diag(d) V`` after checking the imaginary residue."""
-    M = np.linalg.solve(V, diag[:, None] * V)
-    residue = float(np.max(np.abs(M.imag)))
-    if residue > tol_real:
+    ``T_dot = V^-1 (W - 1/2 I) V`` is real analytically for conjugate-symmetric
+    nodes and values; an imaginary residue above ``TOL_REAL`` signals broken
+    symmetry and raises :class:`RealnessError`.
+    """
+    V = build_V(problem.node_reciprocals())
+    w = problem.values_array()
+    T_dot = np.linalg.solve(V, (w - 0.5)[:, None] * V)
+    residue = float(np.max(np.abs(T_dot.imag)))
+    if residue > TOL_REAL:
         raise RealnessError(
-            f"imaginary residue {residue:.3e} exceeds {tol_real:.0e}; "
+            f"imaginary residue {residue:.3e} exceeds {TOL_REAL:.0e}; "
             "node/value set is not conjugate symmetric"
         )
-    return np.ascontiguousarray(M.real)
+    return CeeMatrices(V=V, w_target=w, T_dot=np.ascontiguousarray(T_dot.real),
+                       cond_V=float(np.linalg.cond(V)))
 
 
-def build_T(V: np.ndarray, W: np.ndarray, tol_real: float = TOL_REAL) -> np.ndarray:
-    """Real matrix ``T = V^-1 W V - 1/2 I`` (``W`` given by its diagonal).
+def operator_pair(cee: CeeMatrices, nu: float) -> OperatorPair:
+    """Evaluate ``(u, U, u_dot, U_dot)`` at one homotopy parameter.
 
-    Conjugate-symmetric nodes/values make the product real analytically;
-    an imaginary residue above ``tol_real`` signals broken symmetry and
-    raises :class:`RealnessError`.
+    With ``M = I + T = I + nu T_dot``, ``(I + T)^-1 T = nu M^-1 T_dot`` and
+    its ``nu`` derivative is ``M^-1 T_dot M^-1``; the bottom rows of the
+    first give ``(u, U)`` and of the second ``(u_dot, U_dot)``, from one
+    inverse; the equal form ``I - M^-1`` would lose digits for small ``nu``.
+    ``M`` is nonsingular for admissible data (its eigenvalues are the
+    shifted values ``1/2 + nu (w_k - 1/2)``, all with positive real part);
+    a singular ``M`` means corrupted input and surfaces as ``LinAlgError``.
     """
-    T = _real_similarity(V, np.asarray(W, dtype=complex), tol_real)
-    return T - 0.5 * np.eye(V.shape[0])
-
-
-def build_cee_matrices(problem: InterpolationProblem, tol_real: float = TOL_REAL) -> CeeMatrices:
-    """Build V and the nu-independent slope ``T_dot`` for a normalized problem."""
-    V = build_V(problem)
-    w = problem.values_array()
-    T_dot = _real_similarity(V, w - 0.5, tol_real)
-    return CeeMatrices(V=V, w_target=w, T_dot=T_dot, cond_V=float(np.linalg.cond(V)))
-
-
-def compute_uU(T: np.ndarray):
-    """Operator pair from ``[u U] = [0 I_n] (I + T)^-1 T``.
-
-    ``I + T`` is nonsingular for admissible data (its eigenvalues are the
-    shifted values ``w_k + 1/2``, all with positive real part); a singular
-    system here means corrupted input and surfaces as ``LinAlgError``.
-    """
-    m = T.shape[0]
+    m = cee.T_dot.shape[0]
     try:
-        X = np.linalg.solve(np.eye(m) + T, T)
+        M_inv = np.linalg.inv(np.eye(m) + nu * cee.T_dot)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             "I + T is singular, which valid interpolation data cannot produce; "
             "the input is corrupted"
         ) from exc
-    bottom = X[1:, :]
-    return np.ascontiguousarray(bottom[:, 0]), np.ascontiguousarray(bottom[:, 1:])
-
-
-def compute_uU_dot(T: np.ndarray, T_dot: np.ndarray):
-    """Derivative of the operator pair in the homotopy parameter.
-
-    Since ``(I+T)^-1 T = I - (I+T)^-1``, the derivative of the product is
-    ``(I+T)^-1 T_dot (I+T)^-1``; its bottom rows give ``(u_dot, U_dot)``.
-    """
-    m = T.shape[0]
-    M = np.eye(m) + T
-    X = np.linalg.solve(M, T_dot)
-    Y = np.linalg.solve(M.T, X.T).T
-    bottom = Y[1:, :]
-    return np.ascontiguousarray(bottom[:, 0]), np.ascontiguousarray(bottom[:, 1:])
-
-
-def operator_pair(cee: CeeMatrices, nu: float) -> OperatorPair:
-    """Evaluate ``(u, U, u_dot, U_dot)`` at one homotopy parameter."""
-    T = nu * cee.T_dot
-    u, U = compute_uU(T)
-    u_dot, U_dot = compute_uU_dot(T, cee.T_dot)
-    return OperatorPair(nu=float(nu), u=u, U=U, u_dot=u_dot, U_dot=U_dot)
-
-
-def uU_from_covariance(c) -> tuple:
-    """Operator pair of the covariance-extension special case.
-
-    ``c = (1, c1, ..., cn)`` must have a positive-definite Toeplitz matrix.
-    The series ``z^n / (z^n + c1 z^(n-1) + ... + cn) = 1 - u1/z - u2/z^2 - ...``
-    gives ``u``; ``U`` is the strictly lower-triangular Toeplitz matrix of
-    ``(u1, ..., u_(n-1))``.
-    """
-    c = np.asarray(c, dtype=float)
-    if c.ndim != 1 or c.size < 1 or c[0] != 1.0:
-        raise ValueError("covariance vector must be 1-d with c[0] == 1")
-    n = c.size - 1
-    eigs = np.linalg.eigvalsh(toeplitz(c))
-    if not eigs[0] > 0:
-        raise ValueError("Toeplitz matrix of the covariance sequence is not positive definite")
-    v = np.zeros(n + 1)
-    v[0] = 1.0
-    for k in range(1, n + 1):
-        v[k] = -(c[1 : k + 1] @ v[k - 1 :: -1])
-    u = -v[1:]
-    col = np.zeros(n)
-    if n > 1:
-        col[1:] = u[:-1]
-    U = toeplitz(col, np.zeros(n))
-    return u, U
+    bottom = M_inv[1:] @ cee.T_dot
+    uU = nu * bottom
+    slope = bottom @ M_inv
+    return OperatorPair(
+        nu=float(nu),
+        u=np.ascontiguousarray(uU[:, 0]),
+        U=np.ascontiguousarray(uU[:, 1:]),
+        u_dot=np.ascontiguousarray(slope[:, 0]),
+        U_dot=np.ascontiguousarray(slope[:, 1:]),
+    )
 
 
 def g_of_p(pair: OperatorPair, comp: CompanionData, p: np.ndarray) -> np.ndarray:
@@ -241,14 +166,7 @@ def cee_residual(P: np.ndarray, comp: CompanionData, g: np.ndarray) -> float:
     return float(np.linalg.norm(res, "fro"))
 
 
-def recover_P(
-    comp: CompanionData,
-    p: np.ndarray,
-    g: np.ndarray,
-    tol_sym: float = 1e-10,
-    tol_ph: float = 1e-8,
-    tol_psd: float = 1e-8,
-) -> np.ndarray:
+def recover_P(comp: CompanionData, p: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Recover the covariance-extension matrix from the endpoint vector ``p``.
 
     Solves the linear Stein form ``P - Gamma P Gamma' = -Gamma p p' Gamma' + g g'``
@@ -265,13 +183,13 @@ def recover_P(
     rhs = np.outer(g, g) - np.outer(Gp, Gp)
     P = solve_discrete_lyapunov(G, rhs)
     scale = max(1.0, float(np.max(np.abs(P))))
-    if np.max(np.abs(P - P.T)) > tol_sym * scale:
+    if np.max(np.abs(P - P.T)) > TOL_P_SYM * scale:
         raise SteinConsistencyError("recovered matrix is not symmetric")
     P = 0.5 * (P + P.T)
-    if np.max(np.abs(P @ comp.h - p)) > tol_ph * (1.0 + float(np.max(np.abs(p)))):
+    if np.max(np.abs(P @ comp.h - p)) > TOL_P_PH * (1.0 + float(np.max(np.abs(p)))):
         raise SteinConsistencyError("P h differs from p; the point is off the trajectory")
     eigs = np.linalg.eigvalsh(P)
-    if eigs[0] < -tol_psd:
+    if eigs[0] < -TOL_P_PSD:
         raise SteinConsistencyError(f"recovered matrix has eigenvalue {eigs[0]:.3e} < 0")
     hPh = float(comp.h @ P @ comp.h)
     if not hPh < 1.0:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
@@ -22,25 +23,14 @@ from .analysis import (
     reduce_model,
     spectral_density,
 )
-from .cee_core import RealnessError, SteinConsistencyError
-from .continuation import CorrectorError, PathError, Solution, SolveOptions, solve
-from .ingestion import (
-    FilterBankSpec,
-    MonteCarloConfig,
-    default_bank_poles,
-    embed_sigma,
-    estimate_values,
-    filter_bank,
-    monte_carlo,
-    nodes_from_poles,
-    simulate_arma,
-)
-from .polyalg import MonicPolynomial
+from .continuation import SOLVE_ERRORS, Solution, SolveOptions, solve
+from .ingestion import MonteCarloConfig, monte_carlo, run_problem
 from .problem import (
     InterpolationProblem,
     ProblemValidationError,
-    _c2j,
-    _j2c,
+    complex_from_json,
+    complex_to_json,
+    poly_from_json,
     problem_from_json_dict,
     problem_to_json_dict,
     validate,
@@ -50,14 +40,6 @@ EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
 EXIT_NUMERICAL = 3
 EXIT_PARTIAL = 4
-
-_NUMERICAL_ERRORS = (
-    PathError,
-    CorrectorError,
-    SteinConsistencyError,
-    RealnessError,
-    np.linalg.LinAlgError,
-)
 
 
 class _InputError(Exception):
@@ -85,27 +67,31 @@ def _load_problem(path: str) -> InterpolationProblem:
         raise _InputError(f"{path}: {exc}") from exc
 
 
-def _poly_from(data: dict, name: str, path: str) -> MonicPolynomial:
-    coeffs_key, roots_key = f"{name}_coeffs", f"{name}_roots"
+def _system_config(data: dict, path: str, **controls) -> MonteCarloConfig:
+    """Pipeline configuration from a system JSON (``sigma``, ``a``, optional
+    ``order``, ``sigma_hat`` and ``bank_poles``) plus the command's options."""
     try:
-        if coeffs_key in data:
-            return MonicPolynomial(np.asarray(data[coeffs_key], dtype=float))
-        if roots_key in data:
-            return MonicPolynomial.from_roots([_j2c(r) for r in data[roots_key]])
+        sigma = poly_from_json(data, "sigma")
+        has_hat = "sigma_hat_coeffs" in data or "sigma_hat_roots" in data
+        poles = data.get("bank_poles")
+        return MonteCarloConfig(
+            sigma=sigma,
+            a=poly_from_json(data, "a"),
+            order=int(data.get("order", sigma.degree)),
+            sigma_hat=poly_from_json(data, "sigma_hat") if has_hat else None,
+            poles=None if poles is None else tuple(complex_from_json(p) for p in poles),
+            **controls,
+        )
     except ValueError as exc:
-        raise _InputError(f"{path}: bad {name} polynomial: {exc}") from exc
-    raise _InputError(f"{path}: needs either '{coeffs_key}' or '{roots_key}'")
+        raise _InputError(f"{path}: {exc}") from exc
 
 
-def _bank_poles(data: dict, order: int, path: str) -> tuple:
-    if "bank_poles" in data:
-        poles = tuple(_j2c(p) for p in data["bank_poles"])
-        if len(poles) != order + 1:
-            raise _InputError(
-                f"{path}: bank_poles must list order + 1 = {order + 1} poles"
-            )
-        return poles
-    return tuple(default_bank_poles(order))
+def _config() -> dict:
+    """The resolved configuration of the running command, embedded in every output."""
+    ctx = click.get_current_context()
+    params = dict(ctx.params)
+    return {"command": ctx.info_name, "input": params.pop("input_path"),
+            "output": params.pop("output_path"), **params}
 
 
 def _out_dir(path: str) -> Path:
@@ -128,10 +114,6 @@ def _write_csv(path: Path, config: dict, header: list, rows):
         writer.writerows(rows)
 
 
-def _complex_list(values) -> list:
-    return [_c2j(complex(z)) for z in values]
-
-
 def solution_to_json_dict(solution: Solution) -> dict:
     diag = solution.diagnostics
     return {
@@ -143,9 +125,9 @@ def solution_to_json_dict(solution: Solution) -> dict:
         "p": solution.p.tolist(),
         "P": solution.P.tolist(),
         "singular_values": diag.singular_values.tolist(),
-        "poles": _complex_list(diag.poles),
-        "zeros": _complex_list(diag.zeros),
-        "spectral_zeros": _complex_list(diag.spectral_zeros),
+        "poles": [complex_to_json(z) for z in diag.poles],
+        "zeros": [complex_to_json(z) for z in diag.zeros],
+        "spectral_zeros": [complex_to_json(z) for z in diag.spectral_zeros],
         "residuals": {
             "per_node": diag.interp_residuals.tolist(),
             "max_interpolation": diag.max_interp_residual,
@@ -175,19 +157,21 @@ def _trajectory_rows(solution: Solution):
     return header, rows
 
 
-def _solve_options(mu, tol_corrector, step_init, step_min) -> SolveOptions:
+@contextmanager
+def _exit_codes(*input_errors):
+    """Exit 2 on invalid input (a failed validation, ``_InputError`` or one of
+    ``input_errors``) and 3 on a typed numerical failure."""
     try:
-        return SolveOptions(
-            mu=mu, tol_corrector=tol_corrector, step_init=step_init, step_min=step_min
-        )
-    except ValueError as exc:
-        raise _InputError(str(exc)) from exc
-
-
-def _echo_violations(exc: ProblemValidationError):
-    click.echo("error: problem validation failed:", err=True)
-    for v in exc.violations:
-        click.echo(f"  {v}", err=True)
+        yield
+    except ProblemValidationError as exc:
+        click.echo("error: problem validation failed:", err=True)
+        for v in exc.violations:
+            click.echo(f"  {v}", err=True)
+        sys.exit(EXIT_INVALID_INPUT)
+    except (_InputError, *input_errors) as exc:
+        _fail(EXIT_INVALID_INPUT, str(exc))
+    except SOLVE_ERRORS as exc:
+        _fail(EXIT_NUMERICAL, str(exc))
 
 
 @click.group()
@@ -201,49 +185,35 @@ def main():
     """
 
 
-_solver_flags = [
-    click.option("--mu", type=float, default=1e-4, show_default=True,
-                 help="Predictor acceptance band on the first residual component."),
-    click.option("--tol-corrector", type=float, default=1e-12, show_default=True,
-                 help="Max-norm residual for corrector acceptance."),
-    click.option("--step-init", type=float, default=0.1, show_default=True,
-                 help="Initial continuation step."),
-    click.option("--step-min", type=float, default=1e-8, show_default=True,
-                 help="Smallest step before the path is declared failed."),
-]
-
-
-def _add_flags(flags):
-    def wrap(fn):
-        for flag in reversed(flags):
-            fn = flag(fn)
-        return fn
-    return wrap
+def _solver_flags(fn):
+    """Add the ``SolveOptions`` flags shared by ``solve`` and ``reduce``."""
+    for flag in reversed([
+        click.option("--mu", type=float, default=1e-4, show_default=True,
+                     help="Predictor acceptance band on the first residual component."),
+        click.option("--tol-corrector", type=float, default=1e-12, show_default=True,
+                     help="Max-norm residual for corrector acceptance."),
+        click.option("--step-init", type=float, default=0.1, show_default=True,
+                     help="Initial continuation step."),
+        click.option("--step-min", type=float, default=1e-8, show_default=True,
+                     help="Smallest step before the path is declared failed."),
+    ]):
+        fn = flag(fn)
+    return fn
 
 
 @main.command("solve")
 @click.option("--input", "input_path", required=True, type=click.Path(), help="Problem JSON.")
 @click.option("--output", "output_path", required=True, type=click.Path(), help="Output directory.")
-@_add_flags(_solver_flags)
+@_solver_flags
 def cmd_solve(input_path, output_path, mu, tol_corrector, step_init, step_min):
     """Solve one interpolation problem; write solution.json and trajectory.csv."""
-    config = {
-        "command": "solve", "input": input_path, "output": output_path,
-        "mu": mu, "tol_corrector": tol_corrector,
-        "step_init": step_init, "step_min": step_min,
-    }
-    try:
+    config = _config()
+    with _exit_codes(ValueError):
         problem = _load_problem(input_path)
-        opts = _solve_options(mu, tol_corrector, step_init, step_min)
-    except _InputError as exc:
-        _fail(EXIT_INVALID_INPUT, str(exc))
-    try:
+        opts = SolveOptions(mu=mu, tol_corrector=tol_corrector, step_init=step_init,
+                            step_min=step_min)
+    with _exit_codes():
         solution = solve(problem, opts)
-    except ProblemValidationError as exc:
-        _echo_violations(exc)
-        sys.exit(EXIT_INVALID_INPUT)
-    except _NUMERICAL_ERRORS as exc:
-        _fail(EXIT_NUMERICAL, str(exc))
     out = _out_dir(output_path)
     payload = {"config": config, **solution_to_json_dict(solution)}
     _write_json(out / "solution.json", payload)
@@ -266,30 +236,11 @@ def cmd_solve(input_path, output_path, mu, tol_corrector, step_init, step_min):
 @click.option("--seed", type=int, default=0, show_default=True)
 def cmd_simulate(input_path, output_path, samples, burn_in, seed):
     """Simulate the filter, estimate values; write problem.json and series.csv."""
-    config = {
-        "command": "simulate", "input": input_path, "output": output_path,
-        "samples": samples, "burn_in": burn_in, "seed": seed,
-    }
-    try:
-        data = _load_json(input_path)
-        sigma = _poly_from(data, "sigma", input_path)
-        a = _poly_from(data, "a", input_path)
-        order = int(data.get("order", sigma.degree))
-        poles = _bank_poles(data, order, input_path)
-        if "sigma_hat_coeffs" in data or "sigma_hat_roots" in data:
-            sigma_hat = _poly_from(data, "sigma_hat", input_path)
-        else:
-            sigma_hat = embed_sigma(sigma, order)
-        spec = FilterBankSpec(poles=poles, samples=samples, burn_in=burn_in, seed=seed)
-        y = simulate_arma(sigma, a, samples, burn_in, seed)
-    except (_InputError, ValueError) as exc:
-        _fail(EXIT_INVALID_INPUT, str(exc))
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        values = estimate_values(filter_bank(y, spec), spec)
-    problem = InterpolationProblem(nodes_from_poles(poles), tuple(values), sigma_hat)
+    config = _config()
+    with _exit_codes(ValueError):
+        system = _system_config(_load_json(input_path), input_path,
+                                samples=samples, burn_in=burn_in, seed=seed)
+        problem, y = run_problem(system, seed)
     violations = validate(problem)
     out = _out_dir(output_path)
     payload = {
@@ -300,11 +251,8 @@ def cmd_simulate(input_path, output_path, samples, burn_in, seed):
     _write_json(out / "problem.json", payload)
     _write_csv(out / "series.csv", config, ["t", "y"],
                ([t, repr(float(v))] for t, v in enumerate(y)))
-    pick_ok = not violations
-    click.echo(
-        f"simulated {samples} samples (seed {seed}); "
-        f"emitted problem is {'valid' if pick_ok else 'INVALID: ' + '; '.join(map(str, violations))}"
-    )
+    status = "INVALID: " + "; ".join(map(str, violations)) if violations else "valid"
+    click.echo(f"simulated {samples} samples (seed {seed}); emitted problem is {status}")
     click.echo(f"wrote {out / 'problem.json'} and {out / 'series.csv'}")
 
 
@@ -322,33 +270,14 @@ def cmd_simulate(input_path, output_path, samples, burn_in, seed):
               help="Relative singular-value threshold for the degree estimate.")
 def cmd_detect_degree(input_path, output_path, runs, variant, samples, burn_in, seed, tau_rank):
     """Estimate the positive degree; write degree_report.json and runs.csv."""
-    config = {
-        "command": "detect-degree", "input": input_path, "output": output_path,
-        "runs": runs, "variant": variant, "samples": samples,
-        "burn_in": burn_in, "seed": seed, "tau_rank": tau_rank,
-    }
-    try:
+    config = _config()
+    with _exit_codes():
         data = _load_json(input_path)
-        sigma = _poly_from(data, "sigma", input_path)
-        a = _poly_from(data, "a", input_path)
         if "order" not in data:
             raise _InputError(f"{input_path}: 'order' is required")
-        order = int(data["order"])
-        sigma_hat = None
-        if "sigma_hat_coeffs" in data or "sigma_hat_roots" in data:
-            sigma_hat = _poly_from(data, "sigma_hat", input_path)
-        poles = _bank_poles(data, order, input_path) if "bank_poles" in data else None
-        mc = MonteCarloConfig(
-            sigma=sigma, a=a, order=order, sigma_hat=sigma_hat, poles=poles,
-            samples=samples, burn_in=burn_in, seed=seed, runs=runs,
-            variant=variant, tau_rank=tau_rank,
-        )
-    except (_InputError, ValueError) as exc:
-        _fail(EXIT_INVALID_INPUT, str(exc))
-    try:
+        mc = _system_config(data, input_path, samples=samples, burn_in=burn_in, seed=seed,
+                            runs=runs, variant=variant, tau_rank=tau_rank)
         report = monte_carlo(mc)
-    except _NUMERICAL_ERRORS as exc:
-        _fail(EXIT_NUMERICAL, str(exc))
     out = _out_dir(output_path)
     payload = {
         "config": config,
@@ -359,10 +288,10 @@ def cmd_detect_degree(input_path, output_path, runs, variant, samples, burn_in, 
         "runs_failed": report.runs_failed,
     }
     _write_json(out / "degree_report.json", payload)
-    header = ["run", "seed", "status", "error"] + [f"s{i + 1}" for i in range(order)]
+    header = ["run", "seed", "status", "error"] + [f"s{i + 1}" for i in range(mc.order)]
     rows = []
     for rec in report.per_run:
-        svals = [repr(float(s)) for s in rec.singular_values] if rec.ok else [""] * order
+        svals = [repr(float(s)) for s in rec.singular_values] if rec.ok else [""] * mc.order
         rows.append([rec.run, rec.seed, "ok" if rec.ok else "failed", rec.error or ""] + svals)
     _write_csv(out / "runs.csv", config, header, rows)
     click.echo(f"estimated positive degree: {report.estimated_degree}")
@@ -382,35 +311,18 @@ def cmd_detect_degree(input_path, output_path, runs, variant, samples, burn_in, 
 @click.option("--output", "output_path", required=True, type=click.Path(), help="Output directory.")
 @click.option("--target-degree", type=int, required=True,
               help="Degree of the reduced model (dominant spectral zeros kept).")
-@_add_flags(_solver_flags)
+@_solver_flags
 def cmd_reduce(input_path, output_path, target_degree, mu, tol_corrector, step_init, step_min):
     """Solve, reduce to the target degree, and dump both spectral densities."""
-    config = {
-        "command": "reduce", "input": input_path, "output": output_path,
-        "target_degree": target_degree, "mu": mu, "tol_corrector": tol_corrector,
-        "step_init": step_init, "step_min": step_min,
-    }
-    try:
+    config = _config()
+    with _exit_codes(ValueError):
         problem = _load_problem(input_path)
-        opts = _solve_options(mu, tol_corrector, step_init, step_min)
-    except _InputError as exc:
-        _fail(EXIT_INVALID_INPUT, str(exc))
-    try:
+        opts = SolveOptions(mu=mu, tol_corrector=tol_corrector, step_init=step_init,
+                            step_min=step_min)
+    with _exit_codes():
         full = solve(problem, opts)
-    except ProblemValidationError as exc:
-        _echo_violations(exc)
-        sys.exit(EXIT_INVALID_INPUT)
-    except _NUMERICAL_ERRORS as exc:
-        _fail(EXIT_NUMERICAL, str(exc))
-    try:
+    with _exit_codes(ValueError):
         reduced_problem, reduced_solution = reduce_model(full, target_degree, opts=opts)
-    except ProblemValidationError as exc:
-        _echo_violations(exc)
-        sys.exit(EXIT_INVALID_INPUT)
-    except ValueError as exc:
-        _fail(EXIT_INVALID_INPUT, str(exc))
-    except _NUMERICAL_ERRORS as exc:
-        _fail(EXIT_NUMERICAL, str(exc))
     out = _out_dir(output_path)
     _write_json(out / "reduced_problem.json",
                 {"config": config, **problem_to_json_dict(reduced_problem)})

@@ -19,6 +19,7 @@ same acceptance band it allows far longer steps near the unit circle.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -26,7 +27,15 @@ import numpy as np
 
 from . import cee_core
 from .cee_core import CeeMatrices, OperatorPair, g_of_p, operator_pair, recover_P
-from .polyalg import CompanionData, MonicPolynomial, build_S, build_d, companion
+from .polyalg import (
+    MAX_NEWTON_ITERS,
+    STEP_GROWTH,
+    STEP_MAX,
+    CompanionData,
+    MonicPolynomial,
+    build_S,
+    companion,
+)
 from .problem import (
     InterpolationProblem,
     ProblemValidationError,
@@ -43,6 +52,7 @@ __all__ = [
     "HomotopyContext",
     "CorrectorError",
     "PathError",
+    "SOLVE_ERRORS",
     "ab_of_p",
     "eval_G",
     "jac_G",
@@ -61,24 +71,28 @@ class PathError(RuntimeError):
     """Path following failed (step size underflowed without acceptance)."""
 
 
+#: The typed errors of a failed solve: invalid input or a numerical failure.
+SOLVE_ERRORS = (ProblemValidationError, PathError, CorrectorError, cee_core.SteinConsistencyError,
+                cee_core.RealnessError, np.linalg.LinAlgError)
+
+
 @dataclass(frozen=True)
 class SolveOptions:
-    """Tunables of the predictor-corrector driver."""
+    """Tunables of the predictor-corrector path follower (the CLI solver flags).
+
+    The step cap, step growth and Newton budget are the package constants
+    ``STEP_MAX``, ``STEP_GROWTH`` and ``MAX_NEWTON_ITERS``.
+    """
 
     mu: float = 1e-4                 # predictor acceptance band on |e1' G|
     tol_corrector: float = 1e-12     # max-norm residual for corrector acceptance
     step_init: float = 0.1
     step_min: float = 1e-8
-    step_max: float = 0.2
-    step_growth: float = 1.5
-    max_newton_iters: int = 25
 
     def __post_init__(self):
-        for name in ("mu", "tol_corrector", "step_init", "step_min", "step_max"):
+        for name in ("mu", "tol_corrector", "step_init", "step_min"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        if self.step_growth < 1.0 or self.max_newton_iters < 1:
-            raise ValueError("step_growth must be >= 1 and max_newton_iters >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,17 +158,19 @@ class HomotopyContext:
 
     Built from a *normalized* problem (value exactly 1/2 at infinity).
     Operator pairs are memoized per parameter value, so repeated corrector
-    evaluations at a fixed ``nu`` reuse one linear solve.
+    evaluations at a fixed ``nu`` reuse one matrix inverse.
     """
 
-    def __init__(self, problem: InterpolationProblem, tol_real: float = cee_core.TOL_REAL):
+    def __init__(self, problem: InterpolationProblem):
         if problem.values[0] != 0.5:
             raise ValueError("HomotopyContext requires a normalized problem")
         self.problem = problem
         self.n = problem.n
         self.comp: CompanionData = companion(problem.sigma)
-        self.d = build_d(problem.sigma)
-        self.cee: CeeMatrices = cee_core.build_cee_matrices(problem, tol_real=tol_real)
+        # first n autocorrelation coefficients of sigma
+        s = problem.sigma.coeffs
+        self.d = 0.5 * (build_S(s) @ s)[: self.n]
+        self.cee: CeeMatrices = cee_core.build_cee_matrices(problem)
         self._pairs: dict[float, OperatorPair] = {}
 
     @property
@@ -171,28 +187,30 @@ class HomotopyContext:
         return pair
 
 
+def _v_and_g(pair: OperatorPair, comp: CompanionData, p: np.ndarray):
+    """``v = Gamma p + sigma`` and ``g = U v + u``, so ``a = v - g``, ``b = v + g``."""
+    v = comp.sigma_vec + comp.Gamma @ p
+    return v, pair.U @ v + pair.u
+
+
 def ab_of_p(pair: OperatorPair, comp: CompanionData, p: np.ndarray):
     """Monic polynomials ``a`` and ``b`` encoded by ``p`` at one parameter.
 
     ``a = (I - U)(Gamma p + sigma) - u`` and ``b = (I + U)(Gamma p + sigma) + u``
     are the coefficient tails; the leading 1 is prepended.
     """
-    v = comp.sigma_vec + comp.Gamma @ p
-    Uv_plus_u = pair.U @ v + pair.u
-    a = MonicPolynomial(np.concatenate(([1.0], v - Uv_plus_u)))
-    b = MonicPolynomial(np.concatenate(([1.0], v + Uv_plus_u)))
-    return a, b
+    v, g = _v_and_g(pair, comp, p)
+    return MonicPolynomial(_pad(1.0, v - g)), MonicPolynomial(_pad(1.0, v + g))
 
 
-def _pad0(vec: np.ndarray) -> np.ndarray:
-    return np.concatenate(([0.0], vec))
+def _pad(lead: float, vec: np.ndarray) -> np.ndarray:
+    return np.concatenate(([lead], vec))
 
 
 def eval_G(p: np.ndarray, nu: float, ctx: HomotopyContext) -> np.ndarray:
     """Residual ``E S(a(p)) [1; b(p)] - 2 (1 - h' p) d`` at parameter ``nu``."""
-    pair = ctx.operators(nu)
-    a, b = ab_of_p(pair, ctx.comp, p)
-    sym = build_S(a.coeffs) @ b.coeffs
+    v, g = _v_and_g(ctx.operators(nu), ctx.comp, p)
+    sym = build_S(_pad(1.0, v - g)) @ _pad(1.0, v + g)
     hp = p[0] if ctx.n else 0.0
     return sym[: ctx.n] - 2.0 * (1.0 - hp) * ctx.d
 
@@ -210,11 +228,10 @@ def jac_G(p: np.ndarray, nu: float, ctx: HomotopyContext) -> np.ndarray:
     pair = ctx.operators(nu)
     n = ctx.n
     Gamma = ctx.comp.Gamma
-    v = ctx.comp.sigma_vec + Gamma @ p
-    g = pair.U @ v + pair.u
+    v, g = _v_and_g(pair, ctx.comp, p)
     zrow = np.zeros((1, n))
-    J = -2.0 * (build_S(_pad0(g))[:n] @ np.vstack([zrow, pair.U @ Gamma]))
-    J += 2.0 * (build_S(np.concatenate(([1.0], v)))[:n] @ np.vstack([zrow, Gamma]))
+    J = -2.0 * (build_S(_pad(0.0, g))[:n] @ np.vstack([zrow, pair.U @ Gamma]))
+    J += 2.0 * (build_S(_pad(1.0, v))[:n] @ np.vstack([zrow, Gamma]))
     J[:, 0] += 2.0 * ctx.d
     return J
 
@@ -227,10 +244,9 @@ def dG_dnu(p: np.ndarray, nu: float, ctx: HomotopyContext) -> np.ndarray:
         ``dG/dnu = -2 E S([0; g]) [0; U_dot v + u_dot]``.
     """
     pair = ctx.operators(nu)
-    v = ctx.comp.sigma_vec + ctx.comp.Gamma @ p
-    g = pair.U @ v + pair.u
+    v, g = _v_and_g(pair, ctx.comp, p)
     g_dot = pair.U_dot @ v + pair.u_dot
-    return -2.0 * (build_S(_pad0(g))[: ctx.n] @ _pad0(g_dot))
+    return -2.0 * (build_S(_pad(0.0, g))[: ctx.n] @ _pad(0.0, g_dot))
 
 
 def _tangent(p: np.ndarray, nu: float, ctx: HomotopyContext) -> np.ndarray:
@@ -280,7 +296,7 @@ def corrector(
     """
     opts = opts or SolveOptions()
     p = np.array(p_hat, dtype=float)
-    for k in range(opts.max_newton_iters + 1):
+    for k in range(MAX_NEWTON_ITERS + 1):
         if p.size and p[0] >= 1.0:
             raise CorrectorError(f"iterate left the region h'p < 1 at nu={nu:.6g}")
         G = eval_G(p, nu, ctx)
@@ -291,7 +307,7 @@ def corrector(
             raise CorrectorError(f"non-finite residual at nu={nu:.6g}")
         if r <= opts.tol_corrector:
             return p, k
-        if k == opts.max_newton_iters:
+        if k == MAX_NEWTON_ITERS:
             break
         try:
             p = p - np.linalg.solve(jac_G(p, nu, ctx), G)
@@ -300,7 +316,7 @@ def corrector(
         if not np.all(np.isfinite(p)):
             raise CorrectorError(f"non-finite iterate at nu={nu:.6g}")
     raise CorrectorError(
-        f"no convergence in {opts.max_newton_iters} iterations at nu={nu:.6g} "
+        f"no convergence in {MAX_NEWTON_ITERS} iterations at nu={nu:.6g} "
         f"(residual {r:.3e})"
     )
 
@@ -361,7 +377,7 @@ def _follow_path(ctx: HomotopyContext, opts: SolveOptions) -> list:
             continue
         nu, p, tangent = target, p_new, None
         states.append(_make_state(ctx, nu, p, dnu, iters, residuals[-1]))
-        step = min(opts.step_growth * dnu, opts.step_max)
+        step = min(STEP_GROWTH * dnu, STEP_MAX)
     return states
 
 
@@ -392,12 +408,19 @@ def solve(problem: InterpolationProblem, opts: SolveOptions | None = None) -> So
     a, b = ab_of_p(pair, ctx.comp, p)
     rho = math.sqrt(1.0 - (p[0] if ctx.n else 0.0))
 
-    zeta = problem.node_reciprocals()
-    w = problem.values_array()
-    f_num = np.polyval(b.coeffs[::-1], zeta)
-    f_den = np.polyval(a.coeffs[::-1], zeta)
-    f_vals = norm.scale * f_num / (2.0 * f_den)
-    interp_residuals = np.abs(f_vals - w)
+    solution = Solution(
+        problem=problem,
+        a=a,
+        b=b,
+        rho=rho,
+        P=P,
+        p=p,
+        scale=norm.scale,
+        trajectory=tuple(states),
+        diagnostics=None,
+    )
+    f_vals = solution.interpolant_from_reciprocal(problem.node_reciprocals())
+    interp_residuals = np.abs(f_vals - problem.values_array())
     svals = np.linalg.svd(P, compute_uv=False) if ctx.n else np.zeros(0)
     diagnostics = Diagnostics(
         interp_residuals=interp_residuals,
@@ -409,14 +432,4 @@ def solve(problem: InterpolationProblem, opts: SolveOptions | None = None) -> So
         singular_values=svals,
         cond_V=ctx.cee.cond_V,
     )
-    return Solution(
-        problem=problem,
-        a=a,
-        b=b,
-        rho=rho,
-        P=P,
-        p=p,
-        scale=norm.scale,
-        trajectory=tuple(states),
-        diagnostics=diagnostics,
-    )
+    return dataclasses.replace(solution, diagnostics=diagnostics)

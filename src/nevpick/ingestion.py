@@ -30,10 +30,9 @@ from .analysis import (
     estimate_positive_degree,
     singular_values,
 )
-from .cee_core import RealnessError, SteinConsistencyError
-from .continuation import CorrectorError, PathError, SolveOptions, solve
-from .polyalg import MonicPolynomial, build_S, roots_and_schur, sym_coeffs
-from .problem import INF, InterpolationProblem, ProblemValidationError
+from .continuation import SOLVE_ERRORS, PathError, SolveOptions, solve
+from .polyalg import TOL_NODE, MonicPolynomial, build_S, conjugate_pairs, roots_and_schur
+from .problem import INF, InterpolationProblem, is_positive_definite, pick_matrix, require_distinct
 
 __all__ = [
     "FilterBankSpec",
@@ -46,6 +45,7 @@ __all__ = [
     "positive_real_numerator",
     "exact_values",
     "embed_sigma",
+    "run_problem",
     "monte_carlo",
 ]
 
@@ -91,12 +91,9 @@ class FilterBankSpec:
             raise ValueError("poles[0] must be 0 (the node at infinity)")
         if any(abs(p) >= 1.0 for p in poles):
             raise ValueError("all bank poles must satisfy |p| < 1")
-        if len(set(poles)) != len(poles):
-            raise ValueError("bank poles must be distinct")
-        arr = np.asarray(poles)
-        for p in arr:
-            if np.min(np.abs(arr - np.conj(p))) > 1e-12:
-                raise ValueError("bank poles must be closed under conjugation")
+        require_distinct(poles, "bank poles")
+        if None in conjugate_pairs(poles, TOL_NODE):
+            raise ValueError("bank poles must be closed under conjugation")
         if self.samples <= 0 or self.burn_in < 0:
             raise ValueError("samples must be positive and burn_in nonnegative")
         object.__setattr__(self, "poles", poles)
@@ -121,8 +118,7 @@ def simulate_arma(
     """
     if sigma.degree != a.degree:
         raise ValueError("sigma and a must have the same degree")
-    _, schur = roots_and_schur(a) if a.degree else (None, True)
-    if not schur:
+    if not roots_and_schur(a)[1]:
         raise ValueError("filter denominator is not Schur stable")
     rng = np.random.default_rng(seed)
     e = rng.standard_normal(samples + burn_in)
@@ -155,23 +151,17 @@ def estimate_values(bank_outputs: np.ndarray, spec: FilterBankSpec) -> np.ndarra
     poles = np.asarray(spec.poles)
     second_moment = np.mean(bank_outputs**2, axis=1)
     w = 0.5 * (1.0 - poles**2) * second_moment
-    partners = np.array([int(np.argmin(np.abs(poles - np.conj(p)))) for p in poles])
-    w = 0.5 * (w + np.conj(w[partners]))
-    try:
-        from .problem import is_positive_definite, pick_matrix
-
-        probe = InterpolationProblem(
-            nodes_from_poles(poles), tuple(w), MonicPolynomial.from_roots([0.0] * spec.n)
+    w = 0.5 * (w + np.conj(w[conjugate_pairs(poles, TOL_NODE)]))
+    probe = InterpolationProblem(
+        nodes_from_poles(poles), tuple(w), MonicPolynomial.from_roots([0.0] * spec.n)
+    )
+    if not is_positive_definite(pick_matrix(probe)):
+        warnings.warn(
+            "estimated values give a non-positive-definite Pick matrix; "
+            "consider increasing the sample count",
+            RuntimeWarning,
+            stacklevel=2,
         )
-        if not is_positive_definite(pick_matrix(probe)):
-            warnings.warn(
-                "estimated values give a non-positive-definite Pick matrix; "
-                "consider increasing the sample count",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    except ValueError:
-        pass
     return w
 
 
@@ -184,7 +174,7 @@ def positive_real_numerator(sigma: MonicPolynomial, a: MonicPolynomial) -> np.nd
     """
     if sigma.degree != a.degree:
         raise ValueError("sigma and a must have the same degree")
-    rhs = 0.5 * sym_coeffs(sigma.coeffs, sigma.coeffs)
+    rhs = 0.5 * (build_S(sigma.coeffs) @ sigma.coeffs)
     return np.linalg.solve(build_S(a.coeffs), rhs)
 
 
@@ -234,33 +224,39 @@ class MonteCarloConfig:
             raise ValueError("order must be at least the true degree")
         if self.runs < 1:
             raise ValueError("runs must be positive")
-
-    def resolved_poles(self) -> tuple:
-        if self.poles is not None:
-            return tuple(complex(p) for p in self.poles)
-        return tuple(default_bank_poles(self.order))
-
-    def resolved_sigma_hat(self) -> MonicPolynomial:
-        return self.sigma_hat or embed_sigma(self.sigma, self.order)
+        if self.poles is not None and len(self.poles) != self.order + 1:
+            raise ValueError(f"bank_poles must list order + 1 = {self.order + 1} poles")
+        if self.sigma_hat is not None and self.sigma_hat.degree != self.order:
+            raise ValueError(f"sigma_hat must have degree order = {self.order}")
 
 
-def _single_run(config: MonteCarloConfig, seed: int, solve_opts) -> np.ndarray:
-    poles = config.resolved_poles()
+def run_problem(config: MonteCarloConfig, seed: int) -> tuple:
+    """The data of one run: ``(problem, y)``.
+
+    The ``"monte-carlo"`` variant simulates the series ``y`` with ``seed``,
+    runs the bank and estimates the values (its Pick warning is silenced;
+    the problem is validated downstream); the ``"exact"`` variant takes the
+    true values and has no series (``y`` is None).
+    """
+    if config.poles is None:
+        poles = tuple(default_bank_poles(config.order))
+    else:
+        poles = tuple(complex(p) for p in config.poles)
+    y = None
     if config.variant == "exact":
         values = exact_values(config.sigma, config.a, poles)
     else:
-        spec = FilterBankSpec(
-            poles=poles, samples=config.samples, burn_in=config.burn_in, seed=seed
-        )
+        spec = FilterBankSpec(poles=poles, samples=config.samples, burn_in=config.burn_in,
+                              seed=seed)
         y = simulate_arma(config.sigma, config.a, config.samples, config.burn_in, seed)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             values = estimate_values(filter_bank(y, spec), spec)
     problem = InterpolationProblem(
-        nodes_from_poles(poles), tuple(values), config.resolved_sigma_hat()
+        nodes_from_poles(poles), tuple(values),
+        config.sigma_hat or embed_sigma(config.sigma, config.order),
     )
-    sol = solve(problem, solve_opts)
-    return singular_values(sol.P)
+    return problem, y
 
 
 def monte_carlo(config: MonteCarloConfig, solve_opts: SolveOptions | None = None) -> DegreeReport:
@@ -275,10 +271,10 @@ def monte_carlo(config: MonteCarloConfig, solve_opts: SolveOptions | None = None
     for r in range(config.runs):
         seed_r = config.seed ^ r
         try:
-            sv = _single_run(config, seed_r, solve_opts)
+            problem, _ = run_problem(config, seed_r)
+            sv = singular_values(solve(problem, solve_opts).P)
             records.append(RunRecord(run=r, seed=seed_r, singular_values=sv))
-        except (ProblemValidationError, PathError, CorrectorError, SteinConsistencyError,
-                RealnessError, np.linalg.LinAlgError) as exc:
+        except SOLVE_ERRORS as exc:
             records.append(
                 RunRecord(run=r, seed=seed_r, singular_values=None,
                           error=f"{type(exc).__name__}: {exc}")

@@ -24,10 +24,24 @@ __all__ = [
     "eval_poly",
     "roots_and_schur",
     "companion",
-    "build_d",
     "build_S",
-    "sym_coeffs",
+    "conjugate_pairs",
 ]
+
+# Tolerances and step-control constants of the whole package, in one table.
+# Nodes are compared as reciprocals 1/z_k, which for a filter bank are its poles.
+TOL_NODE = 1e-12        # distinct nodes / poles; conjugate matching of them (absolute)
+TOL_ROOT_PAIR = 1e-8    # conjugate matching of computed roots, relative to 1 + |z|
+TOL_VALUE = 1e-9        # conjugate closure of interpolation values, relative to 1 + |w|
+TOL_IMAG = 1e-9         # imaginary coefficients of a root set's polynomial, relative
+TOL_REAL = 1e-9         # imaginary residue of V^-1 W V (broken conjugate symmetry)
+TOL_PD = 1e-12          # positive-definite: smallest eigenvalue relative to the largest
+TOL_P_SYM = 1e-10       # recovered P: asymmetry relative to its largest entry,
+TOL_P_PH = 1e-8         # ... |P h - p| relative to 1 + |p|,
+TOL_P_PSD = 1e-8        # ... and the floor on its smallest eigenvalue
+STEP_MAX = 0.2          # largest continuation step
+STEP_GROWTH = 1.5       # step growth after an accepted step
+MAX_NEWTON_ITERS = 25   # Newton budget of one correction
 
 
 def _coeff_array(poly) -> np.ndarray:
@@ -73,11 +87,11 @@ class MonicPolynomial:
         return self.coeffs[1:]
 
     @classmethod
-    def from_roots(cls, roots, tol_imag: float = 1e-9) -> "MonicPolynomial":
+    def from_roots(cls, roots) -> "MonicPolynomial":
         """Monic polynomial with the given (conjugate-closed) roots."""
         c = np.atleast_1d(np.poly(np.asarray(roots, dtype=complex)))
         scale = max(1.0, float(np.max(np.abs(c))))
-        if np.max(np.abs(c.imag)) > tol_imag * scale:
+        if np.max(np.abs(c.imag)) > TOL_IMAG * scale:
             raise ValueError("roots are not closed under conjugation")
         return cls(c.real)
 
@@ -122,16 +136,16 @@ def eval_poly(poly, z):
     return np.polyval(_coeff_array(poly), z)
 
 
-def roots_and_schur(poly, eps_schur: float = 0.0):
+def roots_and_schur(poly):
     """All roots of ``poly`` plus a strict unit-disk membership flag.
 
     Returns ``(roots, is_schur)`` where ``is_schur`` is true iff every root
-    satisfies ``|root| < 1 - eps_schur``.  Roots come from the eigenvalues
-    of a companion matrix (``numpy.roots``).
+    satisfies ``|root| < 1``.  Roots come from the eigenvalues of a
+    companion matrix (``numpy.roots``).
     """
     c = _coeff_array(poly)
     r = np.roots(c)
-    is_schur = bool(r.size == 0 or np.max(np.abs(r)) < 1.0 - eps_schur)
+    is_schur = bool(r.size == 0 or np.max(np.abs(r)) < 1.0)
     return r, is_schur
 
 
@@ -148,18 +162,6 @@ def companion(sigma: MonicPolynomial) -> CompanionData:
     if n:
         h[0] = 1.0
     return CompanionData(Gamma=Gamma, h=h, sigma_vec=sv)
-
-
-def build_d(sigma: MonicPolynomial) -> np.ndarray:
-    """First ``n`` autocorrelation coefficients of a monic polynomial.
-
-    Entry ``k`` equals ``sum_i s_i s_(i+k)`` over the full coefficient
-    vector ``s = (1, c1, ..., cn)``, i.e. the ``z^k`` coefficient of
-    ``sigma(z) * sigma(1/z)`` for ``k = 0, ..., n-1``.
-    """
-    s = sigma.coeffs
-    n = sigma.degree
-    return np.array([s[: n + 1 - k] @ s[k:] for k in range(n)])
 
 
 @lru_cache(maxsize=None)
@@ -193,15 +195,28 @@ def build_S(x) -> np.ndarray:
     return padded[hank] + padded[toep]
 
 
-def sym_coeffs(x, y) -> np.ndarray:
-    """Coefficients of ``x(z) y(1/z) + y(z) x(1/z)`` by direct convolution.
+def conjugate_pairs(points, tol) -> list:
+    """Partner index of each point under one-to-one conjugate matching.
 
-    Independent of :func:`build_S`; serves as its cross-check.  Returns the
-    ``z^k`` coefficients for ``k = 0, ..., n``.
+    Greedy in index order: a point within ``tol`` (scalar or per point) of
+    the real axis pairs with itself; any other takes the nearest unused
+    point within ``tol`` of its conjugate, or ``None`` when there is none.
     """
-    a = _coeff_array(x)
-    b = _coeff_array(y)
-    if a.size != b.size:
-        raise ValueError("coefficient vectors must have equal length")
-    m = a.size
-    return np.array([a[: m - k] @ b[k:] + b[: m - k] @ a[k:] for k in range(m)])
+    points = np.asarray(points, dtype=complex)
+    tol = np.broadcast_to(tol, points.shape)
+    partner = [None] * points.size
+    used = np.zeros(points.size, dtype=bool)
+    for k, z in enumerate(points):
+        if used[k]:
+            continue
+        used[k] = True
+        if abs(z.imag) <= tol[k]:
+            partner[k] = k
+            continue
+        dist = np.abs(points - np.conj(z))
+        dist[used] = np.inf
+        j = int(np.argmin(dist))
+        if dist[j] <= tol[k]:
+            used[j] = True
+            partner[k], partner[j] = j, k
+    return partner

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polyalg import MonicPolynomial, roots_and_schur
+from .polyalg import TOL_NODE, TOL_PD, TOL_VALUE, MonicPolynomial, conjugate_pairs, roots_and_schur
 
 __all__ = [
     "INF",
@@ -24,20 +24,20 @@ __all__ = [
     "Violation",
     "ProblemValidationError",
     "validate",
+    "coincident_pairs",
+    "require_distinct",
     "pick_matrix",
     "is_positive_definite",
     "normalize",
-    "denormalize",
+    "complex_to_json",
+    "complex_from_json",
+    "poly_from_json",
     "problem_to_json_dict",
     "problem_from_json_dict",
 ]
 
 #: Sentinel for the node at infinity (always index 0 of the node list).
 INF = complex(math.inf, 0.0)
-
-# matching tolerances for conjugate-closure checks
-_TOL_NODE = 1e-12
-_TOL_VALUE = 1e-9
 
 
 def is_inf_node(z: complex) -> bool:
@@ -124,15 +124,22 @@ class ProblemValidationError(ValueError):
         super().__init__("; ".join(str(v) for v in self.violations))
 
 
-def _conjugate_partner(points: np.ndarray, tol: float) -> list:
-    """Index of the conjugate partner of each point, or None when missing."""
-    partners = []
-    for k, z in enumerate(points):
-        target = np.conj(z)
-        dist = np.abs(points - target)
-        j = int(np.argmin(dist))
-        partners.append(j if dist[j] <= tol else None)
-    return partners
+def coincident_pairs(zeta) -> list:
+    """Index pairs ``(k, j)``, ``k < j``, of points closer than ``TOL_NODE``.
+
+    Applied to reciprocal nodes, which for a filter bank are its poles.
+    """
+    zeta = np.asarray(zeta)
+    close = np.abs(zeta[:, None] - zeta[None, :]) <= TOL_NODE
+    k, j = np.nonzero(np.triu(close, 1))
+    return list(zip(k.tolist(), j.tolist()))
+
+
+def require_distinct(zeta, what: str = "nodes"):
+    """Raise ``ValueError`` naming the first coincident pair of points."""
+    pairs = coincident_pairs(zeta)
+    if pairs:
+        raise ValueError(f"{what} {pairs[0][0]} and {pairs[0][1]} coincide")
 
 
 def validate(problem: InterpolationProblem) -> list:
@@ -164,19 +171,16 @@ def validate(problem: InterpolationProblem) -> list:
             structurally_sound = False
 
     zeta = problem.node_reciprocals()
-    for k in range(n + 1):
-        for j in range(k + 1, n + 1):
-            if abs(zeta[k] - zeta[j]) <= _TOL_NODE:
-                out.append(Violation("node-distinct", f"nodes {k} and {j} coincide", j))
-                structurally_sound = False
+    for k, j in coincident_pairs(zeta):
+        out.append(Violation("node-distinct", f"nodes {k} and {j} coincide", j))
+        structurally_sound = False
 
-    partners = _conjugate_partner(zeta, _TOL_NODE)
     warr = problem.values_array()
-    for k, j in enumerate(partners):
+    for k, j in enumerate(conjugate_pairs(zeta, TOL_NODE)):
         if j is None:
             out.append(Violation("conjugate-closure", f"node {k} has no conjugate partner", k))
             structurally_sound = False
-        elif abs(warr[j] - np.conj(warr[k])) > _TOL_VALUE * (1.0 + abs(warr[k])):
+        elif abs(warr[j] - np.conj(warr[k])) > TOL_VALUE * (1.0 + abs(warr[k])):
             out.append(
                 Violation(
                     "conjugate-closure",
@@ -189,8 +193,7 @@ def validate(problem: InterpolationProblem) -> list:
         if not w.real > 0:
             out.append(Violation("value-rhp", f"Re(w_{k}) = {w.real:.6g} must be positive", k))
 
-    _, schur_ok = roots_and_schur(problem.sigma) if n >= 1 else (None, True)
-    if not schur_ok:
+    if not roots_and_schur(problem.sigma)[1]:
         out.append(Violation("sigma-not-schur", "sigma has a root with modulus >= 1"))
 
     if structurally_sound:
@@ -208,20 +211,16 @@ def pick_matrix(problem: InterpolationProblem) -> np.ndarray:
     to ``w_k + conj(w_l)`` and the (0, 0) entry is ``2 w_0``.
     """
     zeta = problem.node_reciprocals()
-    m = zeta.size
-    for k in range(m):
-        for j in range(k + 1, m):
-            if abs(zeta[k] - zeta[j]) <= 1e-14:
-                raise ValueError(f"nodes {k} and {j} coincide")
+    require_distinct(zeta)
     w = problem.values_array()
     num = w[:, None] + np.conj(w)[None, :]
     den = 1.0 - zeta[:, None] * np.conj(zeta)[None, :]
     return num / den
 
 
-def is_positive_definite(M: np.ndarray, tol_pd: float = 1e-12) -> bool:
+def is_positive_definite(M: np.ndarray) -> bool:
     """True iff the Hermitian matrix ``M`` has minimum eigenvalue above
-    ``tol_pd`` times its maximum eigenvalue.
+    ``TOL_PD`` times its maximum eigenvalue.
 
     Rejects (raises) inputs that are not Hermitian within 1e-10.
     """
@@ -232,7 +231,7 @@ def is_positive_definite(M: np.ndarray, tol_pd: float = 1e-12) -> bool:
     if np.max(np.abs(M - M.conj().T)) > 1e-10 * scale:
         raise ValueError("matrix is not Hermitian")
     eigs = np.linalg.eigvalsh(0.5 * (M + M.conj().T))
-    return bool(eigs[0] > tol_pd * max(eigs[-1], 0.0))
+    return bool(eigs[0] > TOL_PD * max(eigs[-1], 0.0))
 
 
 def normalize(problem: InterpolationProblem) -> NormalizedProblem:
@@ -253,13 +252,6 @@ def normalize(problem: InterpolationProblem) -> NormalizedProblem:
     )
 
 
-def denormalize(normalized: NormalizedProblem) -> InterpolationProblem:
-    """Undo :func:`normalize` (values multiplied back by the stored scale)."""
-    p = normalized.problem
-    values = tuple(w * normalized.scale for w in p.values)
-    return InterpolationProblem(p.nodes, values, p.sigma)
-
-
 # ---------------------------------------------------------------------------
 # JSON schema (consumed and produced by the CLI)
 #
@@ -270,11 +262,14 @@ def denormalize(normalized: NormalizedProblem) -> InterpolationProblem:
 # ---------------------------------------------------------------------------
 
 
-def _c2j(z: complex) -> dict:
+def complex_to_json(z) -> dict:
+    """``{"re": r, "im": i}`` for a complex number."""
+    z = complex(z)
     return {"re": float(z.real), "im": float(z.imag)}
 
 
-def _j2c(obj) -> complex:
+def complex_from_json(obj) -> complex:
+    """Parse ``{"re": r, "im": i}`` (missing parts are 0) or a plain number."""
     if isinstance(obj, dict):
         return complex(float(obj.get("re", 0.0)), float(obj.get("im", 0.0)))
     if isinstance(obj, (int, float)):
@@ -282,11 +277,20 @@ def _j2c(obj) -> complex:
     raise ValueError(f"cannot parse complex value from {obj!r}")
 
 
+def poly_from_json(data: dict, name: str) -> MonicPolynomial:
+    """Monic polynomial from ``<name>_coeffs`` (descending, real) or ``<name>_roots``."""
+    if f"{name}_coeffs" in data:
+        return MonicPolynomial(np.asarray(data[f"{name}_coeffs"], dtype=float))
+    if f"{name}_roots" in data:
+        return MonicPolynomial.from_roots([complex_from_json(r) for r in data[f"{name}_roots"]])
+    raise ValueError(f"needs either '{name}_coeffs' or '{name}_roots'")
+
+
 def problem_to_json_dict(problem: InterpolationProblem) -> dict:
-    nodes = ["inf" if is_inf_node(z) else _c2j(z) for z in problem.nodes]
+    nodes = ["inf" if is_inf_node(z) else complex_to_json(z) for z in problem.nodes]
     return {
         "nodes": nodes,
-        "values": [_c2j(w) for w in problem.values],
+        "values": [complex_to_json(w) for w in problem.values],
         "sigma_coeffs": [float(c) for c in problem.sigma.coeffs],
     }
 
@@ -297,12 +301,6 @@ def problem_from_json_dict(data: dict) -> InterpolationProblem:
         raw_values = data["values"]
     except KeyError as exc:
         raise ValueError(f"problem JSON is missing key {exc}") from None
-    nodes = tuple(INF if node == "inf" else _j2c(node) for node in raw_nodes)
-    values = tuple(_j2c(w) for w in raw_values)
-    if "sigma_coeffs" in data:
-        sigma = MonicPolynomial(np.asarray(data["sigma_coeffs"], dtype=float))
-    elif "sigma_roots" in data:
-        sigma = MonicPolynomial.from_roots([_j2c(r) for r in data["sigma_roots"]])
-    else:
-        raise ValueError("problem JSON needs either 'sigma_coeffs' or 'sigma_roots'")
-    return InterpolationProblem(nodes, values, sigma)
+    nodes = tuple(INF if node == "inf" else complex_from_json(node) for node in raw_nodes)
+    values = tuple(complex_from_json(w) for w in raw_values)
+    return InterpolationProblem(nodes, values, poly_from_json(data, "sigma"))

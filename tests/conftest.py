@@ -1,8 +1,22 @@
 import numpy as np
 import pytest
 
-from nevpick.polyalg import MonicPolynomial, build_S, sym_coeffs
+from nevpick.polyalg import MonicPolynomial, build_S
 from nevpick.problem import INF, InterpolationProblem, validate
+
+
+def sym_coeffs(x, y) -> np.ndarray:
+    """Coefficients of ``x(z) y(1/z) + y(z) x(1/z)`` by direct convolution.
+
+    Independent of ``build_S``; serves as its cross-check.  Returns the
+    ``z^k`` coefficients for ``k = 0, ..., n``.
+    """
+    a = np.asarray(x, dtype=float)
+    b = np.asarray(y, dtype=float)
+    if a.size != b.size:
+        raise ValueError("coefficient vectors must have equal length")
+    m = a.size
+    return np.array([a[: m - k] @ b[k:] + b[: m - k] @ a[k:] for k in range(m)])
 
 # ---------------------------------------------------------------------------
 # Reference 8-point instance (degree 7): nodes, values, and spectral zeros,

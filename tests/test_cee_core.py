@@ -1,21 +1,17 @@
 import numpy as np
 import pytest
+from scipy.linalg import toeplitz
 
 from conftest import random_problem, random_schur_monic
 from nevpick.cee_core import (
     RealnessError,
     SteinConsistencyError,
-    build_T,
-    build_V,
-    build_W,
     build_cee_matrices,
+    build_V,
     cee_residual,
-    compute_uU,
-    compute_uU_dot,
     g_of_p,
     operator_pair,
     recover_P,
-    uU_from_covariance,
 )
 from nevpick.continuation import solve
 from nevpick.ingestion import default_bank_poles, exact_values, nodes_from_poles
@@ -27,23 +23,75 @@ def normalized_reference(reference_problem):
     return normalize(reference_problem).problem
 
 
+# ---------------------------------------------------------------------------
+# Oracles: the textbook forms that build_cee_matrices and operator_pair
+# compute in factored form.
+# ---------------------------------------------------------------------------
+
+
+def reciprocals(nodes):
+    return InterpolationProblem(
+        nodes, (0.5,) * len(nodes), MonicPolynomial.from_roots([0.0] * (len(nodes) - 1))
+    ).node_reciprocals()
+
+
+def build_W(values, nu):
+    """Diagonal of ``W(nu) = 1/2 I + nu (W - 1/2 I)`` as a 1-d array."""
+    return 0.5 + nu * (np.asarray(values, dtype=complex) - 0.5)
+
+
+def build_T(V, W):
+    """``T = V^-1 diag(W) V - 1/2 I``, real up to a checked imaginary residue."""
+    M = np.linalg.solve(V, np.asarray(W, dtype=complex)[:, None] * V)
+    assert np.max(np.abs(M.imag)) <= 1e-9
+    return M.real - 0.5 * np.eye(V.shape[0])
+
+
+def solve_uU(T):
+    """``(u, U)`` from the bottom rows of ``(I + T)^-1 T`` by a linear solve."""
+    X = np.linalg.solve(np.eye(T.shape[0]) + T, T)
+    return X[1:, 0], X[1:, 1:]
+
+
+def uU_from_covariance(c):
+    """Operator pair of the covariance-extension special case.
+
+    ``c = (1, c1, ..., cn)`` must have a positive-definite Toeplitz matrix.
+    The series ``z^n / (z^n + c1 z^(n-1) + ... + cn) = 1 - u1/z - u2/z^2 - ...``
+    gives ``u``; ``U`` is the strictly lower-triangular Toeplitz matrix of
+    ``(u1, ..., u_(n-1))``.
+    """
+    c = np.asarray(c, dtype=float)
+    n = c.size - 1
+    if not np.linalg.eigvalsh(toeplitz(c))[0] > 0:
+        raise ValueError("Toeplitz matrix of the covariance sequence is not positive definite")
+    v = np.zeros(n + 1)
+    v[0] = 1.0
+    for k in range(1, n + 1):
+        v[k] = -(c[1 : k + 1] @ v[k - 1 :: -1])
+    u = -v[1:]
+    col = np.zeros(n)
+    col[1:] = u[:-1]
+    return u, toeplitz(col, np.zeros(n))
+
+
 class TestBuildV:
     def test_two_nodes(self):
-        V = build_V((INF, 2.0))
+        V = build_V(reciprocals((INF, 2.0)))
         assert np.allclose(V, [[1.0, 0.0], [1.0, 0.5]])
 
     def test_reference_invertible(self, reference_problem):
-        V = build_V(reference_problem)
+        V = build_V(reference_problem.node_reciprocals())
         assert np.isfinite(np.linalg.cond(V))
         assert np.linalg.cond(V) < 1e6
 
     def test_coincident_nodes_rejected(self):
         with pytest.raises(ValueError):
-            build_V((INF, 2.0, 2.0))
+            build_V(reciprocals((INF, 2.0, 2.0)))
 
     def test_row_scaling_leaves_T_unchanged(self, reference_problem):
         norm = normalized_reference(reference_problem)
-        V = build_V(norm)
+        V = build_V(norm.node_reciprocals())
         W = build_W(norm.values_array(), 1.0)
         T = build_T(V, W)
         rng = np.random.default_rng(31)
@@ -64,19 +112,18 @@ class TestBuildW:
 class TestBuildT:
     def test_half_identity_gives_zero(self, reference_problem):
         norm = normalized_reference(reference_problem)
-        V = build_V(norm)
+        V = build_V(norm.node_reciprocals())
         T = build_T(V, build_W(norm.values_array(), 0.0))
         assert np.max(np.abs(T)) < 1e-12
 
     def test_constant_values_give_half_identity(self):
-        nodes = (INF, 1.5 + 0.5j, 1.5 - 0.5j)
-        V = build_V(nodes)
+        V = build_V(reciprocals((INF, 1.5 + 0.5j, 1.5 - 0.5j)))
         T = build_T(V, np.ones(3, dtype=complex))
         assert np.allclose(T, 0.5 * np.eye(3), atol=1e-12)
 
     def test_reference_real(self, reference_problem):
         norm = normalized_reference(reference_problem)
-        V = build_V(norm)
+        V = build_V(norm.node_reciprocals())
         W = build_W(norm.values_array(), 1.0)
         M = np.linalg.solve(V, W[:, None] * V)
         assert np.max(np.abs(M.imag)) < 1e-10
@@ -85,52 +132,64 @@ class TestBuildT:
 
     def test_broken_symmetry_raises(self, reference_problem):
         norm = normalized_reference(reference_problem)
-        V = build_V(norm)
         w = norm.values_array()
         w[1] += 0.05j  # breaks conjugate symmetry
+        broken = InterpolationProblem(norm.nodes, tuple(w), norm.sigma)
         with pytest.raises(RealnessError):
-            build_T(V, build_W(w, 1.0))
+            build_cee_matrices(broken)
+
+
+def central_cee(n):
+    """CEE matrices of a problem whose values are all 1/2 (zero slope)."""
+    nodes = (INF,) + tuple(2.0 + k for k in range(n))
+    return build_cee_matrices(InterpolationProblem(
+        nodes, (0.5,) * (n + 1), MonicPolynomial.from_roots([0.0] * n)))
 
 
 class TestComputeUU:
+    """``(u, U)`` of :func:`operator_pair`, from its one inverse."""
+
     def test_zero(self):
-        u, U = compute_uU(np.zeros((4, 4)))
-        assert np.array_equal(u, np.zeros(3))
-        assert np.array_equal(U, np.zeros((3, 3)))
+        pair = operator_pair(central_cee(3), 1.0)
+        assert np.array_equal(pair.u, np.zeros(3))
+        assert np.array_equal(pair.U, np.zeros((3, 3)))
 
     def test_n1_closed_form(self):
         # nodes (inf, z1), values (1/2, w1): closed-form 2x2 inversion gives
         # u = z1 (w1 - 1/2) / (w1 + 1/2),  U = (w1 - 1/2) / (w1 + 1/2)
         z1, w1 = 2.5, 0.9
-        V = build_V((INF, z1))
-        T = build_T(V, np.array([0.5, w1], dtype=complex))
-        u, U = compute_uU(T)
+        problem = InterpolationProblem((INF, z1), (0.5, w1), MonicPolynomial([1.0, 0.0]))
+        pair = operator_pair(build_cee_matrices(problem), 1.0)
         want_U = (w1 - 0.5) / (w1 + 0.5)
         want_u = z1 * (w1 - 0.5) / (w1 + 0.5)
-        assert u[0] == pytest.approx(want_u, rel=1e-12)
-        assert U[0, 0] == pytest.approx(want_U, rel=1e-12)
+        assert pair.u[0] == pytest.approx(want_u, rel=1e-12)
+        assert pair.U[0, 0] == pytest.approx(want_U, rel=1e-12)
 
     def test_defining_system_residual(self, reference_problem):
+        # against the bottom rows of (I + T)^-1 T by a linear solve
         norm = normalized_reference(reference_problem)
         cee = build_cee_matrices(norm)
-        T = 1.0 * cee.T_dot
-        m = T.shape[0]
-        X = np.linalg.solve(np.eye(m) + T, T)
-        assert np.max(np.abs((np.eye(m) + T) @ X - T)) < 1e-12
+        for nu in (0.1, 0.5, 1.0):
+            pair = operator_pair(cee, nu)
+            u, U = solve_uU(nu * cee.T_dot)
+            assert np.max(np.abs(pair.u - u)) < 1e-12
+            assert np.max(np.abs(pair.U - U)) < 1e-12
 
 
 class TestComputeUUDot:
+    """``(u_dot, U_dot)`` of :func:`operator_pair`."""
+
     def test_zero_slope(self):
-        u_dot, U_dot = compute_uU_dot(np.zeros((3, 3)), np.zeros((3, 3)))
-        assert np.array_equal(u_dot, np.zeros(2))
-        assert np.array_equal(U_dot, np.zeros((2, 2)))
+        pair = operator_pair(central_cee(2), 0.5)
+        assert np.array_equal(pair.u_dot, np.zeros(2))
+        assert np.array_equal(pair.U_dot, np.zeros((2, 2)))
 
     def test_at_zero_equals_bottom_rows_of_slope(self, reference_problem):
         norm = normalized_reference(reference_problem)
         cee = build_cee_matrices(norm)
-        u_dot, U_dot = compute_uU_dot(np.zeros_like(cee.T_dot), cee.T_dot)
-        assert np.allclose(u_dot, cee.T_dot[1:, 0], atol=1e-14)
-        assert np.allclose(U_dot, cee.T_dot[1:, 1:], atol=1e-14)
+        pair = operator_pair(cee, 0.0)
+        assert np.allclose(pair.u_dot, cee.T_dot[1:, 0], atol=1e-14)
+        assert np.allclose(pair.U_dot, cee.T_dot[1:, 1:], atol=1e-14)
 
     def test_matches_finite_differences(self, reference_problem):
         norm = normalized_reference(reference_problem)
@@ -138,10 +197,10 @@ class TestComputeUUDot:
         delta = 1e-6
         for nu in (0.1, 0.3, 0.5, 0.7, 0.9):
             pair = operator_pair(cee, nu)
-            up, Up = compute_uU((nu + delta) * cee.T_dot)
-            um, Um = compute_uU((nu - delta) * cee.T_dot)
-            fd_u = (up - um) / (2 * delta)
-            fd_U = (Up - Um) / (2 * delta)
+            plus = operator_pair(cee, nu + delta)
+            minus = operator_pair(cee, nu - delta)
+            fd_u = (plus.u - minus.u) / (2 * delta)
+            fd_U = (plus.U - minus.U) / (2 * delta)
             scale_u = max(1.0, np.max(np.abs(fd_u)))
             scale_U = max(1.0, np.max(np.abs(fd_U)))
             assert np.max(np.abs(pair.u_dot - fd_u)) / scale_u < 1e-6

@@ -244,6 +244,17 @@ class TestDetectDegreeCommand:
         assert [int(r[1]) for r in rows] == [5 ^ 0, 5 ^ 1, 5 ^ 2]
         assert all(r[2] == "ok" for r in rows)
 
+    def test_sigma_hat_of_wrong_degree_exits_2(self, runner, tmp_path):
+        cfg = degree2_config(order=3)
+        cfg["sigma_hat_roots"] = cfg["sigma_roots"]
+        cfg_path = tmp_path / "system.json"
+        cfg_path.write_text(json.dumps(cfg))
+        for command in ("detect-degree", "simulate"):
+            result = runner.invoke(
+                main, [command, "--input", str(cfg_path), "--output", str(tmp_path / "o")]
+            )
+            assert result.exit_code == 2, (command, result.output)
+
     def test_missing_order_exits_2(self, runner, tmp_path):
         cfg = degree2_config()
         del cfg["order"]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_problem
+from conftest import random_problem, sym_coeffs
 from nevpick.cee_core import g_of_p
 from nevpick.continuation import (
     CorrectorError,
@@ -16,7 +16,7 @@ from nevpick.continuation import (
     predictor,
     solve,
 )
-from nevpick.polyalg import MonicPolynomial, build_S, companion, sym_coeffs
+from nevpick.polyalg import MonicPolynomial, build_S, companion
 from nevpick.problem import (
     INF,
     InterpolationProblem,
@@ -303,6 +303,22 @@ class TestSolve:
         for t1, t2 in zip(s1.trajectory, s2.trajectory):
             assert t1.nu == t2.nu
             assert np.array_equal(t1.p, t2.p)
+
+    def test_reference_endpoint_pinned(self, reference_solution):
+        # the endpoint as solved before the duplicated product, operator-pair
+        # and pairing code was merged; refactors must keep it to 1e-12
+        p = [0.9995852166564015, -1.5674901190320658, 1.462088192721613,
+             -0.7943800889519833, 0.41492481741823595, -0.3487660619347834,
+             0.1797453468434481]
+        a = [1.0, -1.7704432212741497, 1.8144018165177593, -1.2051167611898141,
+             1.2800469229552174, -1.8139750464575863, 1.7726759296746895,
+             -0.8773266726837906]
+        b = [1.0, -1.3632072234457133, 1.1119027487650923, -0.38107757727556407,
+             -0.44777829827278004, 1.1183492380201496, -1.412077684533669,
+             0.877982291348247]
+        assert np.max(np.abs(reference_solution.p - p)) <= 1e-12
+        assert np.max(np.abs(reference_solution.a.coeffs - a)) <= 1e-12
+        assert np.max(np.abs(reference_solution.b.coeffs - b)) <= 1e-12
 
     def test_reference_path_length(self, reference_solution):
         assert reference_solution.trajectory[-1].nu == 1.0

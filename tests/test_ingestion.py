@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.signal import welch
 
+from conftest import sym_coeffs
 from nevpick.cee_core import SteinConsistencyError
 from nevpick.continuation import solve
 from nevpick.ingestion import (
@@ -17,7 +18,7 @@ from nevpick.ingestion import (
     positive_real_numerator,
     simulate_arma,
 )
-from nevpick.polyalg import MonicPolynomial
+from nevpick.polyalg import MonicPolynomial, build_S
 from nevpick.problem import INF
 
 
@@ -77,6 +78,12 @@ class TestFilterBankSpec:
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
             FilterBankSpec(poles=(0.0, 0.5, 0.5), samples=10)
+
+    def test_rejects_poles_within_node_tolerance(self):
+        # distinct as floats, but one node to the shared 1e-12 check; such a
+        # bank used to pass and leave estimate_values' Pick check to fail
+        with pytest.raises(ValueError, match="coincide"):
+            FilterBankSpec(poles=(0.0, 0.5, 0.5 + 1e-15), samples=10)
 
 
 class TestSimulateArma:
@@ -210,8 +217,6 @@ class TestExactValues:
     def test_numerator_symmetrization_residual(self):
         sigma, a = degree2_system()
         q = positive_real_numerator(sigma, a)
-        from nevpick.polyalg import build_S, sym_coeffs
-
         assert np.allclose(
             build_S(a.coeffs) @ q, 0.5 * sym_coeffs(sigma.coeffs, sigma.coeffs), atol=1e-13
         )

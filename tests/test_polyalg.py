@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
 
+from conftest import sym_coeffs
+from nevpick.continuation import HomotopyContext
 from nevpick.polyalg import (
+    TOL_NODE,
+    TOL_ROOT_PAIR,
     MonicPolynomial,
     build_S,
-    build_d,
     companion,
+    conjugate_pairs,
     eval_poly,
     roots_and_schur,
-    sym_coeffs,
 )
+from nevpick.problem import INF, InterpolationProblem
 
 
 def autocorr_oracle(full_coeffs):
@@ -89,9 +93,10 @@ class TestRootsAndSchur:
         moduli = np.sort(np.abs(r))
         assert np.allclose(moduli, np.sort(np.abs(roots)), atol=1e-8)
 
-    def test_eps_margin(self):
-        _, ok = roots_and_schur(MonicPolynomial([1.0, -0.95]), eps_schur=0.1)
-        assert not ok
+    def test_no_margin(self):
+        # strict unit-disk membership: a root just inside counts
+        _, ok = roots_and_schur(MonicPolynomial([1.0, -(1.0 - 1e-9)]))
+        assert ok
 
 
 class TestCompanion:
@@ -122,6 +127,13 @@ class TestCompanion:
             assert np.allclose(
                 np.sort_complex(eigs), np.sort_complex(roots), atol=1e-8
             )
+
+
+def build_d(sigma):
+    """The autocorrelation vector ``d`` the homotopy context builds for ``sigma``."""
+    n = sigma.degree
+    nodes = (INF,) + tuple(2.0 + k for k in range(n))
+    return HomotopyContext(InterpolationProblem(nodes, (0.5,) * (n + 1), sigma)).d
 
 
 class TestBuildD:
@@ -203,3 +215,26 @@ class TestSymCoeffs:
         lau = np.convolve(x, y[::-1]) + np.convolve(y, x[::-1])
         want = lau[n::-1][: n + 1]
         assert np.allclose(sym_coeffs(x, y), want, atol=1e-13)
+
+
+class TestConjugatePairs:
+    def test_repeated_pair_uses_each_index_once(self):
+        z = 0.5 + 0.3j
+        points = [z, z, np.conj(z), np.conj(z)]
+        partner = conjugate_pairs(points, TOL_NODE)
+        assert partner == [2, 3, 0, 1]
+
+    def test_point_without_partner(self):
+        partner = conjugate_pairs([0.0, 0.4j, 0.5 + 0.1j, 0.5 - 0.1j], TOL_NODE)
+        assert partner == [0, None, 3, 2]
+
+    def test_real_point_pairs_with_itself(self):
+        partner = conjugate_pairs([0.7, -0.2 + 1e-13j, 0.1 + 0.2j, 0.1 - 0.2j], TOL_NODE)
+        assert partner == [0, 1, 3, 2]
+
+    def test_relative_tolerance_per_point(self):
+        # computed roots: 1e-8 (1 + |z|), so a pair 1e-9 off matches and a
+        # point 1e-6 off does not
+        points = np.array([0.6 + 0.5j, 0.6 - 0.5j + 1e-9, 0.2 + 0.1j, 0.2 - 0.1j + 1e-6])
+        partner = conjugate_pairs(points, TOL_ROOT_PAIR * (1.0 + np.abs(points)))
+        assert partner == [1, 0, None, None]

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import random_nodes
+from nevpick.cee_core import build_V
+from nevpick.ingestion import FilterBankSpec
 from nevpick.polyalg import MonicPolynomial
 from nevpick.problem import (
     INF,
     InterpolationProblem,
     NormalizedProblem,
-    denormalize,
     is_positive_definite,
     normalize,
     pick_matrix,
@@ -61,6 +62,34 @@ class TestValidate:
         bad = InterpolationProblem(nodes, (0.5, 0.6, 0.6), MonicPolynomial([1.0, 0.0, 0.0]))
         codes = [v.code for v in validate(bad)]
         assert "node-distinct" in codes
+
+
+class TestDistinctNodes:
+    """One distinct-node check at 1e-12 on reciprocal nodes, for every caller."""
+
+    @staticmethod
+    def pair_problem(gap):
+        # reciprocal nodes 0.5 and 0.5 + gap, each real
+        zeta = (0.5, 0.5 + gap)
+        nodes = (INF,) + tuple(1.0 / z for z in zeta)
+        return InterpolationProblem(nodes, (0.5, 0.6, 0.6), MonicPolynomial([1.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("gap, distinct", [(5e-13, False), (1e-15, False), (5e-12, True)])
+    def test_all_callers_agree(self, gap, distinct):
+        problem = self.pair_problem(gap)
+        codes = [v.code for v in validate(problem)]
+        assert ("node-distinct" not in codes) == distinct
+        callers = [
+            lambda: build_V(problem.node_reciprocals()),
+            lambda: pick_matrix(problem),
+            lambda: FilterBankSpec(poles=(0.0, 0.5, 0.5 + gap), samples=10),
+        ]
+        for call in callers:
+            if distinct:
+                call()
+            else:
+                with pytest.raises(ValueError, match="coincide"):
+                    call()
 
 
 class TestPickMatrix:
@@ -153,11 +182,10 @@ class TestNormalize:
         assert norm.problem.values[1] == pytest.approx(0.5 + 0.25j)
 
     def test_round_trip(self):
-        rng = np.random.default_rng(33)
         p = tiny_problem(values=(3.7, 1.1 + 0.9j, 1.1 - 0.9j))
-        back = denormalize(normalize(p))
-        for w, w0 in zip(back.values, p.values):
-            assert abs(w - w0) <= 1e-15 * max(1.0, abs(w0))
+        norm = normalize(p)
+        for w, w0 in zip(norm.problem.values, p.values):
+            assert abs(w * norm.scale - w0) <= 1e-15 * max(1.0, abs(w0))
 
     def test_rejects_nonpositive_w0(self):
         with pytest.raises(ValueError):
