@@ -152,9 +152,15 @@ def operator_pair(cee: CeeMatrices, nu: float) -> OperatorPair:
     )
 
 
+def v_and_g(pair: OperatorPair, comp: CompanionData, p: np.ndarray):
+    """``v = Gamma p + sigma_vec`` and ``g = U v + u``, so ``a = v - g`` and ``b = v + g``."""
+    v = comp.sigma_vec + comp.Gamma @ p
+    return v, pair.U @ v + pair.u
+
+
 def g_of_p(pair: OperatorPair, comp: CompanionData, p: np.ndarray) -> np.ndarray:
     """Right-hand vector ``g = u + U (sigma_vec + Gamma p)``."""
-    return pair.u + pair.U @ (comp.sigma_vec + comp.Gamma @ p)
+    return v_and_g(pair, comp, p)[1]
 
 
 def cee_residual(P: np.ndarray, comp: CompanionData, g: np.ndarray) -> float:

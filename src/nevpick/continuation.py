@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cee_core
-from .cee_core import CeeMatrices, OperatorPair, g_of_p, operator_pair, recover_P
+from .cee_core import CeeMatrices, OperatorPair, g_of_p, operator_pair, recover_P, v_and_g
 from .polyalg import (
     MAX_NEWTON_ITERS,
     STEP_GROWTH,
@@ -158,7 +158,8 @@ class HomotopyContext:
 
     Built from a *normalized* problem (value exactly 1/2 at infinity).
     Operator pairs are memoized per parameter value, so repeated corrector
-    evaluations at a fixed ``nu`` reuse one matrix inverse.
+    evaluations at a fixed ``nu`` reuse one matrix inverse; the step driver
+    drops the pairs below each accepted ``nu``, since ``nu`` never decreases.
     """
 
     def __init__(self, problem: InterpolationProblem):
@@ -186,11 +187,10 @@ class HomotopyContext:
             self._pairs[key] = pair
         return pair
 
-
-def _v_and_g(pair: OperatorPair, comp: CompanionData, p: np.ndarray):
-    """``v = Gamma p + sigma`` and ``g = U v + u``, so ``a = v - g``, ``b = v + g``."""
-    v = comp.sigma_vec + comp.Gamma @ p
-    return v, pair.U @ v + pair.u
+    def forget_below(self, nu: float) -> None:
+        """Drop the memoized operator pairs at parameters below ``nu``."""
+        for key in [key for key in self._pairs if key < nu]:
+            del self._pairs[key]
 
 
 def ab_of_p(pair: OperatorPair, comp: CompanionData, p: np.ndarray):
@@ -199,7 +199,7 @@ def ab_of_p(pair: OperatorPair, comp: CompanionData, p: np.ndarray):
     ``a = (I - U)(Gamma p + sigma) - u`` and ``b = (I + U)(Gamma p + sigma) + u``
     are the coefficient tails; the leading 1 is prepended.
     """
-    v, g = _v_and_g(pair, comp, p)
+    v, g = v_and_g(pair, comp, p)
     return MonicPolynomial(_pad(1.0, v - g)), MonicPolynomial(_pad(1.0, v + g))
 
 
@@ -209,7 +209,7 @@ def _pad(lead: float, vec: np.ndarray) -> np.ndarray:
 
 def eval_G(p: np.ndarray, nu: float, ctx: HomotopyContext) -> np.ndarray:
     """Residual ``E S(a(p)) [1; b(p)] - 2 (1 - h' p) d`` at parameter ``nu``."""
-    v, g = _v_and_g(ctx.operators(nu), ctx.comp, p)
+    v, g = v_and_g(ctx.operators(nu), ctx.comp, p)
     sym = build_S(_pad(1.0, v - g)) @ _pad(1.0, v + g)
     hp = p[0] if ctx.n else 0.0
     return sym[: ctx.n] - 2.0 * (1.0 - hp) * ctx.d
@@ -221,17 +221,15 @@ def jac_G(p: np.ndarray, nu: float, ctx: HomotopyContext) -> np.ndarray:
     With ``v = Gamma p + sigma`` and ``g = U v + u`` (so ``a + b = 2 v`` and
     ``b - a = 2 g``), bilinearity of the symmetrized product gives
 
-        ``dG/dp = -2 E S([0; g]) [0; U Gamma] + 2 E S([1; v]) [0; Gamma] + 2 d h'``.
+        ``dG/dp = 2 (E S([1; v])[:, 1:] - E S([0; g])[:, 1:] U) Gamma + 2 d h'``.
 
     The rank-one term is the derivative of ``-2 (1 - h' p) d``.
     """
     pair = ctx.operators(nu)
     n = ctx.n
-    Gamma = ctx.comp.Gamma
-    v, g = _v_and_g(pair, ctx.comp, p)
-    zrow = np.zeros((1, n))
-    J = -2.0 * (build_S(_pad(0.0, g))[:n] @ np.vstack([zrow, pair.U @ Gamma]))
-    J += 2.0 * (build_S(_pad(1.0, v))[:n] @ np.vstack([zrow, Gamma]))
+    v, g = v_and_g(pair, ctx.comp, p)
+    J = build_S(_pad(1.0, v))[:n, 1:] - build_S(_pad(0.0, g))[:n, 1:] @ pair.U
+    J = 2.0 * (J @ ctx.comp.Gamma)
     J[:, 0] += 2.0 * ctx.d
     return J
 
@@ -241,12 +239,11 @@ def dG_dnu(p: np.ndarray, nu: float, ctx: HomotopyContext) -> np.ndarray:
 
     Only the operator pair depends on ``nu``; since ``a - b = -2 g``,
 
-        ``dG/dnu = -2 E S([0; g]) [0; U_dot v + u_dot]``.
+        ``dG/dnu = -2 E S([0; g])[:, 1:] (U_dot v + u_dot)``.
     """
     pair = ctx.operators(nu)
-    v, g = _v_and_g(pair, ctx.comp, p)
-    g_dot = pair.U_dot @ v + pair.u_dot
-    return -2.0 * (build_S(_pad(0.0, g))[: ctx.n] @ _pad(0.0, g_dot))
+    v, g = v_and_g(pair, ctx.comp, p)
+    return -2.0 * (build_S(_pad(0.0, g))[: ctx.n, 1:] @ (pair.U_dot @ v + pair.u_dot))
 
 
 def _tangent(p: np.ndarray, nu: float, ctx: HomotopyContext) -> np.ndarray:
@@ -376,6 +373,7 @@ def _follow_path(ctx: HomotopyContext, opts: SolveOptions) -> list:
             step = 0.5 * dnu
             continue
         nu, p, tangent = target, p_new, None
+        ctx.forget_below(nu)
         states.append(_make_state(ctx, nu, p, dnu, iters, residuals[-1]))
         step = min(STEP_GROWTH * dnu, STEP_MAX)
     return states

@@ -9,7 +9,9 @@ nodes.  The value of the underlying positive-real function at ``1/p_k`` is
 
 estimated by the sample second moment of the bank output (the plain
 square, not the squared magnitude, so complex poles produce the complex
-analytic continuation of the real-pole case).  An exact, noise-free
+analytic continuation of the real-pole case).  The bank filters each
+conjugate pair of poles once and writes the partner's row as its exact
+conjugate; pole 0 passes ``y`` through unfiltered.  An exact, noise-free
 variant evaluates ``f`` directly from the filter, for tests and sharp
 degree detection.  The Monte Carlo driver repeats the full pipeline
 (simulate, filter, estimate, solve, singular values) with per-run seeds.
@@ -21,7 +23,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .analysis import (
     DEFAULT_TAU_RANK,
@@ -120,6 +121,9 @@ def simulate_arma(
         raise ValueError("sigma and a must have the same degree")
     if not roots_and_schur(a)[1]:
         raise ValueError("filter denominator is not Schur stable")
+    # imported here, not at module level, so that solving never loads scipy.signal
+    from scipy.signal import lfilter
+
     rng = np.random.default_rng(seed)
     e = rng.standard_normal(samples + burn_in)
     y = lfilter(sigma.coeffs, a.coeffs, e)
@@ -129,13 +133,24 @@ def simulate_arma(
 def filter_bank(y: np.ndarray, spec: FilterBankSpec) -> np.ndarray:
     """Run ``y`` through every first-order section ``u_t = p u_(t-1) + y_t``.
 
-    Returns an array of shape ``(n + 1, len(y))``; rows for complex poles
-    are complex, and conjugate poles produce exactly conjugate rows.
+    Returns an array of shape ``(n + 1, len(y))``.  The row of pole 0 is
+    ``y`` itself; a real pole is filtered in real arithmetic; each conjugate
+    pair of poles is filtered once, and the partner's row is the exact
+    conjugate of its row.
     """
+    from scipy.signal import lfilter
+
     y = np.asarray(y, dtype=float)
     out = np.empty((len(spec.poles), y.size), dtype=complex)
-    for k, p in enumerate(spec.poles):
-        out[k] = lfilter([1.0], [1.0, -p], y)
+    for k, j in enumerate(conjugate_pairs(spec.poles, TOL_NODE)):
+        p = spec.poles[k]
+        if p == 0:
+            out[k] = y
+        elif j == k:
+            out[k] = lfilter([1.0], [1.0, -p.real], y)
+        elif k < j:
+            out[k] = lfilter([1.0], [1.0, -p], y)
+            np.conjugate(out[k], out=out[j])
     return out
 
 

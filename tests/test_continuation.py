@@ -8,6 +8,7 @@ from nevpick.continuation import (
     HomotopyContext,
     PathError,
     SolveOptions,
+    _follow_path,
     ab_of_p,
     corrector,
     dG_dnu,
@@ -323,6 +324,23 @@ class TestSolve:
     def test_reference_path_length(self, reference_solution):
         assert reference_solution.trajectory[-1].nu == 1.0
         assert len(reference_solution.trajectory) - 1 <= 60
+
+    def test_operator_pair_memo_stays_small(self, reference_problem):
+        # nu never decreases along the path, so the memo drops the pairs
+        # below each accepted nu instead of keeping every nu visited
+        ctx = make_ctx(reference_problem)
+        operators, sizes = ctx.operators, []
+
+        def recording(nu):
+            pair = operators(nu)
+            sizes.append(len(ctx._pairs))
+            return pair
+
+        ctx.operators = recording
+        states = _follow_path(ctx, SolveOptions())
+        assert states[-1].nu == 1.0
+        assert len(sizes) > 100
+        assert max(sizes) <= 12
 
     def test_identity_suite_path_length(self):
         # the 100 problems of acceptance criterion 6, drawn the same way

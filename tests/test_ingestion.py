@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from scipy.signal import welch
+from scipy.signal import lfilter, welch
 
 from conftest import sym_coeffs
 from nevpick.cee_core import SteinConsistencyError
@@ -18,7 +23,7 @@ from nevpick.ingestion import (
     positive_real_numerator,
     simulate_arma,
 )
-from nevpick.polyalg import MonicPolynomial, build_S
+from nevpick.polyalg import TOL_NODE, MonicPolynomial, build_S
 from nevpick.problem import INF
 
 
@@ -122,7 +127,49 @@ class TestSimulateArma:
             simulate_arma(MonicPolynomial([1.0, 0.0]), MonicPolynomial([1.0]), 100, 0, 0)
 
 
+def filter_bank_per_pole(y, poles) -> np.ndarray:
+    """Oracle: every bank row from its own complex ``lfilter`` run."""
+    out = np.empty((len(poles), y.size), dtype=complex)
+    for k, p in enumerate(poles):
+        out[k] = lfilter([1.0], [1.0, -p], y)
+    return out
+
+
+def assert_matches_oracle(spec, y, rtol=1e-13):
+    u = filter_bank(y, spec)
+    oracle = filter_bank_per_pole(y, spec.poles)
+    assert np.max(np.abs(u - oracle)) <= rtol * np.max(np.abs(oracle))
+    return u
+
+
 class TestFilterBank:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_per_pole_oracle(self, n):
+        # odd n has a real pole at +0.7, filtered in real arithmetic
+        spec = FilterBankSpec(poles=tuple(default_bank_poles(n)), samples=5000)
+        y = np.random.default_rng(n).standard_normal(5000)
+        u = assert_matches_oracle(spec, y)
+        assert np.array_equal(u[0], y)
+        poles = np.asarray(spec.poles)
+        for k, p in enumerate(poles):
+            j = int(np.argmin(np.abs(poles - np.conj(p))))
+            assert np.array_equal(u[j], np.conj(u[k]))
+
+    def test_near_conjugate_poles_match_oracle(self):
+        # partners off their exact conjugates by less than TOL_NODE; the
+        # partner row is the conjugate row, which departs from the partner's
+        # own filter by about twice the offset (relative)
+        offset = 1e-14
+        assert offset < TOL_NODE
+        p, q = 0.7 * np.exp(0.7j), 0.3 + 0.2j
+        poles = (0.0, p, np.conj(p) + offset * (1 + 1j), q, np.conj(q) + offset, 0.5 + offset * 1j)
+        spec = FilterBankSpec(poles=poles, samples=5000)
+        y = np.random.default_rng(11).standard_normal(5000)
+        u = assert_matches_oracle(spec, y)
+        assert np.array_equal(u[2], np.conj(u[1]))
+        assert np.array_equal(u[4], np.conj(u[3]))
+        assert np.all(u[5].imag == 0.0)
+
     def test_zero_pole_passthrough(self):
         spec = FilterBankSpec(poles=(0.0, 0.5), samples=100)
         y = np.random.default_rng(0).standard_normal(100)
@@ -142,6 +189,25 @@ class TestFilterBank:
         y = np.random.default_rng(1).standard_normal(200)
         u = filter_bank(y, spec)
         assert np.array_equal(u[2], np.conj(u[1]))
+
+
+class TestImportGuard:
+    def test_solving_never_loads_scipy_signal(self):
+        # simulate_arma and filter_bank import scipy.signal on first use
+        script = (
+            "import sys\n"
+            "import nevpick, nevpick.cli\n"
+            "assert 'scipy.signal' not in sys.modules\n"
+            "from nevpick import MonicPolynomial, simulate_arma\n"
+            "y = simulate_arma(MonicPolynomial([1.0, 0.4]), MonicPolynomial([1.0, -0.5]), 100)\n"
+            "assert y.shape == (100,) and 'scipy.signal' in sys.modules\n"
+        )
+        src = str(Path(sys.modules["nevpick"].__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestEstimateValues:
