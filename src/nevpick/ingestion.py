@@ -20,7 +20,7 @@ degree detection.  The Monte Carlo driver repeats the full pipeline
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -79,12 +79,17 @@ def nodes_from_poles(poles) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class FilterBankSpec:
-    """Bank poles plus sampling controls for one estimation run."""
+    """Bank poles plus sampling controls for one estimation run.
+
+    ``partners`` is derived, not passed: ``partners[k]`` is the index of the
+    conjugate of ``poles[k]`` (``k`` itself for a real pole).
+    """
 
     poles: tuple
     samples: int
     burn_in: int = 1000
     seed: int = 0
+    partners: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         poles = tuple(complex(p) for p in self.poles)
@@ -93,11 +98,13 @@ class FilterBankSpec:
         if any(abs(p) >= 1.0 for p in poles):
             raise ValueError("all bank poles must satisfy |p| < 1")
         require_distinct(poles, "bank poles")
-        if None in conjugate_pairs(poles, TOL_NODE):
+        partners = conjugate_pairs(poles, TOL_NODE)
+        if None in partners:
             raise ValueError("bank poles must be closed under conjugation")
         if self.samples <= 0 or self.burn_in < 0:
             raise ValueError("samples must be positive and burn_in nonnegative")
         object.__setattr__(self, "poles", poles)
+        object.__setattr__(self, "partners", tuple(partners))
 
     @property
     def n(self) -> int:
@@ -142,7 +149,7 @@ def filter_bank(y: np.ndarray, spec: FilterBankSpec) -> np.ndarray:
 
     y = np.asarray(y, dtype=float)
     out = np.empty((len(spec.poles), y.size), dtype=complex)
-    for k, j in enumerate(conjugate_pairs(spec.poles, TOL_NODE)):
+    for k, j in enumerate(spec.partners):
         p = spec.poles[k]
         if p == 0:
             out[k] = y
@@ -161,12 +168,14 @@ def estimate_values(bank_outputs: np.ndarray, spec: FilterBankSpec) -> np.ndarra
     estimates; conjugate symmetry is then enforced exactly by averaging
     each estimate with the conjugate of its partner (which also forces the
     value at infinity to be real).  A warning is emitted when the implied
-    Pick matrix is not positive definite (typically a short sample).
+    Pick matrix is not positive definite (typically a short sample).  Each
+    row's moment is one dot product ``u_k @ u_k / N`` (``@`` does not
+    conjugate), so no copy of the bank is made.
     """
     poles = np.asarray(spec.poles)
-    second_moment = np.mean(bank_outputs**2, axis=1)
+    second_moment = np.array([row @ row for row in bank_outputs]) / bank_outputs.shape[1]
     w = 0.5 * (1.0 - poles**2) * second_moment
-    w = 0.5 * (w + np.conj(w[conjugate_pairs(poles, TOL_NODE)]))
+    w = 0.5 * (w + np.conj(w[list(spec.partners)]))
     probe = InterpolationProblem(
         nodes_from_poles(poles), tuple(w), MonicPolynomial.from_roots([0.0] * spec.n)
     )
@@ -217,7 +226,7 @@ class MonteCarloConfig:
     ``variant`` is ``"monte-carlo"`` (simulate, filter, estimate) or
     ``"exact"`` (noise-free true values).  ``sigma_hat`` defaults to the
     true zeros padded with zeros at the origin up to ``order``.  Per-run
-    seeds are ``seed ^ run_index``.
+    seeds are drawn from ``np.random.SeedSequence(seed).spawn(runs)``.
     """
 
     sigma: MonicPolynomial
@@ -277,14 +286,17 @@ def run_problem(config: MonteCarloConfig, seed: int) -> tuple:
 def monte_carlo(config: MonteCarloConfig, solve_opts: SolveOptions | None = None) -> DegreeReport:
     """Repeat the pipeline ``config.runs`` times and aggregate singular values.
 
-    Runs are independent (each with seed ``seed ^ run_index``).  A run that
-    fails with one of the solver's typed errors is recorded, excluded from
-    the mean, and counted; any other exception propagates.  Raises
-    :class:`PathError` when every run fails.
+    Run ``r`` simulates with ``int(children[r].generate_state(1)[0])`` of
+    ``children = np.random.SeedSequence(config.seed).spawn(config.runs)``, so
+    adjacent base seeds do not share runs; the seed is recorded, and
+    ``run_problem(config, seed)`` reproduces the run.  A run that fails with
+    one of the solver's typed errors is recorded, excluded from the mean, and
+    counted; any other exception propagates.  Raises :class:`PathError` when
+    every run fails.
     """
     records = []
-    for r in range(config.runs):
-        seed_r = config.seed ^ r
+    for r, child in enumerate(np.random.SeedSequence(config.seed).spawn(config.runs)):
+        seed_r = int(child.generate_state(1)[0])
         try:
             problem, _ = run_problem(config, seed_r)
             sv = singular_values(solve(problem, solve_opts).P)

@@ -241,7 +241,8 @@ class TestDetectDegreeCommand:
         _, header, rows = read_csv(out / "runs.csv")
         assert header[:4] == ["run", "seed", "status", "error"]
         assert len(rows) == 3
-        assert [int(r[1]) for r in rows] == [5 ^ 0, 5 ^ 1, 5 ^ 2]
+        children = np.random.SeedSequence(5).spawn(3)
+        assert [int(r[1]) for r in rows] == [int(c.generate_state(1)[0]) for c in children]
         assert all(r[2] == "ok" for r in rows)
 
     def test_sigma_hat_of_wrong_degree_exits_2(self, runner, tmp_path):

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from scipy.signal import lfilter, welch
 
 from conftest import sym_coeffs
+from nevpick.analysis import singular_values
 from nevpick.cee_core import SteinConsistencyError
 from nevpick.continuation import solve
 from nevpick.ingestion import (
@@ -21,6 +23,7 @@ from nevpick.ingestion import (
     monte_carlo,
     nodes_from_poles,
     positive_real_numerator,
+    run_problem,
     simulate_arma,
 )
 from nevpick.polyalg import TOL_NODE, MonicPolynomial, build_S
@@ -210,7 +213,38 @@ class TestImportGuard:
         assert proc.returncode == 0, proc.stderr
 
 
+def estimate_values_squared(bank, poles) -> np.ndarray:
+    """Oracle: the values from the squared bank, ``mean(u_k**2)`` row by row."""
+    poles = np.asarray(poles)
+    w = 0.5 * (1.0 - poles**2) * np.mean(bank**2, axis=1)
+    partner = [int(np.argmin(np.abs(poles - np.conj(p)))) for p in poles]
+    return 0.5 * (w + np.conj(w[partner]))
+
+
 class TestEstimateValues:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_squared_bank_oracle(self, n):
+        # the bank as filter_bank makes it (exactly conjugate partner rows) and
+        # the per-pole bank (partner rows conjugate only to rounding)
+        sigma, a = degree2_system()
+        spec = FilterBankSpec(poles=tuple(default_bank_poles(n)), samples=100_000, seed=n)
+        y = simulate_arma(sigma, a, spec.samples, spec.burn_in, spec.seed)
+        for bank in (filter_bank(y, spec), filter_bank_per_pole(y, spec.poles)):
+            oracle = estimate_values_squared(bank, spec.poles)
+            assert np.max(np.abs(estimate_values(bank, spec) - oracle)) <= 1e-14
+
+    def test_makes_no_copy_of_the_bank(self):
+        sigma, a = degree2_system()
+        spec = FilterBankSpec(poles=tuple(default_bank_poles(6)), samples=100_000, seed=2)
+        bank = filter_bank(simulate_arma(sigma, a, spec.samples, spec.burn_in, spec.seed), spec)
+        tracemalloc.start()
+        try:
+            estimate_values(bank, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bank[0].nbytes
+
     def test_white_noise_gives_half(self):
         sigma = MonicPolynomial([1.0, 0.0, 0.0])
         spec = FilterBankSpec(poles=tuple(default_bank_poles(2)), samples=100_000, seed=6)
@@ -327,7 +361,8 @@ class TestMonteCarlo:
         r2 = monte_carlo(cfg)
         assert np.array_equal(r1.singular_values, r2.singular_values)
         assert np.array_equal(r1.per_run[0].singular_values, r2.per_run[0].singular_values)
-        assert r1.per_run[0].seed == 17
+        (child,) = np.random.SeedSequence(17).spawn(1)
+        assert r1.per_run[0].seed == int(child.generate_state(1)[0])
 
     def test_exact_variant_rank_two(self):
         sigma, a = degree2_system()
@@ -345,11 +380,31 @@ class TestMonteCarlo:
         assert rep.estimated_degree == 2
         assert rep.singular_values[2] < 1e-2 * rep.singular_values[0]
 
-    def test_per_run_seeds_xor(self):
+    def test_per_run_seeds_spawned(self):
         sigma, a = degree2_system()
         cfg = MonteCarloConfig(sigma=sigma, a=a, order=2, samples=1000, runs=3, seed=8)
         rep = monte_carlo(cfg)
-        assert [rec.seed for rec in rep.per_run] == [8 ^ 0, 8 ^ 1, 8 ^ 2]
+        children = np.random.SeedSequence(8).spawn(3)
+        assert [rec.seed for rec in rep.per_run] == [int(c.generate_state(1)[0]) for c in children]
+
+    def test_adjacent_base_seeds_share_no_run(self):
+        # seed ^ run_index gave base seeds 8 and 9 the same runs 0 and 1
+        sigma, a = degree2_system()
+        seeds = [
+            {rec.seed for rec in monte_carlo(
+                MonteCarloConfig(sigma=sigma, a=a, order=2, samples=1000, runs=4, seed=base)
+            ).per_run}
+            for base in (8, 9)
+        ]
+        assert len(seeds[0]) == len(seeds[1]) == 4
+        assert not seeds[0] & seeds[1]
+
+    def test_recorded_seed_reproduces_run(self):
+        sigma, a = degree2_system()
+        cfg = MonteCarloConfig(sigma=sigma, a=a, order=2, samples=1000, runs=2, seed=8)
+        rec = monte_carlo(cfg).per_run[1]
+        problem, _ = run_problem(cfg, rec.seed)
+        assert np.array_equal(singular_values(solve(problem).P), rec.singular_values)
 
     def test_rejects_bad_variant(self):
         sigma, a = degree2_system()
