@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .continuation import Solution, SolveOptions, solve
-from .polyalg import TOL_ROOT_PAIR, MonicPolynomial, conjugate_pairs
+from .polyalg import TOL_ROOT_PAIR, TOL_SYM, MonicPolynomial, conjugate_pairs
 from .problem import InterpolationProblem
 
 __all__ = [
@@ -71,7 +71,7 @@ def singular_values(P: np.ndarray) -> np.ndarray:
     P = np.asarray(P, dtype=float)
     if P.size == 0:
         return np.zeros(0)
-    if np.max(np.abs(P - P.T)) > 1e-8 * max(1.0, np.max(np.abs(P))):
+    if np.max(np.abs(P - P.T)) > TOL_SYM * max(1.0, np.max(np.abs(P))):
         raise ValueError("matrix must be symmetric")
     return np.linalg.svd(P, compute_uv=False)
 

@@ -12,7 +12,10 @@ and it evaluates / solves the covariance extension equation
 
     ``P = Gamma (P - P h h' P) Gamma' + g(P) g(P)'``
 
-whose right-hand vector is ``g = u + U sigma_vec + U Gamma P h``.
+whose right-hand vector is ``g = u + U sigma_vec + U Gamma P h``.  At the
+path endpoint ``P`` is read off that equation by a shift recursion: the
+on-trajectory identity ``P h = p`` turns it into a Stein equation in the
+nilpotent upper shift, which back-substitution solves with numpy alone.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_discrete_lyapunov
 
 from .polyalg import TOL_P_PH, TOL_P_PSD, TOL_P_SYM, TOL_REAL, CompanionData
 from .problem import InterpolationProblem, require_distinct
@@ -175,23 +177,36 @@ def cee_residual(P: np.ndarray, comp: CompanionData, g: np.ndarray) -> float:
 def recover_P(comp: CompanionData, p: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Recover the covariance-extension matrix from the endpoint vector ``p``.
 
-    Solves the linear Stein form ``P - Gamma P Gamma' = -Gamma p p' Gamma' + g g'``
-    (uniquely solvable because the companion polynomial is Schur) and checks
-    the on-trajectory consistency conditions ``P h == p``, symmetry,
-    positive semidefiniteness and ``h' P h < 1``.  Violations raise
-    :class:`SteinConsistencyError`.
+    With ``P h = p`` the equation is the Stein form
+    ``P - Gamma P Gamma' = g g' - (Gamma p)(Gamma p)'``, whose operator
+    ``I - Gamma x Gamma`` is ill-conditioned when the spectral zeros cluster
+    near the unit circle.  Writing ``Gamma = Z - s h'``, with ``Z`` the upper
+    shift and ``s = sigma_vec``, and using ``P h = p`` once more in
+    ``Gamma P Gamma'`` leaves
+
+        ``P - Z P Z' = R = g g' - (Gamma p)(Gamma p)' - (Z p s' + s (Z p)') + p_1 s s'``.
+
+    ``Z`` is nilpotent, so ``P = sum_k Z^k R Z'^k``: each row of ``P`` is the
+    row of ``R`` plus the next row of ``P`` shifted left, a bottom-up
+    recursion in O(n^2) with no linear solve.  ``P`` is exactly symmetric,
+    since ``R`` is and ``P_ij``, ``P_ji`` add the same terms in the same
+    order.  Nothing forces the first column to equal ``p``, so the checks
+    ``P h == p``, symmetry, positive semidefiniteness and ``h' P h < 1``
+    are genuine; a violation raises :class:`SteinConsistencyError`.
     """
     n = comp.n
     if n == 0:
         return np.zeros((0, 0))
-    G = comp.Gamma
-    Gp = G @ p
-    rhs = np.outer(g, g) - np.outer(Gp, Gp)
-    P = solve_discrete_lyapunov(G, rhs)
+    s = comp.sigma_vec
+    Gp = comp.Gamma @ p
+    sZ = np.outer(np.append(p[1:], 0.0), s)
+    # one sum sZ + sZ' keeps R, and so P, bitwise symmetric
+    P = np.outer(g, g) - np.outer(Gp, Gp) - (sZ + sZ.T) + p[0] * np.outer(s, s)
+    for i in range(n - 2, -1, -1):
+        P[i, :-1] += P[i + 1, 1:]
     scale = max(1.0, float(np.max(np.abs(P))))
     if np.max(np.abs(P - P.T)) > TOL_P_SYM * scale:
         raise SteinConsistencyError("recovered matrix is not symmetric")
-    P = 0.5 * (P + P.T)
     if np.max(np.abs(P @ comp.h - p)) > TOL_P_PH * (1.0 + float(np.max(np.abs(p)))):
         raise SteinConsistencyError("P h differs from p; the point is off the trajectory")
     eigs = np.linalg.eigvalsh(P)

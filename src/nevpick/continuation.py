@@ -31,6 +31,7 @@ from .polyalg import (
     MAX_NEWTON_ITERS,
     STEP_GROWTH,
     STEP_MAX,
+    TOL_CEE,
     CompanionData,
     MonicPolynomial,
     build_S,
@@ -383,13 +384,16 @@ def solve(problem: InterpolationProblem, opts: SolveOptions | None = None) -> So
     """Solve one interpolation instance end to end.
 
     Validates, normalizes to value 1/2 at infinity, follows the homotopy
-    path from the central solution ``p = 0``, recovers the matrix ``P`` by
-    the Stein equation at the endpoint, and assembles the interpolant with
-    full diagnostics.  Deterministic: identical inputs and options produce
+    path from the central solution ``p = 0``, recovers the matrix ``P`` from
+    the covariance extension equation at the endpoint, and assembles the
+    interpolant with full diagnostics.  Deterministic: identical inputs and options produce
     bit-identical trajectories.
 
-    Raises :class:`~nevpick.problem.ProblemValidationError` on invalid input
-    and :class:`PathError` when step control fails.
+    Raises :class:`~nevpick.problem.ProblemValidationError` on invalid input,
+    :class:`PathError` when step control fails, and
+    :class:`~nevpick.cee_core.SteinConsistencyError` when the recovered ``P``
+    fails a check of :func:`~nevpick.cee_core.recover_P` or its CEE residual
+    exceeds ``TOL_CEE``.
     """
     opts = opts or SolveOptions()
     violations = validate(problem)
@@ -403,6 +407,10 @@ def solve(problem: InterpolationProblem, opts: SolveOptions | None = None) -> So
     pair = ctx.operators(1.0)
     g = g_of_p(pair, ctx.comp, p)
     P = recover_P(ctx.comp, p, g)
+    cee_res = cee_core.cee_residual(P, ctx.comp, g)
+    if not cee_res <= TOL_CEE:
+        raise cee_core.SteinConsistencyError(
+            f"CEE residual {cee_res:.3e} of the recovered matrix exceeds {TOL_CEE:.0e}")
     a, b = ab_of_p(pair, ctx.comp, p)
     rho = math.sqrt(1.0 - (p[0] if ctx.n else 0.0))
 
@@ -423,7 +431,7 @@ def solve(problem: InterpolationProblem, opts: SolveOptions | None = None) -> So
     diagnostics = Diagnostics(
         interp_residuals=interp_residuals,
         max_interp_residual=float(np.max(interp_residuals)),
-        cee_residual=cee_core.cee_residual(P, ctx.comp, g),
+        cee_residual=cee_res,
         poles=_sorted_roots(a),
         zeros=_sorted_roots(b),
         spectral_zeros=_sorted_roots(problem.sigma),

@@ -19,7 +19,6 @@ degree detection.  The Monte Carlo driver repeats the full pipeline
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +32,7 @@ from .analysis import (
 )
 from .continuation import SOLVE_ERRORS, PathError, SolveOptions, solve
 from .polyalg import TOL_NODE, MonicPolynomial, build_S, conjugate_pairs, roots_and_schur
-from .problem import INF, InterpolationProblem, is_positive_definite, pick_matrix, require_distinct
+from .problem import INF, InterpolationProblem, require_distinct
 
 __all__ = [
     "FilterBankSpec",
@@ -128,7 +127,7 @@ def simulate_arma(
         raise ValueError("sigma and a must have the same degree")
     if not roots_and_schur(a)[1]:
         raise ValueError("filter denominator is not Schur stable")
-    # imported here, not at module level, so that solving never loads scipy.signal
+    # imported here, not at module level: solving never needs it
     from scipy.signal import lfilter
 
     rng = np.random.default_rng(seed)
@@ -167,26 +166,15 @@ def estimate_values(bank_outputs: np.ndarray, spec: FilterBankSpec) -> np.ndarra
     The plain second moment keeps conjugate poles producing conjugate
     estimates; conjugate symmetry is then enforced exactly by averaging
     each estimate with the conjugate of its partner (which also forces the
-    value at infinity to be real).  A warning is emitted when the implied
-    Pick matrix is not positive definite (typically a short sample).  Each
-    row's moment is one dot product ``u_k @ u_k / N`` (``@`` does not
-    conjugate), so no copy of the bank is made.
+    value at infinity to be real).  Each row's moment is one dot product
+    ``u_k @ u_k / N`` (``@`` does not conjugate), so no copy of the bank is
+    made.  A short sample can give values whose Pick matrix is not positive
+    definite; ``validate`` reports that as ``pick-not-pd`` when they are solved.
     """
     poles = np.asarray(spec.poles)
     second_moment = np.array([row @ row for row in bank_outputs]) / bank_outputs.shape[1]
     w = 0.5 * (1.0 - poles**2) * second_moment
-    w = 0.5 * (w + np.conj(w[list(spec.partners)]))
-    probe = InterpolationProblem(
-        nodes_from_poles(poles), tuple(w), MonicPolynomial.from_roots([0.0] * spec.n)
-    )
-    if not is_positive_definite(pick_matrix(probe)):
-        warnings.warn(
-            "estimated values give a non-positive-definite Pick matrix; "
-            "consider increasing the sample count",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return w
+    return 0.5 * (w + np.conj(w[list(spec.partners)]))
 
 
 def positive_real_numerator(sigma: MonicPolynomial, a: MonicPolynomial) -> np.ndarray:
@@ -258,9 +246,9 @@ def run_problem(config: MonteCarloConfig, seed: int) -> tuple:
     """The data of one run: ``(problem, y)``.
 
     The ``"monte-carlo"`` variant simulates the series ``y`` with ``seed``,
-    runs the bank and estimates the values (its Pick warning is silenced;
-    the problem is validated downstream); the ``"exact"`` variant takes the
-    true values and has no series (``y`` is None).
+    runs the bank and estimates the values (the problem is validated when
+    it is solved); the ``"exact"`` variant takes the true values and has
+    no series (``y`` is None).
     """
     if config.poles is None:
         poles = tuple(default_bank_poles(config.order))
@@ -273,9 +261,7 @@ def run_problem(config: MonteCarloConfig, seed: int) -> tuple:
         spec = FilterBankSpec(poles=poles, samples=config.samples, burn_in=config.burn_in,
                               seed=seed)
         y = simulate_arma(config.sigma, config.a, config.samples, config.burn_in, seed)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            values = estimate_values(filter_bank(y, spec), spec)
+        values = estimate_values(filter_bank(y, spec), spec)
     problem = InterpolationProblem(
         nodes_from_poles(poles), tuple(values),
         config.sigma_hat or embed_sigma(config.sigma, config.order),

@@ -39,6 +39,8 @@ TOL_PD = 1e-12          # positive-definite: smallest eigenvalue relative to the
 TOL_P_SYM = 1e-10       # recovered P: asymmetry relative to its largest entry,
 TOL_P_PH = 1e-8         # ... |P h - p| relative to 1 + |p|,
 TOL_P_PSD = 1e-8        # ... and the floor on its smallest eigenvalue
+TOL_CEE = 1e-8          # CEE residual of a solution (Frobenius norm, absolute)
+TOL_SYM = 1e-8          # symmetric input to singular_values: asymmetry relative to its largest entry
 STEP_MAX = 0.2          # largest continuation step
 STEP_GROWTH = 1.5       # step growth after an accepted step
 MAX_NEWTON_ITERS = 25   # Newton budget of one correction

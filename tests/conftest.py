@@ -153,3 +153,91 @@ def random_problem(rng, n, max_tries=200, pick_floor=1e-5):
         if eigs[0] > pick_floor * eigs[-1]:
             return problem
     raise RuntimeError("failed to draw a valid random problem")
+
+
+# ---------------------------------------------------------------------------
+# Clustered near-circle corpus: spectral zeros bunched close to the unit
+# circle, where the Stein operator I - Gamma x Gamma is ill-conditioned.
+# ---------------------------------------------------------------------------
+
+
+def spread_roots(rng, n, r_lo, r_hi, margin):
+    """``n`` conjugate-closed points with moduli in ``[r_lo, r_hi)``, one pair per sector.
+
+    The pairs fall in ``n // 2`` equal angular sectors of ``(margin, pi - margin)``,
+    away from the sector edges; odd ``n`` adds one real point.
+    """
+    roots = []
+    if n % 2:
+        roots.append(complex(rng.uniform(r_lo, r_hi) * rng.choice([-1.0, 1.0])))
+    pairs = n // 2
+    width = (np.pi - 2.0 * margin) / max(pairs, 1)
+    for k in range(pairs):
+        theta = margin + width * (k + 0.2 + 0.6 * rng.uniform())
+        r = rng.uniform(r_lo, r_hi)
+        roots += [r * np.exp(1j * theta), r * np.exp(-1j * theta)]
+    return roots
+
+
+def clustered_zeros(rng, n):
+    """``n`` spectral zeros of modulus 0.93 to 0.99 at independent, hence often clustered, angles."""
+    roots = []
+    if n % 2:
+        r = rng.uniform(0.93, 0.99)
+        roots.append(complex(r * rng.choice([-1.0, 1.0])))
+    for _ in range(n // 2):
+        theta = rng.uniform(0.3, np.pi - 0.3)
+        r = rng.uniform(0.93, 0.99)
+        roots += [r * np.exp(1j * theta), r * np.exp(-1j * theta)]
+    return roots
+
+
+def clustered_draw(rng, n):
+    """Degree-2 positive-real data at ``n + 1`` bank nodes, with clustered spectral zeros."""
+    from nevpick.ingestion import exact_values, nodes_from_poles
+
+    sigma_true = MonicPolynomial.from_roots(spread_roots(rng, 2, 0.1, 0.6, 0.3))
+    a_true = MonicPolynomial.from_roots(spread_roots(rng, 2, 0.3, 0.8, 0.3))
+    poles = [0j] + spread_roots(rng, n, 0.6, 0.92, 0.2)
+    values = exact_values(sigma_true, a_true, poles)
+    sigma = MonicPolynomial.from_roots(clustered_zeros(rng, n))
+    return InterpolationProblem(nodes_from_poles(poles), tuple(values), sigma)
+
+
+def clustered_corpus(seed, count):
+    """Yield ``(t, problem)`` for the draws ``t < count`` of one seed that pass ``validate``.
+
+    Draw ``t`` has degree ``n = 5 + t % 4``; all draws share one generator,
+    so draw ``t`` depends on every draw before it.
+    """
+    rng = np.random.default_rng(seed)
+    for t in range(count):
+        problem = clustered_draw(rng, 5 + t % 4)
+        if not validate(problem):
+            yield t, problem
+
+
+def certificate_failure(problem):
+    """Why ``solve(problem)`` fails its endpoint certificates, or None when it passes.
+
+    The certificates: a typed-error-free solve that reaches ``nu = 1``, an
+    interpolation residual at most 1e-10, a CEE residual at most 1e-8 and an
+    exactly symmetric ``P`` (``recover_P`` checks ``P h == p``, PSD and
+    ``h' P h < 1`` itself).
+    """
+    from nevpick.continuation import SOLVE_ERRORS, solve
+
+    try:
+        sol = solve(problem)
+    except SOLVE_ERRORS as exc:
+        return f"{type(exc).__name__}: {exc}"
+    diag = sol.diagnostics
+    if sol.trajectory[-1].nu != 1.0:
+        return f"path ended at nu={sol.trajectory[-1].nu!r}"
+    if not diag.max_interp_residual <= 1e-10:
+        return f"interpolation residual {diag.max_interp_residual:.3e}"
+    if not diag.cee_residual <= 1e-8:
+        return f"CEE residual {diag.cee_residual:.3e}"
+    if not np.array_equal(sol.P, sol.P.T):
+        return "P is not exactly symmetric"
+    return None

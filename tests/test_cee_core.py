@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.linalg import toeplitz
+from scipy.linalg import solve_discrete_lyapunov, toeplitz
 
 from conftest import random_problem, random_schur_monic
 from nevpick.cee_core import (
@@ -292,29 +292,56 @@ def kronecker_stein_solve(Gamma, rhs):
     return np.linalg.solve(A, rhs.ravel()).reshape(n, n)
 
 
+def stein_endpoints():
+    """``(comp, p, g)`` at the endpoints of real solves of orders 1..6, 12 and 16."""
+    rng = np.random.default_rng(42)
+    problems = [random_problem(rng, int(rng.integers(1, 7))) for _ in range(8)]
+    sigma_true = MonicPolynomial.from_roots([0.5 * np.exp(1.1j), 0.5 * np.exp(-1.1j)])
+    a_true = MonicPolynomial.from_roots([0.7 * np.exp(2.0j), 0.7 * np.exp(-2.0j)])
+    for n in (12, 16):
+        poles = default_bank_poles(n)
+        problems.append(InterpolationProblem(
+            nodes_from_poles(poles), tuple(exact_values(sigma_true, a_true, poles)),
+            random_schur_monic(rng, n, r_max=0.6),
+        ))
+    out = []
+    for problem in problems:
+        sol = solve(problem)
+        comp = companion(problem.sigma)
+        g = g_of_p(operator_pair(build_cee_matrices(normalize(problem).problem), 1.0),
+                   comp, sol.p)
+        out.append((comp, sol.p, g))
+    return out
+
+
+def stein_rhs(comp, p, g):
+    Gp = comp.Gamma @ p
+    return np.outer(g, g) - np.outer(Gp, Gp)
+
+
 class TestSteinSolve:
-    def test_recover_P_matches_kronecker_oracle(self):
-        # endpoints of real solves, at orders on both sides of the size where
-        # scipy switches from its direct to its bilinear Stein method
-        rng = np.random.default_rng(42)
-        problems = [random_problem(rng, int(rng.integers(1, 7))) for _ in range(8)]
-        sigma_true = MonicPolynomial.from_roots([0.5 * np.exp(1.1j), 0.5 * np.exp(-1.1j)])
-        a_true = MonicPolynomial.from_roots([0.7 * np.exp(2.0j), 0.7 * np.exp(-2.0j)])
-        for n in (12, 16):
-            poles = default_bank_poles(n)
-            problems.append(InterpolationProblem(
-                nodes_from_poles(poles), tuple(exact_values(sigma_true, a_true, poles)),
-                random_schur_monic(rng, n, r_max=0.6),
-            ))
-        for problem in problems:
-            sol = solve(problem)
-            comp = companion(problem.sigma)
-            g = g_of_p(operator_pair(build_cee_matrices(normalize(problem).problem), 1.0),
-                       comp, sol.p)
-            Gp = comp.Gamma @ sol.p
-            oracle = kronecker_stein_solve(comp.Gamma, np.outer(g, g) - np.outer(Gp, Gp))
-            P = recover_P(comp, sol.p, g)
+    """The shift recursion of ``recover_P`` against general Stein solvers."""
+
+    @pytest.fixture(scope="class")
+    def endpoints(self):
+        return stein_endpoints()
+
+    def test_recover_P_matches_kronecker_oracle(self, endpoints):
+        for comp, p, g in endpoints:
+            oracle = kronecker_stein_solve(comp.Gamma, stein_rhs(comp, p, g))
+            P = recover_P(comp, p, g)
             assert np.max(np.abs(P - 0.5 * (oracle + oracle.T))) < 1e-12
+
+    def test_recover_P_matches_scipy_oracle(self, endpoints):
+        for comp, p, g in endpoints:
+            oracle = solve_discrete_lyapunov(comp.Gamma, stein_rhs(comp, p, g))
+            P = recover_P(comp, p, g)
+            assert np.max(np.abs(P - oracle)) <= 1e-11 * np.max(np.abs(oracle))
+
+    def test_recover_P_exactly_symmetric(self, endpoints):
+        for comp, p, g in endpoints:
+            P = recover_P(comp, p, g)
+            assert np.array_equal(P, P.T)
 
 
 class TestRecoverP:

@@ -103,6 +103,19 @@ class TestSolveCommand:
         )
         assert result.exit_code == 3
 
+    def test_cee_certificate_failure_exits_3(self, runner, tmp_path, reference_problem_file,
+                                             monkeypatch):
+        from nevpick import continuation
+
+        recover = continuation.recover_P
+        monkeypatch.setattr(continuation, "recover_P",
+                            lambda comp, p, g: recover(comp, p, g) + 1e-6 * np.eye(comp.n))
+        result = runner.invoke(
+            main, ["solve", "--input", str(reference_problem_file), "--output", str(tmp_path / "o")]
+        )
+        assert result.exit_code == 3
+        assert "CEE residual" in result.output
+
 
 class TestSimulateCommand:
     def test_emitted_problem_validates(self, runner, tmp_path):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import random_problem, sym_coeffs
-from nevpick.cee_core import g_of_p
+from nevpick import continuation
+from nevpick.cee_core import SteinConsistencyError, g_of_p
 from nevpick.continuation import (
     CorrectorError,
     HomotopyContext,
@@ -267,6 +268,22 @@ class TestSolve:
         # strict positive realness puts the zeros of f inside the disk too
         assert np.max(np.abs(sol.diagnostics.zeros)) < 1.0
         assert np.isfinite(sol.diagnostics.cond_V) and sol.diagnostics.cond_V >= 1.0
+
+    @pytest.mark.parametrize("offset,fails", [(1e-6, True), (1e-12, False)])
+    def test_cee_certificate_enforced(self, reference_problem, monkeypatch, offset, fails):
+        # a P whose CEE residual exceeds TOL_CEE = 1e-8 fails the solve with
+        # the typed error; one well inside the bound is returned
+        recover = continuation.recover_P
+
+        def perturbed(comp, p, g):
+            return recover(comp, p, g) + offset * np.eye(comp.n)
+
+        monkeypatch.setattr(continuation, "recover_P", perturbed)
+        if fails:
+            with pytest.raises(SteinConsistencyError, match="CEE residual"):
+                solve(reference_problem)
+        else:
+            assert solve(reference_problem).diagnostics.cee_residual <= 1e-8
 
     def test_spectral_identity_and_positivity(self, reference_solution):
         sol = reference_solution

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from nevpick.ingestion import (
     simulate_arma,
 )
 from nevpick.polyalg import TOL_NODE, MonicPolynomial, build_S
-from nevpick.problem import INF
+from nevpick.problem import INF, InterpolationProblem, ProblemValidationError, validate
 
 
 def degree2_system():
@@ -196,17 +197,24 @@ class TestFilterBank:
 
 class TestImportGuard:
     def test_solving_never_loads_scipy_signal(self):
-        # simulate_arma and filter_bank import scipy.signal on first use
+        # importing and solving load no scipy module at all; simulate_arma and
+        # filter_bank import scipy.signal on first use
         script = (
             "import sys\n"
             "import nevpick, nevpick.cli\n"
-            "assert 'scipy.signal' not in sys.modules\n"
-            "from nevpick import MonicPolynomial, simulate_arma\n"
+            "from conftest import REFERENCE_NODES, REFERENCE_SPECTRAL_ZEROS, REFERENCE_VALUES\n"
+            "from nevpick import InterpolationProblem, MonicPolynomial, simulate_arma, solve\n"
+            "sol = solve(InterpolationProblem(REFERENCE_NODES, REFERENCE_VALUES,\n"
+            "                                 MonicPolynomial.from_roots(REFERENCE_SPECTRAL_ZEROS)))\n"
+            "assert sol.trajectory[-1].nu == 1.0\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert not loaded, loaded\n"
             "y = simulate_arma(MonicPolynomial([1.0, 0.4]), MonicPolynomial([1.0, -0.5]), 100)\n"
             "assert y.shape == (100,) and 'scipy.signal' in sys.modules\n"
         )
         src = str(Path(sys.modules["nevpick"].__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        here = str(Path(__file__).resolve().parent)
+        path = os.pathsep.join(filter(None, [src, here, os.environ.get("PYTHONPATH")]))
         env = dict(os.environ, PYTHONPATH=path)
         proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                               text=True, timeout=120)
@@ -270,19 +278,25 @@ class TestEstimateValues:
             j = int(np.argmin(np.abs(poles - np.conj(p))))
             assert w[j] == np.conj(w[k])
 
-    def test_short_sample_warns_when_pick_fails(self):
+    def test_short_sample_pick_failure_reported_by_validate(self):
+        # estimate_values only estimates; a Pick matrix that is not positive
+        # definite is reported once, by validate, when the values are solved
         sigma, a = degree2_system()
         spec = FilterBankSpec(poles=tuple(default_bank_poles(6)), samples=12, burn_in=0, seed=1)
         y = simulate_arma(sigma, a, spec.samples, spec.burn_in, spec.seed)
-        bank = filter_bank(y, spec)
-        import warnings
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            estimate_values(bank, spec)
-        # tiny samples routinely break positive definiteness; if they did, a
-        # warning must have been emitted (never an exception)
-        assert all(issubclass(w.category, RuntimeWarning) for w in caught)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = estimate_values(filter_bank(y, spec), spec)
+        nodes, sigma_hat = nodes_from_poles(spec.poles), embed_sigma(sigma, 6)
+        # zero-state bank estimates of 12 samples still give a valid problem ...
+        assert validate(InterpolationProblem(nodes, tuple(w), sigma_hat)) == []
+        # ... and an underestimated variance (the value at infinity) breaks the
+        # Pick matrix but no other invariant
+        w[0] *= 0.01
+        problem = InterpolationProblem(nodes, tuple(w), sigma_hat)
+        assert [v.code for v in validate(problem)] == ["pick-not-pd"]
+        with pytest.raises(ProblemValidationError, match="pick-not-pd"):
+            solve(problem)
 
 
 class TestExactValues:
