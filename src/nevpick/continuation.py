@@ -14,7 +14,16 @@ followed by a classical fourth-order Runge-Kutta (RK4) predictor and a
 Newton corrector with adaptive step control; the trajectory has no turning
 points or bifurcations, so plain parameterization by ``nu`` suffices.  The
 RK4 predictor departs from the Euler step of the source method: with the
-same acceptance band it allows far longer steps near the unit circle.
+same acceptance band it allows far longer steps near the unit circle.  The
+step control departs too: the band residual of an RK4 prediction scales as
+``dnu^5``, so the next step is ``dnu * (STEP_SAFETY * mu / |e1' G|)^(1/5)``,
+clipped to ``STEP_ACCEPT_RANGE`` after an accepted step and to
+``STEP_REJECT_RANGE`` after a prediction outside the band.
+
+``G``, ``dG/dp`` and ``dG/dnu`` at one point need only the two products
+``S([1; v])`` and ``S([0; g])``; :class:`HomotopyContext` keeps them for the
+last point evaluated, so a tangent, a band test followed by the first
+Newton residual, or a Newton iterate forms them once.
 """
 
 from __future__ import annotations
@@ -29,8 +38,9 @@ from . import cee_core
 from .cee_core import CeeMatrices, OperatorPair, g_of_p, operator_pair, recover_P, v_and_g
 from .polyalg import (
     MAX_NEWTON_ITERS,
-    STEP_GROWTH,
-    STEP_MAX,
+    STEP_ACCEPT_RANGE,
+    STEP_REJECT_RANGE,
+    STEP_SAFETY,
     TOL_CEE,
     CompanionData,
     MonicPolynomial,
@@ -81,8 +91,9 @@ SOLVE_ERRORS = (ProblemValidationError, PathError, CorrectorError, cee_core.Stei
 class SolveOptions:
     """Tunables of the predictor-corrector path follower (the CLI solver flags).
 
-    The step cap, step growth and Newton budget are the package constants
-    ``STEP_MAX``, ``STEP_GROWTH`` and ``MAX_NEWTON_ITERS``.
+    The step controller and the Newton budget are the package constants
+    ``STEP_SAFETY``, ``STEP_ACCEPT_RANGE``, ``STEP_REJECT_RANGE`` and
+    ``MAX_NEWTON_ITERS``.
     """
 
     mu: float = 1e-4                 # predictor acceptance band on |e1' G|
@@ -155,7 +166,8 @@ class Solution:
 
 
 class HomotopyContext:
-    """Caches everything ``G`` needs: companion data, ``d``, and operator pairs.
+    """Caches everything ``G`` needs: companion data, ``d``, operator pairs,
+    and the linearization at the last point evaluated.
 
     Built from a *normalized* problem (value exactly 1/2 at infinity).
     Operator pairs are memoized per parameter value, so repeated corrector
@@ -174,6 +186,7 @@ class HomotopyContext:
         self.d = 0.5 * (build_S(s) @ s)[: self.n]
         self.cee: CeeMatrices = cee_core.build_cee_matrices(problem)
         self._pairs: dict[float, OperatorPair] = {}
+        self._point = (None, None)   # (key, linearization) of the last point evaluated
 
     @property
     def is_central(self) -> bool:
@@ -187,6 +200,21 @@ class HomotopyContext:
             pair = operator_pair(self.cee, key)
             self._pairs[key] = pair
         return pair
+
+    def linearization(self, p: np.ndarray, nu: float):
+        """``(pair, v, g, S([1; v]), S([0; g]))`` at ``(p, nu)``.
+
+        The entry of the last point asked for is kept, keyed by ``nu`` and
+        the bytes of ``p`` (so a changed ``p`` is a new point): ``eval_G``,
+        ``jac_G`` and ``dG_dnu`` at one point share one pair of products.
+        """
+        p = np.asarray(p, dtype=float)
+        key = (float(nu), p.tobytes())
+        if self._point[0] != key:
+            pair = self.operators(nu)
+            v, g = v_and_g(pair, self.comp, p)
+            self._point = (key, (pair, v, g, build_S(_pad(1.0, v)), build_S(_pad(0.0, g))))
+        return self._point[1]
 
     def forget_below(self, nu: float) -> None:
         """Drop the memoized operator pairs at parameters below ``nu``."""
@@ -209,9 +237,13 @@ def _pad(lead: float, vec: np.ndarray) -> np.ndarray:
 
 
 def eval_G(p: np.ndarray, nu: float, ctx: HomotopyContext) -> np.ndarray:
-    """Residual ``E S(a(p)) [1; b(p)] - 2 (1 - h' p) d`` at parameter ``nu``."""
-    v, g = v_and_g(ctx.operators(nu), ctx.comp, p)
-    sym = build_S(_pad(1.0, v - g)) @ _pad(1.0, v + g)
+    """Residual ``E S(a(p)) [1; b(p)] - 2 (1 - h' p) d`` at parameter ``nu``.
+
+    ``S`` is linear, so ``S(a) = S([1; v]) - S([0; g])``: the two products
+    that ``jac_G`` and ``dG_dnu`` use at the same point.
+    """
+    _, v, g, S_v, S_g = ctx.linearization(p, nu)
+    sym = (S_v - S_g) @ _pad(1.0, v + g)
     hp = p[0] if ctx.n else 0.0
     return sym[: ctx.n] - 2.0 * (1.0 - hp) * ctx.d
 
@@ -226,10 +258,9 @@ def jac_G(p: np.ndarray, nu: float, ctx: HomotopyContext) -> np.ndarray:
 
     The rank-one term is the derivative of ``-2 (1 - h' p) d``.
     """
-    pair = ctx.operators(nu)
+    pair, _, _, S_v, S_g = ctx.linearization(p, nu)
     n = ctx.n
-    v, g = v_and_g(pair, ctx.comp, p)
-    J = build_S(_pad(1.0, v))[:n, 1:] - build_S(_pad(0.0, g))[:n, 1:] @ pair.U
+    J = S_v[:n, 1:] - S_g[:n, 1:] @ pair.U
     J = 2.0 * (J @ ctx.comp.Gamma)
     J[:, 0] += 2.0 * ctx.d
     return J
@@ -242,9 +273,8 @@ def dG_dnu(p: np.ndarray, nu: float, ctx: HomotopyContext) -> np.ndarray:
 
         ``dG/dnu = -2 E S([0; g])[:, 1:] (U_dot v + u_dot)``.
     """
-    pair = ctx.operators(nu)
-    v, g = v_and_g(pair, ctx.comp, p)
-    return -2.0 * (build_S(_pad(0.0, g))[: ctx.n, 1:] @ (pair.U_dot @ v + pair.u_dot))
+    pair, v, _, _, S_g = ctx.linearization(p, nu)
+    return -2.0 * (S_g[: ctx.n, 1:] @ (pair.U_dot @ v + pair.u_dot))
 
 
 def _tangent(p: np.ndarray, nu: float, ctx: HomotopyContext) -> np.ndarray:
@@ -363,9 +393,11 @@ def _follow_path(ctx: HomotopyContext, opts: SolveOptions) -> list:
         except np.linalg.LinAlgError:
             step = 0.5 * dnu
             continue
-        band = eval_G(p_hat, target, ctx)
-        if abs(band[0]) > opts.mu:
-            step = 0.5 * dnu
+        band = abs(eval_G(p_hat, target, ctx)[0])
+        # the RK4 prediction error, and with it the band residual, scales as dnu^5
+        factor = (STEP_SAFETY * opts.mu / band) ** 0.2 if band > 0.0 else math.inf
+        if band > opts.mu:
+            step = dnu * _clip(factor, STEP_REJECT_RANGE)
             continue
         residuals = []
         try:
@@ -376,8 +408,13 @@ def _follow_path(ctx: HomotopyContext, opts: SolveOptions) -> list:
         nu, p, tangent = target, p_new, None
         ctx.forget_below(nu)
         states.append(_make_state(ctx, nu, p, dnu, iters, residuals[-1]))
-        step = min(STEP_GROWTH * dnu, STEP_MAX)
+        step = dnu * _clip(factor, STEP_ACCEPT_RANGE)
     return states
+
+
+def _clip(x: float, bounds: tuple) -> float:
+    lo, hi = bounds
+    return min(max(x, lo), hi)
 
 
 def solve(problem: InterpolationProblem, opts: SolveOptions | None = None) -> Solution:

@@ -28,7 +28,6 @@ from .analysis import (
     DegreeReport,
     RunRecord,
     estimate_positive_degree,
-    singular_values,
 )
 from .continuation import SOLVE_ERRORS, PathError, SolveOptions, solve
 from .polyalg import TOL_NODE, MonicPolynomial, build_S, conjugate_pairs, roots_and_schur
@@ -285,7 +284,7 @@ def monte_carlo(config: MonteCarloConfig, solve_opts: SolveOptions | None = None
         seed_r = int(child.generate_state(1)[0])
         try:
             problem, _ = run_problem(config, seed_r)
-            sv = singular_values(solve(problem, solve_opts).P)
+            sv = solve(problem, solve_opts).diagnostics.singular_values
             records.append(RunRecord(run=r, seed=seed_r, singular_values=sv))
         except SOLVE_ERRORS as exc:
             records.append(

@@ -41,8 +41,9 @@ TOL_P_PH = 1e-8         # ... |P h - p| relative to 1 + |p|,
 TOL_P_PSD = 1e-8        # ... and the floor on its smallest eigenvalue
 TOL_CEE = 1e-8          # CEE residual of a solution (Frobenius norm, absolute)
 TOL_SYM = 1e-8          # symmetric input to singular_values: asymmetry relative to its largest entry
-STEP_MAX = 0.2          # largest continuation step
-STEP_GROWTH = 1.5       # step growth after an accepted step
+STEP_SAFETY = 0.5       # step control: the band residual aimed at, as a share of mu
+STEP_ACCEPT_RANGE = (0.5, 2.0)   # step factor bounds after an accepted step,
+STEP_REJECT_RANGE = (0.1, 0.5)   # ... and after a prediction outside the band
 MAX_NEWTON_ITERS = 25   # Newton budget of one correction
 
 

@@ -10,6 +10,7 @@ from nevpick.continuation import (
     PathError,
     SolveOptions,
     _follow_path,
+    _tangent,
     ab_of_p,
     corrector,
     dG_dnu,
@@ -35,6 +36,14 @@ def n1_problem(z1=2.0, w1=0.8, s1=-0.3):
     return InterpolationProblem(
         (INF, complex(z1)), (0.5 + 0.0j, complex(w1)), MonicPolynomial([1.0, s1])
     )
+
+
+def assert_step_growth_bounded(trajectory):
+    # an accepted step at most doubles the next one; the slack covers the
+    # rounding of nu + step and the snap of the last target onto nu = 1
+    steps = [state.step for state in trajectory[1:]]
+    for prev, step in zip(steps, steps[1:]):
+        assert step <= 2.0 * prev + 1e-12
 
 
 class TestHomotopyMap:
@@ -125,6 +134,56 @@ class TestDerivatives:
     def test_dnu_zero_at_start(self, reference_problem):
         ctx = make_ctx(reference_problem)
         assert np.max(np.abs(dG_dnu(np.zeros(ctx.n), 0.0, ctx))) == 0.0
+
+
+class TestLinearizationMemo:
+    def test_products_per_tangent_and_newton_iterate(self, reference_problem,
+                                                     reference_solution, monkeypatch):
+        # G, dG/dp and dG/dnu at one point share S([1; v]) and S([0; g])
+        ctx = make_ctx(reference_problem)
+        mid = min(reference_solution.trajectory, key=lambda s: abs(s.nu - 0.5))
+        nu = mid.nu + 0.05
+        calls = []
+
+        def counting(x):
+            calls.append(1)
+            return build_S(x)
+
+        monkeypatch.setattr(continuation, "build_S", counting)
+        tangent = _tangent(mid.p, mid.nu, ctx)
+        assert len(calls) == 2
+        p_hat = predictor(mid.p, mid.nu, nu, ctx, tangent)
+        calls.clear()
+        eval_G(p_hat, nu, ctx)                # the band test
+        assert len(calls) == 2
+        calls.clear()
+        p, iters = corrector(p_hat, nu, ctx)
+        # the first residual and Jacobian reuse the band test's products;
+        # every later iterate forms two, the last one for its residual only
+        assert iters >= 1
+        assert len(calls) == 2 * iters
+        calls.clear()
+        _tangent(p, nu, ctx)                  # at the accepted point
+        assert len(calls) == 0
+
+    def test_matches_fresh_context_bitwise(self, reference_problem):
+        ctx = make_ctx(reference_problem)
+        rng = np.random.default_rng(63)
+        fns = (eval_G, jac_G, dG_dnu)
+        p = 0.3 * rng.standard_normal(ctx.n)
+        nu = 0.5
+        for _ in range(50):
+            change = rng.integers(3)
+            if change == 0:
+                nu = rng.uniform(0.0, 1.0)
+            elif change == 1:
+                p[rng.integers(ctx.n)] += 0.01    # in place: same array, new point
+            else:
+                p[:] = 0.3 * rng.standard_normal(ctx.n)
+            for k in rng.permutation(len(fns)):
+                got = fns[k](p, nu, ctx)
+                want = fns[k](p.copy(), nu, make_ctx(reference_problem))
+                assert np.array_equal(got, want)
 
 
 class TestCorrector:
@@ -341,6 +400,7 @@ class TestSolve:
     def test_reference_path_length(self, reference_solution):
         assert reference_solution.trajectory[-1].nu == 1.0
         assert len(reference_solution.trajectory) - 1 <= 60
+        assert_step_growth_bounded(reference_solution.trajectory)
 
     def test_operator_pair_memo_stays_small(self, reference_problem):
         # nu never decreases along the path, so the memo drops the pairs
@@ -365,7 +425,9 @@ class TestSolve:
         total = 0
         for _ in range(100):
             n = int(rng.integers(1, 7))
-            total += len(solve(random_problem(rng, n)).trajectory)
+            trajectory = solve(random_problem(rng, n)).trajectory
+            assert_step_growth_bounded(trajectory)
+            total += len(trajectory)
         assert total < 1500
 
     def test_path_error_on_impossible_step_floor(self, reference_problem):

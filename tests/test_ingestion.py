@@ -420,6 +420,19 @@ class TestMonteCarlo:
         problem, _ = run_problem(cfg, rec.seed)
         assert np.array_equal(singular_values(solve(problem).P), rec.singular_values)
 
+    def test_one_svd_per_run(self, monkeypatch):
+        # each run reads the singular values its solve already computed
+        svd, calls = np.linalg.svd, []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        sigma, a = degree2_system()
+        monte_carlo(MonteCarloConfig(sigma=sigma, a=a, order=2, samples=1000, runs=3, seed=8))
+        assert len(calls) == 3
+
     def test_rejects_bad_variant(self):
         sigma, a = degree2_system()
         with pytest.raises(ValueError):
