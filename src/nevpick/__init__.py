@@ -65,7 +65,6 @@ from .polyalg import CompanionData, MonicPolynomial
 from .problem import (
     INF,
     InterpolationProblem,
-    NormalizedProblem,
     ProblemValidationError,
     Violation,
     is_positive_definite,
@@ -89,7 +88,6 @@ __all__ = [
     "InterpolationProblem",
     "MonicPolynomial",
     "MonteCarloConfig",
-    "NormalizedProblem",
     "OperatorPair",
     "PathError",
     "ProblemValidationError",

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polyalg import TOL_P_PH, TOL_P_PSD, TOL_P_SYM, TOL_REAL, CompanionData
-from .problem import InterpolationProblem, require_distinct
+from .polyalg import TOL_P_PH, TOL_P_PSD, TOL_P_SYM, TOL_REAL, CompanionData, readonly
+from .problem import InterpolationProblem
 
 __all__ = [
     "OperatorPair",
@@ -35,7 +35,6 @@ __all__ = [
     "build_V",
     "build_cee_matrices",
     "operator_pair",
-    "g_of_p",
     "cee_residual",
     "recover_P",
 ]
@@ -49,14 +48,6 @@ class SteinConsistencyError(RuntimeError):
     """The recovered matrix fails an on-trajectory consistency check."""
 
 
-def _frozen_fields(obj, *names):
-    # instances are shared read-only across evaluations; lock the arrays
-    for name in names:
-        arr = np.asarray(getattr(obj, name))
-        arr.flags.writeable = False
-        object.__setattr__(obj, name, arr)
-
-
 @dataclass(frozen=True, eq=False)
 class OperatorPair:
     """Operator pair ``(u, U)`` at one homotopy parameter, with derivatives."""
@@ -68,7 +59,8 @@ class OperatorPair:
     U_dot: np.ndarray
 
     def __post_init__(self):
-        _frozen_fields(self, "u", "U", "u_dot", "U_dot")
+        for name in ("u", "U", "u_dot", "U_dot"):
+            object.__setattr__(self, name, readonly(getattr(self, name)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,7 +77,8 @@ class CeeMatrices:
     cond_V: float
 
     def __post_init__(self):
-        _frozen_fields(self, "V", "w_target", "T_dot")
+        for name in ("V", "w_target", "T_dot"):
+            object.__setattr__(self, name, readonly(getattr(self, name)))
 
 
 def build_V(zeta) -> np.ndarray:
@@ -96,10 +89,11 @@ def build_V(zeta) -> np.ndarray:
     scaled by ``z_k^-n``, which keeps entries O(1) for distant nodes and
     makes the row for the infinite node ``(1, 0, ..., 0)``.  Row scalings
     are harmless downstream: ``T`` is invariant under left multiplication
-    of ``V`` by any nonsingular diagonal.
+    of ``V`` by any nonsingular diagonal.  The nodes must be distinct, as
+    :func:`~nevpick.problem.validate` checks; coincident nodes make ``V``
+    singular.
     """
     zeta = np.asarray(zeta, dtype=complex)
-    require_distinct(zeta)
     return np.vander(zeta, N=zeta.size, increasing=True)
 
 
@@ -158,11 +152,6 @@ def v_and_g(pair: OperatorPair, comp: CompanionData, p: np.ndarray):
     """``v = Gamma p + sigma_vec`` and ``g = U v + u``, so ``a = v - g`` and ``b = v + g``."""
     v = comp.sigma_vec + comp.Gamma @ p
     return v, pair.U @ v + pair.u
-
-
-def g_of_p(pair: OperatorPair, comp: CompanionData, p: np.ndarray) -> np.ndarray:
-    """Right-hand vector ``g = u + U (sigma_vec + Gamma p)``."""
-    return v_and_g(pair, comp, p)[1]
 
 
 def cee_residual(P: np.ndarray, comp: CompanionData, g: np.ndarray) -> float:

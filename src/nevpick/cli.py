@@ -9,6 +9,7 @@ output embeds the resolved configuration).  Exit codes: 0 success,
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import sys
 from contextlib import contextmanager
@@ -185,34 +186,41 @@ def main():
     """
 
 
+_SOLVER_FLAGS = (
+    ("mu", "Predictor acceptance band on the first residual component."),
+    ("tol_corrector", "Max-norm residual for corrector acceptance."),
+    ("step_init", "Initial continuation step."),
+    ("step_min", "Smallest step before the path is declared failed."),
+)
+
+
 def _solver_flags(fn):
-    """Add the ``SolveOptions`` flags shared by ``solve`` and ``reduce``."""
-    for flag in reversed([
-        click.option("--mu", type=float, default=1e-4, show_default=True,
-                     help="Predictor acceptance band on the first residual component."),
-        click.option("--tol-corrector", type=float, default=1e-12, show_default=True,
-                     help="Max-norm residual for corrector acceptance."),
-        click.option("--step-init", type=float, default=0.1, show_default=True,
-                     help="Initial continuation step."),
-        click.option("--step-min", type=float, default=1e-8, show_default=True,
-                     help="Smallest step before the path is declared failed."),
-    ]):
-        fn = flag(fn)
-    return fn
+    """Add the ``SolveOptions`` flags shared by ``solve`` and ``reduce``, with
+    the defaults of ``SolveOptions``; the command receives them as ``opts``."""
+    defaults = SolveOptions()
+
+    @functools.wraps(fn)
+    def command(**params):
+        with _exit_codes(ValueError):
+            opts = SolveOptions(**{name: params.pop(name) for name, _ in _SOLVER_FLAGS})
+        return fn(opts=opts, **params)
+
+    for name, help_text in reversed(_SOLVER_FLAGS):
+        command = click.option("--" + name.replace("_", "-"), type=float,
+                               default=getattr(defaults, name), show_default=True,
+                               help=help_text)(command)
+    return command
 
 
 @main.command("solve")
 @click.option("--input", "input_path", required=True, type=click.Path(), help="Problem JSON.")
 @click.option("--output", "output_path", required=True, type=click.Path(), help="Output directory.")
 @_solver_flags
-def cmd_solve(input_path, output_path, mu, tol_corrector, step_init, step_min):
+def cmd_solve(input_path, output_path, opts):
     """Solve one interpolation problem; write solution.json and trajectory.csv."""
     config = _config()
-    with _exit_codes(ValueError):
-        problem = _load_problem(input_path)
-        opts = SolveOptions(mu=mu, tol_corrector=tol_corrector, step_init=step_init,
-                            step_min=step_min)
     with _exit_codes():
+        problem = _load_problem(input_path)
         solution = solve(problem, opts)
     out = _out_dir(output_path)
     payload = {"config": config, **solution_to_json_dict(solution)}
@@ -312,14 +320,11 @@ def cmd_detect_degree(input_path, output_path, runs, variant, samples, burn_in, 
 @click.option("--target-degree", type=int, required=True,
               help="Degree of the reduced model (dominant spectral zeros kept).")
 @_solver_flags
-def cmd_reduce(input_path, output_path, target_degree, mu, tol_corrector, step_init, step_min):
+def cmd_reduce(input_path, output_path, target_degree, opts):
     """Solve, reduce to the target degree, and dump both spectral densities."""
     config = _config()
-    with _exit_codes(ValueError):
-        problem = _load_problem(input_path)
-        opts = SolveOptions(mu=mu, tol_corrector=tol_corrector, step_init=step_init,
-                            step_min=step_min)
     with _exit_codes():
+        problem = _load_problem(input_path)
         full = solve(problem, opts)
     with _exit_codes(ValueError):
         reduced_problem, reduced_solution = reduce_model(full, target_degree, opts=opts)

@@ -23,7 +23,8 @@ clipped to ``STEP_ACCEPT_RANGE`` after an accepted step and to
 ``G``, ``dG/dp`` and ``dG/dnu`` at one point need only the two products
 ``S([1; v])`` and ``S([0; g])``; :class:`HomotopyContext` keeps them for the
 last point evaluated, so a tangent, a band test followed by the first
-Newton residual, or a Newton iterate forms them once.
+Newton residual, or a Newton iterate forms them once.  An accepted state
+and the endpoint read ``a = v - g`` and ``b = v + g`` from the same entry.
 """
 
 from __future__ import annotations
@@ -35,17 +36,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cee_core
-from .cee_core import CeeMatrices, OperatorPair, g_of_p, operator_pair, recover_P, v_and_g
+from .cee_core import CeeMatrices, OperatorPair, operator_pair, recover_P, v_and_g
 from .polyalg import (
     MAX_NEWTON_ITERS,
     STEP_ACCEPT_RANGE,
     STEP_REJECT_RANGE,
     STEP_SAFETY,
+    STEP_SNAP,
     TOL_CEE,
     CompanionData,
     MonicPolynomial,
     build_S,
     companion,
+    readonly,
 )
 from .problem import (
     InterpolationProblem,
@@ -64,7 +67,6 @@ __all__ = [
     "CorrectorError",
     "PathError",
     "SOLVE_ERRORS",
-    "ab_of_p",
     "eval_G",
     "jac_G",
     "dG_dnu",
@@ -169,15 +171,15 @@ class HomotopyContext:
     """Caches everything ``G`` needs: companion data, ``d``, operator pairs,
     and the linearization at the last point evaluated.
 
-    Built from a *normalized* problem (value exactly 1/2 at infinity).
+    Normalizes the problem it is given: ``problem`` is the normalized copy
+    (value exactly 1/2 at infinity) and ``scale`` the factor that undoes it.
     Operator pairs are memoized per parameter value, so repeated corrector
     evaluations at a fixed ``nu`` reuse one matrix inverse; the step driver
     drops the pairs below each accepted ``nu``, since ``nu`` never decreases.
     """
 
     def __init__(self, problem: InterpolationProblem):
-        if problem.values[0] != 0.5:
-            raise ValueError("HomotopyContext requires a normalized problem")
+        problem, self.scale = normalize(problem)
         self.problem = problem
         self.n = problem.n
         self.comp: CompanionData = companion(problem.sigma)
@@ -220,16 +222,6 @@ class HomotopyContext:
         """Drop the memoized operator pairs at parameters below ``nu``."""
         for key in [key for key in self._pairs if key < nu]:
             del self._pairs[key]
-
-
-def ab_of_p(pair: OperatorPair, comp: CompanionData, p: np.ndarray):
-    """Monic polynomials ``a`` and ``b`` encoded by ``p`` at one parameter.
-
-    ``a = (I - U)(Gamma p + sigma) - u`` and ``b = (I + U)(Gamma p + sigma) + u``
-    are the coefficient tails; the leading 1 is prepended.
-    """
-    v, g = v_and_g(pair, comp, p)
-    return MonicPolynomial(_pad(1.0, v - g)), MonicPolynomial(_pad(1.0, v + g))
 
 
 def _pad(lead: float, vec: np.ndarray) -> np.ndarray:
@@ -349,21 +341,20 @@ def corrector(
     )
 
 
-def _sorted_roots(poly: MonicPolynomial) -> np.ndarray:
-    return np.sort_complex(np.roots(poly.coeffs))
+def _sorted_roots(coeffs: np.ndarray) -> np.ndarray:
+    return np.sort_complex(np.roots(coeffs))
 
 
 def _make_state(ctx, nu, p, step, iters, residual) -> ContinuationState:
-    a, _ = ab_of_p(ctx.operators(nu), ctx.comp, p)
-    p_ro = np.array(p)
-    p_ro.flags.writeable = False
+    # the residual at (p, nu) has just been evaluated, so v and g are at hand
+    _, v, g, _, _ = ctx.linearization(p, nu)
     return ContinuationState(
         nu=float(nu),
-        p=p_ro,
+        p=readonly(np.array(p)),
         step=float(step),
         corrector_iters=int(iters),
         residual=float(residual),
-        a_roots=_sorted_roots(a),
+        a_roots=_sorted_roots(_pad(1.0, v - g)),
     )
 
 
@@ -383,7 +374,7 @@ def _follow_path(ctx: HomotopyContext, opts: SolveOptions) -> list:
         if step < opts.step_min:
             raise PathError(f"step size underflowed below {opts.step_min:.1e} at nu={nu:.6g}")
         target = nu + step
-        if target >= 1.0 - 1e-12:
+        if target >= 1.0 - STEP_SNAP:
             target = 1.0
         dnu = target - nu
         try:
@@ -436,19 +427,17 @@ def solve(problem: InterpolationProblem, opts: SolveOptions | None = None) -> So
     violations = validate(problem)
     if violations:
         raise ProblemValidationError(violations)
-    norm = normalize(problem)
-    ctx = HomotopyContext(norm.problem)
+    ctx = HomotopyContext(problem)
     states = _follow_path(ctx, opts)
     p = states[-1].p
 
-    pair = ctx.operators(1.0)
-    g = g_of_p(pair, ctx.comp, p)
+    _, v, g, _, _ = ctx.linearization(p, 1.0)
     P = recover_P(ctx.comp, p, g)
     cee_res = cee_core.cee_residual(P, ctx.comp, g)
     if not cee_res <= TOL_CEE:
         raise cee_core.SteinConsistencyError(
             f"CEE residual {cee_res:.3e} of the recovered matrix exceeds {TOL_CEE:.0e}")
-    a, b = ab_of_p(pair, ctx.comp, p)
+    a, b = MonicPolynomial(_pad(1.0, v - g)), MonicPolynomial(_pad(1.0, v + g))
     rho = math.sqrt(1.0 - (p[0] if ctx.n else 0.0))
 
     solution = Solution(
@@ -458,7 +447,7 @@ def solve(problem: InterpolationProblem, opts: SolveOptions | None = None) -> So
         rho=rho,
         P=P,
         p=p,
-        scale=norm.scale,
+        scale=ctx.scale,
         trajectory=tuple(states),
         diagnostics=None,
     )
@@ -469,9 +458,9 @@ def solve(problem: InterpolationProblem, opts: SolveOptions | None = None) -> So
         interp_residuals=interp_residuals,
         max_interp_residual=float(np.max(interp_residuals)),
         cee_residual=cee_res,
-        poles=_sorted_roots(a),
-        zeros=_sorted_roots(b),
-        spectral_zeros=_sorted_roots(problem.sigma),
+        poles=_sorted_roots(a.coeffs),
+        zeros=_sorted_roots(b.coeffs),
+        spectral_zeros=_sorted_roots(problem.sigma.coeffs),
         singular_values=svals,
         cond_V=ctx.cee.cond_V,
     )

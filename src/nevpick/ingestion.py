@@ -30,7 +30,7 @@ from .analysis import (
     estimate_positive_degree,
 )
 from .continuation import SOLVE_ERRORS, PathError, SolveOptions, solve
-from .polyalg import TOL_NODE, MonicPolynomial, build_S, conjugate_pairs, roots_and_schur
+from .polyalg import TOL_NODE, MonicPolynomial, build_S, conjugate_pairs, is_schur
 from .problem import INF, InterpolationProblem, require_distinct
 
 __all__ = [
@@ -124,7 +124,7 @@ def simulate_arma(
     """
     if sigma.degree != a.degree:
         raise ValueError("sigma and a must have the same degree")
-    if not roots_and_schur(a)[1]:
+    if not is_schur(a):
         raise ValueError("filter denominator is not Schur stable")
     # imported here, not at module level: solving never needs it
     from scipy.signal import lfilter

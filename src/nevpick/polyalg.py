@@ -22,7 +22,7 @@ __all__ = [
     "MonicPolynomial",
     "CompanionData",
     "eval_poly",
-    "roots_and_schur",
+    "is_schur",
     "companion",
     "build_S",
     "conjugate_pairs",
@@ -33,9 +33,11 @@ __all__ = [
 TOL_NODE = 1e-12        # distinct nodes / poles; conjugate matching of them (absolute)
 TOL_ROOT_PAIR = 1e-8    # conjugate matching of computed roots, relative to 1 + |z|
 TOL_VALUE = 1e-9        # conjugate closure of interpolation values, relative to 1 + |w|
+TOL_W0_REAL = 1e-12     # value at infinity: imaginary part relative to max(1, |w_0|)
 TOL_IMAG = 1e-9         # imaginary coefficients of a root set's polynomial, relative
 TOL_REAL = 1e-9         # imaginary residue of V^-1 W V (broken conjugate symmetry)
 TOL_PD = 1e-12          # positive-definite: smallest eigenvalue relative to the largest
+TOL_HERMITIAN = 1e-10   # Hermitian input to is_positive_definite: asymmetry relative to max(1, max|M|)
 TOL_P_SYM = 1e-10       # recovered P: asymmetry relative to its largest entry,
 TOL_P_PH = 1e-8         # ... |P h - p| relative to 1 + |p|,
 TOL_P_PSD = 1e-8        # ... and the floor on its smallest eigenvalue
@@ -44,6 +46,7 @@ TOL_SYM = 1e-8          # symmetric input to singular_values: asymmetry relative
 STEP_SAFETY = 0.5       # step control: the band residual aimed at, as a share of mu
 STEP_ACCEPT_RANGE = (0.5, 2.0)   # step factor bounds after an accepted step,
 STEP_REJECT_RANGE = (0.1, 0.5)   # ... and after a prediction outside the band
+STEP_SNAP = 1e-12       # a step target this close below nu = 1 is moved onto it
 MAX_NEWTON_ITERS = 25   # Newton budget of one correction
 
 
@@ -57,7 +60,9 @@ def _coeff_array(poly) -> np.ndarray:
     return arr
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
+def readonly(arr) -> np.ndarray:
+    """``arr`` as an array locked against writes (shared across evaluations)."""
+    arr = np.asarray(arr)
     arr.flags.writeable = False
     return arr
 
@@ -78,7 +83,9 @@ class MonicPolynomial:
             raise ValueError("coeffs must be a nonempty 1-d vector")
         if arr[0] != 1.0:
             raise ValueError("leading coefficient must be exactly 1")
-        object.__setattr__(self, "coeffs", _readonly(arr))
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("coefficients must be finite")
+        object.__setattr__(self, "coeffs", readonly(arr))
 
     @property
     def degree(self) -> int:
@@ -120,9 +127,8 @@ class CompanionData:
     sigma_vec: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "Gamma", _readonly(np.array(self.Gamma, dtype=float)))
-        object.__setattr__(self, "h", _readonly(np.array(self.h, dtype=float)))
-        object.__setattr__(self, "sigma_vec", _readonly(np.array(self.sigma_vec, dtype=float)))
+        for name in ("Gamma", "h", "sigma_vec"):
+            object.__setattr__(self, name, readonly(np.array(getattr(self, name), dtype=float)))
 
     @property
     def n(self) -> int:
@@ -139,17 +145,13 @@ def eval_poly(poly, z):
     return np.polyval(_coeff_array(poly), z)
 
 
-def roots_and_schur(poly):
-    """All roots of ``poly`` plus a strict unit-disk membership flag.
+def is_schur(poly) -> bool:
+    """True iff every root of ``poly`` satisfies ``|root| < 1``.
 
-    Returns ``(roots, is_schur)`` where ``is_schur`` is true iff every root
-    satisfies ``|root| < 1``.  Roots come from the eigenvalues of a
-    companion matrix (``numpy.roots``).
+    Roots come from the eigenvalues of a companion matrix (``numpy.roots``).
     """
-    c = _coeff_array(poly)
-    r = np.roots(c)
-    is_schur = bool(r.size == 0 or np.max(np.abs(r)) < 1.0)
-    return r, is_schur
+    r = np.roots(_coeff_array(poly))
+    return bool(r.size == 0 or np.max(np.abs(r)) < 1.0)
 
 
 def companion(sigma: MonicPolynomial) -> CompanionData:
@@ -180,7 +182,7 @@ def _sym_index(m: int) -> tuple:
     hank[hank >= m] = m
     toep = j - i
     toep[toep < 0] = m
-    return _readonly(hank), _readonly(toep)
+    return readonly(hank), readonly(toep)
 
 
 def build_S(x) -> np.ndarray:

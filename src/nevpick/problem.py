@@ -15,12 +15,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polyalg import TOL_NODE, TOL_PD, TOL_VALUE, MonicPolynomial, conjugate_pairs, roots_and_schur
+from .polyalg import (
+    TOL_HERMITIAN,
+    TOL_NODE,
+    TOL_PD,
+    TOL_VALUE,
+    TOL_W0_REAL,
+    MonicPolynomial,
+    conjugate_pairs,
+    is_schur,
+)
 
 __all__ = [
     "INF",
     "InterpolationProblem",
-    "NormalizedProblem",
     "Violation",
     "ProblemValidationError",
     "validate",
@@ -85,24 +93,6 @@ class InterpolationProblem:
         return np.asarray(self.values, dtype=complex)
 
 
-@dataclass(frozen=True, eq=False)
-class NormalizedProblem:
-    """Problem rescaled so that the value at infinity is exactly 1/2.
-
-    ``scale`` is twice the original value at infinity; multiplying the
-    solved interpolant by it undoes the normalization.
-    """
-
-    problem: InterpolationProblem
-    scale: float
-
-    def __post_init__(self):
-        if self.problem.values[0] != 0.5:
-            raise ValueError("normalized problem must have values[0] == 0.5 exactly")
-        if not self.scale > 0:
-            raise ValueError("scale must be positive")
-
-
 @dataclass(frozen=True)
 class Violation:
     """One machine-readable validation failure."""
@@ -122,6 +112,10 @@ class ProblemValidationError(ValueError):
     def __init__(self, violations):
         self.violations = tuple(violations)
         super().__init__("; ".join(str(v) for v in self.violations))
+
+
+def _not_real(w0: complex) -> bool:
+    return abs(w0.imag) > TOL_W0_REAL * max(1.0, abs(w0))
 
 
 def coincident_pairs(zeta) -> list:
@@ -145,42 +139,47 @@ def require_distinct(zeta, what: str = "nodes"):
 def validate(problem: InterpolationProblem) -> list:
     """Check every instance invariant; return a list of violations (empty = valid).
 
-    Checks: infinity sentinel at index 0 with a real value, all finite nodes
-    strictly outside the closed unit disk, distinct nodes, conjugate closure
-    of node/value pairs, values in the open right half-plane, a Schur
-    spectral-zero polynomial, and positive definiteness of the Pick matrix.
+    Checks: infinity sentinel at index 0 with a real value, all other nodes
+    finite and strictly outside the closed unit disk, distinct nodes,
+    conjugate closure of node/value pairs, finite values in the open right
+    half-plane, a Schur spectral-zero polynomial, and positive definiteness
+    of the Pick matrix.  This is the one check of the nodes on the way into
+    :func:`~nevpick.continuation.solve`; the Pick test is skipped when an
+    earlier check makes it meaningless.
     """
     out: list[Violation] = []
     nodes = problem.nodes
     values = problem.values
-    n = problem.n
 
     if not is_inf_node(nodes[0]):
         out.append(Violation("node-inf-sentinel", "nodes[0] must be the point at infinity", 0))
-    if abs(values[0].imag) > 1e-12 * max(1.0, abs(values[0])):
+    if _not_real(values[0]):
         out.append(Violation("value0-real", f"values[0] = {values[0]} must be real", 0))
 
     structurally_sound = True
-    for k in range(1, n + 1):
-        z = nodes[k]
-        if is_inf_node(z):
+    for k, z in enumerate(nodes):
+        if cmath.isnan(z):
+            out.append(Violation("not-finite", f"node {k} is {z}", k))
+            structurally_sound = False
+        elif k and is_inf_node(z):
             out.append(Violation("node-domain", "only nodes[0] may be infinite", k))
             structurally_sound = False
-        elif abs(z) <= 1.0:
+        elif k and abs(z) <= 1.0:
             out.append(Violation("node-domain", f"|z_{k}| = {abs(z):.6g} must exceed 1", k))
             structurally_sound = False
 
     zeta = problem.node_reciprocals()
-    for k, j in coincident_pairs(zeta):
+    # a NaN node (reported above) has no distance to the others, so pair none
+    paired = not np.isnan(zeta).any()
+    for k, j in coincident_pairs(zeta) if paired else ():
         out.append(Violation("node-distinct", f"nodes {k} and {j} coincide", j))
         structurally_sound = False
 
-    warr = problem.values_array()
-    for k, j in enumerate(conjugate_pairs(zeta, TOL_NODE)):
+    for k, j in enumerate(conjugate_pairs(zeta, TOL_NODE) if paired else ()):
         if j is None:
             out.append(Violation("conjugate-closure", f"node {k} has no conjugate partner", k))
             structurally_sound = False
-        elif abs(warr[j] - np.conj(warr[k])) > TOL_VALUE * (1.0 + abs(warr[k])):
+        elif abs(values[j] - values[k].conjugate()) > TOL_VALUE * (1.0 + abs(values[k])):
             out.append(
                 Violation(
                     "conjugate-closure",
@@ -190,10 +189,13 @@ def validate(problem: InterpolationProblem) -> list:
             )
 
     for k, w in enumerate(values):
-        if not w.real > 0:
+        if not cmath.isfinite(w):
+            out.append(Violation("not-finite", f"value {k} is {w}", k))
+            structurally_sound = False
+        elif not w.real > 0:
             out.append(Violation("value-rhp", f"Re(w_{k}) = {w.real:.6g} must be positive", k))
 
-    if not roots_and_schur(problem.sigma)[1]:
+    if not is_schur(problem.sigma):
         out.append(Violation("sigma-not-schur", "sigma has a root with modulus >= 1"))
 
     if structurally_sound:
@@ -211,7 +213,6 @@ def pick_matrix(problem: InterpolationProblem) -> np.ndarray:
     to ``w_k + conj(w_l)`` and the (0, 0) entry is ``2 w_0``.
     """
     zeta = problem.node_reciprocals()
-    require_distinct(zeta)
     w = problem.values_array()
     num = w[:, None] + np.conj(w)[None, :]
     den = 1.0 - zeta[:, None] * np.conj(zeta)[None, :]
@@ -222,34 +223,33 @@ def is_positive_definite(M: np.ndarray) -> bool:
     """True iff the Hermitian matrix ``M`` has minimum eigenvalue above
     ``TOL_PD`` times its maximum eigenvalue.
 
-    Rejects (raises) inputs that are not Hermitian within 1e-10.
+    Rejects (raises) inputs that are not Hermitian within ``TOL_HERMITIAN``.
     """
     M = np.asarray(M)
     if M.size == 0:
         return True
     scale = max(1.0, float(np.max(np.abs(M))))
-    if np.max(np.abs(M - M.conj().T)) > 1e-10 * scale:
+    if np.max(np.abs(M - M.conj().T)) > TOL_HERMITIAN * scale:
         raise ValueError("matrix is not Hermitian")
     eigs = np.linalg.eigvalsh(0.5 * (M + M.conj().T))
     return bool(eigs[0] > TOL_PD * max(eigs[-1], 0.0))
 
 
-def normalize(problem: InterpolationProblem) -> NormalizedProblem:
-    """Divide all values by ``2 w_0`` so the value at infinity becomes 1/2.
+def normalize(problem: InterpolationProblem) -> tuple:
+    """``(normalized, scale)``: all values divided by ``scale = 2 w_0``, so the
+    value at infinity becomes exactly 1/2.
 
+    Multiplying the solved interpolant by ``scale`` undoes the normalization.
     The positive scaling multiplies the Pick matrix by ``1 / (2 w_0)`` and
     therefore preserves positive definiteness.
     """
     w0 = problem.values[0]
-    if abs(w0.imag) > 1e-12 * max(1.0, abs(w0)) or not w0.real > 0:
+    if _not_real(w0) or not w0.real > 0:
         raise ValueError(f"value at infinity must be real and positive, got {w0}")
     scale = 2.0 * w0.real
     scaled = [w / scale for w in problem.values]
     scaled[0] = 0.5 + 0.0j
-    return NormalizedProblem(
-        problem=InterpolationProblem(problem.nodes, tuple(scaled), problem.sigma),
-        scale=scale,
-    )
+    return InterpolationProblem(problem.nodes, tuple(scaled), problem.sigma), scale
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,10 @@ from conftest import (
     random_problem,
 )
 from nevpick.analysis import singular_values
-from nevpick.cee_core import g_of_p, recover_P
+from nevpick.cee_core import recover_P
 from nevpick.continuation import (
     HomotopyContext,
     SolveOptions,
-    ab_of_p,
     dG_dnu,
     eval_G,
     jac_G,
@@ -33,7 +32,7 @@ from nevpick.ingestion import (
     nodes_from_poles,
 )
 from nevpick.polyalg import MonicPolynomial, companion
-from nevpick.problem import InterpolationProblem, normalize
+from nevpick.problem import InterpolationProblem
 
 
 def report(criterion: int, ok: bool, detail: str):
@@ -155,7 +154,7 @@ def test_criterion_5_derivative_gates():
     for _ in range(20):
         n = int(rng.integers(1, 7))
         problem = random_problem(rng, n)
-        ctx = HomotopyContext(normalize(problem).problem)
+        ctx = HomotopyContext(problem)
         for _ in range(5):
             p = 0.3 * rng.standard_normal(n)
             nu = rng.uniform(0.0, 1.0)
@@ -181,7 +180,7 @@ def test_criterion_5_derivative_gates():
     # the acceptance band; the flipped sign leaves it
     ref = random_problem(np.random.default_rng(502), 5)
     sol = solve(ref)
-    ctx = HomotopyContext(normalize(ref).problem)
+    ctx = HomotopyContext(ref)
     mid = min(sol.trajectory, key=lambda s: abs(s.nu - 0.5))
     dnu = 1e-2
     t = _tangent(mid.p, mid.nu, ctx)
@@ -217,9 +216,7 @@ def test_criterion_6_identity_suite():
         assert np.linalg.eigvalsh(sol.P)[0] >= -1e-8
         assert comp.h @ sol.P @ comp.h < 1.0
 
-        ctx = HomotopyContext(normalize(problem).problem)
-        pair = ctx.operators(1.0)
-        g = g_of_p(pair, comp, sol.p)
+        g = HomotopyContext(problem).linearization(sol.p, 1.0)[2]
         assert np.max(np.abs((sol.b.tail - sol.a.tail) - 2.0 * g)) < 1e-10
 
         f = np.polyval(sol.b.coeffs, z) / (2.0 * np.polyval(sol.a.coeffs, z))
@@ -239,17 +236,16 @@ def test_criterion_6_identity_suite():
 
 
 def test_criterion_7_central_closed_forms(reference_problem):
-    ctx = HomotopyContext(normalize(reference_problem).problem)
+    ctx = HomotopyContext(reference_problem)
     n = ctx.n
     G0 = eval_G(np.zeros(n), 0.0, ctx)
-    pair0 = ctx.operators(0.0)
-    a0, b0 = ab_of_p(pair0, ctx.comp, np.zeros(n))
+    pair0, v0, g0, _, _ = ctx.linearization(np.zeros(n), 0.0)
     start_ok = (
         np.max(np.abs(G0)) < 1e-13
         and np.all(pair0.u == 0.0)
         and np.all(pair0.U == 0.0)
-        and np.array_equal(a0.coeffs, ctx.problem.sigma.coeffs)
-        and np.array_equal(b0.coeffs, ctx.problem.sigma.coeffs)
+        and np.array_equal(v0 - g0, ctx.problem.sigma.tail)
+        and np.array_equal(v0 + g0, ctx.problem.sigma.tail)
     )
 
     central = InterpolationProblem(
@@ -290,7 +286,7 @@ def test_criterion_8_small_instance_oracles():
             MonicPolynomial([1.0, s1]),
         )
         sol = solve(problem)
-        ctx = HomotopyContext(normalize(problem).problem)
+        ctx = HomotopyContext(problem)
 
         def G1(x):
             return eval_G(np.array([x]), 1.0, ctx)[0]
@@ -309,8 +305,7 @@ def test_criterion_8_small_instance_oracles():
         worst_bisect = max(worst_bisect, abs(0.5 * (lo + hi) - sol.p[0]))
 
         comp = companion(problem.sigma)
-        pair = ctx.operators(1.0)
-        g = g_of_p(pair, comp, sol.p)
+        g = ctx.linearization(sol.p, 1.0)[2]
         gamma = comp.Gamma[0, 0]
         closed = (g[0] ** 2 - gamma**2 * sol.p[0] ** 2) / (1.0 - gamma**2)
         P = recover_P(comp, sol.p, g)

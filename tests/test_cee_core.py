@@ -9,9 +9,9 @@ from nevpick.cee_core import (
     build_cee_matrices,
     build_V,
     cee_residual,
-    g_of_p,
     operator_pair,
     recover_P,
+    v_and_g,
 )
 from nevpick.continuation import solve
 from nevpick.ingestion import default_bank_poles, exact_values, nodes_from_poles
@@ -20,7 +20,7 @@ from nevpick.problem import INF, InterpolationProblem, normalize
 
 
 def normalized_reference(reference_problem):
-    return normalize(reference_problem).problem
+    return normalize(reference_problem)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -84,10 +84,6 @@ class TestBuildV:
         V = build_V(reference_problem.node_reciprocals())
         assert np.isfinite(np.linalg.cond(V))
         assert np.linalg.cond(V) < 1e6
-
-    def test_coincident_nodes_rejected(self):
-        with pytest.raises(ValueError):
-            build_V(reciprocals((INF, 2.0, 2.0)))
 
     def test_row_scaling_leaves_T_unchanged(self, reference_problem):
         norm = normalized_reference(reference_problem)
@@ -265,10 +261,12 @@ class TestUUFromCovariance:
 
 
 class TestGOfP:
+    """``g = u + U (sigma_vec + Gamma p)``, the second output of ``v_and_g``."""
+
     def test_zero_pair(self):
         comp = companion(MonicPolynomial([1.0, 0.5, 0.25]))
         pair_zero = operator_pair_stub(np.zeros(2), np.zeros((2, 2)))
-        assert np.array_equal(g_of_p(pair_zero, comp, np.zeros(2)), np.zeros(2))
+        assert np.array_equal(v_and_g(pair_zero, comp, np.zeros(2))[1], np.zeros(2))
 
     def test_zero_p(self):
         comp = companion(MonicPolynomial([1.0, 0.5, 0.25]))
@@ -276,7 +274,7 @@ class TestGOfP:
         u = rng.standard_normal(2)
         U = rng.standard_normal((2, 2))
         pair = operator_pair_stub(u, U)
-        assert np.allclose(g_of_p(pair, comp, np.zeros(2)), u + U @ comp.sigma_vec)
+        assert np.allclose(v_and_g(pair, comp, np.zeros(2))[1], u + U @ comp.sigma_vec)
 
 
 def operator_pair_stub(u, U):
@@ -308,8 +306,8 @@ def stein_endpoints():
     for problem in problems:
         sol = solve(problem)
         comp = companion(problem.sigma)
-        g = g_of_p(operator_pair(build_cee_matrices(normalize(problem).problem), 1.0),
-                   comp, sol.p)
+        g = v_and_g(operator_pair(build_cee_matrices(normalize(problem)[0]), 1.0),
+                    comp, sol.p)[1]
         out.append((comp, sol.p, g))
     return out
 

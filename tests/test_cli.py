@@ -87,6 +87,29 @@ class TestSolveCommand:
         assert result.exit_code == 2
         assert "node-domain" in result.output
 
+    @pytest.mark.parametrize("where, literal, message", [
+        (("sigma_coeffs", 2), "nan", "coefficients must be finite"),
+        (("values", 5, "re"), "inf", "[not-finite] (index 5)"),
+        (("nodes", 3, "re"), "nan", "[not-finite] (index 3)"),
+    ], ids=["nan-sigma", "inf-value", "nan-node"])
+    def test_non_finite_input_exits_2(self, runner, tmp_path, reference_problem,
+                                      where, literal, message):
+        # json reads the NaN and Infinity literals that json.dumps writes
+        data = problem_to_json_dict(reference_problem)
+        *path, last = where
+        target = data
+        for key in path:
+            target = target[key]
+        target[last] = float(literal)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        result = runner.invoke(
+            main, ["solve", "--input", str(bad), "--output", str(tmp_path / "o")]
+        )
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert "conjugate" not in result.output
+
     def test_unparseable_input_exits_2(self, runner, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("{not json")

@@ -3,7 +3,8 @@ import pytest
 
 from conftest import random_problem, sym_coeffs
 from nevpick import continuation
-from nevpick.cee_core import SteinConsistencyError, g_of_p
+from nevpick import problem as problem_module
+from nevpick.cee_core import SteinConsistencyError
 from nevpick.continuation import (
     CorrectorError,
     HomotopyContext,
@@ -11,7 +12,6 @@ from nevpick.continuation import (
     SolveOptions,
     _follow_path,
     _tangent,
-    ab_of_p,
     corrector,
     dG_dnu,
     eval_G,
@@ -26,10 +26,6 @@ from nevpick.problem import (
     ProblemValidationError,
     normalize,
 )
-
-
-def make_ctx(problem):
-    return HomotopyContext(normalize(problem).problem)
 
 
 def n1_problem(z1=2.0, w1=0.8, s1=-0.3):
@@ -48,37 +44,41 @@ def assert_step_growth_bounded(trajectory):
 
 class TestHomotopyMap:
     def test_central_residual_zero(self, reference_problem):
-        ctx = make_ctx(reference_problem)
+        ctx = HomotopyContext(reference_problem)
         G = eval_G(np.zeros(ctx.n), 0.0, ctx)
         assert np.max(np.abs(G)) < 1e-14
 
     def test_matches_convolution_oracle(self, reference_problem):
-        ctx = make_ctx(reference_problem)
+        ctx = HomotopyContext(reference_problem)
         rng = np.random.default_rng(55)
         for _ in range(50):
             p = 0.3 * rng.standard_normal(ctx.n)
             nu = rng.uniform(0.0, 1.0)
-            pair = ctx.operators(nu)
-            a, b = ab_of_p(pair, ctx.comp, p)
-            direct = sym_coeffs(a.coeffs, b.coeffs)[: ctx.n] - 2.0 * (1 - p[0]) * ctx.d
+            _, v, g, _, _ = ctx.linearization(p, nu)
+            a, b = np.append(1.0, v - g), np.append(1.0, v + g)
+            direct = sym_coeffs(a, b)[: ctx.n] - 2.0 * (1 - p[0]) * ctx.d
             assert np.max(np.abs(eval_G(p, nu, ctx) - direct)) < 1e-12
 
     def test_b_minus_a_is_twice_g(self, reference_problem):
-        ctx = make_ctx(reference_problem)
+        ctx = HomotopyContext(reference_problem)
         rng = np.random.default_rng(56)
         for _ in range(25):
             p = 0.4 * rng.standard_normal(ctx.n)
             nu = rng.uniform(0.0, 1.0)
-            pair = ctx.operators(nu)
-            a, b = ab_of_p(pair, ctx.comp, p)
-            g = g_of_p(pair, ctx.comp, p)
-            assert np.max(np.abs((b.tail - a.tail) - 2.0 * g)) < 1e-12
+            pair, v, g, _, _ = ctx.linearization(p, nu)
+            # a = (I - U)(Gamma p + sigma) - u and b = (I + U)(Gamma p + sigma) + u
+            w = ctx.comp.Gamma @ p + ctx.comp.sigma_vec
+            a = w - pair.U @ w - pair.u
+            b = w + pair.U @ w + pair.u
+            assert np.max(np.abs(a - (v - g))) < 1e-12
+            assert np.max(np.abs(b - (v + g))) < 1e-12
+            assert np.max(np.abs((b - a) - 2.0 * g)) < 1e-12
 
     def test_ab_central_equals_sigma(self, reference_problem):
-        ctx = make_ctx(reference_problem)
-        a, b = ab_of_p(ctx.operators(0.0), ctx.comp, np.zeros(ctx.n))
-        assert np.array_equal(a.coeffs, ctx.problem.sigma.coeffs)
-        assert np.array_equal(b.coeffs, ctx.problem.sigma.coeffs)
+        ctx = HomotopyContext(reference_problem)
+        _, v, g, _, _ = ctx.linearization(np.zeros(ctx.n), 0.0)
+        assert np.array_equal(v - g, ctx.problem.sigma.tail)
+        assert np.array_equal(v + g, ctx.problem.sigma.tail)
 
 
 class TestDerivatives:
@@ -98,7 +98,7 @@ class TestDerivatives:
         checked = 0
         for _ in range(20):
             n = int(rng.integers(1, 7))
-            ctx = make_ctx(random_problem(rng, n))
+            ctx = HomotopyContext(random_problem(rng, n))
             for _ in range(5):
                 p = 0.3 * rng.standard_normal(n)
                 nu = rng.uniform(0.0, 1.0)
@@ -110,7 +110,7 @@ class TestDerivatives:
         assert checked == 100
 
     def test_dnu_matches_fd(self, reference_problem):
-        ctx = make_ctx(reference_problem)
+        ctx = HomotopyContext(reference_problem)
         rng = np.random.default_rng(61)
         delta = 1e-6
         for _ in range(20):
@@ -123,7 +123,7 @@ class TestDerivatives:
     def test_jacobian_closed_form_at_start(self, reference_problem):
         # at nu=0 and p=0 the pair vanishes, so
         # dG/dp = 2 E S([1; sigma]) [0; Gamma] + 2 d h'
-        ctx = make_ctx(reference_problem)
+        ctx = HomotopyContext(reference_problem)
         n = ctx.n
         J = jac_G(np.zeros(n), 0.0, ctx)
         S = build_S(ctx.problem.sigma.coeffs)
@@ -132,7 +132,7 @@ class TestDerivatives:
         assert np.max(np.abs(J - want)) < 1e-12
 
     def test_dnu_zero_at_start(self, reference_problem):
-        ctx = make_ctx(reference_problem)
+        ctx = HomotopyContext(reference_problem)
         assert np.max(np.abs(dG_dnu(np.zeros(ctx.n), 0.0, ctx))) == 0.0
 
 
@@ -140,7 +140,7 @@ class TestLinearizationMemo:
     def test_products_per_tangent_and_newton_iterate(self, reference_problem,
                                                      reference_solution, monkeypatch):
         # G, dG/dp and dG/dnu at one point share S([1; v]) and S([0; g])
-        ctx = make_ctx(reference_problem)
+        ctx = HomotopyContext(reference_problem)
         mid = min(reference_solution.trajectory, key=lambda s: abs(s.nu - 0.5))
         nu = mid.nu + 0.05
         calls = []
@@ -166,8 +166,30 @@ class TestLinearizationMemo:
         _tangent(p, nu, ctx)                  # at the accepted point
         assert len(calls) == 0
 
+    def test_one_derivation_per_point(self, reference_problem, monkeypatch):
+        # every v, g of a solve comes from the linearization, which forms two
+        # products with them; the one other product is the context's d, and
+        # validate is the one distinct-node check
+        counts = {"build_S": 0, "v_and_g": 0, "coincident_pairs": 0}
+
+        def counting(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(continuation, "build_S")
+        counting(continuation, "v_and_g")
+        counting(problem_module, "coincident_pairs")
+        solve(reference_problem)
+        assert counts["v_and_g"] > 0
+        assert counts["build_S"] == 2 * counts["v_and_g"] + 1
+        assert counts["coincident_pairs"] == 1
+
     def test_matches_fresh_context_bitwise(self, reference_problem):
-        ctx = make_ctx(reference_problem)
+        ctx = HomotopyContext(reference_problem)
         rng = np.random.default_rng(63)
         fns = (eval_G, jac_G, dG_dnu)
         p = 0.3 * rng.standard_normal(ctx.n)
@@ -182,19 +204,40 @@ class TestLinearizationMemo:
                 p[:] = 0.3 * rng.standard_normal(ctx.n)
             for k in rng.permutation(len(fns)):
                 got = fns[k](p, nu, ctx)
-                want = fns[k](p.copy(), nu, make_ctx(reference_problem))
+                want = fns[k](p.copy(), nu, HomotopyContext(reference_problem))
                 assert np.array_equal(got, want)
+
+
+class TestHomotopyContext:
+    def test_normalizes_its_problem(self, reference_problem):
+        lam = 3.7
+        scaled = InterpolationProblem(
+            reference_problem.nodes,
+            tuple(lam * w for w in reference_problem.values),
+            reference_problem.sigma,
+        )
+        ctx = HomotopyContext(scaled)
+        want = HomotopyContext(normalize(scaled)[0])
+        assert ctx.scale == 2.0 * lam * reference_problem.values[0].real
+        assert ctx.problem.values[0] == 0.5
+        assert ctx.problem.values == want.problem.values
+        rng = np.random.default_rng(64)
+        for _ in range(10):
+            p = 0.3 * rng.standard_normal(ctx.n)
+            nu = rng.uniform(0.0, 1.0)
+            for fn in (eval_G, jac_G, dG_dnu):
+                assert np.array_equal(fn(p, nu, ctx), fn(p, nu, want))
 
 
 class TestCorrector:
     def test_on_trajectory_zero_iterations(self, reference_problem):
-        ctx = make_ctx(reference_problem)
+        ctx = HomotopyContext(reference_problem)
         p, iters = corrector(np.zeros(ctx.n), 0.0, ctx)
         assert iters == 0
         assert np.array_equal(p, np.zeros(ctx.n))
 
     def test_quadratic_convergence(self, reference_problem, reference_solution):
-        ctx = make_ctx(reference_problem)
+        ctx = HomotopyContext(reference_problem)
         sol = reference_solution
         mid = min(sol.trajectory, key=lambda s: abs(s.nu - 0.5))
         rng = np.random.default_rng(62)
@@ -209,14 +252,14 @@ class TestCorrector:
             assert r1 < 100.0 * r0**2
 
     def test_infeasible_start_raises(self, reference_problem):
-        ctx = make_ctx(reference_problem)
+        ctx = HomotopyContext(reference_problem)
         poison = np.zeros(ctx.n)
         poison[0] = 2.0
         with pytest.raises(CorrectorError):
             corrector(poison, 1.0, ctx)
 
     def test_far_start_no_silent_answer(self, reference_problem):
-        ctx = make_ctx(reference_problem)
+        ctx = HomotopyContext(reference_problem)
         poison = np.full(ctx.n, 50.0)
         with pytest.raises(CorrectorError):
             corrector(poison, 1.0, ctx)
@@ -228,13 +271,13 @@ class TestPredictor:
         nodes = reference_problem.nodes
         values = tuple([0.5 + 0.0j] * len(nodes))
         central = InterpolationProblem(nodes, values, reference_problem.sigma)
-        ctx = make_ctx(central)
+        ctx = HomotopyContext(central)
         sol = solve(central)
         state = sol.trajectory[0]
         assert np.array_equal(predictor(state.p, state.nu, state.nu + state.step, ctx), state.p)
 
     def test_first_step_correctable(self, reference_problem, reference_solution):
-        ctx = make_ctx(reference_problem)
+        ctx = HomotopyContext(reference_problem)
         sol = reference_solution
         start = sol.trajectory[0]
         p_hat = predictor(start.p, start.nu, 0.1, ctx)
@@ -244,7 +287,7 @@ class TestPredictor:
 
     def test_fourth_order(self, reference_problem, reference_solution):
         # RK4 has local error O(dnu^5): halving the step cuts it about 32-fold
-        ctx = make_ctx(reference_problem)
+        ctx = HomotopyContext(reference_problem)
         nu = 0.65
         start = max((s for s in reference_solution.trajectory if s.nu <= nu), key=lambda s: s.nu)
         p, _ = corrector(predictor(start.p, start.nu, nu, ctx), nu, ctx)
@@ -304,7 +347,7 @@ class TestSolve:
 
     def test_trajectory_invariants(self, reference_problem, reference_solution):
         sol = reference_solution
-        ctx = make_ctx(reference_problem)
+        ctx = HomotopyContext(reference_problem)
         opts = SolveOptions()
         assert sol.trajectory[0].nu == 0.0
         assert np.array_equal(sol.trajectory[0].p, np.zeros(ctx.n))
@@ -405,7 +448,7 @@ class TestSolve:
     def test_operator_pair_memo_stays_small(self, reference_problem):
         # nu never decreases along the path, so the memo drops the pairs
         # below each accepted nu instead of keeping every nu visited
-        ctx = make_ctx(reference_problem)
+        ctx = HomotopyContext(reference_problem)
         operators, sizes = ctx.operators, []
 
         def recording(nu):
@@ -441,7 +484,7 @@ class TestScalarOracle:
     def test_endpoint_matches_bisection(self, w1, s1):
         problem = n1_problem(w1=w1, s1=s1)
         sol = solve(problem)
-        ctx = make_ctx(problem)
+        ctx = HomotopyContext(problem)
 
         def G1(p):
             return eval_G(np.array([p]), 1.0, ctx)[0]
@@ -464,9 +507,8 @@ class TestScalarOracle:
     def test_recovered_matrix_matches_scalar_stein(self):
         problem = n1_problem(w1=1.1, s1=-0.4)
         sol = solve(problem)
-        ctx = make_ctx(problem)
-        pair = ctx.operators(1.0)
-        g = g_of_p(pair, ctx.comp, sol.p)
+        ctx = HomotopyContext(problem)
+        g = ctx.linearization(sol.p, 1.0)[2]
         gamma = -ctx.problem.sigma.tail[0]
         closed = (g[0] ** 2 - gamma**2 * sol.p[0] ** 2) / (1.0 - gamma**2)
         assert sol.P[0, 0] == pytest.approx(closed, abs=1e-12)

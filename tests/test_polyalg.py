@@ -11,7 +11,7 @@ from nevpick.polyalg import (
     companion,
     conjugate_pairs,
     eval_poly,
-    roots_and_schur,
+    is_schur,
 )
 from nevpick.problem import INF, InterpolationProblem
 
@@ -45,6 +45,11 @@ class TestMonicPolynomial:
         with pytest.raises(ValueError):
             MonicPolynomial.from_roots([0.5j])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            MonicPolynomial([1.0, bad, 0.25])
+
     def test_immutable(self):
         p = MonicPolynomial([1.0, 0.5])
         with pytest.raises(ValueError):
@@ -66,15 +71,13 @@ class TestEvalPoly:
 
 
 class TestRootsAndSchur:
+    """``is_schur``: every root strictly inside the unit disk."""
+
     def test_inside(self):
-        r, ok = roots_and_schur(MonicPolynomial([1.0, -0.5]))
-        assert np.allclose(r, [0.5])
-        assert ok
+        assert is_schur(MonicPolynomial([1.0, -0.5]))
 
     def test_boundary_excluded(self):
-        r, ok = roots_and_schur(MonicPolynomial([1.0, -1.0]))
-        assert np.allclose(r, [1.0])
-        assert not ok
+        assert not is_schur(MonicPolynomial([1.0, -1.0]))
 
     def test_reference_zero_set(self):
         # degree-7 set: two pairs at modulus 0.95, a pair at 0.99, one real -0.99
@@ -87,16 +90,12 @@ class TestRootsAndSchur:
             -0.99j,
             -0.99,
         ]
-        sigma = MonicPolynomial.from_roots(roots)
-        r, ok = roots_and_schur(sigma)
-        assert ok
-        moduli = np.sort(np.abs(r))
-        assert np.allclose(moduli, np.sort(np.abs(roots)), atol=1e-8)
+        assert is_schur(MonicPolynomial.from_roots(roots))
+        assert not is_schur(MonicPolynomial.from_roots(roots[:6] + [-1.0]))
 
     def test_no_margin(self):
         # strict unit-disk membership: a root just inside counts
-        _, ok = roots_and_schur(MonicPolynomial([1.0, -(1.0 - 1e-9)]))
-        assert ok
+        assert is_schur(MonicPolynomial([1.0, -(1.0 - 1e-9)]))
 
 
 class TestCompanion:
@@ -123,7 +122,7 @@ class TestCompanion:
             sigma = MonicPolynomial(np.concatenate(([1.0], tail)))
             comp = companion(sigma)
             eigs = np.linalg.eigvals(comp.Gamma)
-            roots, _ = roots_and_schur(sigma)
+            roots = np.roots(sigma.coeffs)
             assert np.allclose(
                 np.sort_complex(eigs), np.sort_complex(roots), atol=1e-8
             )

@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import random_nodes
-from nevpick.cee_core import build_V
 from nevpick.ingestion import FilterBankSpec
 from nevpick.polyalg import MonicPolynomial
 from nevpick.problem import (
     INF,
     InterpolationProblem,
-    NormalizedProblem,
     is_positive_definite,
     normalize,
     pick_matrix,
@@ -57,6 +55,23 @@ class TestValidate:
         codes = [v.code for v in validate(bad)]
         assert "sigma-not-schur" in codes
 
+    def test_nan_node(self, reference_problem):
+        nodes = list(reference_problem.nodes)
+        nodes[3] = complex(np.nan, 0.0)
+        bad = InterpolationProblem(tuple(nodes), reference_problem.values, reference_problem.sigma)
+        violations = validate(bad)
+        assert [(v.code, v.index) for v in violations] == [("not-finite", 3)]
+
+    @pytest.mark.parametrize("bad_value", [complex(np.nan, 0.0), complex(np.inf, 0.0),
+                                           complex(0.5, np.inf)])
+    def test_non_finite_value(self, reference_problem, bad_value):
+        values = list(reference_problem.values)
+        values[5] = bad_value
+        bad = InterpolationProblem(reference_problem.nodes, tuple(values), reference_problem.sigma)
+        codes = [v.code for v in validate(bad)]
+        assert "not-finite" in codes
+        assert "pick-not-pd" not in codes
+
     def test_coincident_nodes(self):
         nodes = (INF, 2.0 + 0.0j, 2.0 + 0.0j)
         bad = InterpolationProblem(nodes, (0.5, 0.6, 0.6), MonicPolynomial([1.0, 0.0, 0.0]))
@@ -65,7 +80,8 @@ class TestValidate:
 
 
 class TestDistinctNodes:
-    """One distinct-node check at 1e-12 on reciprocal nodes, for every caller."""
+    """One distinct-node check at 1e-12 on reciprocal nodes: ``validate`` for
+    interpolation nodes and ``FilterBankSpec`` for bank poles from outside."""
 
     @staticmethod
     def pair_problem(gap):
@@ -79,17 +95,12 @@ class TestDistinctNodes:
         problem = self.pair_problem(gap)
         codes = [v.code for v in validate(problem)]
         assert ("node-distinct" not in codes) == distinct
-        callers = [
-            lambda: build_V(problem.node_reciprocals()),
-            lambda: pick_matrix(problem),
-            lambda: FilterBankSpec(poles=(0.0, 0.5, 0.5 + gap), samples=10),
-        ]
-        for call in callers:
-            if distinct:
-                call()
-            else:
-                with pytest.raises(ValueError, match="coincide"):
-                    call()
+        poles = (0.0, 0.5, 0.5 + gap)
+        if distinct:
+            FilterBankSpec(poles=poles, samples=10)
+        else:
+            with pytest.raises(ValueError, match="coincide"):
+                FilterBankSpec(poles=poles, samples=10)
 
 
 class TestPickMatrix:
@@ -170,30 +181,26 @@ class TestIsPositiveDefinite:
 
 class TestNormalize:
     def test_already_normalized(self, reference_problem):
-        norm = normalize(reference_problem)
-        assert norm.scale == pytest.approx(1.0)
-        assert norm.problem.values == reference_problem.values
+        norm, scale = normalize(reference_problem)
+        assert scale == 1.0
+        assert norm.values == reference_problem.values
 
     def test_scaling(self):
         p = tiny_problem(values=(2.0, 2.0 + 1.0j, 2.0 - 1.0j))
-        norm = normalize(p)
-        assert norm.scale == pytest.approx(4.0)
-        assert norm.problem.values[0] == 0.5
-        assert norm.problem.values[1] == pytest.approx(0.5 + 0.25j)
+        norm, scale = normalize(p)
+        assert scale == pytest.approx(4.0)
+        assert norm.values[0] == 0.5
+        assert norm.values[1] == pytest.approx(0.5 + 0.25j)
 
     def test_round_trip(self):
         p = tiny_problem(values=(3.7, 1.1 + 0.9j, 1.1 - 0.9j))
-        norm = normalize(p)
-        for w, w0 in zip(norm.problem.values, p.values):
-            assert abs(w * norm.scale - w0) <= 1e-15 * max(1.0, abs(w0))
+        norm, scale = normalize(p)
+        for w, w0 in zip(norm.values, p.values):
+            assert abs(w * scale - w0) <= 1e-15 * max(1.0, abs(w0))
 
     def test_rejects_nonpositive_w0(self):
         with pytest.raises(ValueError):
             normalize(tiny_problem(values=(-1.0, 2.0 + 1.0j, 2.0 - 1.0j)))
-
-    def test_normalized_invariant_enforced(self, reference_problem):
-        with pytest.raises(ValueError):
-            NormalizedProblem(problem=tiny_problem(), scale=1.0)
 
 
 class TestJson:
