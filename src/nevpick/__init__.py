@@ -19,7 +19,11 @@ Typical use::
 Post-solve analysis (positive-degree detection, model reduction, spectral
 densities) lives in :mod:`nevpick.analysis`; data generation from
 simulated time series in :mod:`nevpick.ingestion`; the command-line
-interface in :mod:`nevpick.cli`.
+interface in :mod:`nevpick.cli`.  The solver's internals (Pick matrix,
+normalization, CEE matrices, operator pairs, homotopy context, recovery
+of ``P``) are imported from their modules: :mod:`nevpick.problem`,
+:mod:`nevpick.polyalg`, :mod:`nevpick.cee_core` and
+:mod:`nevpick.continuation`.
 """
 
 from .analysis import (
@@ -32,19 +36,11 @@ from .analysis import (
     singular_values,
     spectral_density,
 )
-from .cee_core import (
-    CeeMatrices,
-    OperatorPair,
-    RealnessError,
-    SteinConsistencyError,
-    cee_residual,
-    recover_P,
-)
+from .cee_core import RealnessError, SteinConsistencyError
 from .continuation import (
     ContinuationState,
     CorrectorError,
     Diagnostics,
-    HomotopyContext,
     PathError,
     Solution,
     SolveOptions,
@@ -61,15 +57,12 @@ from .ingestion import (
     nodes_from_poles,
     simulate_arma,
 )
-from .polyalg import CompanionData, MonicPolynomial
+from .polyalg import MonicPolynomial
 from .problem import (
     INF,
     InterpolationProblem,
     ProblemValidationError,
     Violation,
-    is_positive_definite,
-    normalize,
-    pick_matrix,
     validate,
 )
 
@@ -77,18 +70,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "INF",
-    "CeeMatrices",
-    "CompanionData",
     "ContinuationState",
     "CorrectorError",
     "DegreeReport",
     "Diagnostics",
     "FilterBankSpec",
-    "HomotopyContext",
     "InterpolationProblem",
     "MonicPolynomial",
     "MonteCarloConfig",
-    "OperatorPair",
     "PathError",
     "ProblemValidationError",
     "RealnessError",
@@ -97,20 +86,15 @@ __all__ = [
     "SolveOptions",
     "SteinConsistencyError",
     "Violation",
-    "cee_residual",
     "default_bank_poles",
     "dominant_zeros",
     "estimate_positive_degree",
     "estimate_values",
     "exact_values",
     "filter_bank",
-    "is_positive_definite",
     "log_spectral_deviation",
     "monte_carlo",
     "nodes_from_poles",
-    "normalize",
-    "pick_matrix",
-    "recover_P",
     "reduce_model",
     "simulate_arma",
     "singular_values",

@@ -50,9 +50,8 @@ class SteinConsistencyError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class OperatorPair:
-    """Operator pair ``(u, U)`` at one homotopy parameter, with derivatives."""
+    """Operator pair ``(u, U)`` at one homotopy parameter, with their ``nu`` derivatives."""
 
-    nu: float
     u: np.ndarray
     U: np.ndarray
     u_dot: np.ndarray
@@ -65,20 +64,18 @@ class OperatorPair:
 
 @dataclass(frozen=True, eq=False)
 class CeeMatrices:
-    """Problem-level matrices shared by every homotopy-parameter evaluation.
+    """Problem-level data shared by every homotopy-parameter evaluation.
 
     ``T_dot = V^-1 (W - 1/2 I) V`` is independent of ``nu``;
     ``T(nu) = nu * T_dot`` exactly, so the start ``T(0) = 0`` is exact.
+    ``cond_V`` is the condition number of the node matrix ``V``.
     """
 
-    V: np.ndarray
-    w_target: np.ndarray
     T_dot: np.ndarray
     cond_V: float
 
     def __post_init__(self):
-        for name in ("V", "w_target", "T_dot"):
-            object.__setattr__(self, name, readonly(getattr(self, name)))
+        object.__setattr__(self, "T_dot", readonly(self.T_dot))
 
 
 def build_V(zeta) -> np.ndarray:
@@ -98,7 +95,7 @@ def build_V(zeta) -> np.ndarray:
 
 
 def build_cee_matrices(problem: InterpolationProblem) -> CeeMatrices:
-    """Build V and the nu-independent slope ``T_dot`` for a normalized problem.
+    """The nu-independent slope ``T_dot`` and ``cond(V)`` for a normalized problem.
 
     ``T_dot = V^-1 (W - 1/2 I) V`` is real analytically for conjugate-symmetric
     nodes and values; an imaginary residue above ``TOL_REAL`` signals broken
@@ -113,8 +110,7 @@ def build_cee_matrices(problem: InterpolationProblem) -> CeeMatrices:
             f"imaginary residue {residue:.3e} exceeds {TOL_REAL:.0e}; "
             "node/value set is not conjugate symmetric"
         )
-    return CeeMatrices(V=V, w_target=w, T_dot=np.ascontiguousarray(T_dot.real),
-                       cond_V=float(np.linalg.cond(V)))
+    return CeeMatrices(T_dot=np.ascontiguousarray(T_dot.real), cond_V=float(np.linalg.cond(V)))
 
 
 def operator_pair(cee: CeeMatrices, nu: float) -> OperatorPair:
@@ -140,7 +136,6 @@ def operator_pair(cee: CeeMatrices, nu: float) -> OperatorPair:
     uU = nu * bottom
     slope = bottom @ M_inv
     return OperatorPair(
-        nu=float(nu),
         u=np.ascontiguousarray(uU[:, 0]),
         U=np.ascontiguousarray(uU[:, 1:]),
         u_dot=np.ascontiguousarray(slope[:, 0]),
@@ -155,11 +150,12 @@ def v_and_g(pair: OperatorPair, comp: CompanionData, p: np.ndarray):
 
 
 def cee_residual(P: np.ndarray, comp: CompanionData, g: np.ndarray) -> float:
-    """Frobenius norm of ``P - Gamma (P - P h h' P) Gamma' - g g'``."""
+    """Frobenius norm of ``P - Gamma (P - P h h' P) Gamma' - g g'``.
+
+    ``h = e1``, so ``P h h' P`` is the outer product of column 0 and row 0.
+    """
     G = comp.Gamma
-    Ph = P @ comp.h
-    hP = P.T @ comp.h
-    res = P - G @ (P - np.outer(Ph, hP)) @ G.T - np.outer(g, g)
+    res = P - G @ (P - P[:, :1] @ P[:1]) @ G.T - np.outer(g, g)
     return float(np.linalg.norm(res, "fro"))
 
 
@@ -179,9 +175,10 @@ def recover_P(comp: CompanionData, p: np.ndarray, g: np.ndarray) -> np.ndarray:
     row of ``R`` plus the next row of ``P`` shifted left, a bottom-up
     recursion in O(n^2) with no linear solve.  ``P`` is exactly symmetric,
     since ``R`` is and ``P_ij``, ``P_ji`` add the same terms in the same
-    order.  Nothing forces the first column to equal ``p``, so the checks
-    ``P h == p``, symmetry, positive semidefiniteness and ``h' P h < 1``
-    are genuine; a violation raises :class:`SteinConsistencyError`.
+    order; the symmetry check guards that construction.  Nothing forces
+    the first column (``P h``, as ``h = e1``) to equal ``p``, so the checks
+    ``P h == p``, positive semidefiniteness and ``h' P h < 1`` are genuine.
+    A violation raises :class:`SteinConsistencyError`.
     """
     n = comp.n
     if n == 0:
@@ -196,12 +193,12 @@ def recover_P(comp: CompanionData, p: np.ndarray, g: np.ndarray) -> np.ndarray:
     scale = max(1.0, float(np.max(np.abs(P))))
     if np.max(np.abs(P - P.T)) > TOL_P_SYM * scale:
         raise SteinConsistencyError("recovered matrix is not symmetric")
-    if np.max(np.abs(P @ comp.h - p)) > TOL_P_PH * (1.0 + float(np.max(np.abs(p)))):
+    if np.max(np.abs(P[:, 0] - p)) > TOL_P_PH * (1.0 + float(np.max(np.abs(p)))):
         raise SteinConsistencyError("P h differs from p; the point is off the trajectory")
     eigs = np.linalg.eigvalsh(P)
     if eigs[0] < -TOL_P_PSD:
         raise SteinConsistencyError(f"recovered matrix has eigenvalue {eigs[0]:.3e} < 0")
-    hPh = float(comp.h @ P @ comp.h)
+    hPh = float(P[0, 0])
     if not hPh < 1.0:
         raise SteinConsistencyError(f"h' P h = {hPh:.6g} must be below 1")
     return P

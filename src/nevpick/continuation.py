@@ -118,7 +118,7 @@ class ContinuationState:
     step: float              # step size used to reach this state (0 at the start)
     corrector_iters: int
     residual: float          # max-norm of G at acceptance
-    a_roots: np.ndarray      # roots of a(p) at this state (sorted)
+    a_roots: np.ndarray      # roots of a(p) at this state (sorted, read-only)
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,9 +128,9 @@ class Diagnostics:
     interp_residuals: np.ndarray     # |f(z_k) - w_k| per node, original scale
     max_interp_residual: float
     cee_residual: float
-    poles: np.ndarray                # roots of a
+    poles: np.ndarray                # roots of a: the last state's a_roots
     zeros: np.ndarray                # roots of b
-    spectral_zeros: np.ndarray       # roots of sigma
+    spectral_zeros: np.ndarray       # roots of sigma: the first state's a_roots (a = sigma at nu = 0)
     singular_values: np.ndarray      # of the recovered P, descending
     cond_V: float                    # condition estimate of the node matrix
 
@@ -189,11 +189,6 @@ class HomotopyContext:
         self.cee: CeeMatrices = cee_core.build_cee_matrices(problem)
         self._pairs: dict[float, OperatorPair] = {}
         self._point = (None, None)   # (key, linearization) of the last point evaluated
-
-    @property
-    def is_central(self) -> bool:
-        """True when the target values already equal 1/2 everywhere."""
-        return bool(np.all(self.cee.T_dot == 0.0))
 
     def operators(self, nu: float) -> OperatorPair:
         key = float(nu)
@@ -354,7 +349,7 @@ def _make_state(ctx, nu, p, step, iters, residual) -> ContinuationState:
         step=float(step),
         corrector_iters=int(iters),
         residual=float(residual),
-        a_roots=_sorted_roots(_pad(1.0, v - g)),
+        a_roots=readonly(_sorted_roots(_pad(1.0, v - g))),
     )
 
 
@@ -363,7 +358,8 @@ def _follow_path(ctx: HomotopyContext, opts: SolveOptions) -> list:
     p = np.zeros(ctx.n)
     r0 = eval_G(p, 0.0, ctx)
     states = [_make_state(ctx, 0.0, p, 0.0, 0, np.max(np.abs(r0)) if r0.size else 0.0)]
-    if ctx.is_central:
+    if not np.any(ctx.cee.T_dot):
+        # the target values already equal 1/2 everywhere
         return states
 
     nu = 0.0
@@ -458,9 +454,9 @@ def solve(problem: InterpolationProblem, opts: SolveOptions | None = None) -> So
         interp_residuals=interp_residuals,
         max_interp_residual=float(np.max(interp_residuals)),
         cee_residual=cee_res,
-        poles=_sorted_roots(a.coeffs),
+        poles=states[-1].a_roots,
         zeros=_sorted_roots(b.coeffs),
-        spectral_zeros=_sorted_roots(problem.sigma.coeffs),
+        spectral_zeros=states[0].a_roots,
         singular_values=svals,
         cond_V=ctx.cee.cond_V,
     )

@@ -31,7 +31,7 @@ from .analysis import (
 )
 from .continuation import SOLVE_ERRORS, PathError, SolveOptions, solve
 from .polyalg import TOL_NODE, MonicPolynomial, build_S, conjugate_pairs, is_schur
-from .problem import INF, InterpolationProblem, require_distinct
+from .problem import INF, InterpolationProblem, coincident_pairs
 
 __all__ = [
     "FilterBankSpec",
@@ -93,9 +93,11 @@ class FilterBankSpec:
         poles = tuple(complex(p) for p in self.poles)
         if not poles or poles[0] != 0:
             raise ValueError("poles[0] must be 0 (the node at infinity)")
-        if any(abs(p) >= 1.0 for p in poles):
+        if not all(abs(p) < 1.0 for p in poles):     # a NaN pole fails too
             raise ValueError("all bank poles must satisfy |p| < 1")
-        require_distinct(poles, "bank poles")
+        coincident = coincident_pairs(poles)
+        if coincident:
+            raise ValueError("bank poles {} and {} coincide".format(*coincident[0]))
         partners = conjugate_pairs(poles, TOL_NODE)
         if None in partners:
             raise ValueError("bank poles must be closed under conjugation")
@@ -212,8 +214,10 @@ class MonteCarloConfig:
 
     ``variant`` is ``"monte-carlo"`` (simulate, filter, estimate) or
     ``"exact"`` (noise-free true values).  ``sigma_hat`` defaults to the
-    true zeros padded with zeros at the origin up to ``order``.  Per-run
-    seeds are drawn from ``np.random.SeedSequence(seed).spawn(runs)``.
+    true zeros padded with zeros at the origin up to ``order``, and
+    ``poles`` to ``default_bank_poles(order)``.  ``spec`` is derived, not
+    passed: the checked bank of every run.  Per-run seeds are drawn from
+    ``np.random.SeedSequence(seed).spawn(runs)``.
     """
 
     sigma: MonicPolynomial
@@ -227,6 +231,7 @@ class MonteCarloConfig:
     runs: int = 1
     variant: str = "monte-carlo"
     tau_rank: float = DEFAULT_TAU_RANK
+    spec: FilterBankSpec = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.variant not in ("monte-carlo", "exact"):
@@ -235,10 +240,17 @@ class MonteCarloConfig:
             raise ValueError("order must be at least the true degree")
         if self.runs < 1:
             raise ValueError("runs must be positive")
+        if self.a.degree != self.sigma.degree:
+            raise ValueError("sigma and a must have the same degree")
+        if not is_schur(self.a):
+            raise ValueError("filter denominator a is not Schur stable")
         if self.poles is not None and len(self.poles) != self.order + 1:
             raise ValueError(f"bank_poles must list order + 1 = {self.order + 1} poles")
         if self.sigma_hat is not None and self.sigma_hat.degree != self.order:
             raise ValueError(f"sigma_hat must have degree order = {self.order}")
+        poles = default_bank_poles(self.order) if self.poles is None else self.poles
+        object.__setattr__(self, "spec", FilterBankSpec(
+            poles=poles, samples=self.samples, burn_in=self.burn_in, seed=self.seed))
 
 
 def run_problem(config: MonteCarloConfig, seed: int) -> tuple:
@@ -249,20 +261,15 @@ def run_problem(config: MonteCarloConfig, seed: int) -> tuple:
     it is solved); the ``"exact"`` variant takes the true values and has
     no series (``y`` is None).
     """
-    if config.poles is None:
-        poles = tuple(default_bank_poles(config.order))
-    else:
-        poles = tuple(complex(p) for p in config.poles)
+    spec = config.spec
     y = None
     if config.variant == "exact":
-        values = exact_values(config.sigma, config.a, poles)
+        values = exact_values(config.sigma, config.a, spec.poles)
     else:
-        spec = FilterBankSpec(poles=poles, samples=config.samples, burn_in=config.burn_in,
-                              seed=seed)
         y = simulate_arma(config.sigma, config.a, config.samples, config.burn_in, seed)
         values = estimate_values(filter_bank(y, spec), spec)
     problem = InterpolationProblem(
-        nodes_from_poles(poles), tuple(values),
+        nodes_from_poles(spec.poles), tuple(values),
         config.sigma_hat or embed_sigma(config.sigma, config.order),
     )
     return problem, y

@@ -118,16 +118,16 @@ class CompanionData:
 
     ``Gamma`` is the n-by-n matrix whose first column is the negated tail
     of the polynomial and whose remaining columns are a shifted identity;
-    its characteristic polynomial is the polynomial itself.  ``h`` is the
-    unit vector ``(1, 0, ..., 0)`` and ``sigma_vec`` the coefficient tail.
+    its characteristic polynomial is the polynomial itself.  ``sigma_vec``
+    is the coefficient tail.  The vector ``h`` of the method is the unit
+    vector ``e1``, so ``h' x`` is written ``x[0]`` throughout.
     """
 
     Gamma: np.ndarray
-    h: np.ndarray
     sigma_vec: np.ndarray
 
     def __post_init__(self):
-        for name in ("Gamma", "h", "sigma_vec"):
+        for name in ("Gamma", "sigma_vec"):
             object.__setattr__(self, name, readonly(np.array(getattr(self, name), dtype=float)))
 
     @property
@@ -155,7 +155,7 @@ def is_schur(poly) -> bool:
 
 
 def companion(sigma: MonicPolynomial) -> CompanionData:
-    """Companion data (Gamma, h, sigma_vec) for a monic polynomial."""
+    """Companion data (Gamma, sigma_vec) for a monic polynomial."""
     n = sigma.degree
     sv = sigma.tail
     Gamma = np.zeros((n, n))
@@ -163,10 +163,7 @@ def companion(sigma: MonicPolynomial) -> CompanionData:
         Gamma[:, 0] = -sv
     if n > 1:
         Gamma[np.arange(n - 1), np.arange(1, n)] = 1.0
-    h = np.zeros(n)
-    if n:
-        h[0] = 1.0
-    return CompanionData(Gamma=Gamma, h=h, sigma_vec=sv)
+    return CompanionData(Gamma=Gamma, sigma_vec=sv)
 
 
 @lru_cache(maxsize=None)

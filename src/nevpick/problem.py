@@ -33,7 +33,6 @@ __all__ = [
     "ProblemValidationError",
     "validate",
     "coincident_pairs",
-    "require_distinct",
     "pick_matrix",
     "is_positive_definite",
     "normalize",
@@ -127,13 +126,6 @@ def coincident_pairs(zeta) -> list:
     close = np.abs(zeta[:, None] - zeta[None, :]) <= TOL_NODE
     k, j = np.nonzero(np.triu(close, 1))
     return list(zip(k.tolist(), j.tolist()))
-
-
-def require_distinct(zeta, what: str = "nodes"):
-    """Raise ``ValueError`` naming the first coincident pair of points."""
-    pairs = coincident_pairs(zeta)
-    if pairs:
-        raise ValueError(f"{what} {pairs[0][0]} and {pairs[0][1]} coincide")
 
 
 def validate(problem: InterpolationProblem) -> list:

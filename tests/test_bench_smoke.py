@@ -5,10 +5,12 @@ of each workload here makes a renamed or deleted name fail the test suite,
 instead of the benchmark run.
 """
 
+import ast
 import importlib.util
 import inspect
 import json
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -50,3 +52,33 @@ def test_traced_functions_exist():
             fn = getattr(module, rest[0], None)
             assert rest[0] in module.__all__ and inspect.isfunction(fn), metric["name"]
             assert fn.__module__ == module.__name__, metric["name"]
+
+
+#: The user API: what ``from nevpick import *`` gives.  Solver internals are
+#: imported from their modules, so a name added here is a deliberate choice.
+USER_API = {
+    "ContinuationState", "CorrectorError", "DegreeReport", "Diagnostics", "FilterBankSpec",
+    "INF", "InterpolationProblem", "MonicPolynomial", "MonteCarloConfig", "PathError",
+    "ProblemValidationError", "RealnessError", "RunRecord", "Solution", "SolveOptions",
+    "SteinConsistencyError", "Violation", "default_bank_poles", "dominant_zeros",
+    "estimate_positive_degree", "estimate_values", "exact_values", "filter_bank",
+    "log_spectral_deviation", "monte_carlo", "nodes_from_poles", "reduce_model",
+    "simulate_arma", "singular_values", "solve", "spectral_density", "validate",
+}
+
+
+def test_user_api_is_pinned():
+    assert len(nevpick.__all__) == len(USER_API) == 32
+    assert set(nevpick.__all__) == USER_API
+
+
+def test_benchmark_uses_only_the_user_api():
+    # every nv.<name> of the benchmark's workloads is a user-API name or a submodule
+    tree = ast.parse((BENCH / "workloads.py").read_text())
+    used = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "nv"}
+    assert used
+    for name in sorted(used):
+        assert name in nevpick.__all__ or isinstance(getattr(nevpick, name, None),
+                                                     types.ModuleType), name

@@ -280,7 +280,7 @@ class TestGOfP:
 def operator_pair_stub(u, U):
     from nevpick.cee_core import OperatorPair
 
-    return OperatorPair(nu=1.0, u=u, U=U, u_dot=np.zeros_like(u), U_dot=np.zeros_like(U))
+    return OperatorPair(u=u, U=U, u_dot=np.zeros_like(u), U_dot=np.zeros_like(U))
 
 
 def kronecker_stein_solve(Gamma, rhs):
@@ -381,7 +381,7 @@ class TestAffinity:
     def test_T_affine_in_nu(self, reference_problem):
         norm = normalized_reference(reference_problem)
         cee = build_cee_matrices(norm)
-        V = cee.V
+        V = build_V(norm.node_reciprocals())
         for nu in np.linspace(0.0, 1.0, 11):
-            direct = build_T(V, build_W(cee.w_target, nu))
+            direct = build_T(V, build_W(norm.values_array(), nu))
             assert np.max(np.abs(direct - nu * cee.T_dot)) < 1e-10

@@ -213,6 +213,18 @@ class TestSimulateCommand:
         )
         assert result.exit_code == 2
 
+    def test_nan_bank_pole_exits_2(self, runner, tmp_path):
+        # a NaN pole is not inside the unit disk, so no problem is written
+        cfg = degree2_config(bank_poles=[0.0, {"re": float("nan"), "im": 0.0}, 0.5])
+        cfg_path = tmp_path / "system.json"
+        cfg_path.write_text(json.dumps(cfg))
+        result = runner.invoke(
+            main, ["simulate", "--input", str(cfg_path), "--output", str(tmp_path / "o")]
+        )
+        assert result.exit_code == 2, result.output
+        assert "|p| < 1" in result.stderr
+        assert not (tmp_path / "o").exists()
+
 
 class TestDetectDegreeCommand:
     def test_exact_variant_degree2(self, runner, tmp_path):
@@ -302,6 +314,35 @@ class TestDetectDegreeCommand:
                    "--output", str(tmp_path / "o")]
         )
         assert result.exit_code == 2
+
+    INVALID_SYSTEMS = {
+        "pole-outside-disk": ({"bank_poles": [0.0, 1.5, 0.5]}, []),
+        "nan-pole": ({"bank_poles": [0.0, {"re": float("nan"), "im": 0.0}, 0.5]}, []),
+        "a-of-other-degree": ({"a_coeffs": [1.0, 0.0, 0.0, 0.0]}, []),
+        "a-not-schur": ({"a_coeffs": [1.0, -1.5, 0.0]}, []),
+        "samples-0": ({}, ["--samples", "0"]),
+        "burn-in-negative": ({}, ["--burn-in", "-1"]),
+    }
+
+    @pytest.mark.parametrize("variant", ["monte-carlo", "exact"])
+    @pytest.mark.parametrize("case", list(INVALID_SYSTEMS))
+    def test_invalid_system_exits_2(self, runner, tmp_path, case, variant):
+        # the whole system is checked before the first run: one error line, no traceback
+        extra, flags = self.INVALID_SYSTEMS[case]
+        cfg = degree2_config(**extra)
+        if "a_coeffs" in extra:
+            del cfg["a_roots"]
+        cfg_path = tmp_path / "system.json"
+        cfg_path.write_text(json.dumps(cfg))
+        result = runner.invoke(
+            main, ["detect-degree", "--input", str(cfg_path), "--output", str(tmp_path / "o"),
+                   "--variant", variant, *flags]
+        )
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("failed,expected", [(0, 0), (2, 4), (4, 3)])
     def test_partial_failure_exit_codes(self, runner, tmp_path, monkeypatch,

@@ -19,7 +19,7 @@ from nevpick.continuation import (
     predictor,
     solve,
 )
-from nevpick.polyalg import MonicPolynomial, build_S, companion
+from nevpick.polyalg import MonicPolynomial, build_S
 from nevpick.problem import (
     INF,
     InterpolationProblem,
@@ -187,6 +187,23 @@ class TestLinearizationMemo:
         assert counts["v_and_g"] > 0
         assert counts["build_S"] == 2 * counts["v_and_g"] + 1
         assert counts["coincident_pairs"] == 1
+
+    def test_one_root_finding_per_polynomial(self, reference_problem, monkeypatch):
+        # a at each accepted state, b at the endpoint, and validate's Schur
+        # test of sigma; a = sigma at nu = 0 and the endpoint's a is the last
+        # state's, so the diagnostics read those roots from the trajectory
+        roots, calls = np.roots, []
+
+        def counting(coeffs):
+            calls.append(1)
+            return roots(coeffs)
+        monkeypatch.setattr(np, "roots", counting)
+        sol = solve(reference_problem)
+        assert len(calls) == len(sol.trajectory) + 2
+        first, last = sol.trajectory[0], sol.trajectory[-1]
+        assert np.array_equal(sol.diagnostics.spectral_zeros, first.a_roots)
+        assert np.array_equal(sol.diagnostics.poles, last.a_roots)
+        assert not first.a_roots.flags.writeable and not last.a_roots.flags.writeable
 
     def test_matches_fresh_context_bitwise(self, reference_problem):
         ctx = HomotopyContext(reference_problem)
@@ -360,10 +377,9 @@ class TestSolve:
 
     def test_endpoint_certificates(self, reference_problem, reference_solution):
         sol = reference_solution
-        comp = companion(reference_problem.sigma)
-        assert np.max(np.abs(sol.P @ comp.h - sol.p)) < 1e-8
-        hPh = comp.h @ sol.P @ comp.h
-        assert hPh < 1.0
+        # h = e1: P h is the first column of P and h' P h its corner
+        assert np.max(np.abs(sol.P[:, 0] - sol.p)) < 1e-8
+        assert sol.P[0, 0] < 1.0
         assert np.linalg.eigvalsh(sol.P)[0] >= -1e-8
         assert sol.diagnostics.cee_residual < 1e-8
         assert sol.rho == pytest.approx(np.sqrt(1.0 - sol.p[0]), abs=1e-14)

@@ -103,7 +103,7 @@ class TestCompanion:
         comp = companion(MonicPolynomial([1.0, 0.0]))
         assert comp.Gamma.shape == (1, 1)
         assert comp.Gamma[0, 0] == 0.0
-        assert np.array_equal(comp.h, [1.0])
+        assert np.array_equal(comp.sigma_vec, [0.0])
 
     def test_degree_zero_degenerate(self):
         comp = companion(MonicPolynomial([1.0]))
