@@ -68,11 +68,9 @@ class CeeMatrices:
 
     ``T_dot = V^-1 (W - 1/2 I) V`` is independent of ``nu``;
     ``T(nu) = nu * T_dot`` exactly, so the start ``T(0) = 0`` is exact.
-    ``cond_V`` is the condition number of the node matrix ``V``.
     """
 
     T_dot: np.ndarray
-    cond_V: float
 
     def __post_init__(self):
         object.__setattr__(self, "T_dot", readonly(self.T_dot))
@@ -95,7 +93,7 @@ def build_V(zeta) -> np.ndarray:
 
 
 def build_cee_matrices(problem: InterpolationProblem) -> CeeMatrices:
-    """The nu-independent slope ``T_dot`` and ``cond(V)`` for a normalized problem.
+    """The nu-independent slope ``T_dot`` for a normalized problem.
 
     ``T_dot = V^-1 (W - 1/2 I) V`` is real analytically for conjugate-symmetric
     nodes and values; an imaginary residue above ``TOL_REAL`` signals broken
@@ -110,7 +108,7 @@ def build_cee_matrices(problem: InterpolationProblem) -> CeeMatrices:
             f"imaginary residue {residue:.3e} exceeds {TOL_REAL:.0e}; "
             "node/value set is not conjugate symmetric"
         )
-    return CeeMatrices(T_dot=np.ascontiguousarray(T_dot.real), cond_V=float(np.linalg.cond(V)))
+    return CeeMatrices(T_dot=np.ascontiguousarray(T_dot.real))
 
 
 def operator_pair(cee: CeeMatrices, nu: float) -> OperatorPair:

@@ -31,12 +31,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import cee_core
-from .cee_core import CeeMatrices, OperatorPair, operator_pair, recover_P, v_and_g
+from .cee_core import CeeMatrices, OperatorPair, build_V, operator_pair, recover_P, v_and_g
 from .polyalg import (
     MAX_NEWTON_ITERS,
     STEP_ACCEPT_RANGE,
@@ -111,28 +112,68 @@ class SolveOptions:
 
 @dataclass(frozen=True, eq=False)
 class ContinuationState:
-    """One accepted point of the trajectory."""
+    """One accepted point of the trajectory.
+
+    ``a_roots`` is computed on first read and kept: the path follower never
+    needs the roots, so a solve pays for them only where they are read.
+    """
 
     nu: float
     p: np.ndarray
     step: float              # step size used to reach this state (0 at the start)
     corrector_iters: int
     residual: float          # max-norm of G at acceptance
-    a_roots: np.ndarray      # roots of a(p) at this state (sorted, read-only)
+    a: np.ndarray            # coefficients (1, v - g) of a(p) at this state (read-only)
+
+    @cached_property
+    def a_roots(self) -> np.ndarray:
+        """Roots of ``a(p)`` at this state (sorted, read-only)."""
+        return readonly(np.sort_complex(np.roots(self.a)))
 
 
 @dataclass(frozen=True, eq=False)
 class Diagnostics:
-    """Post-solve certificates and locations."""
+    """Post-solve certificates and locations.
+
+    The certificates, which ``solve`` enforces, are computed eagerly.  The
+    locations, the singular values and ``cond_V`` are computed on first
+    read from the private inputs below, and kept; the arrays they return
+    are read-only.
+    """
 
     interp_residuals: np.ndarray     # |f(z_k) - w_k| per node, original scale
     max_interp_residual: float
     cee_residual: float
-    poles: np.ndarray                # roots of a: the last state's a_roots
-    zeros: np.ndarray                # roots of b
-    spectral_zeros: np.ndarray       # roots of sigma: the first state's a_roots (a = sigma at nu = 0)
-    singular_values: np.ndarray      # of the recovered P, descending
-    cond_V: float                    # condition estimate of the node matrix
+    _trajectory: tuple = field(repr=False)   # the solution's accepted states
+    _b: np.ndarray = field(repr=False)       # coefficients of b
+    _P: np.ndarray = field(repr=False)       # the recovered P (read-only)
+    _zeta: np.ndarray = field(repr=False)    # reciprocal nodes (normalization keeps them)
+
+    @cached_property
+    def poles(self) -> np.ndarray:
+        """Roots of ``a``: the last state's ``a_roots``."""
+        return self._trajectory[-1].a_roots
+
+    @cached_property
+    def zeros(self) -> np.ndarray:
+        """Roots of ``b``, sorted."""
+        return readonly(np.sort_complex(np.roots(self._b)))
+
+    @cached_property
+    def spectral_zeros(self) -> np.ndarray:
+        """Roots of ``sigma``: the first state's ``a_roots`` (``a = sigma`` at ``nu = 0``)."""
+        return self._trajectory[0].a_roots
+
+    @cached_property
+    def singular_values(self) -> np.ndarray:
+        """Singular values of the recovered ``P``, descending."""
+        P = self._P
+        return readonly(np.linalg.svd(P, compute_uv=False) if P.size else np.zeros(0))
+
+    @cached_property
+    def cond_V(self) -> float:
+        """Condition number of the node matrix ``V``."""
+        return float(np.linalg.cond(build_V(self._zeta)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,10 +377,6 @@ def corrector(
     )
 
 
-def _sorted_roots(coeffs: np.ndarray) -> np.ndarray:
-    return np.sort_complex(np.roots(coeffs))
-
-
 def _make_state(ctx, nu, p, step, iters, residual) -> ContinuationState:
     # the residual at (p, nu) has just been evaluated, so v and g are at hand
     _, v, g, _, _ = ctx.linearization(p, nu)
@@ -349,7 +386,7 @@ def _make_state(ctx, nu, p, step, iters, residual) -> ContinuationState:
         step=float(step),
         corrector_iters=int(iters),
         residual=float(residual),
-        a_roots=readonly(_sorted_roots(_pad(1.0, v - g))),
+        a=readonly(_pad(1.0, v - g)),
     )
 
 
@@ -428,7 +465,7 @@ def solve(problem: InterpolationProblem, opts: SolveOptions | None = None) -> So
     p = states[-1].p
 
     _, v, g, _, _ = ctx.linearization(p, 1.0)
-    P = recover_P(ctx.comp, p, g)
+    P = readonly(recover_P(ctx.comp, p, g))
     cee_res = cee_core.cee_residual(P, ctx.comp, g)
     if not cee_res <= TOL_CEE:
         raise cee_core.SteinConsistencyError(
@@ -447,17 +484,16 @@ def solve(problem: InterpolationProblem, opts: SolveOptions | None = None) -> So
         trajectory=tuple(states),
         diagnostics=None,
     )
-    f_vals = solution.interpolant_from_reciprocal(problem.node_reciprocals())
+    zeta = problem.node_reciprocals()
+    f_vals = solution.interpolant_from_reciprocal(zeta)
     interp_residuals = np.abs(f_vals - problem.values_array())
-    svals = np.linalg.svd(P, compute_uv=False) if ctx.n else np.zeros(0)
     diagnostics = Diagnostics(
         interp_residuals=interp_residuals,
         max_interp_residual=float(np.max(interp_residuals)),
         cee_residual=cee_res,
-        poles=states[-1].a_roots,
-        zeros=_sorted_roots(b.coeffs),
-        spectral_zeros=states[0].a_roots,
-        singular_values=svals,
-        cond_V=ctx.cee.cond_V,
+        _trajectory=solution.trajectory,
+        _b=b.coeffs,
+        _P=P,
+        _zeta=zeta,
     )
     return dataclasses.replace(solution, diagnostics=diagnostics)

@@ -141,11 +141,13 @@ def filter_bank(y: np.ndarray, spec: FilterBankSpec) -> np.ndarray:
     """Run ``y`` through every first-order section ``u_t = p u_(t-1) + y_t``.
 
     Returns an array of shape ``(n + 1, len(y))``.  The row of pole 0 is
-    ``y`` itself; a real pole is filtered in real arithmetic; each conjugate
-    pair of poles is filtered once, and the partner's row is the exact
-    conjugate of its row.
+    ``y`` itself; a real pole is filtered in real arithmetic by ``lfilter``;
+    each conjugate pair of poles is filtered once, as the one-pole section
+    ``[1, 0, 0, 1, -p, 0]`` of ``sosfilt`` (bit-identical to ``lfilter``'s
+    complex path, and about twice as fast), and the partner's row is the
+    exact conjugate of its row.
     """
-    from scipy.signal import lfilter
+    from scipy.signal import lfilter, sosfilt
 
     y = np.asarray(y, dtype=float)
     out = np.empty((len(spec.poles), y.size), dtype=complex)
@@ -156,7 +158,7 @@ def filter_bank(y: np.ndarray, spec: FilterBankSpec) -> np.ndarray:
         elif j == k:
             out[k] = lfilter([1.0], [1.0, -p.real], y)
         elif k < j:
-            out[k] = lfilter([1.0], [1.0, -p], y)
+            out[k] = sosfilt([[1.0, 0.0, 0.0, 1.0, -p, 0.0]], y)
             np.conjugate(out[k], out=out[j])
     return out
 

@@ -1,8 +1,10 @@
+import inspect
+
 import numpy as np
 import pytest
 
 from conftest import random_problem, sym_coeffs
-from nevpick import continuation
+from nevpick import cee_core, continuation
 from nevpick import problem as problem_module
 from nevpick.cee_core import SteinConsistencyError
 from nevpick.continuation import (
@@ -189,9 +191,9 @@ class TestLinearizationMemo:
         assert counts["coincident_pairs"] == 1
 
     def test_one_root_finding_per_polynomial(self, reference_problem, monkeypatch):
-        # a at each accepted state, b at the endpoint, and validate's Schur
-        # test of sigma; a = sigma at nu = 0 and the endpoint's a is the last
-        # state's, so the diagnostics read those roots from the trajectory
+        # solve finds roots once, in validate's Schur test of sigma; the
+        # poles and spectral zeros are the last and first states' a_roots
+        # (a = sigma at nu = 0), found on first read and kept
         roots, calls = np.roots, []
 
         def counting(coeffs):
@@ -199,10 +201,15 @@ class TestLinearizationMemo:
             return roots(coeffs)
         monkeypatch.setattr(np, "roots", counting)
         sol = solve(reference_problem)
-        assert len(calls) == len(sol.trajectory) + 2
+        assert len(calls) == 1
         first, last = sol.trajectory[0], sol.trajectory[-1]
-        assert np.array_equal(sol.diagnostics.spectral_zeros, first.a_roots)
-        assert np.array_equal(sol.diagnostics.poles, last.a_roots)
+        diag = sol.diagnostics
+        assert diag.poles is last.a_roots
+        assert len(calls) == 2
+        assert diag.spectral_zeros is first.a_roots
+        assert len(calls) == 3
+        assert diag.poles is last.a_roots and diag.spectral_zeros is first.a_roots
+        assert len(calls) == 3
         assert not first.a_roots.flags.writeable and not last.a_roots.flags.writeable
 
     def test_matches_fresh_context_bitwise(self, reference_problem):
@@ -223,6 +230,62 @@ class TestLinearizationMemo:
                 got = fns[k](p, nu, ctx)
                 want = fns[k](p.copy(), nu, HomotopyContext(reference_problem))
                 assert np.array_equal(got, want)
+
+
+class TestLazyDiagnostics:
+    """Locations, singular values and cond(V) are computed on first read and
+    kept; each equals its eager formula bit for bit."""
+
+    @staticmethod
+    def count_svd(monkeypatch):
+        # np.linalg.cond calls the svd of its own module, so both are counted
+        svd, calls = np.linalg.svd, []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        monkeypatch.setitem(inspect.unwrap(np.linalg.cond).__globals__, "svd", counting)
+        return calls
+
+    def test_no_svd_inside_solve(self, reference_problem, monkeypatch):
+        calls = self.count_svd(monkeypatch)
+        sol = solve(reference_problem)
+        assert len(calls) == 0
+        cond_V = sol.diagnostics.cond_V
+        assert len(calls) == 1
+        svals = sol.diagnostics.singular_values
+        assert len(calls) == 2
+        assert sol.diagnostics.cond_V == cond_V
+        assert sol.diagnostics.singular_values is svals
+        assert len(calls) == 2
+
+    def test_fields_match_eager_formulas(self, reference_problem):
+        sol = solve(reference_problem)
+        diag = sol.diagnostics
+        for state in sol.trajectory:
+            assert np.array_equal(state.a_roots, np.sort_complex(np.roots(state.a)))
+            assert not state.a.flags.writeable
+        assert np.array_equal(sol.trajectory[-1].a, sol.a.coeffs)
+        assert np.array_equal(diag.zeros, np.sort_complex(np.roots(sol.b.coeffs)))
+        assert np.array_equal(diag.singular_values, np.linalg.svd(sol.P, compute_uv=False))
+        V = cee_core.build_V(reference_problem.node_reciprocals())
+        assert diag.cond_V == float(np.linalg.cond(V))
+        for arr in (diag.poles, diag.zeros, diag.spectral_zeros, diag.singular_values, sol.P):
+            assert not arr.flags.writeable
+
+    def test_central_solution(self):
+        # n = 0: empty singular values, still read-only
+        sol = solve(InterpolationProblem((INF,), (0.5 + 0.0j,), MonicPolynomial([1.0])))
+        diag = sol.diagnostics
+        assert diag.singular_values.shape == (0,) and not diag.singular_values.flags.writeable
+        assert diag.poles.shape == diag.zeros.shape == (0,)
+        assert diag.cond_V == 1.0
+
+    def test_lazy_fields_stay_out_of_repr(self, reference_solution):
+        text = repr(reference_solution.diagnostics)
+        assert "cee_residual" in text
+        assert "_trajectory" not in text and "_P" not in text
 
 
 class TestHomotopyContext:

@@ -159,6 +159,18 @@ class TestFilterBank:
             j = int(np.argmin(np.abs(poles - np.conj(p))))
             assert np.array_equal(u[j], np.conj(u[k]))
 
+    @pytest.mark.parametrize("radius", [0.3, 0.9, 0.999])
+    @pytest.mark.parametrize("length", [1, 2, 3, 5000])
+    def test_pair_row_is_lfilter_bitwise(self, radius, length):
+        # a conjugate pair runs as one sosfilt section, which repeats
+        # lfilter's complex recursion exactly, at every length
+        p = radius * np.exp(1.1j)
+        spec = FilterBankSpec(poles=(0.0, p, np.conj(p)), samples=length)
+        y = np.random.default_rng(length).standard_normal(length)
+        u = filter_bank(y, spec)
+        assert np.array_equal(u[1], lfilter([1.0], [1.0, -p], y))
+        assert np.array_equal(u[2], np.conj(u[1]))
+
     def test_near_conjugate_poles_match_oracle(self):
         # partners off their exact conjugates by less than TOL_NODE; the
         # partner row is the conjugate row, which departs from the partner's
