@@ -121,16 +121,25 @@ def _select_groups(groups, count: int, what: str) -> list:
 def dominant_zeros(zeros, m: int) -> list:
     """The ``m`` zeros of largest modulus, keeping conjugate pairs together.
 
-    Ties in modulus are broken by ascending angle.  Raises when the
+    Moduli within ``TOL_ROOT_PAIR * (1 + |z|)`` of the largest modulus of
+    a tie count as equal (computed roots of equal modulus differ in the
+    last digits), and ties are broken by ascending angle.  Raises when the
     selection would split a conjugate pair.
     """
     zeros = np.asarray(zeros, dtype=complex)
     groups = _conjugate_groups(zeros)
-    groups.sort(key=lambda g: (-g[0], g[1]))
+    groups.sort(key=lambda g: -g[0])
+    ranked, tie = [], []
+    for group in groups:
+        if tie and tie[0][0] - group[0] > TOL_ROOT_PAIR * (1.0 + tie[0][0]):
+            ranked += sorted(tie, key=lambda g: g[1])
+            tie = []
+        tie.append(group)
+    ranked += sorted(tie, key=lambda g: g[1])
     real = {members[0] for _, _, members in groups if len(members) == 1}
     # real representatives come back exactly real
     return [complex(zeros[k].real) if k in real else complex(zeros[k])
-            for k in _select_groups(groups, m, "zeros")]
+            for k in _select_groups(ranked, m, "zeros")]
 
 
 def _default_kept_nodes(problem: InterpolationProblem, m: int) -> list:

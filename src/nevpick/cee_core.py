@@ -20,7 +20,7 @@ nilpotent upper shift, which back-substitution solves with numpy alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,7 +50,12 @@ class SteinConsistencyError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class OperatorPair:
-    """Operator pair ``(u, U)`` at one homotopy parameter, with their ``nu`` derivatives."""
+    """Operator pair ``(u, U)`` at one homotopy parameter, with their ``nu`` derivatives.
+
+    Every field is read-only.  From :func:`operator_pair` the fields are
+    column views of two locked arrays, ``[u U]`` and ``[u_dot U_dot]``;
+    a field given as a writable array is locked here.
+    """
 
     u: np.ndarray
     U: np.ndarray
@@ -59,7 +64,9 @@ class OperatorPair:
 
     def __post_init__(self):
         for name in ("u", "U", "u_dot", "U_dot"):
-            object.__setattr__(self, name, readonly(getattr(self, name)))
+            value = getattr(self, name)
+            if not isinstance(value, np.ndarray) or value.flags.writeable:
+                object.__setattr__(self, name, readonly(value))
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,12 +75,16 @@ class CeeMatrices:
 
     ``T_dot = V^-1 (W - 1/2 I) V`` is independent of ``nu``;
     ``T(nu) = nu * T_dot`` exactly, so the start ``T(0) = 0`` is exact.
+    ``eye`` is the identity of the same size, formed once for
+    :func:`operator_pair`.
     """
 
     T_dot: np.ndarray
+    eye: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "T_dot", readonly(self.T_dot))
+        object.__setattr__(self, "eye", readonly(np.eye(self.T_dot.shape[0])))
 
 
 def build_V(zeta) -> np.ndarray:
@@ -122,23 +133,17 @@ def operator_pair(cee: CeeMatrices, nu: float) -> OperatorPair:
     shifted values ``1/2 + nu (w_k - 1/2)``, all with positive real part);
     a singular ``M`` means corrupted input and surfaces as ``LinAlgError``.
     """
-    m = cee.T_dot.shape[0]
     try:
-        M_inv = np.linalg.inv(np.eye(m) + nu * cee.T_dot)
+        M_inv = np.linalg.inv(cee.eye + nu * cee.T_dot)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             "I + T is singular, which valid interpolation data cannot produce; "
             "the input is corrupted"
         ) from exc
     bottom = M_inv[1:] @ cee.T_dot
-    uU = nu * bottom
-    slope = bottom @ M_inv
-    return OperatorPair(
-        u=np.ascontiguousarray(uU[:, 0]),
-        U=np.ascontiguousarray(uU[:, 1:]),
-        u_dot=np.ascontiguousarray(slope[:, 0]),
-        U_dot=np.ascontiguousarray(slope[:, 1:]),
-    )
+    uU = readonly(nu * bottom)
+    slope = readonly(bottom @ M_inv)
+    return OperatorPair(u=uU[:, 0], U=uU[:, 1:], u_dot=slope[:, 0], U_dot=slope[:, 1:])
 
 
 def v_and_g(pair: OperatorPair, comp: CompanionData, p: np.ndarray):

@@ -20,11 +20,12 @@ step control departs too: the band residual of an RK4 prediction scales as
 clipped to ``STEP_ACCEPT_RANGE`` after an accepted step and to
 ``STEP_REJECT_RANGE`` after a prediction outside the band.
 
-``G``, ``dG/dp`` and ``dG/dnu`` at one point need only the two products
-``S([1; v])`` and ``S([0; g])``; :class:`HomotopyContext` keeps them for the
-last point evaluated, so a tangent, a band test followed by the first
-Newton residual, or a Newton iterate forms them once.  An accepted state
-and the endpoint read ``a = v - g`` and ``b = v + g`` from the same entry.
+``G``, ``dG/dp`` and ``dG/dnu`` at one point need only ``S([1; v])`` and
+``S([0; g])``, the two slices of one stacked product per point;
+:class:`HomotopyContext` keeps it for the last point evaluated, so a
+tangent, a band test followed by the first Newton residual, or a Newton
+iterate forms it once.  An accepted state and the endpoint read
+``a = v - g`` and ``b = v + g`` from the same entry.
 """
 
 from __future__ import annotations
@@ -227,6 +228,7 @@ class HomotopyContext:
         # first n autocorrelation coefficients of sigma
         s = problem.sigma.coeffs
         self.d = 0.5 * (build_S(s) @ s)[: self.n]
+        self.twice_d = 2.0 * self.d   # the rank-one column of jac_G
         self.cee: CeeMatrices = cee_core.build_cee_matrices(problem)
         self._pairs: dict[float, OperatorPair] = {}
         self._point = (None, None)   # (key, linearization) of the last point evaluated
@@ -244,14 +246,20 @@ class HomotopyContext:
 
         The entry of the last point asked for is kept, keyed by ``nu`` and
         the bytes of ``p`` (so a changed ``p`` is a new point): ``eval_G``,
-        ``jac_G`` and ``dG_dnu`` at one point share one pair of products.
+        ``jac_G`` and ``dG_dnu`` at one point share one pair of products,
+        the two slices of one stacked ``build_S([[1, v], [0, g]])``.
         """
         p = np.asarray(p, dtype=float)
         key = (float(nu), p.tobytes())
         if self._point[0] != key:
             pair = self.operators(nu)
             v, g = v_and_g(pair, self.comp, p)
-            self._point = (key, (pair, v, g, build_S(_pad(1.0, v)), build_S(_pad(0.0, g))))
+            rows = np.zeros((2, self.n + 1))
+            rows[0, 0] = 1.0
+            rows[0, 1:] = v
+            rows[1, 1:] = g
+            S_v, S_g = build_S(rows)
+            self._point = (key, (pair, v, g, S_v, S_g))
         return self._point[1]
 
     def forget_below(self, nu: float) -> None:
@@ -290,7 +298,7 @@ def jac_G(p: np.ndarray, nu: float, ctx: HomotopyContext) -> np.ndarray:
     n = ctx.n
     J = S_v[:n, 1:] - S_g[:n, 1:] @ pair.U
     J = 2.0 * (J @ ctx.comp.Gamma)
-    J[:, 0] += 2.0 * ctx.d
+    J[:, 0] += ctx.twice_d
     return J
 
 
@@ -356,7 +364,7 @@ def corrector(
         if p.size and p[0] >= 1.0:
             raise CorrectorError(f"iterate left the region h'p < 1 at nu={nu:.6g}")
         G = eval_G(p, nu, ctx)
-        r = float(np.max(np.abs(G))) if G.size else 0.0
+        r = float(np.abs(G).max()) if G.size else 0.0
         if residual_log is not None:
             residual_log.append(r)
         if not math.isfinite(r):

@@ -166,35 +166,48 @@ def companion(sigma: MonicPolynomial) -> CompanionData:
     return CompanionData(Gamma=Gamma, sigma_vec=sv)
 
 
-@lru_cache(maxsize=None)
-def _sym_index(m: int) -> tuple:
-    """Index arrays into a length ``m + 1`` zero-padded vector for :func:`build_S`.
+_PAD_ZERO = readonly(np.zeros(1))
 
-    Entry ``[i, j]`` of the first picks ``x[i + j]`` (Hankel part) and of the
-    second ``x[j - i]`` (upper Toeplitz part); positions outside either part
-    pick the padding zero at index ``m``.
+
+@lru_cache(maxsize=None)
+def _sym_index(m: int, rows: int) -> tuple:
+    """Index arrays into a flattened stack of ``rows`` length-``m`` vectors
+    followed by one padding zero, for :func:`build_S`.
+
+    Entry ``[r, i, j]`` of the first picks ``x[r, i + j]`` (Hankel part) and
+    of the second ``x[r, j - i]`` (upper Toeplitz part); positions outside
+    either part pick the padding zero at index ``rows * m``.
     """
     i, j = np.indices((m, m))
-    hank = i + j
-    hank[hank >= m] = m
-    toep = j - i
-    toep[toep < 0] = m
+    offsets = m * np.arange(rows)[:, None, None]
+    pad = rows * m
+    hank = np.where(i + j < m, i + j + offsets, pad)
+    toep = np.where(j >= i, j - i + offsets, pad)
     return readonly(hank), readonly(toep)
 
 
 def build_S(x) -> np.ndarray:
-    """Symmetrized-product matrix of a full coefficient vector.
+    """Symmetrized-product matrix of a full coefficient vector, or of each row of a stack.
 
     For vectors ``x, y`` of length ``n + 1``, ``build_S(x) @ y`` gives the
     ``z^k`` coefficients (k = 0..n) of ``x(z) y(1/z) + y(z) x(1/z)``.  The
     matrix is the sum of the Hankel matrix ``H[i, j] = x[i + j]`` and the
     upper-triangular Toeplitz matrix with first row ``x``.  The leading
     entry of ``x`` may be 0 (e.g. a difference of monic polynomials).
+
+    A 2-d array of shape ``(rows, m)`` is a stack of such vectors: the
+    result has shape ``(rows, m, m)`` and slice ``r`` equals
+    ``build_S(x[r])`` bit for bit.  The result is always C-contiguous, so
+    each slice has the layout of a 1-d call's result (a product with a
+    slice then runs the same BLAS kernel on the same bits).
     """
-    v = _coeff_array(x)
-    hank, toep = _sym_index(v.size)
-    padded = np.append(v, 0.0)
-    return padded[hank] + padded[toep]
+    stacked = isinstance(x, np.ndarray) and x.ndim == 2
+    rows = np.asarray(x, dtype=float) if stacked else _coeff_array(x)[None]
+    count, m = rows.shape
+    hank, toep = _sym_index(m, count)
+    flat = np.concatenate((rows.ravel(), _PAD_ZERO))
+    S = flat[hank] + flat[toep]
+    return S if stacked else S[0]
 
 
 def conjugate_pairs(points, tol) -> list:

@@ -18,8 +18,17 @@ The digest covers ``p``, ``P``, the coefficients of ``a`` and ``b``,
 first read included) and, for each accepted state, ``nu``, ``p``,
 ``a_roots``, ``step``, ``corrector_iters`` and ``residual``, each with
 its dtype and shape.  Running the script in two checkouts and diffing the
-outputs shows whether a change left every solve bit-identical.  The file
-name keeps it out of the default test run.
+outputs shows whether a change left every solve bit-identical.
+
+``--compare FILE`` checks the run against a saved one instead of printing
+it: it reads the lines of ``FILE`` for the workloads and seed of this run,
+prints the number of solves whose line differs (a solve missing on either
+side counts) and the first of them, and exits with status 1 on any
+difference::
+
+    PYTHONPATH=src python tests/check_outputs.py --seed 3 --compare outputs.txt
+
+The file name keeps the script out of the default test run.
 """
 
 from __future__ import annotations
@@ -93,15 +102,47 @@ def workload_lines(name: str, seed: int) -> list:
     return lines
 
 
-def main(argv=None) -> None:
+def _by_solve(lines) -> dict:
+    """Each line's last field (a digest, or the error type of a failed item),
+    keyed by the rest of the line: workload, seed, item and solve index."""
+    return dict(line.rsplit(" ", 1) for line in lines)
+
+
+def differences(now: dict, saved: dict) -> list:
+    """Keys of the solves whose digests differ, a solve on one side only included.
+
+    In the order of ``now``, then of the solves only ``saved`` has.
+    """
+    keys = list(now) + [key for key in saved if key not in now]
+    return [key for key in keys if now.get(key) != saved.get(key)]
+
+
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", action="append", choices=sorted(workloads.WORKLOADS))
     parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--compare", type=Path, metavar="FILE",
+                        help="compare with the saved output FILE instead of printing")
     args = parser.parse_args(argv)
-    for name in args.workload or list(workloads.WORKLOADS):
-        for line in workload_lines(name, args.seed):
+    names = args.workload or list(workloads.WORKLOADS)
+    lines = [line for name in names for line in workload_lines(name, args.seed)]
+    if args.compare is None:
+        for line in lines:
             print(line)
+        return 0
+    prefixes = tuple(f"{name} {args.seed} " for name in names)
+    now = _by_solve(lines)
+    saved = _by_solve(line for line in args.compare.read_text().splitlines()
+                      if line.startswith(prefixes))
+    diff = differences(now, saved)
+    if not diff:
+        print(f"all {len(now)} solves match {args.compare}")
+        return 0
+    first = diff[0]
+    print(f"{len(diff)} of {len(set(now) | set(saved))} solves differ from {args.compare}; "
+          f"first: {first} (saved {saved.get(first)}, now {now.get(first)})")
+    return 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

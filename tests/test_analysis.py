@@ -11,7 +11,7 @@ from nevpick.analysis import (
 )
 from nevpick.continuation import solve
 from nevpick.ingestion import default_bank_poles, exact_values, nodes_from_poles
-from nevpick.polyalg import MonicPolynomial
+from nevpick.polyalg import TOL_CEE, MonicPolynomial
 from nevpick.problem import InterpolationProblem
 
 
@@ -100,6 +100,16 @@ class TestDominantZeros:
         kept = dominant_zeros([0.9, -0.9, 0.5], 1)
         assert kept == [0.9]  # tie at modulus 0.9 broken by ascending angle
 
+    def test_rounded_moduli_tie(self, reference_solution):
+        # np.roots returns -0.99 and +-0.99j with moduli 0.9900000000000009 and
+        # 0.9899999999999992: they tie, so the pair at angle pi/2 comes first
+        zeros = reference_solution.diagnostics.spectral_zeros
+        assert np.allclose(dominant_zeros(zeros, 2), [-0.99j, 0.99j], atol=1e-12)
+        # the pairs at 0.95 tie too: the one at angle 1.22 precedes the one at 2.3
+        kept = dominant_zeros(zeros, 5)
+        want = [-0.99j, 0.99j, -0.99, 0.95 * np.exp(-1.22j), 0.95 * np.exp(1.22j)]
+        assert np.allclose(kept, want, atol=1e-12)
+
     def test_too_many_requested(self):
         with pytest.raises(ValueError):
             dominant_zeros([0.5, -0.5], 3)
@@ -127,6 +137,13 @@ class TestReduceModel:
         assert sv[1] > 0.1 * sv[0]
         assert np.max(sv[2:]) < 0.05 * sv[0]
         assert log_spectral_deviation(degree6, reduced_solution) < 0.5
+
+    def test_reference_to_two(self, reference_solution):
+        reduced_problem, reduced = reduce_model(reference_solution, 2)
+        kept = np.sort_complex(np.roots(reduced_problem.sigma.coeffs))
+        assert np.allclose(kept, [-0.99j, 0.99j], atol=1e-12)
+        assert reduced.diagnostics.max_interp_residual < 1e-10
+        assert reduced.diagnostics.cee_residual <= TOL_CEE
 
     def test_split_node_pair_rejected(self, degree6):
         # all six default bank poles are complex pairs: odd m cannot work

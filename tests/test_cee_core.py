@@ -211,6 +211,26 @@ class TestOperatorPair:
         assert np.all(pair.u == 0.0)
         assert np.all(pair.U == 0.0)
 
+    def test_fields_are_read_only_copies_of_the_formula(self, reference_problem):
+        cee = build_cee_matrices(normalized_reference(reference_problem))
+        for nu in (0.0, 0.3, 1.0):
+            pair = operator_pair(cee, nu)
+            M_inv = np.linalg.inv(np.eye(cee.T_dot.shape[0]) + nu * cee.T_dot)
+            bottom = M_inv[1:] @ cee.T_dot
+            uU, slope = nu * bottom, bottom @ M_inv
+            want = {"u": uU[:, 0], "U": uU[:, 1:], "u_dot": slope[:, 0], "U_dot": slope[:, 1:]}
+            for name, formula in want.items():
+                value = getattr(pair, name)
+                assert np.array_equal(value, np.ascontiguousarray(formula))
+                with pytest.raises(ValueError):
+                    value[...] = 0.0
+
+    def test_constructor_locks_its_fields(self):
+        pair = operator_pair_stub(np.ones(2), np.ones((2, 2)))
+        for name in ("u", "U", "u_dot", "U_dot"):
+            with pytest.raises(ValueError):
+                getattr(pair, name)[...] = 0.0
+
     def test_realness_on_grid(self, reference_problem):
         norm = normalized_reference(reference_problem)
         cee = build_cee_matrices(norm)

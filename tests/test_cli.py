@@ -426,6 +426,16 @@ class TestReduceCommand:
         for row in rows:
             assert abs(float(row[1]) - float(row[2])) < 1e-12
 
+    def test_reference_to_two(self, runner, tmp_path, reference_problem_file):
+        # the spectral zeros -0.99 and +-0.99j tie in modulus; the pair is kept
+        result = runner.invoke(
+            main, ["reduce", "--input", str(reference_problem_file),
+                   "--output", str(tmp_path / "o"), "--target-degree", "2"],
+        )
+        assert result.exit_code == 0, result.output
+        reduced = json.loads((tmp_path / "o" / "reduced_problem.json").read_text())
+        assert len(reduced["nodes"]) == 3
+
     def test_split_pair_exits_2(self, runner, tmp_path, degree6_file):
         result = runner.invoke(
             main, ["reduce", "--input", str(degree6_file),

@@ -141,7 +141,8 @@ class TestDerivatives:
 class TestLinearizationMemo:
     def test_products_per_tangent_and_newton_iterate(self, reference_problem,
                                                      reference_solution, monkeypatch):
-        # G, dG/dp and dG/dnu at one point share S([1; v]) and S([0; g])
+        # G, dG/dp and dG/dnu at one point share S([1; v]) and S([0; g]),
+        # the slices of one stacked build_S call
         ctx = HomotopyContext(reference_problem)
         mid = min(reference_solution.trajectory, key=lambda s: abs(s.nu - 0.5))
         nu = mid.nu + 0.05
@@ -153,24 +154,25 @@ class TestLinearizationMemo:
 
         monkeypatch.setattr(continuation, "build_S", counting)
         tangent = _tangent(mid.p, mid.nu, ctx)
-        assert len(calls) == 2
+        assert len(calls) == 1
         p_hat = predictor(mid.p, mid.nu, nu, ctx, tangent)
         calls.clear()
         eval_G(p_hat, nu, ctx)                # the band test
-        assert len(calls) == 2
+        assert len(calls) == 1
         calls.clear()
         p, iters = corrector(p_hat, nu, ctx)
         # the first residual and Jacobian reuse the band test's products;
-        # every later iterate forms two, the last one for its residual only
+        # every later iterate forms them once, the last one for its residual only
         assert iters >= 1
-        assert len(calls) == 2 * iters
+        assert len(calls) == iters
         calls.clear()
         _tangent(p, nu, ctx)                  # at the accepted point
         assert len(calls) == 0
 
     def test_one_derivation_per_point(self, reference_problem, monkeypatch):
-        # every v, g of a solve comes from the linearization, which forms two
-        # products with them; the one other product is the context's d, and
+        # every v, g of a solve comes from the linearization, which forms
+        # both products with them in one stacked call; the one other
+        # product is the context's d, and
         # validate is the one distinct-node check
         counts = {"build_S": 0, "v_and_g": 0, "coincident_pairs": 0}
 
@@ -187,7 +189,7 @@ class TestLinearizationMemo:
         counting(problem_module, "coincident_pairs")
         solve(reference_problem)
         assert counts["v_and_g"] > 0
-        assert counts["build_S"] == 2 * counts["v_and_g"] + 1
+        assert counts["build_S"] == counts["v_and_g"] + 1
         assert counts["coincident_pairs"] == 1
 
     def test_one_root_finding_per_polynomial(self, reference_problem, monkeypatch):

@@ -175,6 +175,17 @@ class TestBuildS:
         S = build_S([0.0, 1.0])
         assert np.array_equal(S, [[0.0, 2.0], [1.0, 0.0]])
 
+    def test_stack_slices_equal_rows_bitwise(self):
+        rng = np.random.default_rng(16)
+        for m in range(1, 30):
+            for rows in (1, 2, 3):
+                x = rng.standard_normal((rows, m))
+                S = build_S(x)
+                assert S.shape == (rows, m, m)
+                assert S.flags.c_contiguous
+                for r in range(rows):
+                    assert np.array_equal(S[r], build_S(x[r]))
+
     def test_bilinear_symmetry_random(self):
         rng = np.random.default_rng(13)
         for _ in range(1000):
