@@ -43,7 +43,6 @@ from .continuation import (
     Diagnostics,
     PathError,
     Solution,
-    SolveOptions,
     solve,
 )
 from .ingestion import (
@@ -83,7 +82,6 @@ __all__ = [
     "RealnessError",
     "RunRecord",
     "Solution",
-    "SolveOptions",
     "SteinConsistencyError",
     "Violation",
     "default_bank_poles",

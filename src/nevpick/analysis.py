@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .continuation import Solution, SolveOptions, solve
-from .polyalg import TOL_ROOT_PAIR, TOL_SYM, MonicPolynomial, conjugate_pairs
+from .continuation import Solution, solve
+from .polyalg import DEFAULT_TAU_RANK, TOL_ROOT_PAIR, TOL_SYM, MonicPolynomial, conjugate_pairs
 from .problem import InterpolationProblem
 
 __all__ = [
@@ -27,10 +27,6 @@ __all__ = [
     "spectral_density",
     "log_spectral_deviation",
 ]
-
-#: default relative threshold separating "numerically nonzero" singular values
-DEFAULT_TAU_RANK = 1e-2
-
 
 @dataclass(frozen=True, eq=False)
 class RunRecord:
@@ -103,18 +99,31 @@ def _conjugate_groups(points: np.ndarray):
     return groups
 
 
+def _fillable(count: int, singles: int, pairs: int) -> bool:
+    """Whether ``count`` points can be made up of whole groups: ``singles``
+    reals and ``pairs`` conjugate pairs."""
+    return count >= 0 and count - 2 * min(pairs, count // 2) <= singles
+
+
 def _select_groups(groups, count: int, what: str) -> list:
+    """Members of ``count`` points' worth of groups, taken in rank order.
+
+    A group is taken only when the count left after it can still be made
+    up of the groups ranked behind it, so a pair that would overflow is
+    skipped for a later real point.  Raises only when no conjugate-closed
+    choice of ``count`` points exists.
+    """
+    sizes = [len(members) for _, _, members in groups]
+    singles, pairs = sizes.count(1), sizes.count(2)
+    if singles + 2 * pairs < count:
+        raise ValueError(f"only {singles + 2 * pairs} {what} available, requested {count}")
+    if not _fillable(count, singles, pairs):
+        raise ValueError(f"cannot keep {count} {what} without splitting a conjugate pair")
     selected: list[int] = []
-    for _, _, members in groups:
-        if len(selected) == count:
-            break
-        if len(selected) + len(members) > count:
-            raise ValueError(
-                f"cannot keep {count} {what} without splitting a conjugate pair"
-            )
-        selected.extend(members)
-    if len(selected) != count:
-        raise ValueError(f"only {len(selected)} {what} available, requested {count}")
+    for (_, _, members), size in zip(groups, sizes):
+        singles, pairs = (singles - 1, pairs) if size == 1 else (singles, pairs - 1)
+        if _fillable(count - len(selected) - size, singles, pairs):
+            selected.extend(members)
     return selected
 
 
@@ -123,8 +132,9 @@ def dominant_zeros(zeros, m: int) -> list:
 
     Moduli within ``TOL_ROOT_PAIR * (1 + |z|)`` of the largest modulus of
     a tie count as equal (computed roots of equal modulus differ in the
-    last digits), and ties are broken by ascending angle.  Raises when the
-    selection would split a conjugate pair.
+    last digits), and ties are broken by ascending angle.  A group that
+    would leave a count no later groups can fill is skipped; raises when no
+    conjugate-closed choice of ``m`` zeros exists.
     """
     zeros = np.asarray(zeros, dtype=complex)
     groups = _conjugate_groups(zeros)
@@ -152,19 +162,13 @@ def _default_kept_nodes(problem: InterpolationProblem, m: int) -> list:
     return [0] + sorted(k + 1 for k in kept)
 
 
-def reduce_model(
-    solution: Solution,
-    target_degree: int,
-    keep_nodes=None,
-    opts: SolveOptions | None = None,
-):
+def reduce_model(solution: Solution, target_degree: int):
     """Re-solve at a lower degree using the dominant spectral zeros.
 
     Builds the reduced spectral-zero polynomial from the ``target_degree``
     zeros of largest modulus, keeps ``target_degree + 1`` of the original
-    interpolation conditions (by default the infinity node plus the nodes
-    of smallest reciprocal modulus; pass ``keep_nodes`` index list to
-    override), and solves the reduced problem.  Returns
+    interpolation conditions (the infinity node plus the nodes of smallest
+    reciprocal modulus), and solves the reduced problem.  Returns
     ``(reduced_problem, reduced_solution)``.
     """
     problem = solution.problem
@@ -177,18 +181,13 @@ def reduce_model(
     else:
         zeros_kept = dominant_zeros(solution.diagnostics.spectral_zeros, m)
         sigma_red = MonicPolynomial.from_roots(zeros_kept)
-    if keep_nodes is None:
-        kept = _default_kept_nodes(problem, m)
-    else:
-        kept = list(keep_nodes)
-        if len(kept) != m + 1 or kept[0] != 0:
-            raise ValueError("keep_nodes must list m + 1 indices starting with 0")
+    kept = _default_kept_nodes(problem, m)
     reduced = InterpolationProblem(
         tuple(problem.nodes[k] for k in kept),
         tuple(problem.values[k] for k in kept),
         sigma_red,
     )
-    return reduced, solve(reduced, opts)
+    return reduced, solve(reduced)
 
 
 def spectral_density(solution: Solution, thetas) -> np.ndarray:
@@ -202,9 +201,9 @@ def spectral_density(solution: Solution, thetas) -> np.ndarray:
     return solution.scale * solution.rho**2 * num / den
 
 
-def log_spectral_deviation(full: Solution, reduced: Solution, num_points: int = 256) -> float:
-    """Relative L2 distance between log spectral densities on a circle grid."""
-    thetas = np.linspace(0.0, 2.0 * np.pi, num_points, endpoint=False)
+def log_spectral_deviation(full: Solution, reduced: Solution) -> float:
+    """Relative L2 distance between log spectral densities on a 256-point circle grid."""
+    thetas = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
     lf = np.log(spectral_density(full, thetas))
     lr = np.log(spectral_density(reduced, thetas))
     denom = float(np.linalg.norm(lf))

@@ -9,7 +9,6 @@ output embeds the resolved configuration).  Exit codes: 0 success,
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import sys
 from contextlib import contextmanager
@@ -18,14 +17,10 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .analysis import (
-    DEFAULT_TAU_RANK,
-    log_spectral_deviation,
-    reduce_model,
-    spectral_density,
-)
-from .continuation import SOLVE_ERRORS, Solution, SolveOptions, solve
+from .analysis import log_spectral_deviation, reduce_model, spectral_density
+from .continuation import SOLVE_ERRORS, Solution, solve
 from .ingestion import MonteCarloConfig, monte_carlo, run_problem
+from .polyalg import DEFAULT_TAU_RANK
 from .problem import (
     InterpolationProblem,
     ProblemValidationError,
@@ -186,42 +181,15 @@ def main():
     """
 
 
-_SOLVER_FLAGS = (
-    ("mu", "Predictor acceptance band on the first residual component."),
-    ("tol_corrector", "Max-norm residual for corrector acceptance."),
-    ("step_init", "Initial continuation step."),
-    ("step_min", "Smallest step before the path is declared failed."),
-)
-
-
-def _solver_flags(fn):
-    """Add the ``SolveOptions`` flags shared by ``solve`` and ``reduce``, with
-    the defaults of ``SolveOptions``; the command receives them as ``opts``."""
-    defaults = SolveOptions()
-
-    @functools.wraps(fn)
-    def command(**params):
-        with _exit_codes(ValueError):
-            opts = SolveOptions(**{name: params.pop(name) for name, _ in _SOLVER_FLAGS})
-        return fn(opts=opts, **params)
-
-    for name, help_text in reversed(_SOLVER_FLAGS):
-        command = click.option("--" + name.replace("_", "-"), type=float,
-                               default=getattr(defaults, name), show_default=True,
-                               help=help_text)(command)
-    return command
-
-
 @main.command("solve")
 @click.option("--input", "input_path", required=True, type=click.Path(), help="Problem JSON.")
 @click.option("--output", "output_path", required=True, type=click.Path(), help="Output directory.")
-@_solver_flags
-def cmd_solve(input_path, output_path, opts):
+def cmd_solve(input_path, output_path):
     """Solve one interpolation problem; write solution.json and trajectory.csv."""
     config = _config()
     with _exit_codes():
         problem = _load_problem(input_path)
-        solution = solve(problem, opts)
+        solution = solve(problem)
     out = _out_dir(output_path)
     payload = {"config": config, **solution_to_json_dict(solution)}
     _write_json(out / "solution.json", payload)
@@ -319,15 +287,14 @@ def cmd_detect_degree(input_path, output_path, runs, variant, samples, burn_in, 
 @click.option("--output", "output_path", required=True, type=click.Path(), help="Output directory.")
 @click.option("--target-degree", type=int, required=True,
               help="Degree of the reduced model (dominant spectral zeros kept).")
-@_solver_flags
-def cmd_reduce(input_path, output_path, target_degree, opts):
+def cmd_reduce(input_path, output_path, target_degree):
     """Solve, reduce to the target degree, and dump both spectral densities."""
     config = _config()
     with _exit_codes():
         problem = _load_problem(input_path)
-        full = solve(problem, opts)
+        full = solve(problem)
     with _exit_codes(ValueError):
-        reduced_problem, reduced_solution = reduce_model(full, target_degree, opts=opts)
+        reduced_problem, reduced_solution = reduce_model(full, target_degree)
     out = _out_dir(output_path)
     _write_json(out / "reduced_problem.json",
                 {"config": config, **problem_to_json_dict(reduced_problem)})

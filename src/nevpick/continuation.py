@@ -16,9 +16,12 @@ points or bifurcations, so plain parameterization by ``nu`` suffices.  The
 RK4 predictor departs from the Euler step of the source method: with the
 same acceptance band it allows far longer steps near the unit circle.  The
 step control departs too: the band residual of an RK4 prediction scales as
-``dnu^5``, so the next step is ``dnu * (STEP_SAFETY * mu / |e1' G|)^(1/5)``,
+``dnu^5``, so the next step is ``dnu * (STEP_SAFETY * MU_BAND / |e1' G|)^(1/5)``,
 clipped to ``STEP_ACCEPT_RANGE`` after an accepted step and to
-``STEP_REJECT_RANGE`` after a prediction outside the band.
+``STEP_REJECT_RANGE`` after a prediction outside the band.  The band
+``MU_BAND``, the Newton tolerance ``TOL_NEWTON`` and the step bounds
+``STEP_INIT`` and ``STEP_MIN`` are constants of the table in
+:mod:`nevpick.polyalg`; a solve takes no options.
 
 ``G``, ``dG/dp`` and ``dG/dnu`` at one point need only ``S([1; v])`` and
 ``S([0; g])``, the two slices of one stacked product per point;
@@ -41,11 +44,15 @@ from . import cee_core
 from .cee_core import CeeMatrices, OperatorPair, build_V, operator_pair, recover_P, v_and_g
 from .polyalg import (
     MAX_NEWTON_ITERS,
+    MU_BAND,
     STEP_ACCEPT_RANGE,
+    STEP_INIT,
+    STEP_MIN,
     STEP_REJECT_RANGE,
     STEP_SAFETY,
     STEP_SNAP,
     TOL_CEE,
+    TOL_NEWTON,
     CompanionData,
     MonicPolynomial,
     build_S,
@@ -64,7 +71,6 @@ __all__ = [
     "ContinuationState",
     "Diagnostics",
     "Solution",
-    "SolveOptions",
     "HomotopyContext",
     "CorrectorError",
     "PathError",
@@ -89,26 +95,6 @@ class PathError(RuntimeError):
 #: The typed errors of a failed solve: invalid input or a numerical failure.
 SOLVE_ERRORS = (ProblemValidationError, PathError, CorrectorError, cee_core.SteinConsistencyError,
                 cee_core.RealnessError, np.linalg.LinAlgError)
-
-
-@dataclass(frozen=True)
-class SolveOptions:
-    """Tunables of the predictor-corrector path follower (the CLI solver flags).
-
-    The step controller and the Newton budget are the package constants
-    ``STEP_SAFETY``, ``STEP_ACCEPT_RANGE``, ``STEP_REJECT_RANGE`` and
-    ``MAX_NEWTON_ITERS``.
-    """
-
-    mu: float = 1e-4                 # predictor acceptance band on |e1' G|
-    tol_corrector: float = 1e-12     # max-norm residual for corrector acceptance
-    step_init: float = 0.1
-    step_min: float = 1e-8
-
-    def __post_init__(self):
-        for name in ("mu", "tol_corrector", "step_init", "step_min"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -348,17 +334,15 @@ def corrector(
     p_hat: np.ndarray,
     nu: float,
     ctx: HomotopyContext,
-    opts: SolveOptions | None = None,
     residual_log: list | None = None,
 ):
     """Newton iteration on ``G(., nu) = 0`` from the predicted point.
 
     Returns ``(p, iterations)`` once the max-norm residual is at or below
-    ``opts.tol_corrector``.  Raises :class:`CorrectorError` on iteration
-    budget exhaustion, a singular Jacobian, a non-finite iterate, or an
-    iterate leaving the feasible region ``h' p < 1``.
+    ``TOL_NEWTON``.  Raises :class:`CorrectorError` on iteration budget
+    exhaustion, a singular Jacobian, a non-finite iterate, or an iterate
+    leaving the feasible region ``h' p < 1``.
     """
-    opts = opts or SolveOptions()
     p = np.array(p_hat, dtype=float)
     for k in range(MAX_NEWTON_ITERS + 1):
         if p.size and p[0] >= 1.0:
@@ -369,7 +353,7 @@ def corrector(
             residual_log.append(r)
         if not math.isfinite(r):
             raise CorrectorError(f"non-finite residual at nu={nu:.6g}")
-        if r <= opts.tol_corrector:
+        if r <= TOL_NEWTON:
             return p, k
         if k == MAX_NEWTON_ITERS:
             break
@@ -398,7 +382,7 @@ def _make_state(ctx, nu, p, step, iters, residual) -> ContinuationState:
     )
 
 
-def _follow_path(ctx: HomotopyContext, opts: SolveOptions) -> list:
+def _follow_path(ctx: HomotopyContext) -> list:
     """March ``nu`` from 0 to 1; return the list of accepted states."""
     p = np.zeros(ctx.n)
     r0 = eval_G(p, 0.0, ctx)
@@ -408,12 +392,12 @@ def _follow_path(ctx: HomotopyContext, opts: SolveOptions) -> list:
         return states
 
     nu = 0.0
-    step = opts.step_init
+    step = STEP_INIT
     # tangent at (p, nu); a rejected step leaves both unchanged, so it is reused
     tangent = None
     while nu < 1.0:
-        if step < opts.step_min:
-            raise PathError(f"step size underflowed below {opts.step_min:.1e} at nu={nu:.6g}")
+        if step < STEP_MIN:
+            raise PathError(f"step size underflowed below {STEP_MIN:.1e} at nu={nu:.6g}")
         target = nu + step
         if target >= 1.0 - STEP_SNAP:
             target = 1.0
@@ -427,13 +411,13 @@ def _follow_path(ctx: HomotopyContext, opts: SolveOptions) -> list:
             continue
         band = abs(eval_G(p_hat, target, ctx)[0])
         # the RK4 prediction error, and with it the band residual, scales as dnu^5
-        factor = (STEP_SAFETY * opts.mu / band) ** 0.2 if band > 0.0 else math.inf
-        if band > opts.mu:
+        factor = (STEP_SAFETY * MU_BAND / band) ** 0.2 if band > 0.0 else math.inf
+        if band > MU_BAND:
             step = dnu * _clip(factor, STEP_REJECT_RANGE)
             continue
         residuals = []
         try:
-            p_new, iters = corrector(p_hat, target, ctx, opts, residuals)
+            p_new, iters = corrector(p_hat, target, ctx, residuals)
         except CorrectorError:
             step = 0.5 * dnu
             continue
@@ -449,14 +433,14 @@ def _clip(x: float, bounds: tuple) -> float:
     return min(max(x, lo), hi)
 
 
-def solve(problem: InterpolationProblem, opts: SolveOptions | None = None) -> Solution:
+def solve(problem: InterpolationProblem) -> Solution:
     """Solve one interpolation instance end to end.
 
     Validates, normalizes to value 1/2 at infinity, follows the homotopy
     path from the central solution ``p = 0``, recovers the matrix ``P`` from
     the covariance extension equation at the endpoint, and assembles the
-    interpolant with full diagnostics.  Deterministic: identical inputs and options produce
-    bit-identical trajectories.
+    interpolant with full diagnostics.  Deterministic: identical inputs produce bit-identical
+    trajectories.
 
     Raises :class:`~nevpick.problem.ProblemValidationError` on invalid input,
     :class:`PathError` when step control fails, and
@@ -464,12 +448,11 @@ def solve(problem: InterpolationProblem, opts: SolveOptions | None = None) -> So
     fails a check of :func:`~nevpick.cee_core.recover_P` or its CEE residual
     exceeds ``TOL_CEE``.
     """
-    opts = opts or SolveOptions()
     violations = validate(problem)
     if violations:
         raise ProblemValidationError(violations)
     ctx = HomotopyContext(problem)
-    states = _follow_path(ctx, opts)
+    states = _follow_path(ctx)
     p = states[-1].p
 
     _, v, g, _, _ = ctx.linearization(p, 1.0)

@@ -23,14 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import (
-    DEFAULT_TAU_RANK,
-    DegreeReport,
-    RunRecord,
-    estimate_positive_degree,
-)
-from .continuation import SOLVE_ERRORS, PathError, SolveOptions, solve
-from .polyalg import TOL_NODE, MonicPolynomial, build_S, conjugate_pairs, is_schur
+from .analysis import DegreeReport, RunRecord, estimate_positive_degree
+from .continuation import SOLVE_ERRORS, PathError, solve
+from .polyalg import DEFAULT_TAU_RANK, TOL_NODE, MonicPolynomial, build_S, conjugate_pairs, is_schur
 from .problem import INF, InterpolationProblem, coincident_pairs
 
 __all__ = [
@@ -277,7 +272,7 @@ def run_problem(config: MonteCarloConfig, seed: int) -> tuple:
     return problem, y
 
 
-def monte_carlo(config: MonteCarloConfig, solve_opts: SolveOptions | None = None) -> DegreeReport:
+def monte_carlo(config: MonteCarloConfig) -> DegreeReport:
     """Repeat the pipeline ``config.runs`` times and aggregate singular values.
 
     Run ``r`` simulates with ``int(children[r].generate_state(1)[0])`` of
@@ -293,7 +288,7 @@ def monte_carlo(config: MonteCarloConfig, solve_opts: SolveOptions | None = None
         seed_r = int(child.generate_state(1)[0])
         try:
             problem, _ = run_problem(config, seed_r)
-            sv = solve(problem, solve_opts).diagnostics.singular_values
+            sv = solve(problem).diagnostics.singular_values
             records.append(RunRecord(run=r, seed=seed_r, singular_values=sv))
         except SOLVE_ERRORS as exc:
             records.append(

@@ -17,7 +17,6 @@ from nevpick.analysis import singular_values
 from nevpick.cee_core import recover_P
 from nevpick.continuation import (
     HomotopyContext,
-    SolveOptions,
     dG_dnu,
     eval_G,
     jac_G,
@@ -31,7 +30,7 @@ from nevpick.ingestion import (
     monte_carlo,
     nodes_from_poles,
 )
-from nevpick.polyalg import MonicPolynomial, companion
+from nevpick.polyalg import STEP_MIN, MonicPolynomial, companion
 from nevpick.problem import InterpolationProblem
 
 
@@ -74,18 +73,17 @@ def test_criterion_1_reference_reproduction(reference_problem):
 def test_criterion_2_robustness_near_circle(reference_solution):
     moduli = np.abs(reference_solution.diagnostics.poles)
     steps = [s.step for s in reference_solution.trajectory[1:]]
-    opts = SolveOptions()
     ok = (
         np.all(moduli < 1.0)
         and np.max(moduli) > 0.95
         and reference_solution.trajectory[-1].nu == 1.0
-        and min(steps) >= opts.step_min
+        and min(steps) >= STEP_MIN
     )
     report(
         2,
         ok,
         f"pole moduli in [{moduli.min():.4f}, {moduli.max():.8f}] (all <1, max >0.95), "
-        f"path reached nu=1 with min step {min(steps):.2e} (>= {opts.step_min:.0e})",
+        f"path reached nu=1 with min step {min(steps):.2e} (>= {STEP_MIN:.0e})",
     )
 
 

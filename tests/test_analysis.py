@@ -10,7 +10,7 @@ from nevpick.analysis import (
     spectral_density,
 )
 from nevpick.continuation import solve
-from nevpick.ingestion import default_bank_poles, exact_values, nodes_from_poles
+from nevpick.ingestion import default_bank_poles, embed_sigma, exact_values, nodes_from_poles
 from nevpick.polyalg import TOL_CEE, MonicPolynomial
 from nevpick.problem import InterpolationProblem
 
@@ -33,6 +33,32 @@ def degree6_solution():
 @pytest.fixture(scope="module")
 def degree6(request):
     return degree6_solution()
+
+
+# The reference instance's spectral zeros are -0.99, +-0.99j, 0.95 e^(+-1.22j)
+# and 0.95 e^(+-2.3j).  Its reciprocal nodes are the pairs of modulus 0.8 at
+# angles 0.80 (nodes 3, 4) and 1.30 (nodes 1, 2), the real 1/1.1 (node 5) and
+# the pair of modulus 1/1.1 at angle 2.2 (nodes 6, 7).  Per target degree m:
+# the kept zeros and the kept node indices.
+_Z1, _Z2 = [-0.99], [0.99j, -0.99j]
+_Z3 = [0.95 * np.exp(1.22j), 0.95 * np.exp(-1.22j)]
+_Z4 = [0.95 * np.exp(2.3j), 0.95 * np.exp(-2.3j)]
+REFERENCE_REDUCTIONS = {
+    1: (_Z1, [0, 5]),
+    2: (_Z2, [0, 3, 4]),
+    3: (_Z1 + _Z2, [0, 3, 4, 5]),
+    4: (_Z2 + _Z3, [0, 1, 2, 3, 4]),
+    5: (_Z1 + _Z2 + _Z3, [0, 1, 2, 3, 4, 5]),
+    6: (_Z2 + _Z3 + _Z4, [0, 1, 2, 3, 4, 6, 7]),
+    7: (_Z1 + _Z2 + _Z3 + _Z4, [0, 1, 2, 3, 4, 5, 6, 7]),
+}
+
+
+def assert_same_points(got, want, atol=1e-9):
+    """``got`` and the distinct points ``want`` agree as sets, up to ``atol``."""
+    got = np.asarray(got, dtype=complex)
+    assert len(got) == len(want)
+    assert all(np.min(np.abs(got - w)) < atol for w in want)
 
 
 class TestSingularValues:
@@ -150,15 +176,33 @@ class TestReduceModel:
         with pytest.raises(ValueError):
             reduce_model(degree6, 3)
 
-    def test_explicit_keep_nodes(self, degree6):
-        # nodes (2, 5) and (3, 4) are the conjugate pairs at angles pi/2, 5pi/6
-        keep = [0, 2, 3, 4, 5]
-        reduced_problem, _ = reduce_model(degree6, 4, keep_nodes=keep)
-        assert reduced_problem.nodes == tuple(degree6.problem.nodes[k] for k in keep)
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_reference_every_degree(self, reference_solution, m):
+        # a group that would overflow is skipped for a later one that fits
+        zeros, nodes = REFERENCE_REDUCTIONS[m]
+        reduced_problem, reduced = reduce_model(reference_solution, m)
+        assert_same_points(np.roots(reduced_problem.sigma.coeffs), zeros)
+        assert reduced_problem.nodes == tuple(reference_solution.problem.nodes[k] for k in nodes)
+        assert reduced.trajectory[-1].nu == 1.0
+        assert reduced.diagnostics.max_interp_residual < 1e-10
+        assert reduced.diagnostics.cee_residual <= TOL_CEE
 
-    def test_bad_keep_nodes(self, degree6):
-        with pytest.raises(ValueError):
-            reduce_model(degree6, 4, keep_nodes=[1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("order", [5, 7, 15, 27])
+    def test_odd_bank_order_to_four(self, order):
+        # the lone real bank pole ties the pairs in modulus; four nodes need two pairs
+        sigma = MonicPolynomial.from_roots([0.5 * np.exp(1.1j), 0.5 * np.exp(-1.1j),
+                                            0.4 * np.exp(2.4j), 0.4 * np.exp(-2.4j)])
+        a = MonicPolynomial.from_roots([0.7 * np.exp(0.6j), 0.7 * np.exp(-0.6j),
+                                        0.6 * np.exp(2.0j), 0.6 * np.exp(-2.0j)])
+        bank = default_bank_poles(order)
+        problem = InterpolationProblem(nodes_from_poles(bank), tuple(exact_values(sigma, a, bank)),
+                                       embed_sigma(sigma, order))
+        reduced_problem, reduced = reduce_model(solve(problem), 4)
+        assert sorted(np.round(np.abs(np.roots(reduced_problem.sigma.coeffs)), 6)) == [
+            0.4, 0.4, 0.5, 0.5]
+        assert all(z.imag != 0 for z in reduced_problem.nodes[1:])
+        assert reduced.diagnostics.max_interp_residual < 1e-10
+        assert reduced.diagnostics.cee_residual <= TOL_CEE
 
 
 class TestSpectralDensity:

@@ -59,7 +59,7 @@ def test_traced_functions_exist():
 USER_API = {
     "ContinuationState", "CorrectorError", "DegreeReport", "Diagnostics", "FilterBankSpec",
     "INF", "InterpolationProblem", "MonicPolynomial", "MonteCarloConfig", "PathError",
-    "ProblemValidationError", "RealnessError", "RunRecord", "Solution", "SolveOptions",
+    "ProblemValidationError", "RealnessError", "RunRecord", "Solution",
     "SteinConsistencyError", "Violation", "default_bank_poles", "dominant_zeros",
     "estimate_positive_degree", "estimate_values", "exact_values", "filter_bank",
     "log_spectral_deviation", "monte_carlo", "nodes_from_poles", "reduce_model",
@@ -68,7 +68,7 @@ USER_API = {
 
 
 def test_user_api_is_pinned():
-    assert len(nevpick.__all__) == len(USER_API) == 32
+    assert len(nevpick.__all__) == len(USER_API) == 31
     assert set(nevpick.__all__) == USER_API
 
 

@@ -118,11 +118,13 @@ class TestSolveCommand:
         )
         assert result.exit_code == 2
 
-    def test_path_failure_exits_3(self, runner, tmp_path, reference_problem_file):
+    def test_path_failure_exits_3(self, runner, tmp_path, reference_problem_file, monkeypatch):
+        from nevpick import continuation
+
+        # a first step below STEP_MIN = 1e-8 underflows at once
+        monkeypatch.setattr(continuation, "STEP_INIT", 1e-9)
         result = runner.invoke(
-            main,
-            ["solve", "--input", str(reference_problem_file),
-             "--output", str(tmp_path / "o"), "--step-init", "1e-9"],
+            main, ["solve", "--input", str(reference_problem_file), "--output", str(tmp_path / "o")]
         )
         assert result.exit_code == 3
 

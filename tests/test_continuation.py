@@ -11,7 +11,6 @@ from nevpick.continuation import (
     CorrectorError,
     HomotopyContext,
     PathError,
-    SolveOptions,
     _follow_path,
     _tangent,
     corrector,
@@ -21,7 +20,7 @@ from nevpick.continuation import (
     predictor,
     solve,
 )
-from nevpick.polyalg import MonicPolynomial, build_S
+from nevpick.polyalg import TOL_NEWTON, MonicPolynomial, build_S
 from nevpick.problem import (
     INF,
     InterpolationProblem,
@@ -430,12 +429,11 @@ class TestSolve:
     def test_trajectory_invariants(self, reference_problem, reference_solution):
         sol = reference_solution
         ctx = HomotopyContext(reference_problem)
-        opts = SolveOptions()
         assert sol.trajectory[0].nu == 0.0
         assert np.array_equal(sol.trajectory[0].p, np.zeros(ctx.n))
         assert sol.trajectory[-1].nu == 1.0
         for state in sol.trajectory:
-            assert state.residual <= opts.tol_corrector
+            assert state.residual <= TOL_NEWTON
             assert np.max(np.abs(state.a_roots)) < 1.0
         nus = [s.nu for s in sol.trajectory]
         assert nus == sorted(nus)
@@ -538,7 +536,7 @@ class TestSolve:
             return pair
 
         ctx.operators = recording
-        states = _follow_path(ctx, SolveOptions())
+        states = _follow_path(ctx)
         assert states[-1].nu == 1.0
         assert len(sizes) > 100
         assert max(sizes) <= 12
@@ -554,10 +552,11 @@ class TestSolve:
             total += len(trajectory)
         assert total < 1500
 
-    def test_path_error_on_impossible_step_floor(self, reference_problem):
-        opts = SolveOptions(step_init=1e-9, step_min=1e-8)
+    def test_path_error_on_impossible_step_floor(self, reference_problem, monkeypatch):
+        # a first step below STEP_MIN = 1e-8 underflows at once
+        monkeypatch.setattr(continuation, "STEP_INIT", 1e-9)
         with pytest.raises(PathError):
-            solve(reference_problem, opts)
+            solve(reference_problem)
 
 
 class TestScalarOracle:

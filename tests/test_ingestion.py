@@ -453,11 +453,11 @@ class TestMonteCarlo:
     def test_typed_solver_error_counts_as_failed_run(self, monkeypatch):
         calls = []
 
-        def solve_failing_first(problem, opts=None):
+        def solve_failing_first(problem):
             calls.append(problem)
             if len(calls) == 1:
                 raise SteinConsistencyError("injected")
-            return solve(problem, opts)
+            return solve(problem)
 
         monkeypatch.setattr("nevpick.ingestion.solve", solve_failing_first)
         sigma, a = degree2_system()
@@ -466,7 +466,7 @@ class TestMonteCarlo:
         assert rep.per_run[0].error == "SteinConsistencyError: injected"
 
     def test_programming_error_propagates(self, monkeypatch):
-        def broken_solve(problem, opts=None):
+        def broken_solve(problem):
             raise ValueError("shape mismatch")
 
         monkeypatch.setattr("nevpick.ingestion.solve", broken_solve)

@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import nevpick
 from conftest import sym_coeffs
 from nevpick.continuation import HomotopyContext
 from nevpick.polyalg import (
@@ -248,3 +252,34 @@ class TestConjugatePairs:
         points = np.array([0.6 + 0.5j, 0.6 - 0.5j + 1e-9, 0.2 + 0.1j, 0.2 - 0.1j + 1e-6])
         partner = conjugate_pairs(points, TOL_ROOT_PAIR * (1.0 + np.abs(points)))
         assert partner == [1, 0, None, None]
+
+
+def is_float_literal(node) -> bool:
+    """A float literal, signed or not, or a tuple or list holding one."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        node = node.operand
+    if isinstance(node, (ast.Tuple, ast.List)):
+        return any(map(is_float_literal, node.elts))
+    return isinstance(node, ast.Constant) and isinstance(node.value, float)
+
+
+def float_constants(path):
+    """``(name, line)`` of each module-level or class-body assignment of a
+    float literal in the Python file ``path``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bodies = [tree.body] + [node.body for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    found = []
+    for body in bodies:
+        for stmt in body:
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign)) and is_float_literal(stmt.value):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                found.append((", ".join(ast.unparse(t) for t in targets), stmt.lineno))
+    return found
+
+
+def test_polyalg_holds_the_only_table_of_constants():
+    package = Path(nevpick.__file__).parent
+    assert float_constants(package / "polyalg.py")
+    stray = [f"{path.name}:{line} {name}" for path in sorted(package.glob("*.py"))
+             if path.name != "polyalg.py" for name, line in float_constants(path)]
+    assert stray == []
