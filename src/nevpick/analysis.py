@@ -55,11 +55,14 @@ class DegreeReport:
     estimated_degree: int
     threshold: float
     per_run: tuple = ()
-    runs_failed: int = 0
 
     @property
     def runs_attempted(self) -> int:
         return len(self.per_run)
+
+    @property
+    def runs_failed(self) -> int:
+        return sum(1 for rec in self.per_run if not rec.ok)
 
 
 def singular_values(P: np.ndarray) -> np.ndarray:

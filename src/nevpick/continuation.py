@@ -28,7 +28,8 @@ clipped to ``STEP_ACCEPT_RANGE`` after an accepted step and to
 :class:`HomotopyContext` keeps it for the last point evaluated, so a
 tangent, a band test followed by the first Newton residual, or a Newton
 iterate forms it once.  An accepted state and the endpoint read
-``a = v - g`` and ``b = v + g`` from the same entry.
+``a = v - g`` and ``b = v + g`` from the same entry, and a point at the
+same ``nu`` reuses its operator pair.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from . import cee_core
-from .cee_core import CeeMatrices, OperatorPair, build_V, operator_pair, recover_P, v_and_g
+from .cee_core import CeeMatrices, build_V, operator_pair, recover_P, v_and_g
 from .polyalg import (
     MAX_NEWTON_ITERS,
     MU_BAND,
@@ -154,8 +155,7 @@ class Diagnostics:
     @cached_property
     def singular_values(self) -> np.ndarray:
         """Singular values of the recovered ``P``, descending."""
-        P = self._P
-        return readonly(np.linalg.svd(P, compute_uv=False) if P.size else np.zeros(0))
+        return readonly(np.linalg.svd(self._P, compute_uv=False))
 
     @cached_property
     def cond_V(self) -> float:
@@ -196,14 +196,14 @@ class Solution:
 
 
 class HomotopyContext:
-    """Caches everything ``G`` needs: companion data, ``d``, operator pairs,
-    and the linearization at the last point evaluated.
+    """Holds everything ``G`` needs: companion data, ``d``, the CEE
+    matrices, and one cached point.
 
     Normalizes the problem it is given: ``problem`` is the normalized copy
     (value exactly 1/2 at infinity) and ``scale`` the factor that undoes it.
-    Operator pairs are memoized per parameter value, so repeated corrector
-    evaluations at a fixed ``nu`` reuse one matrix inverse; the step driver
-    drops the pairs below each accepted ``nu``, since ``nu`` never decreases.
+    The cached point is the linearization of the last point evaluated, with
+    its operator pair: Newton iterates, a band test and the tangents of one
+    ``nu`` share one matrix inverse, and a new ``nu`` forms a new pair.
     """
 
     def __init__(self, problem: InterpolationProblem):
@@ -216,16 +216,7 @@ class HomotopyContext:
         self.d = 0.5 * (build_S(s) @ s)[: self.n]
         self.twice_d = 2.0 * self.d   # the rank-one column of jac_G
         self.cee: CeeMatrices = cee_core.build_cee_matrices(problem)
-        self._pairs: dict[float, OperatorPair] = {}
-        self._point = (None, None)   # (key, linearization) of the last point evaluated
-
-    def operators(self, nu: float) -> OperatorPair:
-        key = float(nu)
-        pair = self._pairs.get(key)
-        if pair is None:
-            pair = operator_pair(self.cee, key)
-            self._pairs[key] = pair
-        return pair
+        self._point = ((None, None), None)   # (key, linearization) of the last point evaluated
 
     def linearization(self, p: np.ndarray, nu: float):
         """``(pair, v, g, S([1; v]), S([0; g]))`` at ``(p, nu)``.
@@ -233,12 +224,14 @@ class HomotopyContext:
         The entry of the last point asked for is kept, keyed by ``nu`` and
         the bytes of ``p`` (so a changed ``p`` is a new point): ``eval_G``,
         ``jac_G`` and ``dG_dnu`` at one point share one pair of products,
-        the two slices of one stacked ``build_S([[1, v], [0, g]])``.
+        the two slices of one stacked ``build_S([[1, v], [0, g]])``.  A new
+        point at the entry's ``nu`` keeps the entry's operator pair.
         """
         p = np.asarray(p, dtype=float)
         key = (float(nu), p.tobytes())
-        if self._point[0] != key:
-            pair = self.operators(nu)
+        last_key, last = self._point
+        if last_key != key:
+            pair = last[0] if last_key[0] == key[0] else operator_pair(self.cee, key[0])
             v, g = v_and_g(pair, self.comp, p)
             rows = np.zeros((2, self.n + 1))
             rows[0, 0] = 1.0
@@ -247,11 +240,6 @@ class HomotopyContext:
             S_v, S_g = build_S(rows)
             self._point = (key, (pair, v, g, S_v, S_g))
         return self._point[1]
-
-    def forget_below(self, nu: float) -> None:
-        """Drop the memoized operator pairs at parameters below ``nu``."""
-        for key in [key for key in self._pairs if key < nu]:
-            del self._pairs[key]
 
 
 def _pad(lead: float, vec: np.ndarray) -> np.ndarray:
@@ -301,8 +289,6 @@ def dG_dnu(p: np.ndarray, nu: float, ctx: HomotopyContext) -> np.ndarray:
 
 def _tangent(p: np.ndarray, nu: float, ctx: HomotopyContext) -> np.ndarray:
     """Trajectory tangent ``dp/dnu = -(dG/dp)^-1 dG/dnu`` (implicit function theorem)."""
-    if ctx.n == 0:
-        return np.zeros(0)
     return -np.linalg.solve(jac_G(p, nu, ctx), dG_dnu(p, nu, ctx))
 
 
@@ -311,35 +297,29 @@ def predictor(
     nu: float,
     nu_next: float,
     ctx: HomotopyContext,
-    tangent: np.ndarray | None = None,
+    tangent: np.ndarray,
 ) -> np.ndarray:
     """RK4 prediction of the trajectory point at ``nu_next`` from ``(p, nu)``.
 
     Integrates ``dp/dnu = -(dG/dp)^-1 dG/dnu`` over one step of length
     ``dnu = nu_next - nu`` by the classical Runge-Kutta rule, with tangents
-    at ``nu``, twice at ``nu + dnu/2``, and at ``nu_next``.  ``tangent`` is
-    the tangent at ``(p, nu)`` when the caller already has it.  A singular
-    Jacobian at any stage raises ``numpy.linalg.LinAlgError``.
+    at ``nu`` (``tangent``, the caller's), twice at ``nu + dnu/2``, and at
+    ``nu_next``.  A singular Jacobian at any stage raises
+    ``numpy.linalg.LinAlgError``.
     """
     dnu = nu_next - nu
-    k1 = _tangent(p, nu, ctx) if tangent is None else tangent
     mid = nu + 0.5 * dnu
-    k2 = _tangent(p + 0.5 * dnu * k1, mid, ctx)
+    k2 = _tangent(p + 0.5 * dnu * tangent, mid, ctx)
     k3 = _tangent(p + 0.5 * dnu * k2, mid, ctx)
     k4 = _tangent(p + dnu * k3, nu_next, ctx)
-    return p + (dnu / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return p + (dnu / 6.0) * (tangent + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def corrector(
-    p_hat: np.ndarray,
-    nu: float,
-    ctx: HomotopyContext,
-    residual_log: list | None = None,
-):
+def corrector(p_hat: np.ndarray, nu: float, ctx: HomotopyContext):
     """Newton iteration on ``G(., nu) = 0`` from the predicted point.
 
-    Returns ``(p, iterations)`` once the max-norm residual is at or below
-    ``TOL_NEWTON``.  Raises :class:`CorrectorError` on iteration budget
+    Returns ``(p, iterations, residual)`` once the max-norm residual is at
+    or below ``TOL_NEWTON``.  Raises :class:`CorrectorError` on iteration budget
     exhaustion, a singular Jacobian, a non-finite iterate, or an iterate
     leaving the feasible region ``h' p < 1``.
     """
@@ -348,13 +328,11 @@ def corrector(
         if p.size and p[0] >= 1.0:
             raise CorrectorError(f"iterate left the region h'p < 1 at nu={nu:.6g}")
         G = eval_G(p, nu, ctx)
-        r = float(np.abs(G).max()) if G.size else 0.0
-        if residual_log is not None:
-            residual_log.append(r)
+        r = float(np.abs(G).max(initial=0.0))
         if not math.isfinite(r):
             raise CorrectorError(f"non-finite residual at nu={nu:.6g}")
         if r <= TOL_NEWTON:
-            return p, k
+            return p, k, r
         if k == MAX_NEWTON_ITERS:
             break
         try:
@@ -386,7 +364,7 @@ def _follow_path(ctx: HomotopyContext) -> list:
     """March ``nu`` from 0 to 1; return the list of accepted states."""
     p = np.zeros(ctx.n)
     r0 = eval_G(p, 0.0, ctx)
-    states = [_make_state(ctx, 0.0, p, 0.0, 0, np.max(np.abs(r0)) if r0.size else 0.0)]
+    states = [_make_state(ctx, 0.0, p, 0.0, 0, np.abs(r0).max(initial=0.0))]
     if not np.any(ctx.cee.T_dot):
         # the target values already equal 1/2 everywhere
         return states
@@ -415,15 +393,13 @@ def _follow_path(ctx: HomotopyContext) -> list:
         if band > MU_BAND:
             step = dnu * _clip(factor, STEP_REJECT_RANGE)
             continue
-        residuals = []
         try:
-            p_new, iters = corrector(p_hat, target, ctx, residuals)
+            p_new, iters, residual = corrector(p_hat, target, ctx)
         except CorrectorError:
             step = 0.5 * dnu
             continue
         nu, p, tangent = target, p_new, None
-        ctx.forget_below(nu)
-        states.append(_make_state(ctx, nu, p, dnu, iters, residuals[-1]))
+        states.append(_make_state(ctx, nu, p, dnu, iters, residual))
         step = dnu * _clip(factor, STEP_ACCEPT_RANGE)
     return states
 

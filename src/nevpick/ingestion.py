@@ -25,7 +25,8 @@ import numpy as np
 
 from .analysis import DegreeReport, RunRecord, estimate_positive_degree
 from .continuation import SOLVE_ERRORS, PathError, solve
-from .polyalg import DEFAULT_TAU_RANK, TOL_NODE, MonicPolynomial, build_S, conjugate_pairs, is_schur
+from .polyalg import (BANK_RADIUS, DEFAULT_TAU_RANK, TOL_NODE, MonicPolynomial, build_S,
+                      conjugate_pairs, is_schur)
 from .problem import INF, InterpolationProblem, coincident_pairs
 
 __all__ = [
@@ -44,12 +45,12 @@ __all__ = [
 ]
 
 
-def default_bank_poles(n: int, radius: float = 0.7) -> np.ndarray:
+def default_bank_poles(n: int) -> np.ndarray:
     """Conjugate-closed bank poles: 0 plus ``n`` points on a circle.
 
-    The ``n`` nonzero poles sit equally spaced on the circle of the given
-    radius, rotated off the real axis for even ``n``; odd ``n`` keeps one
-    real pole at ``+radius``.
+    The ``n`` nonzero poles sit equally spaced on the circle of radius
+    ``BANK_RADIUS``, rotated off the real axis for even ``n``; odd ``n``
+    keeps one real pole at ``+BANK_RADIUS``.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -58,7 +59,7 @@ def default_bank_poles(n: int, radius: float = 0.7) -> np.ndarray:
         angles = (2 * k + 1) * np.pi / n if n else np.zeros(0)
     else:
         angles = 2 * np.pi * k / n
-    return np.concatenate(([0.0 + 0.0j], radius * np.exp(1j * angles)))
+    return np.concatenate(([0.0 + 0.0j], BANK_RADIUS * np.exp(1j * angles)))
 
 
 def nodes_from_poles(poles) -> tuple:
@@ -214,7 +215,8 @@ class MonteCarloConfig:
     true zeros padded with zeros at the origin up to ``order``, and
     ``poles`` to ``default_bank_poles(order)``.  ``spec`` is derived, not
     passed: the checked bank of every run.  Per-run seeds are drawn from
-    ``np.random.SeedSequence(seed).spawn(runs)``.
+    ``np.random.SeedSequence(seed).spawn(runs)``.  ``tau_rank``, the
+    threshold of the degree estimate, lies in ``(0, 1]``.
     """
 
     sigma: MonicPolynomial
@@ -237,6 +239,8 @@ class MonteCarloConfig:
             raise ValueError("order must be at least the true degree")
         if self.runs < 1:
             raise ValueError("runs must be positive")
+        if not 0 < self.tau_rank <= 1:
+            raise ValueError(f"tau_rank must lie in (0, 1], got {self.tau_rank}")
         if self.a.degree != self.sigma.degree:
             raise ValueError("sigma and a must have the same degree")
         if not is_schur(self.a):
@@ -304,5 +308,4 @@ def monte_carlo(config: MonteCarloConfig) -> DegreeReport:
         estimated_degree=estimate_positive_degree(mean_sv, config.tau_rank),
         threshold=config.tau_rank,
         per_run=tuple(records),
-        runs_failed=sum(1 for rec in records if not rec.ok),
     )

@@ -53,6 +53,7 @@ STEP_REJECT_RANGE = (0.1, 0.5)   # ... and after a prediction outside the band
 STEP_SNAP = 1e-12       # a step target this close below nu = 1 is moved onto it
 MAX_NEWTON_ITERS = 25   # Newton budget of one correction
 DEFAULT_TAU_RANK = 1e-2  # degree detection: threshold relative to the largest singular value
+BANK_RADIUS = 0.7       # modulus of the nonzero poles of the default filter bank
 
 
 def _coeff_array(poly) -> np.ndarray:

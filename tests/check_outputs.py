@@ -36,13 +36,16 @@ A command that exits with a nonzero status prints
 Running the script in two checkouts and diffing the outputs shows whether
 a change left every solve and every CLI output bit-identical.
 
-``--compare FILE`` checks the run against a saved one instead of printing
-it: it reads the lines of ``FILE`` for the workloads and seed of this run,
-prints the number of outputs whose line differs (an output missing on
-either side counts) and the first of them, and exits with status 1 on any
-difference::
+``--compare PATH`` checks the run against another one instead of printing
+it.  ``PATH`` is a saved output file, or the root of another checkout: the
+script then runs itself in a subprocess with ``PYTHONPATH=PATH/src`` for
+the same seed and workloads, and takes that run's lines.  It reads the
+lines for the workloads and seed of this run, prints the number of outputs
+whose line differs (an output missing on either side counts) and the first
+of them, and exits with status 1 on any difference::
 
     PYTHONPATH=src python tests/check_outputs.py --seed 3 --compare outputs.txt
+    PYTHONPATH=src python tests/check_outputs.py --seed 3 --compare ../parent
 
 The file name keeps the script out of the default test run.
 """
@@ -52,6 +55,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -185,13 +190,24 @@ def differences(now: dict, saved: dict) -> list:
     return [key for key in keys if now.get(key) != saved.get(key)]
 
 
+def checkout_lines(root: Path, seed: int, names: list) -> str:
+    """The output of this script run on the package in the checkout ``root``."""
+    command = [sys.executable, str(Path(__file__).resolve()), "--seed", str(seed)]
+    for name in names:
+        command += ["--workload", name]
+    env = {**os.environ, "PYTHONPATH": str(root.resolve() / "src")}
+    return subprocess.run(command, env=env, stdout=subprocess.PIPE, text=True,
+                           check=True).stdout
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", action="append",
                         choices=sorted(workloads.WORKLOADS) + ["cli"])
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--compare", type=Path, metavar="FILE",
-                        help="compare with the saved output FILE instead of printing")
+    parser.add_argument("--compare", type=Path, metavar="PATH",
+                        help="compare with the saved output file PATH, or with a run on "
+                             "the checkout directory PATH, instead of printing")
     args = parser.parse_args(argv)
     names = args.workload or list(workloads.WORKLOADS) + ["cli"]
     lines = [line for name in names
@@ -203,8 +219,9 @@ def main(argv=None) -> int:
         return 0
     prefixes = tuple(f"{name} {args.seed} " for name in names)
     now = _by_solve(lines)
-    saved = _by_solve(line for line in args.compare.read_text().splitlines()
-                      if line.startswith(prefixes))
+    text = (checkout_lines(args.compare, args.seed, names) if args.compare.is_dir()
+            else args.compare.read_text())
+    saved = _by_solve(line for line in text.splitlines() if line.startswith(prefixes))
     diff = differences(now, saved)
     if not diff:
         print(f"all {len(now)} outputs match {args.compare}")

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from nevpick.analysis import (
+    DegreeReport,
+    RunRecord,
     dominant_zeros,
     estimate_positive_degree,
     log_spectral_deviation,
@@ -107,6 +109,18 @@ class TestEstimatePositiveDegree:
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
             estimate_positive_degree([0.1, 0.5])
+
+
+class TestDegreeReport:
+    def test_runs_failed_counts_failed_records(self):
+        sv = np.array([0.3, 0.2])
+        records = (RunRecord(run=0, seed=0, singular_values=None, error="PathError: x"),
+                   RunRecord(run=1, seed=1, singular_values=sv),
+                   RunRecord(run=2, seed=2, singular_values=None, error="PathError: y"))
+        report = DegreeReport(singular_values=sv, estimated_degree=2, threshold=1e-2,
+                              per_run=records)
+        assert report.runs_attempted == 3
+        assert report.runs_failed == 2
 
 
 class TestDominantZeros:

@@ -324,6 +324,11 @@ class TestDetectDegreeCommand:
         "a-not-schur": ({"a_coeffs": [1.0, -1.5, 0.0]}, []),
         "samples-0": ({}, ["--samples", "0"]),
         "burn-in-negative": ({}, ["--burn-in", "-1"]),
+        "tau-rank-negative": ({}, ["--tau-rank", "-1"]),
+        "tau-rank-0": ({}, ["--tau-rank", "0"]),
+        "tau-rank-above-1": ({}, ["--tau-rank", "1.5"]),
+        "tau-rank-inf": ({}, ["--tau-rank", "inf"]),
+        "tau-rank-nan": ({}, ["--tau-rank", "nan"]),
     }
 
     @pytest.mark.parametrize("variant", ["monte-carlo", "exact"])
@@ -346,6 +351,17 @@ class TestDetectDegreeCommand:
         assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
         assert not (tmp_path / "o").exists()
 
+    def test_tau_rank_one_counts_the_top_singular_value(self, runner, tmp_path):
+        # the closed end of (0, 1]: only values equal to the largest count
+        cfg_path = tmp_path / "system.json"
+        cfg_path.write_text(json.dumps(degree2_config(order=3)))
+        result = runner.invoke(
+            main, ["detect-degree", "--input", str(cfg_path), "--output", str(tmp_path / "o"),
+                   "--variant", "exact", "--tau-rank", "1"]
+        )
+        assert result.exit_code == 0, result.output
+        assert "estimated positive degree: 1" in result.output
+
     @pytest.mark.parametrize("failed,expected", [(0, 0), (2, 4), (4, 3)])
     def test_partial_failure_exit_codes(self, runner, tmp_path, monkeypatch,
                                         failed, expected):
@@ -365,7 +381,6 @@ class TestDetectDegreeCommand:
             estimated_degree=2,
             threshold=1e-2,
             per_run=records,
-            runs_failed=failed,
         )
         monkeypatch.setattr("nevpick.cli.monte_carlo", lambda cfg: report)
         cfg_path = tmp_path / "system.json"

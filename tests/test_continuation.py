@@ -11,7 +11,6 @@ from nevpick.continuation import (
     CorrectorError,
     HomotopyContext,
     PathError,
-    _follow_path,
     _tangent,
     corrector,
     dG_dnu,
@@ -159,7 +158,7 @@ class TestLinearizationMemo:
         eval_G(p_hat, nu, ctx)                # the band test
         assert len(calls) == 1
         calls.clear()
-        p, iters = corrector(p_hat, nu, ctx)
+        p, iters, _ = corrector(p_hat, nu, ctx)
         # the first residual and Jacobian reuse the band test's products;
         # every later iterate forms them once, the last one for its residual only
         assert iters >= 1
@@ -313,18 +312,26 @@ class TestHomotopyContext:
 class TestCorrector:
     def test_on_trajectory_zero_iterations(self, reference_problem):
         ctx = HomotopyContext(reference_problem)
-        p, iters = corrector(np.zeros(ctx.n), 0.0, ctx)
+        p, iters, _ = corrector(np.zeros(ctx.n), 0.0, ctx)
         assert iters == 0
         assert np.array_equal(p, np.zeros(ctx.n))
 
-    def test_quadratic_convergence(self, reference_problem, reference_solution):
+    def test_quadratic_convergence(self, reference_problem, reference_solution, monkeypatch):
         ctx = HomotopyContext(reference_problem)
         sol = reference_solution
         mid = min(sol.trajectory, key=lambda s: abs(s.nu - 0.5))
         rng = np.random.default_rng(62)
         p_hat = mid.p + 5e-3 * rng.standard_normal(ctx.n)
         log = []
-        corrector(p_hat, mid.nu, ctx, residual_log=log)
+
+        def logging_eval_G(p, nu, ctx):
+            G = eval_G(p, nu, ctx)
+            log.append(float(np.abs(G).max()))
+            return G
+
+        monkeypatch.setattr(continuation, "eval_G", logging_eval_G)
+        _, iters, residual = corrector(p_hat, mid.nu, ctx)
+        assert len(log) == iters + 1 and log[-1] == residual
         quad_pairs = [
             (r0, r1) for r0, r1 in zip(log, log[1:]) if r0 < 1e-3 and r1 > 1e-14
         ]
@@ -355,14 +362,16 @@ class TestPredictor:
         ctx = HomotopyContext(central)
         sol = solve(central)
         state = sol.trajectory[0]
-        assert np.array_equal(predictor(state.p, state.nu, state.nu + state.step, ctx), state.p)
+        tangent = _tangent(state.p, state.nu, ctx)
+        assert np.array_equal(predictor(state.p, state.nu, state.nu + state.step, ctx, tangent),
+                              state.p)
 
     def test_first_step_correctable(self, reference_problem, reference_solution):
         ctx = HomotopyContext(reference_problem)
         sol = reference_solution
         start = sol.trajectory[0]
-        p_hat = predictor(start.p, start.nu, 0.1, ctx)
-        p, iters = corrector(p_hat, 0.1, ctx)
+        p_hat = predictor(start.p, start.nu, 0.1, ctx, _tangent(start.p, start.nu, ctx))
+        p, iters, _ = corrector(p_hat, 0.1, ctx)
         assert iters <= 10
         assert np.max(np.abs(eval_G(p, 0.1, ctx))) <= 1e-12
 
@@ -371,11 +380,13 @@ class TestPredictor:
         ctx = HomotopyContext(reference_problem)
         nu = 0.65
         start = max((s for s in reference_solution.trajectory if s.nu <= nu), key=lambda s: s.nu)
-        p, _ = corrector(predictor(start.p, start.nu, nu, ctx), nu, ctx)
+        p_hat = predictor(start.p, start.nu, nu, ctx, _tangent(start.p, start.nu, ctx))
+        p, _, _ = corrector(p_hat, nu, ctx)
+        tangent = _tangent(p, nu, ctx)
         errors = []
         for dnu in (0.02, 0.01):
-            p_hat = predictor(p, nu, nu + dnu, ctx)
-            p_next, _ = corrector(p_hat, nu + dnu, ctx)
+            p_hat = predictor(p, nu, nu + dnu, ctx, tangent)
+            p_next, _, _ = corrector(p_hat, nu + dnu, ctx)
             errors.append(np.max(np.abs(p_hat - p_next)))
         assert errors[1] > 1e-10
         assert errors[0] >= 16.0 * errors[1]
@@ -524,22 +535,24 @@ class TestSolve:
         assert len(reference_solution.trajectory) - 1 <= 60
         assert_step_growth_bounded(reference_solution.trajectory)
 
-    def test_operator_pair_memo_stays_small(self, reference_problem):
-        # nu never decreases along the path, so the memo drops the pairs
-        # below each accepted nu instead of keeping every nu visited
+    def test_one_operator_pair_per_nu(self, reference_problem, monkeypatch):
+        # the context keeps one point: a new point at its nu reuses its
+        # operator pair, and a point at a new nu forms one more
         ctx = HomotopyContext(reference_problem)
-        operators, sizes = ctx.operators, []
+        calls = []
 
-        def recording(nu):
-            pair = operators(nu)
-            sizes.append(len(ctx._pairs))
-            return pair
+        def counting(cee, nu):
+            calls.append(nu)
+            return cee_core.operator_pair(cee, nu)
 
-        ctx.operators = recording
-        states = _follow_path(ctx)
-        assert states[-1].nu == 1.0
-        assert len(sizes) > 100
-        assert max(sizes) <= 12
+        monkeypatch.setattr(continuation, "operator_pair", counting)
+        p = np.zeros(ctx.n)
+        eval_G(p, 0.3, ctx)
+        eval_G(p + 1e-3, 0.3, ctx)
+        jac_G(p + 2e-3, 0.3, ctx)
+        assert calls == [0.3]
+        eval_G(p, 0.4, ctx)
+        assert calls == [0.3, 0.4]
 
     def test_identity_suite_path_length(self):
         # the 100 problems of acceptance criterion 6, drawn the same way

@@ -265,7 +265,8 @@ def is_float_literal(node) -> bool:
 
 def float_constants(path):
     """``(name, line)`` of each module-level or class-body assignment of a
-    float literal in the Python file ``path``."""
+    float literal, and of each float literal default of a function
+    parameter, in the Python file ``path``."""
     tree = ast.parse(path.read_text(), filename=str(path))
     bodies = [tree.body] + [node.body for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
     found = []
@@ -274,6 +275,10 @@ def float_constants(path):
             if isinstance(stmt, (ast.Assign, ast.AnnAssign)) and is_float_literal(stmt.value):
                 targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
                 found.append((", ".join(ast.unparse(t) for t in targets), stmt.lineno))
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if any(map(is_float_literal, fn.args.defaults + fn.args.kw_defaults)):
+                found.append((fn.name, fn.lineno))
     return found
 
 
