@@ -14,7 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .continuation import Solution, solve
-from .polyalg import DEFAULT_TAU_RANK, TOL_ROOT_PAIR, TOL_SYM, MonicPolynomial, conjugate_pairs
+from .polyalg import (
+    DEFAULT_TAU_RANK,
+    DEVIATION_FLOOR,
+    SPECTRUM_POINTS,
+    TOL_ROOT_PAIR,
+    TOL_SYM,
+    MonicPolynomial,
+    conjugate_pairs,
+)
 from .problem import InterpolationProblem
 
 __all__ = [
@@ -205,9 +213,10 @@ def spectral_density(solution: Solution, thetas) -> np.ndarray:
 
 
 def log_spectral_deviation(full: Solution, reduced: Solution) -> float:
-    """Relative L2 distance between log spectral densities on a 256-point circle grid."""
-    thetas = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
+    """Relative L2 distance between log spectral densities on the circle grid
+    of ``SPECTRUM_POINTS`` angles."""
+    thetas = np.linspace(0.0, 2.0 * np.pi, SPECTRUM_POINTS, endpoint=False)
     lf = np.log(spectral_density(full, thetas))
     lr = np.log(spectral_density(reduced, thetas))
     denom = float(np.linalg.norm(lf))
-    return float(np.linalg.norm(lr - lf)) / max(denom, 1e-12)
+    return float(np.linalg.norm(lr - lf)) / max(denom, DEVIATION_FLOOR)

@@ -12,24 +12,24 @@ and it evaluates / solves the covariance extension equation
 
     ``P = Gamma (P - P h h' P) Gamma' + g(P) g(P)'``
 
-whose right-hand vector is ``g = u + U sigma_vec + U Gamma P h``.  At the
-path endpoint ``P`` is read off that equation by a shift recursion: the
-on-trajectory identity ``P h = p`` turns it into a Stein equation in the
-nilpotent upper shift, which back-substitution solves with numpy alone.
+whose right-hand vector is ``g = u + U s + U Gamma P h``, with ``s`` the
+coefficient tail of ``sigma``.  At the path endpoint ``P`` is read off that
+equation by a shift recursion: the on-trajectory identity ``P h = p`` turns
+it into a Stein equation in the nilpotent upper shift, which
+back-substitution solves with numpy alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .polyalg import TOL_P_PH, TOL_P_PSD, TOL_P_SYM, TOL_REAL, CompanionData, readonly
+from .polyalg import TOL_P_PH, TOL_P_PSD, TOL_P_SYM, TOL_REAL, readonly
 from .problem import InterpolationProblem
 
 __all__ = [
     "OperatorPair",
-    "CeeMatrices",
     "RealnessError",
     "SteinConsistencyError",
     "build_V",
@@ -48,43 +48,17 @@ class SteinConsistencyError(RuntimeError):
     """The recovered matrix fails an on-trajectory consistency check."""
 
 
-@dataclass(frozen=True, eq=False)
-class OperatorPair:
+class OperatorPair(NamedTuple):
     """Operator pair ``(u, U)`` at one homotopy parameter, with their ``nu`` derivatives.
 
-    Every field is read-only.  From :func:`operator_pair` the fields are
-    column views of two locked arrays, ``[u U]`` and ``[u_dot U_dot]``;
-    a field given as a writable array is locked here.
+    From :func:`operator_pair` the fields are read-only column views of two
+    locked arrays, ``[u U]`` and ``[u_dot U_dot]``.
     """
 
     u: np.ndarray
     U: np.ndarray
     u_dot: np.ndarray
     U_dot: np.ndarray
-
-    def __post_init__(self):
-        for name in ("u", "U", "u_dot", "U_dot"):
-            value = getattr(self, name)
-            if not isinstance(value, np.ndarray) or value.flags.writeable:
-                object.__setattr__(self, name, readonly(value))
-
-
-@dataclass(frozen=True, eq=False)
-class CeeMatrices:
-    """Problem-level data shared by every homotopy-parameter evaluation.
-
-    ``T_dot = V^-1 (W - 1/2 I) V`` is independent of ``nu``;
-    ``T(nu) = nu * T_dot`` exactly, so the start ``T(0) = 0`` is exact.
-    ``eye`` is the identity of the same size, formed once for
-    :func:`operator_pair`.
-    """
-
-    T_dot: np.ndarray
-    eye: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "T_dot", readonly(self.T_dot))
-        object.__setattr__(self, "eye", readonly(np.eye(self.T_dot.shape[0])))
 
 
 def build_V(zeta) -> np.ndarray:
@@ -103,12 +77,13 @@ def build_V(zeta) -> np.ndarray:
     return np.vander(zeta, N=zeta.size, increasing=True)
 
 
-def build_cee_matrices(problem: InterpolationProblem) -> CeeMatrices:
-    """The nu-independent slope ``T_dot`` for a normalized problem.
+def build_cee_matrices(problem: InterpolationProblem) -> np.ndarray:
+    """The nu-independent slope ``T_dot`` for a normalized problem (read-only).
 
     ``T_dot = V^-1 (W - 1/2 I) V`` is real analytically for conjugate-symmetric
     nodes and values; an imaginary residue above ``TOL_REAL`` signals broken
-    symmetry and raises :class:`RealnessError`.
+    symmetry and raises :class:`RealnessError`.  ``T(nu) = nu * T_dot``
+    exactly, so the start ``T(0) = 0`` is exact.
     """
     V = build_V(problem.node_reciprocals())
     w = problem.values_array()
@@ -119,11 +94,13 @@ def build_cee_matrices(problem: InterpolationProblem) -> CeeMatrices:
             f"imaginary residue {residue:.3e} exceeds {TOL_REAL:.0e}; "
             "node/value set is not conjugate symmetric"
         )
-    return CeeMatrices(T_dot=np.ascontiguousarray(T_dot.real))
+    return readonly(np.ascontiguousarray(T_dot.real))
 
 
-def operator_pair(cee: CeeMatrices, nu: float) -> OperatorPair:
+def operator_pair(T_dot: np.ndarray, eye: np.ndarray, nu: float) -> OperatorPair:
     """Evaluate ``(u, U, u_dot, U_dot)`` at one homotopy parameter.
+
+    ``eye`` is the identity of the size of ``T_dot``, formed once by the caller.
 
     With ``M = I + T = I + nu T_dot``, ``(I + T)^-1 T = nu M^-1 T_dot`` and
     its ``nu`` derivative is ``M^-1 T_dot M^-1``; the bottom rows of the
@@ -134,42 +111,41 @@ def operator_pair(cee: CeeMatrices, nu: float) -> OperatorPair:
     a singular ``M`` means corrupted input and surfaces as ``LinAlgError``.
     """
     try:
-        M_inv = np.linalg.inv(cee.eye + nu * cee.T_dot)
+        M_inv = np.linalg.inv(eye + nu * T_dot)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             "I + T is singular, which valid interpolation data cannot produce; "
             "the input is corrupted"
         ) from exc
-    bottom = M_inv[1:] @ cee.T_dot
+    bottom = M_inv[1:] @ T_dot
     uU = readonly(nu * bottom)
     slope = readonly(bottom @ M_inv)
-    return OperatorPair(u=uU[:, 0], U=uU[:, 1:], u_dot=slope[:, 0], U_dot=slope[:, 1:])
+    return OperatorPair(uU[:, 0], uU[:, 1:], slope[:, 0], slope[:, 1:])
 
 
-def v_and_g(pair: OperatorPair, comp: CompanionData, p: np.ndarray):
-    """``v = Gamma p + sigma_vec`` and ``g = U v + u``, so ``a = v - g`` and ``b = v + g``."""
-    v = comp.sigma_vec + comp.Gamma @ p
+def v_and_g(pair: OperatorPair, Gamma: np.ndarray, s: np.ndarray, p: np.ndarray):
+    """``v = Gamma p + s`` and ``g = U v + u``, so ``a = v - g`` and ``b = v + g``."""
+    v = s + Gamma @ p
     return v, pair.U @ v + pair.u
 
 
-def cee_residual(P: np.ndarray, comp: CompanionData, g: np.ndarray) -> float:
+def cee_residual(P: np.ndarray, Gamma: np.ndarray, g: np.ndarray) -> float:
     """Frobenius norm of ``P - Gamma (P - P h h' P) Gamma' - g g'``.
 
     ``h = e1``, so ``P h h' P`` is the outer product of column 0 and row 0.
     """
-    G = comp.Gamma
-    res = P - G @ (P - P[:, :1] @ P[:1]) @ G.T - np.outer(g, g)
+    res = P - Gamma @ (P - P[:, :1] @ P[:1]) @ Gamma.T - np.outer(g, g)
     return float(np.linalg.norm(res, "fro"))
 
 
-def recover_P(comp: CompanionData, p: np.ndarray, g: np.ndarray) -> np.ndarray:
+def recover_P(Gamma: np.ndarray, s: np.ndarray, p: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Recover the covariance-extension matrix from the endpoint vector ``p``.
 
     With ``P h = p`` the equation is the Stein form
     ``P - Gamma P Gamma' = g g' - (Gamma p)(Gamma p)'``, whose operator
     ``I - Gamma x Gamma`` is ill-conditioned when the spectral zeros cluster
     near the unit circle.  Writing ``Gamma = Z - s h'``, with ``Z`` the upper
-    shift and ``s = sigma_vec``, and using ``P h = p`` once more in
+    shift and ``s`` the coefficient tail of ``sigma``, and using ``P h = p`` once more in
     ``Gamma P Gamma'`` leaves
 
         ``P - Z P Z' = R = g g' - (Gamma p)(Gamma p)' - (Z p s' + s (Z p)') + p_1 s s'``.
@@ -183,11 +159,10 @@ def recover_P(comp: CompanionData, p: np.ndarray, g: np.ndarray) -> np.ndarray:
     ``P h == p``, positive semidefiniteness and ``h' P h < 1`` are genuine.
     A violation raises :class:`SteinConsistencyError`.
     """
-    n = comp.n
+    n = s.size
     if n == 0:
         return np.zeros((0, 0))
-    s = comp.sigma_vec
-    Gp = comp.Gamma @ p
+    Gp = Gamma @ p
     sZ = np.outer(np.append(p[1:], 0.0), s)
     # one sum sZ + sZ' keeps R, and so P, bitwise symmetric
     P = np.outer(g, g) - np.outer(Gp, Gp) - (sZ + sZ.T) + p[0] * np.outer(s, s)

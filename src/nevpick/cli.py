@@ -20,7 +20,7 @@ import numpy as np
 from .analysis import log_spectral_deviation, reduce_model, spectral_density
 from .continuation import SOLVE_ERRORS, Solution, solve
 from .ingestion import MonteCarloConfig, monte_carlo, run_problem
-from .polyalg import DEFAULT_TAU_RANK
+from .polyalg import DEFAULT_TAU_RANK, SPECTRUM_POINTS
 from .problem import (
     InterpolationProblem,
     ProblemValidationError,
@@ -70,10 +70,13 @@ def _system_config(data: dict, path: str, **controls) -> MonteCarloConfig:
         sigma = poly_from_json(data, "sigma")
         has_hat = "sigma_hat_coeffs" in data or "sigma_hat_roots" in data
         poles = data.get("bank_poles")
+        order = data.get("order", sigma.degree)
+        if type(order) is not int:      # a JSON integer; bool is a subclass of int
+            raise ValueError(f"'order' must be an integer, got {order!r}")
         return MonteCarloConfig(
             sigma=sigma,
             a=poly_from_json(data, "a"),
-            order=int(data.get("order", sigma.degree)),
+            order=order,
             sigma_hat=poly_from_json(data, "sigma_hat") if has_hat else None,
             poles=None if poles is None else tuple(complex_from_json(p) for p in poles),
             **controls,
@@ -300,7 +303,7 @@ def cmd_reduce(input_path, output_path, target_degree):
                 {"config": config, **problem_to_json_dict(reduced_problem)})
     _write_json(out / "reduced_solution.json",
                 {"config": config, **solution_to_json_dict(reduced_solution)})
-    thetas = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
+    thetas = np.linspace(0.0, 2.0 * np.pi, SPECTRUM_POINTS, endpoint=False)
     phi_full = spectral_density(full, thetas)
     phi_red = spectral_density(reduced_solution, thetas)
     _write_csv(out / "spectra.csv", config, ["theta", "phi_full", "phi_reduced"],

@@ -42,7 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from . import cee_core
-from .cee_core import CeeMatrices, build_V, operator_pair, recover_P, v_and_g
+from .cee_core import build_V, operator_pair, recover_P, v_and_g
 from .polyalg import (
     MAX_NEWTON_ITERS,
     MU_BAND,
@@ -54,7 +54,6 @@ from .polyalg import (
     STEP_SNAP,
     TOL_CEE,
     TOL_NEWTON,
-    CompanionData,
     MonicPolynomial,
     build_S,
     companion,
@@ -196,8 +195,10 @@ class Solution:
 
 
 class HomotopyContext:
-    """Holds everything ``G`` needs: companion data, ``d``, the CEE
-    matrices, and one cached point.
+    """Holds everything ``G`` needs: the companion matrix ``Gamma`` of
+    ``sigma``, its coefficient tail ``s``, ``d``, the slope ``T_dot`` of
+    ``T(nu) = nu T_dot`` with the identity ``eye`` of its size, and one
+    cached point.  The four arrays are read-only.
 
     Normalizes the problem it is given: ``problem`` is the normalized copy
     (value exactly 1/2 at infinity) and ``scale`` the factor that undoes it.
@@ -210,12 +211,15 @@ class HomotopyContext:
         problem, self.scale = normalize(problem)
         self.problem = problem
         self.n = problem.n
-        self.comp: CompanionData = companion(problem.sigma)
+        self.Gamma = companion(problem.sigma)
+        self.s = problem.sigma.tail
         # first n autocorrelation coefficients of sigma
-        s = problem.sigma.coeffs
-        self.d = 0.5 * (build_S(s) @ s)[: self.n]
+        c = problem.sigma.coeffs
+        self.d = 0.5 * (build_S(c) @ c)[: self.n]
         self.twice_d = 2.0 * self.d   # the rank-one column of jac_G
-        self.cee: CeeMatrices = cee_core.build_cee_matrices(problem)
+        self.T_dot = cee_core.build_cee_matrices(problem)
+        # formed once: adding 1 to the diagonal per call is slower than adding this copy
+        self.eye = readonly(np.eye(self.n + 1))
         self._point = ((None, None), None)   # (key, linearization) of the last point evaluated
 
     def linearization(self, p: np.ndarray, nu: float):
@@ -231,8 +235,8 @@ class HomotopyContext:
         key = (float(nu), p.tobytes())
         last_key, last = self._point
         if last_key != key:
-            pair = last[0] if last_key[0] == key[0] else operator_pair(self.cee, key[0])
-            v, g = v_and_g(pair, self.comp, p)
+            pair = last[0] if last_key[0] == key[0] else operator_pair(self.T_dot, self.eye, key[0])
+            v, g = v_and_g(pair, self.Gamma, self.s, p)
             rows = np.zeros((2, self.n + 1))
             rows[0, 0] = 1.0
             rows[0, 1:] = v
@@ -271,7 +275,7 @@ def jac_G(p: np.ndarray, nu: float, ctx: HomotopyContext) -> np.ndarray:
     pair, _, _, S_v, S_g = ctx.linearization(p, nu)
     n = ctx.n
     J = S_v[:n, 1:] - S_g[:n, 1:] @ pair.U
-    J = 2.0 * (J @ ctx.comp.Gamma)
+    J = 2.0 * (J @ ctx.Gamma)
     J[:, 0] += ctx.twice_d
     return J
 
@@ -365,7 +369,7 @@ def _follow_path(ctx: HomotopyContext) -> list:
     p = np.zeros(ctx.n)
     r0 = eval_G(p, 0.0, ctx)
     states = [_make_state(ctx, 0.0, p, 0.0, 0, np.abs(r0).max(initial=0.0))]
-    if not np.any(ctx.cee.T_dot):
+    if not np.any(ctx.T_dot):
         # the target values already equal 1/2 everywhere
         return states
 
@@ -432,8 +436,8 @@ def solve(problem: InterpolationProblem) -> Solution:
     p = states[-1].p
 
     _, v, g, _, _ = ctx.linearization(p, 1.0)
-    P = readonly(recover_P(ctx.comp, p, g))
-    cee_res = cee_core.cee_residual(P, ctx.comp, g)
+    P = readonly(recover_P(ctx.Gamma, ctx.s, p, g))
+    cee_res = cee_core.cee_residual(P, ctx.Gamma, g)
     if not cee_res <= TOL_CEE:
         raise cee_core.SteinConsistencyError(
             f"CEE residual {cee_res:.3e} of the recovered matrix exceeds {TOL_CEE:.0e}")

@@ -56,7 +56,7 @@ def default_bank_poles(n: int) -> np.ndarray:
         raise ValueError("n must be nonnegative")
     k = np.arange(n)
     if n % 2 == 0:
-        angles = (2 * k + 1) * np.pi / n if n else np.zeros(0)
+        angles = (2 * k + 1) * np.pi / n
     else:
         angles = 2 * np.pi * k / n
     return np.concatenate(([0.0 + 0.0j], BANK_RADIUS * np.exp(1j * angles)))
@@ -82,7 +82,7 @@ class FilterBankSpec:
     poles: tuple
     samples: int
     burn_in: int = 1000
-    seed: int = 0
+    seed: int = 0             # read by nothing in the package; callers may still pass it
     partners: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -251,7 +251,7 @@ class MonteCarloConfig:
             raise ValueError(f"sigma_hat must have degree order = {self.order}")
         poles = default_bank_poles(self.order) if self.poles is None else self.poles
         object.__setattr__(self, "spec", FilterBankSpec(
-            poles=poles, samples=self.samples, burn_in=self.burn_in, seed=self.seed))
+            poles=poles, samples=self.samples, burn_in=self.burn_in))
 
 
 def run_problem(config: MonteCarloConfig, seed: int) -> tuple:

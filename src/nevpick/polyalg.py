@@ -20,7 +20,6 @@ import numpy as np
 
 __all__ = [
     "MonicPolynomial",
-    "CompanionData",
     "eval_poly",
     "is_schur",
     "companion",
@@ -54,6 +53,8 @@ STEP_SNAP = 1e-12       # a step target this close below nu = 1 is moved onto it
 MAX_NEWTON_ITERS = 25   # Newton budget of one correction
 DEFAULT_TAU_RANK = 1e-2  # degree detection: threshold relative to the largest singular value
 BANK_RADIUS = 0.7       # modulus of the nonzero poles of the default filter bank
+SPECTRUM_POINTS = 256   # equally spaced angles of the circle grid of spectral densities
+DEVIATION_FLOOR = 1e-12  # log-spectral deviation: floor on the norm it is relative to
 
 
 def _coeff_array(poly) -> np.ndarray:
@@ -118,29 +119,6 @@ class MonicPolynomial:
         return f"MonicPolynomial(degree={self.degree}, coeffs={self.coeffs.tolist()})"
 
 
-@dataclass(frozen=True, eq=False)
-class CompanionData:
-    """Companion-form realization of a monic polynomial.
-
-    ``Gamma`` is the n-by-n matrix whose first column is the negated tail
-    of the polynomial and whose remaining columns are a shifted identity;
-    its characteristic polynomial is the polynomial itself.  ``sigma_vec``
-    is the coefficient tail.  The vector ``h`` of the method is the unit
-    vector ``e1``, so ``h' x`` is written ``x[0]`` throughout.
-    """
-
-    Gamma: np.ndarray
-    sigma_vec: np.ndarray
-
-    def __post_init__(self):
-        for name in ("Gamma", "sigma_vec"):
-            object.__setattr__(self, name, readonly(np.array(getattr(self, name), dtype=float)))
-
-    @property
-    def n(self) -> int:
-        return self.sigma_vec.size
-
-
 def eval_poly(poly, z):
     """Evaluate a descending-coefficient polynomial at finite ``z``.
 
@@ -157,19 +135,23 @@ def is_schur(poly) -> bool:
     Roots come from the eigenvalues of a companion matrix (``numpy.roots``).
     """
     r = np.roots(_coeff_array(poly))
-    return bool(r.size == 0 or np.max(np.abs(r)) < 1.0)
+    return bool(np.max(np.abs(r), initial=0.0) < 1.0)
 
 
-def companion(sigma: MonicPolynomial) -> CompanionData:
-    """Companion data (Gamma, sigma_vec) for a monic polynomial."""
+def companion(sigma: MonicPolynomial) -> np.ndarray:
+    """Companion matrix ``Gamma`` of a monic polynomial (read-only).
+
+    Its first column is the negated tail of the polynomial and its remaining
+    columns are a shifted identity, so its characteristic polynomial is the
+    polynomial itself.  The vector ``h`` of the method is the unit vector
+    ``e1``, so ``h' x`` is written ``x[0]`` throughout.
+    """
     n = sigma.degree
-    sv = sigma.tail
     Gamma = np.zeros((n, n))
     if n:
-        Gamma[:, 0] = -sv
-    if n > 1:
-        Gamma[np.arange(n - 1), np.arange(1, n)] = 1.0
-    return CompanionData(Gamma=Gamma, sigma_vec=sv)
+        Gamma[:, 0] = -sigma.tail
+    Gamma[np.arange(n - 1), np.arange(1, n)] = 1.0
+    return readonly(Gamma)
 
 
 _PAD_ZERO = readonly(np.zeros(1))

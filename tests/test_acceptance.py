@@ -30,7 +30,7 @@ from nevpick.ingestion import (
     monte_carlo,
     nodes_from_poles,
 )
-from nevpick.polyalg import STEP_MIN, MonicPolynomial, companion
+from nevpick.polyalg import STEP_MIN, MonicPolynomial
 from nevpick.problem import InterpolationProblem
 
 
@@ -301,11 +301,10 @@ def test_criterion_8_small_instance_oracles():
                 hi = mid
         worst_bisect = max(worst_bisect, abs(0.5 * (lo + hi) - sol.p[0]))
 
-        comp = companion(problem.sigma)
         g = ctx.linearization(sol.p, 1.0)[2]
-        gamma = comp.Gamma[0, 0]
+        gamma = ctx.Gamma[0, 0]
         closed = (g[0] ** 2 - gamma**2 * sol.p[0] ** 2) / (1.0 - gamma**2)
-        P = recover_P(comp, sol.p, g)
+        P = recover_P(ctx.Gamma, ctx.s, sol.p, g)
         worst_stein = max(worst_stein, abs(P[0, 0] - closed))
 
     ok = worst_bisect < 1e-10 and worst_stein < 1e-12

@@ -37,6 +37,10 @@ def degree2_config(order=2, **extra):
     return cfg
 
 
+# roots of a degree-1 system, on which order 1 (what ``int(True)`` gives) is valid
+DEGREE1_ROOTS = {"sigma_roots": [{"re": 0.31, "im": 0.0}], "a_roots": [{"re": 0.76, "im": 0.0}]}
+
+
 def read_csv(path):
     lines = path.read_text().splitlines()
     assert lines[0].startswith("# config:")
@@ -134,7 +138,7 @@ class TestSolveCommand:
 
         recover = continuation.recover_P
         monkeypatch.setattr(continuation, "recover_P",
-                            lambda comp, p, g: recover(comp, p, g) + 1e-6 * np.eye(comp.n))
+                            lambda Gamma, s, p, g: recover(Gamma, s, p, g) + 1e-6 * np.eye(s.size))
         result = runner.invoke(
             main, ["solve", "--input", str(reference_problem_file), "--output", str(tmp_path / "o")]
         )
@@ -162,6 +166,18 @@ class TestSimulateCommand:
         _, header, rows = read_csv(out / "series.csv")
         assert header == ["t", "y"]
         assert len(rows) == 20000
+
+    @pytest.mark.parametrize("order", [4.7, "4", True])
+    def test_non_integer_order_exits_2(self, runner, tmp_path, order):
+        cfg_path = tmp_path / "system.json"
+        cfg_path.write_text(json.dumps(degree2_config(order=order, **DEGREE1_ROOTS)))
+        result = runner.invoke(
+            main, ["simulate", "--input", str(cfg_path), "--output", str(tmp_path / "o")]
+        )
+        assert result.exit_code == 2, result.output
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
+        assert not (tmp_path / "o").exists()
 
     def test_byte_identical_reruns(self, runner, tmp_path):
         cfg_path = tmp_path / "system.json"
@@ -329,6 +345,9 @@ class TestDetectDegreeCommand:
         "tau-rank-above-1": ({}, ["--tau-rank", "1.5"]),
         "tau-rank-inf": ({}, ["--tau-rank", "inf"]),
         "tau-rank-nan": ({}, ["--tau-rank", "nan"]),
+        "order-fractional": ({"order": 4.7}, []),
+        "order-string": ({"order": "4"}, []),
+        "order-bool": ({"order": True, **DEGREE1_ROOTS}, []),
     }
 
     @pytest.mark.parametrize("variant", ["monte-carlo", "exact"])

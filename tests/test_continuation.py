@@ -67,7 +67,7 @@ class TestHomotopyMap:
             nu = rng.uniform(0.0, 1.0)
             pair, v, g, _, _ = ctx.linearization(p, nu)
             # a = (I - U)(Gamma p + sigma) - u and b = (I + U)(Gamma p + sigma) + u
-            w = ctx.comp.Gamma @ p + ctx.comp.sigma_vec
+            w = ctx.Gamma @ p + ctx.s
             a = w - pair.U @ w - pair.u
             b = w + pair.U @ w + pair.u
             assert np.max(np.abs(a - (v - g))) < 1e-12
@@ -127,7 +127,7 @@ class TestDerivatives:
         n = ctx.n
         J = jac_G(np.zeros(n), 0.0, ctx)
         S = build_S(ctx.problem.sigma.coeffs)
-        want = 2.0 * S[:n] @ np.vstack([np.zeros((1, n)), ctx.comp.Gamma])
+        want = 2.0 * S[:n] @ np.vstack([np.zeros((1, n)), ctx.Gamma])
         want[:, 0] += 2.0 * ctx.d
         assert np.max(np.abs(J - want)) < 1e-12
 
@@ -308,6 +308,16 @@ class TestHomotopyContext:
             for fn in (eval_G, jac_G, dG_dnu):
                 assert np.array_equal(fn(p, nu, ctx), fn(p, nu, want))
 
+    def test_shared_arrays_are_read_only(self, reference_problem):
+        # every evaluation reads these arrays, so none may be written: the
+        # context's four and the fields of the operator pair it caches
+        ctx = HomotopyContext(reference_problem)
+        pair = ctx.linearization(np.zeros(ctx.n), 0.3)[0]
+        arrays = {"Gamma": ctx.Gamma, "s": ctx.s, "T_dot": ctx.T_dot, "eye": ctx.eye,
+                  **pair._asdict()}
+        for name, value in arrays.items():
+            assert not value.flags.writeable, name
+
 
 class TestCorrector:
     def test_on_trajectory_zero_iterations(self, reference_problem):
@@ -467,8 +477,8 @@ class TestSolve:
         # the typed error; one well inside the bound is returned
         recover = continuation.recover_P
 
-        def perturbed(comp, p, g):
-            return recover(comp, p, g) + offset * np.eye(comp.n)
+        def perturbed(Gamma, s, p, g):
+            return recover(Gamma, s, p, g) + offset * np.eye(s.size)
 
         monkeypatch.setattr(continuation, "recover_P", perturbed)
         if fails:
@@ -541,9 +551,9 @@ class TestSolve:
         ctx = HomotopyContext(reference_problem)
         calls = []
 
-        def counting(cee, nu):
+        def counting(T_dot, eye, nu):
             calls.append(nu)
-            return cee_core.operator_pair(cee, nu)
+            return cee_core.operator_pair(T_dot, eye, nu)
 
         monkeypatch.setattr(continuation, "operator_pair", counting)
         p = np.zeros(ctx.n)

@@ -104,19 +104,16 @@ class TestRootsAndSchur:
 
 class TestCompanion:
     def test_n1_zero(self):
-        comp = companion(MonicPolynomial([1.0, 0.0]))
-        assert comp.Gamma.shape == (1, 1)
-        assert comp.Gamma[0, 0] == 0.0
-        assert np.array_equal(comp.sigma_vec, [0.0])
+        Gamma = companion(MonicPolynomial([1.0, 0.0]))
+        assert Gamma.shape == (1, 1)
+        assert Gamma[0, 0] == 0.0
 
     def test_degree_zero_degenerate(self):
-        comp = companion(MonicPolynomial([1.0]))
-        assert comp.Gamma.shape == (0, 0)
-        assert comp.n == 0
+        assert companion(MonicPolynomial([1.0])).shape == (0, 0)
 
     def test_layout_n2(self):
-        comp = companion(MonicPolynomial([1.0, 0.5, 0.25]))
-        assert np.array_equal(comp.Gamma, [[-0.5, 1.0], [-0.25, 0.0]])
+        Gamma = companion(MonicPolynomial([1.0, 0.5, 0.25]))
+        assert np.array_equal(Gamma, [[-0.5, 1.0], [-0.25, 0.0]])
 
     def test_eigenvalues_match_roots(self):
         rng = np.random.default_rng(7)
@@ -124,8 +121,7 @@ class TestCompanion:
             n = rng.integers(1, 9)
             tail = rng.uniform(-0.5, 0.5, size=n)
             sigma = MonicPolynomial(np.concatenate(([1.0], tail)))
-            comp = companion(sigma)
-            eigs = np.linalg.eigvals(comp.Gamma)
+            eigs = np.linalg.eigvals(companion(sigma))
             roots = np.roots(sigma.coeffs)
             assert np.allclose(
                 np.sort_complex(eigs), np.sort_complex(roots), atol=1e-8
@@ -265,8 +261,9 @@ def is_float_literal(node) -> bool:
 
 def float_constants(path):
     """``(name, line)`` of each module-level or class-body assignment of a
-    float literal, and of each float literal default of a function
-    parameter, in the Python file ``path``."""
+    float literal, of each float literal default of a function parameter,
+    and of each float literal ``x`` with ``0 < |x| < 1e-3`` anywhere (a
+    tolerance written inline), in the Python file ``path``."""
     tree = ast.parse(path.read_text(), filename=str(path))
     bodies = [tree.body] + [node.body for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
     found = []
@@ -275,10 +272,13 @@ def float_constants(path):
             if isinstance(stmt, (ast.Assign, ast.AnnAssign)) and is_float_literal(stmt.value):
                 targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
                 found.append((", ".join(ast.unparse(t) for t in targets), stmt.lineno))
-    for fn in ast.walk(tree):
-        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if any(map(is_float_literal, fn.args.defaults + fn.args.kw_defaults)):
-                found.append((fn.name, fn.lineno))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if any(map(is_float_literal, node.args.defaults + node.args.kw_defaults)):
+                found.append((node.name, node.lineno))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, float):
+            if 0 < abs(node.value) < 1e-3:
+                found.append((repr(node.value), node.lineno))
     return found
 
 
