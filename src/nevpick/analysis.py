@@ -9,6 +9,7 @@ interpolation conditions, and re-solves at the lower order.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,9 +185,9 @@ def reduce_model(solution: Solution, target_degree: int):
     """
     problem = solution.problem
     n = problem.n
-    m = int(target_degree)
-    if not 0 < m <= n:
-        raise ValueError(f"target degree must be in 1..{n}, got {m}")
+    m = target_degree
+    if isinstance(m, bool) or not isinstance(m, numbers.Integral) or not 0 < m <= n:
+        raise ValueError(f"target degree must be an integer in 1..{n}, got {m!r}")
     if m == n:
         sigma_red = problem.sigma
     else:

@@ -24,7 +24,7 @@ from .polyalg import DEFAULT_TAU_RANK, SPECTRUM_POINTS
 from .problem import (
     InterpolationProblem,
     ProblemValidationError,
-    complex_from_json,
+    complex_list_from_json,
     complex_to_json,
     poly_from_json,
     problem_from_json_dict,
@@ -51,7 +51,7 @@ def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:     # JSONDecodeError, UnicodeDecodeError, digit limit
         raise _InputError(f"cannot read {path}: {exc}") from exc
 
 
@@ -59,7 +59,7 @@ def _load_problem(path: str) -> InterpolationProblem:
     data = _load_json(path)
     try:
         return problem_from_json_dict(data)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:      # an integer beyond the float range
         raise _InputError(f"{path}: {exc}") from exc
 
 
@@ -70,18 +70,15 @@ def _system_config(data: dict, path: str, **controls) -> MonteCarloConfig:
         sigma = poly_from_json(data, "sigma")
         has_hat = "sigma_hat_coeffs" in data or "sigma_hat_roots" in data
         poles = data.get("bank_poles")
-        order = data.get("order", sigma.degree)
-        if type(order) is not int:      # a JSON integer; bool is a subclass of int
-            raise ValueError(f"'order' must be an integer, got {order!r}")
         return MonteCarloConfig(
             sigma=sigma,
             a=poly_from_json(data, "a"),
-            order=order,
+            order=data.get("order", sigma.degree),
             sigma_hat=poly_from_json(data, "sigma_hat") if has_hat else None,
-            poles=None if poles is None else tuple(complex_from_json(p) for p in poles),
+            poles=None if poles is None else complex_list_from_json(poles, "bank_poles"),
             **controls,
         )
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise _InputError(f"{path}: {exc}") from exc
 
 
@@ -159,7 +156,8 @@ def _trajectory_rows(solution: Solution):
 @contextmanager
 def _exit_codes(*input_errors):
     """Exit 2 on invalid input (a failed validation, ``_InputError`` or one of
-    ``input_errors``) and 3 on a typed numerical failure."""
+    ``input_errors``) and 3 on a typed solve error, which is tested first
+    (a ``RealnessError`` is also a ``ValueError``)."""
     try:
         yield
     except ProblemValidationError as exc:
@@ -167,10 +165,10 @@ def _exit_codes(*input_errors):
         for v in exc.violations:
             click.echo(f"  {v}", err=True)
         sys.exit(EXIT_INVALID_INPUT)
-    except (_InputError, *input_errors) as exc:
-        _fail(EXIT_INVALID_INPUT, str(exc))
     except SOLVE_ERRORS as exc:
         _fail(EXIT_NUMERICAL, str(exc))
+    except (_InputError, *input_errors) as exc:
+        _fail(EXIT_INVALID_INPUT, str(exc))
 
 
 @click.group()
@@ -216,7 +214,7 @@ def cmd_solve(input_path, output_path):
 def cmd_simulate(input_path, output_path, samples, burn_in, seed):
     """Simulate the filter, estimate values; write problem.json and series.csv."""
     config = _config()
-    with _exit_codes(ValueError):
+    with _exit_codes():
         system = _system_config(_load_json(input_path), input_path,
                                 samples=samples, burn_in=burn_in, seed=seed)
         problem, y = run_problem(system, seed)
@@ -252,7 +250,7 @@ def cmd_detect_degree(input_path, output_path, runs, variant, samples, burn_in, 
     config = _config()
     with _exit_codes():
         data = _load_json(input_path)
-        if "order" not in data:
+        if isinstance(data, dict) and "order" not in data:   # poly_from_json rejects a non-object
             raise _InputError(f"{input_path}: 'order' is required")
         mc = _system_config(data, input_path, samples=samples, burn_in=burn_in, seed=seed,
                             runs=runs, variant=variant, tau_rank=tau_rank)

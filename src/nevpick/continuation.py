@@ -93,7 +93,7 @@ class PathError(RuntimeError):
 
 
 #: The typed errors of a failed solve: invalid input or a numerical failure.
-SOLVE_ERRORS = (ProblemValidationError, PathError, CorrectorError, cee_core.SteinConsistencyError,
+SOLVE_ERRORS = (ProblemValidationError, PathError, cee_core.SteinConsistencyError,
                 cee_core.RealnessError, np.linalg.LinAlgError)
 
 
@@ -122,10 +122,10 @@ class ContinuationState:
 class Diagnostics:
     """Post-solve certificates and locations.
 
-    The certificates, which ``solve`` enforces, are computed eagerly.  The
-    locations, the singular values and ``cond_V`` are computed on first
-    read from the private inputs below, and kept; the arrays they return
-    are read-only.
+    The certificates are computed eagerly; ``solve`` enforces only the CEE
+    residual.  The locations, the singular values and ``cond_V`` are
+    computed on first read from the private inputs below, and kept; the
+    arrays they return are read-only.
     """
 
     interp_residuals: np.ndarray     # |f(z_k) - w_k| per node, original scale
@@ -200,16 +200,15 @@ class HomotopyContext:
     ``T(nu) = nu T_dot`` with the identity ``eye`` of its size, and one
     cached point.  The four arrays are read-only.
 
-    Normalizes the problem it is given: ``problem`` is the normalized copy
-    (value exactly 1/2 at infinity) and ``scale`` the factor that undoes it.
-    The cached point is the linearization of the last point evaluated, with
-    its operator pair: Newton iterates, a band test and the tangents of one
+    Normalizes its problem (value exactly 1/2 at infinity), of which it
+    keeps only ``scale``, the factor that undoes the normalization.  The
+    cached point is the linearization of the last point evaluated, with its
+    operator pair: Newton iterates, a band test and the tangents of one
     ``nu`` share one matrix inverse, and a new ``nu`` forms a new pair.
     """
 
     def __init__(self, problem: InterpolationProblem):
         problem, self.scale = normalize(problem)
-        self.problem = problem
         self.n = problem.n
         self.Gamma = companion(problem.sigma)
         self.s = problem.sigma.tail

@@ -19,6 +19,7 @@ degree detection.  The Monte Carlo driver repeats the full pipeline
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,10 +102,6 @@ class FilterBankSpec:
             raise ValueError("samples must be positive and burn_in nonnegative")
         object.__setattr__(self, "poles", poles)
         object.__setattr__(self, "partners", tuple(partners))
-
-    @property
-    def n(self) -> int:
-        return len(self.poles) - 1
 
 
 def simulate_arma(
@@ -233,10 +230,11 @@ class MonteCarloConfig:
     spec: FilterBankSpec = field(init=False, repr=False)
 
     def __post_init__(self):
+        order, degree = self.order, self.sigma.degree
+        if isinstance(order, bool) or not isinstance(order, numbers.Integral) or order < degree:
+            raise ValueError(f"order must be an integer of at least {degree}, got {order!r}")
         if self.variant not in ("monte-carlo", "exact"):
             raise ValueError("variant must be 'monte-carlo' or 'exact'")
-        if self.order < self.sigma.degree:
-            raise ValueError("order must be at least the true degree")
         if self.runs < 1:
             raise ValueError("runs must be positive")
         if not 0 < self.tau_rank <= 1:

@@ -20,7 +20,6 @@ import numpy as np
 
 __all__ = [
     "MonicPolynomial",
-    "eval_poly",
     "is_schur",
     "companion",
     "build_S",
@@ -112,21 +111,8 @@ class MonicPolynomial:
             raise ValueError("roots are not closed under conjugation")
         return cls(c.real)
 
-    def __call__(self, z):
-        return eval_poly(self, z)
-
     def __repr__(self):
         return f"MonicPolynomial(degree={self.degree}, coeffs={self.coeffs.tolist()})"
-
-
-def eval_poly(poly, z):
-    """Evaluate a descending-coefficient polynomial at finite ``z``.
-
-    ``z`` may be scalar or an array; the result is complex when ``z`` is.
-    The point at infinity must be handled by the caller (leading-coefficient
-    convention); never pass it here.
-    """
-    return np.polyval(_coeff_array(poly), z)
 
 
 def is_schur(poly) -> bool:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,7 @@ __all__ = [
     "normalize",
     "complex_to_json",
     "complex_from_json",
+    "complex_list_from_json",
     "poly_from_json",
     "problem_to_json_dict",
     "problem_from_json_dict",
@@ -260,22 +262,36 @@ def complex_to_json(z) -> dict:
     return {"re": float(z.real), "im": float(z.imag)}
 
 
+def _typed(value, kind, what: str):
+    """``value`` if it is a ``kind`` and not a boolean; else ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"expected {what}, got {value!r}")
+    return value
+
+
 def complex_from_json(obj) -> complex:
-    """Parse ``{"re": r, "im": i}`` (missing parts are 0) or a plain number."""
+    """Parse ``{"re": r, "im": i}`` (missing parts are 0) or a plain number;
+    each part must be a JSON number, not a boolean, a string or null."""
     if isinstance(obj, dict):
-        return complex(float(obj.get("re", 0.0)), float(obj.get("im", 0.0)))
-    if isinstance(obj, (int, float)):
-        return complex(obj)
-    raise ValueError(f"cannot parse complex value from {obj!r}")
+        re, im = (_typed(obj.get(k, 0), numbers.Real, f"a number for '{k}'") for k in ("re", "im"))
+        return complex(float(re), float(im))
+    return complex(_typed(obj, numbers.Real, "a number"))
+
+
+def complex_list_from_json(value, key: str) -> tuple:
+    """The complex numbers of the JSON list ``value`` of field ``key``."""
+    return tuple(complex_from_json(z) for z in _typed(value, list, f"a list for '{key}'"))
 
 
 def poly_from_json(data: dict, name: str) -> MonicPolynomial:
     """Monic polynomial from ``<name>_coeffs`` (descending, real) or ``<name>_roots``."""
-    if f"{name}_coeffs" in data:
-        return MonicPolynomial(np.asarray(data[f"{name}_coeffs"], dtype=float))
-    if f"{name}_roots" in data:
-        return MonicPolynomial.from_roots([complex_from_json(r) for r in data[f"{name}_roots"]])
-    raise ValueError(f"needs either '{name}_coeffs' or '{name}_roots'")
+    coeffs, roots = f"{name}_coeffs", f"{name}_roots"
+    if coeffs in _typed(data, dict, "a JSON object"):
+        return MonicPolynomial([_typed(c, numbers.Real, f"a number in '{coeffs}'")
+                                for c in _typed(data[coeffs], list, f"a list for '{coeffs}'")])
+    if roots in data:
+        return MonicPolynomial.from_roots(complex_list_from_json(data[roots], roots))
+    raise ValueError(f"needs either '{coeffs}' or '{roots}'")
 
 
 def problem_to_json_dict(problem: InterpolationProblem) -> dict:
@@ -289,10 +305,11 @@ def problem_to_json_dict(problem: InterpolationProblem) -> dict:
 
 def problem_from_json_dict(data: dict) -> InterpolationProblem:
     try:
-        raw_nodes = data["nodes"]
+        raw_nodes = _typed(data, dict, "a JSON object")["nodes"]
         raw_values = data["values"]
     except KeyError as exc:
         raise ValueError(f"problem JSON is missing key {exc}") from None
-    nodes = tuple(INF if node == "inf" else complex_from_json(node) for node in raw_nodes)
-    values = tuple(complex_from_json(w) for w in raw_values)
+    nodes = tuple(INF if node == "inf" else complex_from_json(node)
+                  for node in _typed(raw_nodes, list, "a list for 'nodes'"))
+    values = complex_list_from_json(raw_values, "values")
     return InterpolationProblem(nodes, values, poly_from_json(data, "sigma"))

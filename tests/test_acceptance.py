@@ -241,8 +241,8 @@ def test_criterion_7_central_closed_forms(reference_problem):
         np.max(np.abs(G0)) < 1e-13
         and np.all(pair0.u == 0.0)
         and np.all(pair0.U == 0.0)
-        and np.array_equal(v0 - g0, ctx.problem.sigma.tail)
-        and np.array_equal(v0 + g0, ctx.problem.sigma.tail)
+        and np.array_equal(v0 - g0, reference_problem.sigma.tail)
+        and np.array_equal(v0 + g0, reference_problem.sigma.tail)
     )
 
     central = InterpolationProblem(

@@ -190,6 +190,15 @@ class TestReduceModel:
         with pytest.raises(ValueError):
             reduce_model(degree6, 3)
 
+    @pytest.mark.parametrize("m", [2.5, 2.0, True, "2"])
+    def test_rejects_non_integer_degree(self, reference_solution, m):
+        # int() read 2.5 as 2 and True as 1
+        with pytest.raises(ValueError, match="must be an integer"):
+            reduce_model(reference_solution, m)
+
+    def test_accepts_numpy_integer_degree(self, reference_solution):
+        assert reduce_model(reference_solution, np.int64(2))[0].n == 2
+
     @pytest.mark.parametrize("m", range(1, 8))
     def test_reference_every_degree(self, reference_solution, m):
         # a group that would overflow is skipped for a later one that fits

@@ -41,6 +41,31 @@ def degree2_config(order=2, **extra):
 DEGREE1_ROOTS = {"sigma_roots": [{"re": 0.31, "im": 0.0}], "a_roots": [{"re": 0.76, "im": 0.0}]}
 
 
+# valid JSON of the wrong shape, on a degree-1 problem; the boolean and string
+# cases are valid problems if a boolean is read as 0 or 1 and a string as a number
+DEGREE1_PROBLEM = {"nodes": ["inf", {"re": 2.0, "im": 0.0}], "values": [0.5, 1.0],
+                   "sigma_coeffs": [1.0, 0.0]}
+MALFORMED_PROBLEMS = {
+    "node-re-null": {**DEGREE1_PROBLEM, "nodes": ["inf", {"re": None}]},
+    "root-im-null": {"nodes": DEGREE1_PROBLEM["nodes"], "values": DEGREE1_PROBLEM["values"],
+                     "sigma_roots": [{"re": 0.3, "im": None}]},
+    "top-level-array": [1, 2, 3],
+    "nodes-number": {**DEGREE1_PROBLEM, "nodes": 5},
+    "value-bool": {**DEGREE1_PROBLEM, "values": [0.5, True]},
+    "coeff-bool": {**DEGREE1_PROBLEM, "sigma_coeffs": [True, 0.3]},
+    "string-number": {**DEGREE1_PROBLEM, "nodes": ["inf", {"re": "2.0", "im": 0.0}]},
+    "integer-beyond-float": {**DEGREE1_PROBLEM, "nodes": ["inf", {"re": 10**400, "im": 0.0}]},
+}
+
+# system keys of the wrong shape (merged into a degree-2 system of order 2)
+MALFORMED_SYSTEMS = {
+    "bank-poles-number": {"bank_poles": 3},
+    "bank-pole-re-null": {"bank_poles": [0.0, {"re": None}, 0.5]},
+    "sigma-roots-number": {"sigma_roots": 5},
+    "sigma-coeff-bool": {"sigma_coeffs": [True, -0.3, 0.1]},
+}
+
+
 def read_csv(path):
     lines = path.read_text().splitlines()
     assert lines[0].startswith("# config:")
@@ -114,6 +139,21 @@ class TestSolveCommand:
         assert message in result.output
         assert "conjugate" not in result.output
 
+    @pytest.mark.parametrize("command", ["solve", "reduce"])
+    @pytest.mark.parametrize("case", list(MALFORMED_PROBLEMS))
+    def test_malformed_problem_exits_2(self, runner, tmp_path, command, case):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(MALFORMED_PROBLEMS[case]))
+        flags = ["--target-degree", "1"] if command == "reduce" else []
+        result = runner.invoke(
+            main, [command, "--input", str(path), "--output", str(tmp_path / "o"), *flags]
+        )
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
+        assert "Traceback" not in result.output
+
     def test_unparseable_input_exits_2(self, runner, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("{not json")
@@ -121,6 +161,19 @@ class TestSolveCommand:
             main, ["solve", "--input", str(path), "--output", str(tmp_path / "o")]
         )
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"1" * 5000],
+                             ids=["not-utf8", "5000-digits"])
+    def test_undecodable_input_exits_2(self, runner, tmp_path, content):
+        # errors json raises as ValueError, not JSONDecodeError
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        result = runner.invoke(
+            main, ["solve", "--input", str(path), "--output", str(tmp_path / "o")]
+        )
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error: cannot read")
 
     def test_path_failure_exits_3(self, runner, tmp_path, reference_problem_file, monkeypatch):
         from nevpick import continuation
@@ -175,6 +228,19 @@ class TestSimulateCommand:
             main, ["simulate", "--input", str(cfg_path), "--output", str(tmp_path / "o")]
         )
         assert result.exit_code == 2, result.output
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("case", list(MALFORMED_SYSTEMS))
+    def test_malformed_system_exits_2(self, runner, tmp_path, case):
+        cfg_path = tmp_path / "system.json"
+        cfg_path.write_text(json.dumps(degree2_config(**MALFORMED_SYSTEMS[case])))
+        result = runner.invoke(
+            main, ["simulate", "--input", str(cfg_path), "--output", str(tmp_path / "o")]
+        )
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
         assert not (tmp_path / "o").exists()
@@ -348,6 +414,7 @@ class TestDetectDegreeCommand:
         "order-fractional": ({"order": 4.7}, []),
         "order-string": ({"order": "4"}, []),
         "order-bool": ({"order": True, **DEGREE1_ROOTS}, []),
+        **{case: (extra, []) for case, extra in MALFORMED_SYSTEMS.items()},
     }
 
     @pytest.mark.parametrize("variant", ["monte-carlo", "exact"])
@@ -471,6 +538,22 @@ class TestReduceCommand:
         assert result.exit_code == 0, result.output
         reduced = json.loads((tmp_path / "o" / "reduced_problem.json").read_text())
         assert len(reduced["nodes"]) == 3
+
+    def test_typed_solve_error_exits_3(self, runner, tmp_path, reference_problem_file,
+                                       monkeypatch):
+        # a RealnessError is also a ValueError; from the reduced solve it still exits 3
+        from nevpick.cee_core import RealnessError
+
+        def failing(problem):
+            raise RealnessError("injected")
+
+        monkeypatch.setattr("nevpick.analysis.solve", failing)
+        result = runner.invoke(
+            main, ["reduce", "--input", str(reference_problem_file),
+                   "--output", str(tmp_path / "o"), "--target-degree", "2"],
+        )
+        assert result.exit_code == 3, result.output
+        assert result.stderr == "error: injected\n"
 
     def test_split_pair_exits_2(self, runner, tmp_path, degree6_file):
         result = runner.invoke(

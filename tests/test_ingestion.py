@@ -57,7 +57,7 @@ class TestDefaultBankPoles:
     def test_valid_spec(self, n):
         poles = default_bank_poles(n)
         spec = FilterBankSpec(poles=tuple(poles), samples=10)
-        assert spec.n == n
+        assert len(spec.poles) == n + 1
         assert poles[0] == 0
         assert np.allclose(np.abs(poles[1:]), 0.7)
 
@@ -449,6 +449,19 @@ class TestMonteCarlo:
         sigma, a = degree2_system()
         with pytest.raises(ValueError):
             MonteCarloConfig(sigma=sigma, a=a, order=2, variant="bogus")
+
+    @pytest.mark.parametrize("order", [3.0, 2.5, True, "3", None])
+    def test_rejects_non_integer_order(self, order):
+        # 3.0 built and then failed in embed_sigma; 2.5 failed as an odd bank;
+        # True passed as order 1 of this degree-1 system
+        sigma, a = MonicPolynomial([1.0, -0.31]), MonicPolynomial([1.0, -0.76])
+        with pytest.raises(ValueError, match="order must be an integer"):
+            MonteCarloConfig(sigma=sigma, a=a, order=order, variant="exact")
+
+    def test_accepts_numpy_integer_order(self):
+        sigma, a = degree2_system()
+        rep = monte_carlo(MonteCarloConfig(sigma=sigma, a=a, order=np.int64(3), variant="exact"))
+        assert rep.estimated_degree == 2
 
     def test_typed_solver_error_counts_as_failed_run(self, monkeypatch):
         calls = []

@@ -14,7 +14,6 @@ from nevpick.polyalg import (
     build_S,
     companion,
     conjugate_pairs,
-    eval_poly,
     is_schur,
 )
 from nevpick.problem import INF, InterpolationProblem
@@ -58,20 +57,6 @@ class TestMonicPolynomial:
         p = MonicPolynomial([1.0, 0.5])
         with pytest.raises(ValueError):
             p.coeffs[0] = 2.0
-
-
-class TestEvalPoly:
-    def test_monomial(self):
-        assert eval_poly([1.0, 0.0, 0.0], 2.0) == pytest.approx(4.0)
-
-    def test_root_evaluation(self):
-        sigma = MonicPolynomial.from_roots([0.5, -0.5])
-        assert eval_poly(sigma, 0.5) == pytest.approx(0.0, abs=1e-15)
-
-    def test_vectorized(self):
-        z = np.array([1.0, 2.0, 1j])
-        got = eval_poly([1.0, -1.0], z)
-        assert np.allclose(got, z - 1.0)
 
 
 class TestRootsAndSchur:
