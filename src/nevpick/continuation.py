@@ -27,9 +27,11 @@ clipped to ``STEP_ACCEPT_RANGE`` after an accepted step and to
 ``S([0; g])``, the two slices of one stacked product per point;
 :class:`HomotopyContext` keeps it for the last point evaluated, so a
 tangent, a band test followed by the first Newton residual, or a Newton
-iterate forms it once.  An accepted state and the endpoint read
-``a = v - g`` and ``b = v + g`` from the same entry, and a point at the
-same ``nu`` reuses its operator pair.
+iterate forms it once.  The context also keeps that point's residual
+``G`` once evaluated, so the band test's residual is the corrector's first
+one.  An accepted state and the endpoint read ``a = v - g`` and
+``b = v + g`` from the same entry, and a point at the same ``nu`` reuses
+its operator pair.
 """
 
 from __future__ import annotations
@@ -203,8 +205,11 @@ class HomotopyContext:
     Normalizes its problem (value exactly 1/2 at infinity), of which it
     keeps only ``scale``, the factor that undoes the normalization.  The
     cached point is the linearization of the last point evaluated, with its
-    operator pair: Newton iterates, a band test and the tangents of one
-    ``nu`` share one matrix inverse, and a new ``nu`` forms a new pair.
+    operator pair and, once ``eval_G`` asks for it, its read-only residual:
+    Newton iterates, a band test and the tangents of one ``nu`` share one
+    matrix inverse, and a new ``nu`` forms a new pair.  The context owns the
+    stack it hands to ``build_S`` and the vector ``[1; b]`` of ``eval_G``,
+    with their constant entries written once.
     """
 
     def __init__(self, problem: InterpolationProblem):
@@ -220,6 +225,12 @@ class HomotopyContext:
         # formed once: adding 1 to the diagonal per call is slower than adding this copy
         self.eye = readonly(np.eye(self.n + 1))
         self._point = ((None, None), None)   # (key, linearization) of the last point evaluated
+        self._G = None                       # eval_G at that point, once evaluated
+        # per-point buffers, their leading entries written once: the stack
+        # [[1, v], [0, g]] of build_S and the vector [1; v + g] of eval_G
+        self._rows = np.zeros((2, self.n + 1))
+        self._rows[0, 0] = 1.0
+        self._b = np.ones(self.n + 1)
 
     def linearization(self, p: np.ndarray, nu: float):
         """``(pair, v, g, S([1; v]), S([0; g]))`` at ``(p, nu)``.
@@ -236,12 +247,13 @@ class HomotopyContext:
         if last_key != key:
             pair = last[0] if last_key[0] == key[0] else operator_pair(self.T_dot, self.eye, key[0])
             v, g = v_and_g(pair, self.Gamma, self.s, p)
-            rows = np.zeros((2, self.n + 1))
-            rows[0, 0] = 1.0
+            # build_S copies the stack, so the buffer is free for the next point
+            rows = self._rows
             rows[0, 1:] = v
             rows[1, 1:] = g
             S_v, S_g = build_S(rows)
             self._point = (key, (pair, v, g, S_v, S_g))
+            self._G = None
         return self._point[1]
 
 
@@ -253,12 +265,17 @@ def eval_G(p: np.ndarray, nu: float, ctx: HomotopyContext) -> np.ndarray:
     """Residual ``E S(a(p)) [1; b(p)] - 2 (1 - h' p) d`` at parameter ``nu``.
 
     ``S`` is linear, so ``S(a) = S([1; v]) - S([0; g])``: the two products
-    that ``jac_G`` and ``dG_dnu`` use at the same point.
+    that ``jac_G`` and ``dG_dnu`` use at the same point.  The result is
+    read-only and kept by ``ctx``: a second call at the same point returns
+    the same array.
     """
     _, v, g, S_v, S_g = ctx.linearization(p, nu)
-    sym = (S_v - S_g) @ _pad(1.0, v + g)
-    hp = p[0] if ctx.n else 0.0
-    return sym[: ctx.n] - 2.0 * (1.0 - hp) * ctx.d
+    if ctx._G is None:
+        np.add(v, g, out=ctx._b[1:])
+        sym = (S_v - S_g) @ ctx._b
+        hp = p[0] if ctx.n else 0.0
+        ctx._G = readonly(sym[: ctx.n] - 2.0 * (1.0 - hp) * ctx.d)
+    return ctx._G
 
 
 def jac_G(p: np.ndarray, nu: float, ctx: HomotopyContext) -> np.ndarray:
@@ -323,8 +340,9 @@ def corrector(p_hat: np.ndarray, nu: float, ctx: HomotopyContext):
 
     Returns ``(p, iterations, residual)`` once the max-norm residual is at
     or below ``TOL_NEWTON``.  Raises :class:`CorrectorError` on iteration budget
-    exhaustion, a singular Jacobian, a non-finite iterate, or an iterate
-    leaving the feasible region ``h' p < 1``.
+    exhaustion, a singular Jacobian, a non-finite residual (which a
+    non-finite iterate makes), or an iterate leaving the feasible region
+    ``h' p < 1``.
     """
     p = np.array(p_hat, dtype=float)
     for k in range(MAX_NEWTON_ITERS + 1):
@@ -342,8 +360,6 @@ def corrector(p_hat: np.ndarray, nu: float, ctx: HomotopyContext):
             p = p - np.linalg.solve(jac_G(p, nu, ctx), G)
         except np.linalg.LinAlgError as exc:
             raise CorrectorError(f"singular Jacobian at nu={nu:.6g}") from exc
-        if not np.all(np.isfinite(p)):
-            raise CorrectorError(f"non-finite iterate at nu={nu:.6g}")
     raise CorrectorError(
         f"no convergence in {MAX_NEWTON_ITERS} iterations at nu={nu:.6g} "
         f"(residual {r:.3e})"

@@ -72,12 +72,19 @@ def nodes_from_poles(poles) -> tuple:
     return tuple(nodes)
 
 
+def _is_integer(x) -> bool:
+    """Whether ``x`` is an integral number (numpy integers included) and not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True, eq=False)
 class FilterBankSpec:
     """Bank poles plus sampling controls for one estimation run.
 
     ``partners`` is derived, not passed: ``partners[k]`` is the index of the
-    conjugate of ``poles[k]`` (``k`` itself for a real pole).
+    conjugate of ``poles[k]`` (``k`` itself for a real pole).  ``samples``
+    is a positive and ``burn_in`` a nonnegative integer (numpy integers
+    included, booleans not).
     """
 
     poles: tuple
@@ -98,8 +105,10 @@ class FilterBankSpec:
         partners = conjugate_pairs(poles, TOL_NODE)
         if None in partners:
             raise ValueError("bank poles must be closed under conjugation")
-        if self.samples <= 0 or self.burn_in < 0:
-            raise ValueError("samples must be positive and burn_in nonnegative")
+        if not (_is_integer(self.samples) and self.samples > 0):
+            raise ValueError(f"samples must be a positive integer, got {self.samples!r}")
+        if not (_is_integer(self.burn_in) and self.burn_in >= 0):
+            raise ValueError(f"burn_in must be a nonnegative integer, got {self.burn_in!r}")
         object.__setattr__(self, "poles", poles)
         object.__setattr__(self, "partners", tuple(partners))
 
@@ -160,16 +169,24 @@ def estimate_values(bank_outputs: np.ndarray, spec: FilterBankSpec) -> np.ndarra
     """Interpolation-value estimates ``(1 - p_k^2) mean(u_k^2) / 2``.
 
     The plain second moment keeps conjugate poles producing conjugate
-    estimates; conjugate symmetry is then enforced exactly by averaging
-    each estimate with the conjugate of its partner (which also forces the
-    value at infinity to be real).  Each row's moment is one dot product
-    ``u_k @ u_k / N`` (``@`` does not conjugate), so no copy of the bank is
-    made.  A short sample can give values whose Pick matrix is not positive
-    definite; ``validate`` reports that as ``pick-not-pd`` when they are solved.
+    estimates.  A row's moment is one dot product ``u_k @ u_k / N`` (``@``
+    does not conjugate), so no copy of the bank is made; it is formed once
+    per conjugate pair, and the partner's is its exact conjugate, as the
+    partner row is in the bank ``filter_bank`` makes.  The poles of a pair
+    are conjugate only within ``TOL_NODE``, so conjugate symmetry is then
+    enforced exactly by averaging each estimate with the conjugate of its
+    partner (which also forces the value at infinity to be real).  A short
+    sample can give values whose Pick matrix is not positive definite;
+    ``validate`` reports that as ``pick-not-pd`` when they are solved.
     """
     poles = np.asarray(spec.poles)
-    second_moment = np.array([row @ row for row in bank_outputs]) / bank_outputs.shape[1]
-    w = 0.5 * (1.0 - poles**2) * second_moment
+    moment = np.empty(len(poles), dtype=bank_outputs.dtype)
+    for k, j in enumerate(spec.partners):
+        if k <= j:
+            moment[k] = bank_outputs[k] @ bank_outputs[k]
+        if k < j:
+            moment[j] = np.conj(moment[k])
+    w = 0.5 * (1.0 - poles**2) * (moment / bank_outputs.shape[1])
     return 0.5 * (w + np.conj(w[list(spec.partners)]))
 
 
@@ -213,7 +230,9 @@ class MonteCarloConfig:
     ``poles`` to ``default_bank_poles(order)``.  ``spec`` is derived, not
     passed: the checked bank of every run.  Per-run seeds are drawn from
     ``np.random.SeedSequence(seed).spawn(runs)``.  ``tau_rank``, the
-    threshold of the degree estimate, lies in ``(0, 1]``.
+    threshold of the degree estimate, lies in ``(0, 1]``.  ``order``,
+    ``runs``, ``samples`` and ``burn_in`` are integers (numpy integers
+    included, booleans not); the last two are checked by ``spec``.
     """
 
     sigma: MonicPolynomial
@@ -231,12 +250,12 @@ class MonteCarloConfig:
 
     def __post_init__(self):
         order, degree = self.order, self.sigma.degree
-        if isinstance(order, bool) or not isinstance(order, numbers.Integral) or order < degree:
+        if not (_is_integer(order) and order >= degree):
             raise ValueError(f"order must be an integer of at least {degree}, got {order!r}")
         if self.variant not in ("monte-carlo", "exact"):
             raise ValueError("variant must be 'monte-carlo' or 'exact'")
-        if self.runs < 1:
-            raise ValueError("runs must be positive")
+        if not (_is_integer(self.runs) and self.runs >= 1):
+            raise ValueError(f"runs must be a positive integer, got {self.runs!r}")
         if not 0 < self.tau_rank <= 1:
             raise ValueError(f"tau_rank must lie in (0, 1], got {self.tau_rank}")
         if self.a.degree != self.sigma.degree:

@@ -33,16 +33,24 @@ first line), which names the output directory and the command's options.
 A command that exits with a nonzero status prints
 ``cli <seed> <command> FAILED exit-<status>`` in place of its digests.
 
-Running the script in two checkouts and diffing the outputs shows whether
-a change left every solve and every CLI output bit-identical.
+The first line records the thread count of numpy's bundled OpenBLAS,
+asked as ``bench/run.py`` asks it (``None`` when it cannot be asked)::
+
+    blas_threads <count>
+
+The ``detect_mc`` digests depend on it.  Running the script in two
+checkouts and diffing the outputs shows whether a change left every solve
+and every CLI output bit-identical.
 
 ``--compare PATH`` checks the run against another one instead of printing
 it.  ``PATH`` is a saved output file, or the root of another checkout: the
 script then runs itself in a subprocess with ``PYTHONPATH=PATH/src`` for
-the same seed and workloads, and takes that run's lines.  It reads the
-lines for the workloads and seed of this run, prints the number of outputs
-whose line differs (an output missing on either side counts) and the first
-of them, and exits with status 1 on any difference::
+the same seed and workloads, and takes that run's lines.  When the other
+run recorded a different thread count, it says so and exits with status 1
+without comparing digests.  Otherwise it reads the lines for the workloads
+and seed of this run, prints the number of outputs whose line differs (an
+output missing on either side counts) and the first of them, and exits
+with status 1 on any difference::
 
     PYTHONPATH=src python tests/check_outputs.py --seed 3 --compare outputs.txt
     PYTHONPATH=src python tests/check_outputs.py --seed 3 --compare ../parent
@@ -69,6 +77,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import nevpick  # noqa: E402
 import nevpick.analysis  # noqa: E402
 import workloads  # noqa: E402
+from run import _blas_threads  # noqa: E402
 from nevpick.cli import main as cli_main  # noqa: E402
 from nevpick.problem import problem_to_json_dict  # noqa: E402
 
@@ -200,6 +209,11 @@ def checkout_lines(root: Path, seed: int, names: list) -> str:
                            check=True).stdout
 
 
+def thread_line() -> str:
+    """The first output line: the OpenBLAS thread count of this process."""
+    return f"blas_threads {_blas_threads()}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", action="append",
@@ -210,17 +224,28 @@ def main(argv=None) -> int:
                              "the checkout directory PATH, instead of printing")
     args = parser.parse_args(argv)
     names = args.workload or list(workloads.WORKLOADS) + ["cli"]
+    threads = thread_line()
+    if args.compare is not None:
+        text = (checkout_lines(args.compare, args.seed, names) if args.compare.is_dir()
+                else args.compare.read_text())
+        recorded = next((line for line in text.splitlines()
+                         if line.startswith("blas_threads ")), None)
+        if recorded is None:
+            print(f"{args.compare} does not record its BLAS thread count", file=sys.stderr)
+        elif recorded != threads:
+            print(f"OpenBLAS thread counts differ ({args.compare}: {recorded.split()[1]}, "
+                  f"this run: {threads.split()[1]}); digests not compared")
+            return 1
     lines = [line for name in names
              for line in (cli_lines(args.seed) if name == "cli"
                           else workload_lines(name, args.seed))]
     if args.compare is None:
+        print(threads)
         for line in lines:
             print(line)
         return 0
     prefixes = tuple(f"{name} {args.seed} " for name in names)
     now = _by_solve(lines)
-    text = (checkout_lines(args.compare, args.seed, names) if args.compare.is_dir()
-            else args.compare.read_text())
     saved = _by_solve(line for line in text.splitlines() if line.startswith(prefixes))
     diff = differences(now, saved)
     if not diff:

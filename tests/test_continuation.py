@@ -232,6 +232,58 @@ class TestLinearizationMemo:
                 assert np.array_equal(got, want)
 
 
+class TestResidualMemo:
+    """The context keeps the residual of its cached point: one per point."""
+
+    def test_same_point_returns_same_array(self, reference_problem):
+        ctx = HomotopyContext(reference_problem)
+        p = 0.1 * np.random.default_rng(65).standard_normal(ctx.n)
+        G = eval_G(p, 0.4, ctx)
+        assert eval_G(p.copy(), 0.4, ctx) is G
+        assert not G.flags.writeable
+        assert np.array_equal(G, eval_G(p, 0.4, HomotopyContext(reference_problem)))
+
+    def test_new_p_or_nu_recomputes(self, reference_problem):
+        ctx = HomotopyContext(reference_problem)
+        p = 0.1 * np.random.default_rng(66).standard_normal(ctx.n)
+        G = eval_G(p, 0.4, ctx)
+        q = p.copy()
+        q[2] += 1e-3
+        for point in ((q, 0.4), (p, 0.6), (p, 0.4)):
+            G_new = eval_G(*point, ctx)
+            assert G_new is not G
+            assert np.array_equal(G_new, eval_G(*point, HomotopyContext(reference_problem)))
+            G = G_new
+
+    def test_held_products_survive_the_next_point(self, reference_problem):
+        # the context reuses its build_S stack; the products it handed out stay
+        ctx = HomotopyContext(reference_problem)
+        p = np.full(ctx.n, 0.05)
+        _, _, _, S_v, S_g = ctx.linearization(p, 0.3)
+        S_v_copy, S_g_copy = S_v.copy(), S_g.copy()
+        ctx.linearization(-p, 0.3)
+        assert np.array_equal(S_v, S_v_copy) and np.array_equal(S_g, S_g_copy)
+
+    def test_band_test_residual_is_first_newton_residual(self, reference_problem,
+                                                         reference_solution, monkeypatch):
+        ctx = HomotopyContext(reference_problem)
+        mid = min(reference_solution.trajectory, key=lambda s: abs(s.nu - 0.5))
+        nu = mid.nu + 0.05
+        p_hat = predictor(mid.p, mid.nu, nu, ctx, _tangent(mid.p, mid.nu, ctx))
+        band = eval_G(p_hat, nu, ctx)
+        residuals = []
+
+        def logging_eval_G(p, nu, ctx):
+            residuals.append(eval_G(p, nu, ctx))
+            return residuals[-1]
+
+        monkeypatch.setattr(continuation, "eval_G", logging_eval_G)
+        _, iters, _ = corrector(p_hat, nu, ctx)
+        assert iters >= 1 and len(residuals) == iters + 1
+        assert residuals[0] is band
+        assert len({id(G) for G in residuals}) == len(residuals)
+
+
 class TestLazyDiagnostics:
     """Locations, singular values and cond(V) are computed on first read and
     kept; each equals its eager formula bit for bit."""
@@ -362,6 +414,23 @@ class TestCorrector:
         poison = np.full(ctx.n, 50.0)
         with pytest.raises(CorrectorError):
             corrector(poison, 1.0, ctx)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("index", [0, 3])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_start_raises(self, reference_problem, value, index):
+        ctx = HomotopyContext(reference_problem)
+        poison = np.zeros(ctx.n)
+        poison[index] = value
+        with pytest.raises(CorrectorError):
+            corrector(poison, 0.5, ctx)
+
+    def test_non_finite_iterate_raises(self, reference_problem, monkeypatch):
+        # a Newton step that yields NaN makes the next residual non-finite
+        ctx = HomotopyContext(reference_problem)
+        monkeypatch.setattr(np.linalg, "solve", lambda A, b: np.full_like(b, np.nan))
+        with pytest.raises(CorrectorError, match="non-finite residual"):
+            corrector(np.full(ctx.n, 0.01), 0.5, ctx)
 
 
 class TestPredictor:

@@ -95,6 +95,19 @@ class TestFilterBankSpec:
             FilterBankSpec(poles=(0.0, 0.5, 0.5 + 1e-15), samples=10)
 
 
+    @pytest.mark.parametrize("field, value", [
+        ("samples", 2.5), ("samples", 10.0), ("samples", True), ("samples", 0),
+        ("samples", "10"), ("burn_in", 10.5), ("burn_in", False), ("burn_in", -1),
+    ])
+    def test_rejects_non_integer_counts(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a"):
+            FilterBankSpec(poles=(0.0, 0.5), **{"samples": 10, field: value})
+
+    def test_accepts_numpy_integer_counts(self):
+        spec = FilterBankSpec(poles=(0.0, 0.5), samples=np.int64(10), burn_in=np.int32(0))
+        assert spec.samples == 10 and spec.burn_in == 0
+
+
 class TestSimulateArma:
     def test_allpass_reproduces_noise_exactly(self):
         sigma = MonicPolynomial([1.0, 0.4, -0.1])
@@ -264,6 +277,17 @@ class TestEstimateValues:
         finally:
             tracemalloc.stop()
         assert peak < bank[0].nbytes
+
+    def test_one_moment_per_pair_matches_every_row_bitwise(self):
+        # the partner row is the exact conjugate, so is its second moment
+        sigma, a = degree2_system()
+        spec = FilterBankSpec(poles=tuple(default_bank_poles(5)), samples=5000, seed=9)
+        bank = filter_bank(simulate_arma(sigma, a, spec.samples, spec.burn_in, spec.seed), spec)
+        poles = np.asarray(spec.poles)
+        moment = np.array([row @ row for row in bank]) / bank.shape[1]
+        w = 0.5 * (1.0 - poles**2) * moment
+        want = 0.5 * (w + np.conj(w[list(spec.partners)]))
+        assert np.array_equal(estimate_values(bank, spec), want)
 
     def test_white_noise_gives_half(self):
         sigma = MonicPolynomial([1.0, 0.0, 0.0])
@@ -457,6 +481,23 @@ class TestMonteCarlo:
         sigma, a = MonicPolynomial([1.0, -0.31]), MonicPolynomial([1.0, -0.76])
         with pytest.raises(ValueError, match="order must be an integer"):
             MonteCarloConfig(sigma=sigma, a=a, order=order, variant="exact")
+
+    @pytest.mark.parametrize("field, value", [
+        ("runs", 2.5), ("runs", True), ("runs", 0), ("runs", 2.0),
+        ("samples", 2.5), ("burn_in", 10.5), ("burn_in", True),
+    ])
+    def test_rejects_non_integer_counts(self, field, value):
+        # runs=2.5 and burn_in=10.5 used to fail inside monte_carlo with a
+        # TypeError; runs=True ran once
+        sigma, a = degree2_system()
+        with pytest.raises(ValueError, match=f"{field} must be a"):
+            MonteCarloConfig(sigma=sigma, a=a, order=2, **{field: value})
+
+    def test_accepts_numpy_integer_counts(self):
+        sigma, a = degree2_system()
+        cfg = MonteCarloConfig(sigma=sigma, a=a, order=2, samples=np.int64(1000),
+                               burn_in=np.int64(10), runs=np.int64(2), seed=8)
+        assert monte_carlo(cfg).runs_attempted == 2
 
     def test_accepts_numpy_integer_order(self):
         sigma, a = degree2_system()
