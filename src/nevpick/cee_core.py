@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .polyalg import TOL_P_PH, TOL_P_PSD, TOL_P_SYM, TOL_REAL, readonly
+from .polyalg import TOL_P_PH, TOL_P_PSD, TOL_P_SYM, TOL_REAL, inverse, readonly
 from .problem import InterpolationProblem
 
 __all__ = [
@@ -109,9 +109,11 @@ def operator_pair(T_dot: np.ndarray, eye: np.ndarray, nu: float) -> OperatorPair
     ``M`` is nonsingular for admissible data (its eigenvalues are the
     shifted values ``1/2 + nu (w_k - 1/2)``, all with positive real part);
     a singular ``M`` means corrupted input and surfaces as ``LinAlgError``.
+    The inverse is :func:`~nevpick.polyalg.inverse`, so a singular ``M``
+    also sets numpy's invalid flag, which the path follower ignores.
     """
     try:
-        M_inv = np.linalg.inv(eye + nu * T_dot)
+        M_inv = inverse(eye + nu * T_dot)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             "I + T is singular, which valid interpolation data cannot produce; "

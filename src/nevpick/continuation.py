@@ -32,6 +32,13 @@ iterate forms it once.  The context also keeps that point's residual
 one.  An accepted state and the endpoint read ``a = v - g`` and
 ``b = v + g`` from the same entry, and a point at the same ``nu`` reuses
 its operator pair.
+
+Floating-point warnings are silenced inside the path follower.  Its linear
+algebra runs through :func:`~nevpick.polyalg.solve_vector` and
+:func:`~nevpick.polyalg.inverse`, which call LAPACK without numpy's per-call
+error state; a singular matrix there raises ``LinAlgError``, which halves
+the step, and a non-finite value surfaces as :class:`CorrectorError` (the
+step is halved too) or, once the step underflows, as :class:`PathError`.
 """
 
 from __future__ import annotations
@@ -60,6 +67,7 @@ from .polyalg import (
     build_S,
     companion,
     readonly,
+    solve_vector,
 )
 from .problem import (
     InterpolationProblem,
@@ -309,7 +317,7 @@ def dG_dnu(p: np.ndarray, nu: float, ctx: HomotopyContext) -> np.ndarray:
 
 def _tangent(p: np.ndarray, nu: float, ctx: HomotopyContext) -> np.ndarray:
     """Trajectory tangent ``dp/dnu = -(dG/dp)^-1 dG/dnu`` (implicit function theorem)."""
-    return -np.linalg.solve(jac_G(p, nu, ctx), dG_dnu(p, nu, ctx))
+    return -solve_vector(jac_G(p, nu, ctx), dG_dnu(p, nu, ctx))
 
 
 def predictor(
@@ -357,7 +365,7 @@ def corrector(p_hat: np.ndarray, nu: float, ctx: HomotopyContext):
         if k == MAX_NEWTON_ITERS:
             break
         try:
-            p = p - np.linalg.solve(jac_G(p, nu, ctx), G)
+            p = p - solve_vector(jac_G(p, nu, ctx), G)
         except np.linalg.LinAlgError as exc:
             raise CorrectorError(f"singular Jacobian at nu={nu:.6g}") from exc
     raise CorrectorError(
@@ -381,46 +389,50 @@ def _make_state(ctx, nu, p, step, iters, residual) -> ContinuationState:
 
 def _follow_path(ctx: HomotopyContext) -> list:
     """March ``nu`` from 0 to 1; return the list of accepted states."""
-    p = np.zeros(ctx.n)
-    r0 = eval_G(p, 0.0, ctx)
-    states = [_make_state(ctx, 0.0, p, 0.0, 0, np.abs(r0).max(initial=0.0))]
-    if not np.any(ctx.T_dot):
-        # the target values already equal 1/2 everywhere
-        return states
+    # a singular or non-finite point reaches the step driver as LinAlgError
+    # or a non-finite residual; numpy's floating-point warnings, the invalid
+    # flag of a singular solve_vector or inverse among them, would repeat it
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        p = np.zeros(ctx.n)
+        r0 = eval_G(p, 0.0, ctx)
+        states = [_make_state(ctx, 0.0, p, 0.0, 0, np.abs(r0).max(initial=0.0))]
+        if not np.any(ctx.T_dot):
+            # the target values already equal 1/2 everywhere
+            return states
 
-    nu = 0.0
-    step = STEP_INIT
-    # tangent at (p, nu); a rejected step leaves both unchanged, so it is reused
-    tangent = None
-    while nu < 1.0:
-        if step < STEP_MIN:
-            raise PathError(f"step size underflowed below {STEP_MIN:.1e} at nu={nu:.6g}")
-        target = nu + step
-        if target >= 1.0 - STEP_SNAP:
-            target = 1.0
-        dnu = target - nu
-        try:
-            if tangent is None:
-                tangent = _tangent(p, nu, ctx)
-            p_hat = predictor(p, nu, target, ctx, tangent)
-        except np.linalg.LinAlgError:
-            step = 0.5 * dnu
-            continue
-        band = abs(eval_G(p_hat, target, ctx)[0])
-        # the RK4 prediction error, and with it the band residual, scales as dnu^5
-        factor = (STEP_SAFETY * MU_BAND / band) ** 0.2 if band > 0.0 else math.inf
-        if band > MU_BAND:
-            step = dnu * _clip(factor, STEP_REJECT_RANGE)
-            continue
-        try:
-            p_new, iters, residual = corrector(p_hat, target, ctx)
-        except CorrectorError:
-            step = 0.5 * dnu
-            continue
-        nu, p, tangent = target, p_new, None
-        states.append(_make_state(ctx, nu, p, dnu, iters, residual))
-        step = dnu * _clip(factor, STEP_ACCEPT_RANGE)
-    return states
+        nu = 0.0
+        step = STEP_INIT
+        # tangent at (p, nu); a rejected step leaves both unchanged, so it is reused
+        tangent = None
+        while nu < 1.0:
+            if step < STEP_MIN:
+                raise PathError(f"step size underflowed below {STEP_MIN:.1e} at nu={nu:.6g}")
+            target = nu + step
+            if target >= 1.0 - STEP_SNAP:
+                target = 1.0
+            dnu = target - nu
+            try:
+                if tangent is None:
+                    tangent = _tangent(p, nu, ctx)
+                p_hat = predictor(p, nu, target, ctx, tangent)
+            except np.linalg.LinAlgError:
+                step = 0.5 * dnu
+                continue
+            band = abs(eval_G(p_hat, target, ctx)[0])
+            # the RK4 prediction error, and with it the band residual, scales as dnu^5
+            factor = (STEP_SAFETY * MU_BAND / band) ** 0.2 if band > 0.0 else math.inf
+            if band > MU_BAND:
+                step = dnu * _clip(factor, STEP_REJECT_RANGE)
+                continue
+            try:
+                p_new, iters, residual = corrector(p_hat, target, ctx)
+            except CorrectorError:
+                step = 0.5 * dnu
+                continue
+            nu, p, tangent = target, p_new, None
+            states.append(_make_state(ctx, nu, p, dnu, iters, residual))
+            step = dnu * _clip(factor, STEP_ACCEPT_RANGE)
+        return states
 
 
 def _clip(x: float, bounds: tuple) -> float:

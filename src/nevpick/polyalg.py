@@ -1,4 +1,4 @@
-"""Polynomial and structured-matrix primitives shared by the solver.
+"""Polynomial, structured-matrix and linear-algebra primitives shared by the solver.
 
 Conventions used throughout the package:
 
@@ -13,10 +13,12 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 __all__ = [
     "MonicPolynomial",
@@ -182,6 +184,40 @@ def build_S(x) -> np.ndarray:
     flat = np.concatenate((rows.ravel(), _PAD_ZERO))
     S = flat[hank] + flat[toep]
     return S if stacked else S[0]
+
+
+# The path follower's linear algebra: one small dense solve per tangent and
+# per Newton step, one inverse per new nu.  np.linalg.solve and np.linalg.inv
+# call the LAPACK gufuncs below inside a per-call np.errstate that, at these
+# sizes, costs about as much as LAPACK does; calling the gufuncs with numpy's
+# own signature and argument order gives the same bits without it.  A
+# singular matrix makes LAPACK fill the output with NaN and set the invalid
+# flag, whose warning the caller's np.errstate governs.
+
+
+def solve_vector(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``x`` with ``A x = b`` for a nonempty square float matrix and a vector.
+
+    Bit-identical to ``np.linalg.solve(A, b)``.  Raises
+    ``numpy.linalg.LinAlgError`` when the first entry of ``x`` is NaN: a
+    singular ``A``, or a NaN input that reaches it.
+    """
+    x = _umath_linalg.solve1(A, b, signature="dd->d")
+    if math.isnan(x[0]):
+        raise LinAlgError("Singular matrix")
+    return x
+
+
+def inverse(A: np.ndarray) -> np.ndarray:
+    """Inverse of a nonempty square float matrix, bit-identical to ``np.linalg.inv(A)``.
+
+    Raises ``numpy.linalg.LinAlgError`` when its first entry is NaN: a
+    singular ``A``, or a NaN input that reaches it.
+    """
+    A_inv = _umath_linalg.inv(A, signature="d->d")
+    if math.isnan(A_inv[0, 0]):
+        raise LinAlgError("Singular matrix")
+    return A_inv
 
 
 def conjugate_pairs(points, tol) -> list:

@@ -5,6 +5,10 @@ from nevpick.polyalg import MonicPolynomial, build_S
 from nevpick.problem import INF, InterpolationProblem, validate
 
 
+#: The floating-point error state the path follower runs under.
+PATH_ERRSTATE = dict(over="ignore", divide="ignore", invalid="ignore")
+
+
 def sym_coeffs(x, y) -> np.ndarray:
     """Coefficients of ``x(z) y(1/z) + y(z) x(1/z)`` by direct convolution.
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_discrete_lyapunov, toeplitz
 
-from conftest import random_problem, random_schur_monic
+from conftest import PATH_ERRSTATE, random_problem, random_schur_monic
 from nevpick.cee_core import (
     OperatorPair,
     RealnessError,
@@ -230,6 +230,13 @@ class TestOperatorPair:
                 assert np.array_equal(value, np.ascontiguousarray(formula))
                 with pytest.raises(ValueError):
                     value[...] = 0.0
+
+    def test_singular_matrix_is_corrupted_input(self):
+        # I + nu T_dot = 0: the inverse fails, and says why
+        eye = np.eye(3)
+        with np.errstate(**PATH_ERRSTATE), pytest.raises(np.linalg.LinAlgError,
+                                                         match="input is corrupted"):
+            operator_pair(-eye, eye, 1.0)
 
     def test_realness_on_grid(self, reference_problem):
         norm = normalized_reference(reference_problem)

@@ -1,9 +1,14 @@
 import inspect
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import random_problem, sym_coeffs
+from conftest import PATH_ERRSTATE, random_problem, sym_coeffs
 from nevpick import cee_core, continuation
 from nevpick import problem as problem_module
 from nevpick.cee_core import SteinConsistencyError
@@ -11,6 +16,7 @@ from nevpick.continuation import (
     CorrectorError,
     HomotopyContext,
     PathError,
+    _follow_path,
     _tangent,
     corrector,
     dG_dnu,
@@ -19,7 +25,7 @@ from nevpick.continuation import (
     predictor,
     solve,
 )
-from nevpick.polyalg import TOL_NEWTON, MonicPolynomial, build_S
+from nevpick.polyalg import STEP_INIT, TOL_NEWTON, MonicPolynomial, build_S
 from nevpick.problem import (
     INF,
     InterpolationProblem,
@@ -428,8 +434,15 @@ class TestCorrector:
     def test_non_finite_iterate_raises(self, reference_problem, monkeypatch):
         # a Newton step that yields NaN makes the next residual non-finite
         ctx = HomotopyContext(reference_problem)
-        monkeypatch.setattr(np.linalg, "solve", lambda A, b: np.full_like(b, np.nan))
+        monkeypatch.setattr(continuation, "solve_vector", lambda A, b: np.full_like(b, np.nan))
         with pytest.raises(CorrectorError, match="non-finite residual"):
+            corrector(np.full(ctx.n, 0.01), 0.5, ctx)
+
+    def test_singular_jacobian_raises(self, reference_problem, monkeypatch):
+        ctx = HomotopyContext(reference_problem)
+        monkeypatch.setattr(continuation, "jac_G", lambda p, nu, ctx: np.zeros((ctx.n, ctx.n)))
+        with np.errstate(**PATH_ERRSTATE), pytest.raises(CorrectorError,
+                                                         match="singular Jacobian"):
             corrector(np.full(ctx.n, 0.01), 0.5, ctx)
 
 
@@ -651,6 +664,35 @@ class TestSolve:
         with pytest.raises(PathError):
             solve(reference_problem)
 
+    def test_non_finite_prediction_warns_nothing(self, reference_problem, monkeypatch):
+        # every prediction lands at inf: its band residual is NaN, the
+        # corrector rejects it and the halved steps underflow, with no
+        # floating-point warning on the way
+        monkeypatch.setattr(continuation, "predictor",
+                            lambda p, nu, nu_next, ctx, tangent: np.full_like(p, np.inf))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PathError):
+                _follow_path(HomotopyContext(reference_problem))
+
+    def test_singular_first_tangent_halves_the_step(self, reference_problem,
+                                                    reference_solution, monkeypatch):
+        calls = []
+
+        def singular_once(p, nu, ctx):
+            calls.append(nu)
+            return np.zeros((ctx.n, ctx.n)) if len(calls) == 1 else jac_G(p, nu, ctx)
+
+        monkeypatch.setattr(continuation, "jac_G", singular_once)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            states = _follow_path(HomotopyContext(reference_problem))
+        # the second tangent is at the start again, and the first RK4 stage
+        # after it at the middle of a halved first step
+        assert calls[:3] == [0.0, 0.0, 0.25 * STEP_INIT]
+        assert states[-1].nu == 1.0
+        assert np.allclose(states[-1].p, reference_solution.p, rtol=0.0, atol=1e-10)
+
 
 class TestScalarOracle:
     @pytest.mark.parametrize("w1,s1", [(0.8, -0.3), (1.4, 0.5), (0.52, 0.0)])
@@ -685,3 +727,36 @@ class TestScalarOracle:
         gamma = -problem.sigma.tail[0]
         closed = (g[0] ** 2 - gamma**2 * sol.p[0] ** 2) / (1.0 - gamma**2)
         assert sol.P[0, 0] == pytest.approx(closed, abs=1e-12)
+
+
+class TestBlasThreads:
+    # one order-28 filter-bank solve, the largest order of the benchmark
+    SCRIPT = (
+        "import numpy as np\n"
+        "import nevpick as nv\n"
+        "from nevpick.ingestion import embed_sigma\n"
+        "sigma = nv.MonicPolynomial.from_roots(\n"
+        "    [0.4 * np.exp(0.9j), 0.4 * np.exp(-0.9j), 0.5 * np.exp(2.1j), 0.5 * np.exp(-2.1j)])\n"
+        "a = nv.MonicPolynomial.from_roots(\n"
+        "    [0.6 * np.exp(1.3j), 0.6 * np.exp(-1.3j), 0.7 * np.exp(2.5j), 0.7 * np.exp(-2.5j)])\n"
+        "poles = nv.default_bank_poles(28)\n"
+        "problem = nv.InterpolationProblem(nv.nodes_from_poles(poles),\n"
+        "                                  tuple(nv.exact_values(sigma, a, poles)),\n"
+        "                                  embed_sigma(sigma, 28))\n"
+        "sol = nv.solve(problem)\n"
+        "assert sol.trajectory[-1].nu == 1.0 and sol.P.shape == (28, 28)\n"
+        "print(sol.p.tobytes().hex())\n"
+        "print(sol.P.tobytes().hex())\n"
+    )
+
+    def test_solve_at_n28_does_not_depend_on_thread_count(self):
+        src = str(Path(sys.modules["nevpick"].__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-c", self.SCRIPT], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]

@@ -1,11 +1,12 @@
 import ast
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import nevpick
-from conftest import sym_coeffs
+from conftest import PATH_ERRSTATE, sym_coeffs
 from nevpick.continuation import HomotopyContext
 from nevpick.polyalg import (
     TOL_NODE,
@@ -14,7 +15,10 @@ from nevpick.polyalg import (
     build_S,
     companion,
     conjugate_pairs,
+    inverse,
     is_schur,
+    readonly,
+    solve_vector,
 )
 from nevpick.problem import INF, InterpolationProblem
 
@@ -233,6 +237,37 @@ class TestConjugatePairs:
         points = np.array([0.6 + 0.5j, 0.6 - 0.5j + 1e-9, 0.2 + 0.1j, 0.2 - 0.1j + 1e-6])
         partner = conjugate_pairs(points, TOL_ROOT_PAIR * (1.0 + np.abs(points)))
         assert partner == [1, 0, None, None]
+
+
+class TestLapackPrimitives:
+    """``solve_vector`` and ``inverse`` call numpy's private LAPACK gufuncs;
+    a numpy release that moves or changes them fails here."""
+
+    @pytest.mark.parametrize("n", range(1, 30))
+    def test_equal_to_numpy_linalg(self, n):
+        rng = np.random.default_rng(n)
+        A, b = rng.standard_normal((n, n)), rng.standard_normal(n)
+        assert np.array_equal(solve_vector(A, b), np.linalg.solve(A, b))
+        assert np.array_equal(inverse(A), np.linalg.inv(A))
+
+    def test_sliced_inputs(self):
+        rng = np.random.default_rng(7)
+        big, vec = rng.standard_normal((20, 30)), rng.standard_normal(40)
+        A, b = big[1::2, ::3], vec[::4]   # 10 x 10 and 10, neither contiguous
+        assert not (A.flags.c_contiguous or A.flags.f_contiguous or b.flags.c_contiguous)
+        for matrix in (A, A.T, readonly(np.asfortranarray(A))):
+            assert np.array_equal(solve_vector(matrix, b), np.linalg.solve(matrix, b))
+            assert np.array_equal(inverse(matrix), np.linalg.inv(matrix))
+
+    @pytest.mark.parametrize("A", [np.zeros((3, 3)), np.ones((4, 4)),
+                                   np.array([[1.0, 2.0], [2.0, 4.0]])])
+    def test_singular_raises_without_warning(self, A):
+        with warnings.catch_warnings(), np.errstate(**PATH_ERRSTATE):
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError):
+                solve_vector(A, np.ones(A.shape[0]))
+            with pytest.raises(np.linalg.LinAlgError):
+                inverse(A)
 
 
 def is_float_literal(node) -> bool:
