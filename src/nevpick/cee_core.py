@@ -119,16 +119,17 @@ def operator_pair(T_dot: np.ndarray, eye: np.ndarray, nu: float) -> OperatorPair
             "I + T is singular, which valid interpolation data cannot produce; "
             "the input is corrupted"
         ) from exc
-    bottom = M_inv[1:] @ T_dot
+    # ndarray.dot: the BLAS call of @ without its dispatch (see nevpick.continuation)
+    bottom = M_inv[1:].dot(T_dot)
     uU = readonly(nu * bottom)
-    slope = readonly(bottom @ M_inv)
+    slope = readonly(bottom.dot(M_inv))
     return OperatorPair(uU[:, 0], uU[:, 1:], slope[:, 0], slope[:, 1:])
 
 
 def v_and_g(pair: OperatorPair, Gamma: np.ndarray, s: np.ndarray, p: np.ndarray):
     """``v = Gamma p + s`` and ``g = U v + u``, so ``a = v - g`` and ``b = v + g``."""
-    v = s + Gamma @ p
-    return v, pair.U @ v + pair.u
+    v = s + Gamma.dot(p)
+    return v, pair.U.dot(v) + pair.u
 
 
 def cee_residual(P: np.ndarray, Gamma: np.ndarray, g: np.ndarray) -> float:

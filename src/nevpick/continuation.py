@@ -24,14 +24,15 @@ clipped to ``STEP_ACCEPT_RANGE`` after an accepted step and to
 :mod:`nevpick.polyalg`; a solve takes no options.
 
 ``G``, ``dG/dp`` and ``dG/dnu`` at one point need only ``S([1; v])`` and
-``S([0; g])``, the two slices of one stacked product per point;
-:class:`HomotopyContext` keeps it for the last point evaluated, so a
-tangent, a band test followed by the first Newton residual, or a Newton
-iterate forms it once.  The context also keeps that point's residual
-``G`` once evaluated, so the band test's residual is the corrector's first
-one.  An accepted state and the endpoint read ``a = v - g`` and
-``b = v + g`` from the same entry, and a point at the same ``nu`` reuses
-its operator pair.
+``S([0; g])``, the two slices of one stacked product per point, which
+:class:`HomotopyContext` forms from the strided views of its own
+:class:`~nevpick.polyalg.SymStack` and keeps for the last point
+evaluated, so a tangent, a band test followed by the first Newton
+residual, or a Newton iterate forms it once.  The context also keeps
+that point's residual ``G`` once evaluated, so the band test's residual
+is the corrector's first one.  An accepted state and the endpoint read
+``a = v - g`` and ``b = v + g`` from the same entry, and a point at the
+same ``nu`` reuses its operator pair.
 
 Floating-point warnings are silenced inside the path follower.  Its linear
 algebra runs through :func:`~nevpick.polyalg.solve_vector` and
@@ -39,6 +40,10 @@ algebra runs through :func:`~nevpick.polyalg.solve_vector` and
 error state; a singular matrix there raises ``LinAlgError``, which halves
 the step, and a non-finite value surfaces as :class:`CorrectorError` (the
 step is halved too) or, once the step underflows, as :class:`PathError`.
+The matrix products of a path point are ``ndarray.dot`` calls, here and
+in :mod:`nevpick.cee_core`: ``dot`` calls the BLAS routine that ``@``
+calls, so the bits are the same, and at these sizes skips about as much
+time in ``@``'s dispatch as a matrix-vector product takes in BLAS.
 """
 
 from __future__ import annotations
@@ -64,6 +69,7 @@ from .polyalg import (
     TOL_CEE,
     TOL_NEWTON,
     MonicPolynomial,
+    SymStack,
     build_S,
     companion,
     readonly,
@@ -206,24 +212,29 @@ class Solution:
 
 class HomotopyContext:
     """Holds everything ``G`` needs: the companion matrix ``Gamma`` of
-    ``sigma``, its coefficient tail ``s``, ``d``, the slope ``T_dot`` of
-    ``T(nu) = nu T_dot`` with the identity ``eye`` of its size, and one
-    cached point.  The four arrays are read-only.
+    ``sigma`` and its double ``twice_Gamma``, its coefficient tail ``s``,
+    ``d``, the slope ``T_dot`` of ``T(nu) = nu T_dot`` with the identity
+    ``eye`` of its size, and one cached point.  The five arrays are
+    read-only.
 
     Normalizes its problem (value exactly 1/2 at infinity), of which it
     keeps only ``scale``, the factor that undoes the normalization.  The
     cached point is the linearization of the last point evaluated, with its
     operator pair and, once ``eval_G`` asks for it, its read-only residual:
     Newton iterates, a band test and the tangents of one ``nu`` share one
-    matrix inverse, and a new ``nu`` forms a new pair.  The context owns the
-    stack it hands to ``build_S`` and the vector ``[1; b]`` of ``eval_G``,
-    with their constant entries written once.
+    matrix inverse, and a new ``nu`` forms a new pair.  The context owns a
+    :class:`~nevpick.polyalg.SymStack` of the two vectors ``[1; v]`` and
+    ``[0; g]`` and the vector ``[1; b]`` of ``eval_G``, with their constant
+    entries written once: a new point writes ``v`` and ``g`` into the stack
+    and adds its two strided views into a new array of products.
     """
 
     def __init__(self, problem: InterpolationProblem):
         problem, self.scale = normalize(problem)
         self.n = problem.n
         self.Gamma = companion(problem.sigma)
+        # doubling is exact, so (A - B U) @ twice_Gamma == 2 (A - B U) @ Gamma bit for bit
+        self.twice_Gamma = readonly(2.0 * self.Gamma)
         self.s = problem.sigma.tail
         # first n autocorrelation coefficients of sigma
         c = problem.sigma.coeffs
@@ -235,9 +246,10 @@ class HomotopyContext:
         self._point = ((None, None), None)   # (key, linearization) of the last point evaluated
         self._G = None                       # eval_G at that point, once evaluated
         # per-point buffers, their leading entries written once: the stack
-        # [[1, v], [0, g]] of build_S and the vector [1; v + g] of eval_G
-        self._rows = np.zeros((2, self.n + 1))
-        self._rows[0, 0] = 1.0
+        # [[1, v], [0, g]] of the products and the vector [1; v + g] of eval_G
+        self._stack = SymStack(2, self.n + 1)
+        self._stack.rows[0, 0] = 1.0
+        self._v, self._g = self._stack.rows[:, 1:]
         self._b = np.ones(self.n + 1)
 
     def linearization(self, p: np.ndarray, nu: float):
@@ -246,8 +258,10 @@ class HomotopyContext:
         The entry of the last point asked for is kept, keyed by ``nu`` and
         the bytes of ``p`` (so a changed ``p`` is a new point): ``eval_G``,
         ``jac_G`` and ``dG_dnu`` at one point share one pair of products,
-        the two slices of one stacked ``build_S([[1, v], [0, g]])``.  A new
-        point at the entry's ``nu`` keeps the entry's operator pair.
+        the two slices of one new array from the context's stack
+        ``[[1, v], [0, g]]``, equal bit for bit to
+        ``build_S([[1, v], [0, g]])``.  A new point at the entry's ``nu``
+        keeps the entry's operator pair.
         """
         p = np.asarray(p, dtype=float)
         key = (float(nu), p.tobytes())
@@ -255,12 +269,11 @@ class HomotopyContext:
         if last_key != key:
             pair = last[0] if last_key[0] == key[0] else operator_pair(self.T_dot, self.eye, key[0])
             v, g = v_and_g(pair, self.Gamma, self.s, p)
-            # build_S copies the stack, so the buffer is free for the next point
-            rows = self._rows
-            rows[0, 1:] = v
-            rows[1, 1:] = g
-            S_v, S_g = build_S(rows)
-            self._point = (key, (pair, v, g, S_v, S_g))
+            # the products are a new array, so the stack is free for the next point
+            self._v[...] = v
+            self._g[...] = g
+            S = self._stack.products()
+            self._point = (key, (pair, v, g, S[0], S[1]))
             self._G = None
         return self._point[1]
 
@@ -280,7 +293,7 @@ def eval_G(p: np.ndarray, nu: float, ctx: HomotopyContext) -> np.ndarray:
     _, v, g, S_v, S_g = ctx.linearization(p, nu)
     if ctx._G is None:
         np.add(v, g, out=ctx._b[1:])
-        sym = (S_v - S_g) @ ctx._b
+        sym = (S_v - S_g).dot(ctx._b)
         hp = p[0] if ctx.n else 0.0
         ctx._G = readonly(sym[: ctx.n] - 2.0 * (1.0 - hp) * ctx.d)
     return ctx._G
@@ -298,8 +311,7 @@ def jac_G(p: np.ndarray, nu: float, ctx: HomotopyContext) -> np.ndarray:
     """
     pair, _, _, S_v, S_g = ctx.linearization(p, nu)
     n = ctx.n
-    J = S_v[:n, 1:] - S_g[:n, 1:] @ pair.U
-    J = 2.0 * (J @ ctx.Gamma)
+    J = (S_v[:n, 1:] - S_g[:n, 1:].dot(pair.U)).dot(ctx.twice_Gamma)
     J[:, 0] += ctx.twice_d
     return J
 
@@ -312,7 +324,7 @@ def dG_dnu(p: np.ndarray, nu: float, ctx: HomotopyContext) -> np.ndarray:
         ``dG/dnu = -2 E S([0; g])[:, 1:] (U_dot v + u_dot)``.
     """
     pair, v, _, _, S_g = ctx.linearization(p, nu)
-    return -2.0 * (S_g[: ctx.n, 1:] @ (pair.U_dot @ v + pair.u_dot))
+    return -2.0 * S_g[: ctx.n, 1:].dot(pair.U_dot.dot(v) + pair.u_dot)
 
 
 def _tangent(p: np.ndarray, nu: float, ctx: HomotopyContext) -> np.ndarray:

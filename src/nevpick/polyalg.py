@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
@@ -142,24 +141,39 @@ def companion(sigma: MonicPolynomial) -> np.ndarray:
     return readonly(Gamma)
 
 
-_PAD_ZERO = readonly(np.zeros(1))
+class SymStack:
+    """A stack of ``count`` coefficient vectors of length ``m`` and their
+    symmetrized-product matrices (see :func:`build_S`).
 
-
-@lru_cache(maxsize=None)
-def _sym_index(m: int, rows: int) -> tuple:
-    """Index arrays into a flattened stack of ``rows`` length-``m`` vectors
-    followed by one padding zero, for :func:`build_S`.
-
-    Entry ``[r, i, j]`` of the first picks ``x[r, i + j]`` (Hankel part) and
-    of the second ``x[r, j - i]`` (upper Toeplitz part); positions outside
-    either part pick the padding zero at index ``rows * m``.
+    The vectors live in the writable ``(count, m)`` view ``rows`` of a
+    zero-padded ``(count, 3m - 2)`` buffer: each row holds ``m - 1`` zeros,
+    the vector and ``m - 1`` zeros.  Two fixed read-only strided views of
+    the buffer start at the vector's first entry; entry ``[r, i, j]`` of
+    the Hankel view reads ``rows[r, i + j]`` (strides ``(row, +1, +1)`` in
+    entries) and of the upper-Toeplitz view ``rows[r, j - i]`` (strides
+    ``(row, -1, +1)``), and outside either part each reads a padding zero.
+    :meth:`products` adds the two views, so a new stack of products after
+    a write to ``rows`` costs one ``np.add`` and no gather.
     """
-    i, j = np.indices((m, m))
-    offsets = m * np.arange(rows)[:, None, None]
-    pad = rows * m
-    hank = np.where(i + j < m, i + j + offsets, pad)
-    toep = np.where(j >= i, j - i + offsets, pad)
-    return readonly(hank), readonly(toep)
+
+    __slots__ = ("rows", "_hank", "_toep")
+
+    def __init__(self, count: int, m: int):
+        buf = np.zeros((count, 3 * m - 2))
+        self.rows = buf[:, m - 1 : 2 * m - 1]
+        row, item = buf.strides
+        start = (m - 1) * item
+        self._hank = readonly(np.ndarray((count, m, m), buffer=buf, offset=start,
+                                         strides=(row, item, item)))
+        self._toep = readonly(np.ndarray((count, m, m), buffer=buf, offset=start,
+                                         strides=(row, -item, item)))
+
+    def products(self) -> np.ndarray:
+        """``build_S`` of every row: a new C-contiguous ``(count, m, m)`` array.
+
+        A later write to ``rows`` leaves the returned array unchanged.
+        """
+        return np.add(self._hank, self._toep, out=np.empty(self._hank.shape))
 
 
 def build_S(x) -> np.ndarray:
@@ -175,14 +189,15 @@ def build_S(x) -> np.ndarray:
     result has shape ``(rows, m, m)`` and slice ``r`` equals
     ``build_S(x[r])`` bit for bit.  The result is always C-contiguous, so
     each slice has the layout of a 1-d call's result (a product with a
-    slice then runs the same BLAS kernel on the same bits).
+    slice then runs the same BLAS kernel on the same bits).  It is the
+    one-off form of :class:`SymStack`, which a caller that forms products
+    of new vectors of one size again and again keeps instead.
     """
     stacked = isinstance(x, np.ndarray) and x.ndim == 2
     rows = np.asarray(x, dtype=float) if stacked else _coeff_array(x)[None]
-    count, m = rows.shape
-    hank, toep = _sym_index(m, count)
-    flat = np.concatenate((rows.ravel(), _PAD_ZERO))
-    S = flat[hank] + flat[toep]
+    stack = SymStack(*rows.shape)
+    stack.rows[...] = rows
+    S = stack.products()
     return S if stacked else S[0]
 
 
@@ -226,22 +241,36 @@ def conjugate_pairs(points, tol) -> list:
     Greedy in index order: a point within ``tol`` (scalar or per point) of
     the real axis pairs with itself; any other takes the nearest unused
     point within ``tol`` of its conjugate, or ``None`` when there is none.
+    Ties go to the lowest index, and a NaN distance to an unused point
+    leaves the point without a partner (the rules of ``np.argmin``).
     """
     points = np.asarray(points, dtype=complex)
-    tol = np.broadcast_to(tol, points.shape)
-    partner = [None] * points.size
-    used = np.zeros(points.size, dtype=bool)
-    for k, z in enumerate(points):
+    size = points.size
+    tol = np.broadcast_to(tol, points.shape).tolist()
+    # row k: the distance of every point from the conjugate of point k
+    dist = np.abs(points - np.conj(points)[:, None]).tolist()
+    partner = [None] * size
+    used = [False] * size
+    for k, z in enumerate(points.tolist()):
         if used[k]:
             continue
-        used[k] = True
         if abs(z.imag) <= tol[k]:
             partner[k] = k
             continue
-        dist = np.abs(points - np.conj(z))
-        dist[used] = np.inf
-        j = int(np.argmin(dist))
-        if dist[j] <= tol[k]:
+        # np.argmin over the distances with every used point's set to inf:
+        # the first NaN (which matches nothing), else the first least one;
+        # every point up to k is used, so index 0 wins when all are inf
+        row, j, best = dist[k], 0, math.inf
+        for i in range(k + 1, size):
+            if used[i]:
+                continue
+            d = row[i]
+            if d != d:
+                best = d
+                break
+            if d < best:
+                j, best = i, d
+        if best <= tol[k]:
             used[j] = True
             partner[k], partner[j] = j, k
     return partner

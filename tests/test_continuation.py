@@ -25,7 +25,7 @@ from nevpick.continuation import (
     predictor,
     solve,
 )
-from nevpick.polyalg import STEP_INIT, TOL_NEWTON, MonicPolynomial, build_S
+from nevpick.polyalg import STEP_INIT, TOL_NEWTON, MonicPolynomial, SymStack, build_S
 from nevpick.problem import (
     INF,
     InterpolationProblem,
@@ -141,22 +141,76 @@ class TestDerivatives:
         ctx = HomotopyContext(reference_problem)
         assert np.max(np.abs(dG_dnu(np.zeros(ctx.n), 0.0, ctx))) == 0.0
 
+    def test_matmul_formulas_bitwise_on_the_path(self, reference_problem,
+                                                 reference_solution):
+        # jac_G multiplies by the stored 2 Gamma: doubling is exact, so the
+        # Jacobian equals the doubled product with Gamma bit for bit; and
+        # every product of a path point, made by ndarray.dot, equals @
+        ctx = HomotopyContext(reference_problem)
+        n = ctx.n
+        assert np.array_equal(ctx.twice_Gamma, 2.0 * ctx.Gamma)
+        for state in reference_solution.trajectory:
+            p, nu = state.p, state.nu
+            pair, v, g, S_v, S_g = ctx.linearization(p, nu)
+            want_pair = cee_core.operator_pair(ctx.T_dot, ctx.eye, nu)
+            M_inv = np.linalg.inv(ctx.eye + nu * ctx.T_dot)
+            bottom = M_inv[1:] @ ctx.T_dot
+            assert np.array_equal(np.column_stack((want_pair.u, want_pair.U)), nu * bottom)
+            assert np.array_equal(np.column_stack((want_pair.u_dot, want_pair.U_dot)),
+                                  bottom @ M_inv)
+            assert np.array_equal(v, ctx.s + ctx.Gamma @ p)
+            assert np.array_equal(g, pair.U @ v + pair.u)
+            want_G = (S_v - S_g) @ np.concatenate(([1.0], v + g))
+            want_G = want_G[:n] - 2.0 * (1.0 - p[0]) * ctx.d
+            assert np.array_equal(eval_G(p, nu, ctx), want_G)
+            want_J = 2.0 * ((S_v[:n, 1:] - S_g[:n, 1:] @ pair.U) @ ctx.Gamma)
+            want_J[:, 0] += 2.0 * ctx.d
+            assert np.array_equal(jac_G(p, nu, ctx), want_J)
+            want_dnu = -2.0 * (S_g[:n, 1:] @ (pair.U_dot @ v + pair.u_dot))
+            assert np.array_equal(dG_dnu(p, nu, ctx), want_dnu)
+
+
+class TestDotIsMatmul:
+    """The path point's products use ndarray.dot for @; pin the two equal
+    bit for bit on the layouts it passes, at every size a solve reaches."""
+
+    @pytest.mark.parametrize("n", range(1, 30))
+    def test_layouts_of_a_path_point(self, n):
+        rng = np.random.default_rng(400 + n)
+        m = n + 1
+        square, wide = rng.standard_normal((n, n)), rng.standard_normal((n, m))
+        S = rng.standard_normal((2, m, m))
+        view, block = wide[:, 1:], S[1][:n, 1:]      # U of [u U]; E S([0; g])[:, 1:]
+        pairs = [
+            (square, rng.standard_normal(n)),          # Gamma p
+            (view, rng.standard_normal(n)),            # U v, U_dot v
+            (block, rng.standard_normal(n)),           # the dG_dnu product
+            (S[0] - S[1], rng.standard_normal(m)),     # the eval_G product
+            (block, view),                             # E S([0; g])[:, 1:] U
+            (S[0][:n, 1:] - block @ view, square),     # ... then times 2 Gamma
+            (rng.standard_normal((m, m))[1:], rng.standard_normal((m, m))),  # M^-1 rows
+            (wide, rng.standard_normal((m, m))),       # ... then times M^-1
+        ]
+        for a, b in pairs:
+            assert np.array_equal(a.dot(b), a @ b)
+
 
 class TestLinearizationMemo:
     def test_products_per_tangent_and_newton_iterate(self, reference_problem,
                                                      reference_solution, monkeypatch):
         # G, dG/dp and dG/dnu at one point share S([1; v]) and S([0; g]),
-        # the slices of one stacked build_S call
+        # the slices of one stack of products
         ctx = HomotopyContext(reference_problem)
         mid = min(reference_solution.trajectory, key=lambda s: abs(s.nu - 0.5))
         nu = mid.nu + 0.05
         calls = []
+        products = SymStack.products
 
-        def counting(x):
+        def counting(stack):
             calls.append(1)
-            return build_S(x)
+            return products(stack)
 
-        monkeypatch.setattr(continuation, "build_S", counting)
+        monkeypatch.setattr(SymStack, "products", counting)
         tangent = _tangent(mid.p, mid.nu, ctx)
         assert len(calls) == 1
         p_hat = predictor(mid.p, mid.nu, nu, ctx, tangent)
@@ -175,10 +229,10 @@ class TestLinearizationMemo:
 
     def test_one_derivation_per_point(self, reference_problem, monkeypatch):
         # every v, g of a solve comes from the linearization, which forms
-        # both products with them in one stacked call; the one other
-        # product is the context's d, and
+        # both products with them in one stack of products; the one other
+        # stack is build_S's for the context's d, and
         # validate is the one distinct-node check
-        counts = {"build_S": 0, "v_and_g": 0, "coincident_pairs": 0}
+        counts = {"products": 0, "v_and_g": 0, "coincident_pairs": 0}
 
         def counting(module, name):
             fn = getattr(module, name)
@@ -188,12 +242,12 @@ class TestLinearizationMemo:
                 return fn(*args)
             monkeypatch.setattr(module, name, wrapper)
 
-        counting(continuation, "build_S")
+        counting(SymStack, "products")
         counting(continuation, "v_and_g")
         counting(problem_module, "coincident_pairs")
         solve(reference_problem)
         assert counts["v_and_g"] > 0
-        assert counts["build_S"] == counts["v_and_g"] + 1
+        assert counts["products"] == counts["v_and_g"] + 1
         assert counts["coincident_pairs"] == 1
 
     def test_one_root_finding_per_polynomial(self, reference_problem, monkeypatch):
@@ -262,7 +316,7 @@ class TestResidualMemo:
             G = G_new
 
     def test_held_products_survive_the_next_point(self, reference_problem):
-        # the context reuses its build_S stack; the products it handed out stay
+        # the context reuses its stack; the products it handed out stay
         ctx = HomotopyContext(reference_problem)
         p = np.full(ctx.n, 0.05)
         _, _, _, S_v, S_g = ctx.linearization(p, 0.3)
@@ -369,11 +423,11 @@ class TestHomotopyContext:
 
     def test_shared_arrays_are_read_only(self, reference_problem):
         # every evaluation reads these arrays, so none may be written: the
-        # context's four and the fields of the operator pair it caches
+        # context's five and the fields of the operator pair it caches
         ctx = HomotopyContext(reference_problem)
         pair = ctx.linearization(np.zeros(ctx.n), 0.3)[0]
-        arrays = {"Gamma": ctx.Gamma, "s": ctx.s, "T_dot": ctx.T_dot, "eye": ctx.eye,
-                  **pair._asdict()}
+        arrays = {"Gamma": ctx.Gamma, "twice_Gamma": ctx.twice_Gamma, "s": ctx.s,
+                  "T_dot": ctx.T_dot, "eye": ctx.eye, **pair._asdict()}
         for name, value in arrays.items():
             assert not value.flags.writeable, name
 

@@ -12,6 +12,7 @@ from nevpick.polyalg import (
     TOL_NODE,
     TOL_ROOT_PAIR,
     MonicPolynomial,
+    SymStack,
     build_S,
     companion,
     conjugate_pairs,
@@ -30,6 +31,49 @@ def autocorr_oracle(full_coeffs):
     conv = np.convolve(s, s[::-1])
     # conv[n - k] = sum_i s_i s_(i+k)
     return conv[n::-1][: n + 1]
+
+
+def gather_build_S(x):
+    """``build_S`` by index gathers into a flattened, zero-padded stack.
+
+    Entry ``[r, i, j]`` gathers ``x[r, i + j]`` (Hankel part) plus
+    ``x[r, j - i]`` (upper Toeplitz part); a position outside either part
+    gathers a padding zero.  Takes a 1-d vector or a 2-d stack, like
+    ``build_S``.
+    """
+    x = np.asarray(x, dtype=float)
+    rows = np.atleast_2d(x)
+    count, m = rows.shape
+    i, j = np.indices((m, m))
+    offsets = m * np.arange(count)[:, None, None]
+    pad = count * m
+    hank = np.where(i + j < m, i + j + offsets, pad)
+    toep = np.where(j >= i, j - i + offsets, pad)
+    flat = np.concatenate((rows.ravel(), np.zeros(1)))
+    S = flat[hank] + flat[toep]
+    return S if x.ndim == 2 else S[0]
+
+
+def greedy_pairs_oracle(points, tol):
+    """Conjugate matching with one ``np.argmin`` over the unused points per point."""
+    points = np.asarray(points, dtype=complex)
+    tol = np.broadcast_to(tol, points.shape)
+    partner = [None] * points.size
+    used = np.zeros(points.size, dtype=bool)
+    for k, z in enumerate(points):
+        if used[k]:
+            continue
+        used[k] = True
+        if abs(z.imag) <= tol[k]:
+            partner[k] = k
+            continue
+        dist = np.abs(points - np.conj(z))
+        dist[used] = np.inf
+        j = int(np.argmin(dist))
+        if dist[j] <= tol[k]:
+            used[j] = True
+            partner[k], partner[j] = j, k
+    return partner
 
 
 class TestMonicPolynomial:
@@ -175,6 +219,17 @@ class TestBuildS:
                 for r in range(rows):
                     assert np.array_equal(S[r], build_S(x[r]))
 
+    @pytest.mark.parametrize("m", range(1, 31))
+    def test_equals_gather_oracle_bitwise(self, m):
+        rng = np.random.default_rng(100 + m)
+        x = rng.standard_normal(m)
+        stack = rng.standard_normal((2, m))
+        stack[1, 0] = 0.0                      # the [0; g] row of the path follower
+        for arg in (x, stack):
+            S = build_S(arg)
+            assert S.flags.c_contiguous
+            assert np.array_equal(S, gather_build_S(arg))
+
     def test_bilinear_symmetry_random(self):
         rng = np.random.default_rng(13)
         for _ in range(1000):
@@ -195,6 +250,31 @@ class TestBuildS:
         out = build_S(s) @ s
         assert np.allclose(out[:5], 2.0 * build_d(sigma), atol=1e-13)
         assert np.allclose(out, 2.0 * autocorr_oracle(s), atol=1e-13)
+
+
+class TestSymStack:
+    @pytest.mark.parametrize("m", range(1, 31))
+    def test_products_equal_gather_oracle_bitwise(self, m):
+        # the [[1, v], [0, g]] stack of the path follower at three points;
+        # the products handed out at a point survive the next one
+        rng = np.random.default_rng(200 + m)
+        stack = SymStack(2, m)
+        stack.rows[0, 0] = 1.0
+        held = []
+        for _ in range(3):
+            stack.rows[:, 1:] = rng.standard_normal((2, m - 1))
+            S = stack.products()
+            assert S.shape == (2, m, m) and S.flags.c_contiguous
+            assert np.array_equal(S, gather_build_S(stack.rows))
+            held.append((S, S.copy()))
+        for S, kept in held:
+            assert np.array_equal(S, kept)
+
+    def test_views_are_read_only(self):
+        stack = SymStack(1, 4)
+        for view in (stack._hank, stack._toep):
+            with pytest.raises(ValueError):
+                view[0, 0, 0] = 1.0
 
 
 class TestSymCoeffs:
@@ -230,6 +310,21 @@ class TestConjugatePairs:
     def test_real_point_pairs_with_itself(self):
         partner = conjugate_pairs([0.7, -0.2 + 1e-13j, 0.1 + 0.2j, 0.1 - 0.2j], TOL_NODE)
         assert partner == [0, 1, 3, 2]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_equals_argmin_oracle_with_ties(self, seed):
+        # points on a grid of eighths, so many distances tie exactly, with
+        # repeats, lone points and a tolerance wide enough to admit several
+        rng = np.random.default_rng(300 + seed)
+        half = rng.integers(-6, 7, size=(int(rng.integers(1, 11)), 2)) / 8.0
+        upper = half[:, 0] + 1j * half[:, 1]
+        points = np.concatenate((upper, np.conj(upper), upper[: rng.integers(0, 4)],
+                                 rng.integers(-6, 7, size=rng.integers(0, 4)) / 8.0))
+        points = rng.permutation(points)[:30]
+        if seed % 5 == 0:
+            points[rng.integers(points.size)] = complex(np.nan, 0.5)
+        for tol in (TOL_NODE, 0.3, rng.uniform(0.0, 0.4, points.size)):
+            assert conjugate_pairs(points, tol) == greedy_pairs_oracle(points, tol)
 
     def test_relative_tolerance_per_point(self):
         # computed roots: 1e-8 (1 + |z|), so a pair 1e-9 off matches and a
