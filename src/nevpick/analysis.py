@@ -9,7 +9,6 @@ interpolation conditions, and re-solves at the lower order.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +22,7 @@ from .polyalg import (
     TOL_SYM,
     MonicPolynomial,
     conjugate_pairs,
+    is_integer,
 )
 from .problem import InterpolationProblem
 
@@ -186,7 +186,7 @@ def reduce_model(solution: Solution, target_degree: int):
     problem = solution.problem
     n = problem.n
     m = target_degree
-    if isinstance(m, bool) or not isinstance(m, numbers.Integral) or not 0 < m <= n:
+    if not (is_integer(m) and 0 < m <= n):
         raise ValueError(f"target degree must be an integer in 1..{n}, got {m!r}")
     if m == n:
         sigma_red = problem.sigma

@@ -19,8 +19,8 @@ import numpy as np
 
 from .analysis import log_spectral_deviation, reduce_model, spectral_density
 from .continuation import SOLVE_ERRORS, Solution, solve
-from .ingestion import MonteCarloConfig, monte_carlo, run_problem
-from .polyalg import DEFAULT_TAU_RANK, SPECTRUM_POINTS
+from .ingestion import VARIANTS, MonteCarloConfig, monte_carlo, run_problem
+from .polyalg import BURN_IN, DEFAULT_TAU_RANK, SAMPLES, SPECTRUM_POINTS
 from .problem import (
     InterpolationProblem,
     ProblemValidationError,
@@ -208,8 +208,8 @@ def cmd_solve(input_path, output_path):
 @click.option("--input", "input_path", required=True, type=click.Path(),
               help="System JSON (sigma, a, optional bank_poles / sigma_hat).")
 @click.option("--output", "output_path", required=True, type=click.Path(), help="Output directory.")
-@click.option("--samples", type=int, default=10_000, show_default=True)
-@click.option("--burn-in", type=int, default=1000, show_default=True)
+@click.option("--samples", type=int, default=SAMPLES, show_default=True)
+@click.option("--burn-in", type=int, default=BURN_IN, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 def cmd_simulate(input_path, output_path, samples, burn_in, seed):
     """Simulate the filter, estimate values; write problem.json and series.csv."""
@@ -238,10 +238,9 @@ def cmd_simulate(input_path, output_path, samples, burn_in, seed):
               help="System JSON (sigma, a, order, optional sigma_hat / bank_poles).")
 @click.option("--output", "output_path", required=True, type=click.Path(), help="Output directory.")
 @click.option("--runs", type=int, default=1, show_default=True)
-@click.option("--variant", type=click.Choice(["monte-carlo", "exact"]),
-              default="monte-carlo", show_default=True)
-@click.option("--samples", type=int, default=10_000, show_default=True)
-@click.option("--burn-in", type=int, default=1000, show_default=True)
+@click.option("--variant", type=click.Choice(VARIANTS), default=VARIANTS[0], show_default=True)
+@click.option("--samples", type=int, default=SAMPLES, show_default=True)
+@click.option("--burn-in", type=int, default=BURN_IN, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--tau-rank", type=float, default=DEFAULT_TAU_RANK, show_default=True,
               help="Relative singular-value threshold for the degree estimate.")

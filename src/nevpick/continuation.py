@@ -30,9 +30,10 @@ clipped to ``STEP_ACCEPT_RANGE`` after an accepted step and to
 evaluated, so a tangent, a band test followed by the first Newton
 residual, or a Newton iterate forms it once.  The context also keeps
 that point's residual ``G`` once evaluated, so the band test's residual
-is the corrector's first one.  An accepted state and the endpoint read
-``a = v - g`` and ``b = v + g`` from the same entry, and a point at the
-same ``nu`` reuses its operator pair.
+is the corrector's first one.  An accepted state reads ``a = v - g``
+from the entry, the endpoint keeps the last state's ``a`` and reads
+``b = v + g`` from the same entry, and a point at the same ``nu`` reuses
+its operator pair.
 
 Floating-point warnings are silenced inside the path follower.  Its linear
 algebra runs through :func:`~nevpick.polyalg.solve_vector` and
@@ -48,7 +49,6 @@ time in ``@``'s dispatch as a matrix-vector product takes in BLAS.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -205,9 +205,14 @@ class Solution:
 
     def interpolant_from_reciprocal(self, zeta):
         """Evaluate the interpolant at ``z = 1/zeta`` (``zeta`` may be 0 or an array)."""
-        num = np.polyval(self.b.coeffs[::-1], zeta)
-        den = np.polyval(self.a.coeffs[::-1], zeta)
-        return self.scale * num / (2.0 * den)
+        return _interpolant_from_reciprocal(self.a, self.b, self.scale, zeta)
+
+
+def _interpolant_from_reciprocal(a: MonicPolynomial, b: MonicPolynomial, scale: float, zeta):
+    """``scale * b(z) / (2 a(z))`` at ``z = 1/zeta`` (``zeta`` may be 0 or an array)."""
+    num = np.polyval(b.coeffs[::-1], zeta)
+    den = np.polyval(a.coeffs[::-1], zeta)
+    return scale * num / (2.0 * den)
 
 
 class HomotopyContext:
@@ -259,9 +264,9 @@ class HomotopyContext:
         the bytes of ``p`` (so a changed ``p`` is a new point): ``eval_G``,
         ``jac_G`` and ``dG_dnu`` at one point share one pair of products,
         the two slices of one new array from the context's stack
-        ``[[1, v], [0, g]]``, equal bit for bit to
-        ``build_S([[1, v], [0, g]])``.  A new point at the entry's ``nu``
-        keeps the entry's operator pair.
+        ``[[1, v], [0, g]]``, equal bit for bit to ``build_S([1, v])``
+        and ``build_S([0, g])``.  A new point at the entry's ``nu`` keeps
+        the entry's operator pair.
         """
         p = np.asarray(p, dtype=float)
         key = (float(nu), p.tobytes())
@@ -471,7 +476,7 @@ def solve(problem: InterpolationProblem) -> Solution:
     if violations:
         raise ProblemValidationError(violations)
     ctx = HomotopyContext(problem)
-    states = _follow_path(ctx)
+    states = tuple(_follow_path(ctx))
     p = states[-1].p
 
     _, v, g, _, _ = ctx.linearization(p, 1.0)
@@ -480,30 +485,26 @@ def solve(problem: InterpolationProblem) -> Solution:
     if not cee_res <= TOL_CEE:
         raise cee_core.SteinConsistencyError(
             f"CEE residual {cee_res:.3e} of the recovered matrix exceeds {TOL_CEE:.0e}")
-    a, b = MonicPolynomial(_pad(1.0, v - g)), MonicPolynomial(_pad(1.0, v + g))
-    rho = math.sqrt(1.0 - (p[0] if ctx.n else 0.0))
-
-    solution = Solution(
+    a, b = MonicPolynomial(states[-1].a), MonicPolynomial(_pad(1.0, v + g))
+    zeta = problem.node_reciprocals()
+    f_vals = _interpolant_from_reciprocal(a, b, ctx.scale, zeta)
+    interp_residuals = np.abs(f_vals - problem.values_array())
+    return Solution(
         problem=problem,
         a=a,
         b=b,
-        rho=rho,
+        rho=math.sqrt(1.0 - (p[0] if ctx.n else 0.0)),
         P=P,
         p=p,
         scale=ctx.scale,
-        trajectory=tuple(states),
-        diagnostics=None,
+        trajectory=states,
+        diagnostics=Diagnostics(
+            interp_residuals=interp_residuals,
+            max_interp_residual=float(np.max(interp_residuals)),
+            cee_residual=cee_res,
+            _trajectory=states,
+            _b=b.coeffs,
+            _P=P,
+            _zeta=zeta,
+        ),
     )
-    zeta = problem.node_reciprocals()
-    f_vals = solution.interpolant_from_reciprocal(zeta)
-    interp_residuals = np.abs(f_vals - problem.values_array())
-    diagnostics = Diagnostics(
-        interp_residuals=interp_residuals,
-        max_interp_residual=float(np.max(interp_residuals)),
-        cee_residual=cee_res,
-        _trajectory=solution.trajectory,
-        _b=b.coeffs,
-        _P=P,
-        _zeta=zeta,
-    )
-    return dataclasses.replace(solution, diagnostics=diagnostics)

@@ -19,15 +19,14 @@ degree detection.  The Monte Carlo driver repeats the full pipeline
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .analysis import DegreeReport, RunRecord, estimate_positive_degree
 from .continuation import SOLVE_ERRORS, PathError, solve
-from .polyalg import (BANK_RADIUS, DEFAULT_TAU_RANK, TOL_NODE, MonicPolynomial, build_S,
-                      conjugate_pairs, is_schur)
+from .polyalg import (BANK_RADIUS, BURN_IN, DEFAULT_TAU_RANK, SAMPLES, TOL_NODE,
+                      MonicPolynomial, build_S, conjugate_pairs, is_integer, is_schur)
 from .problem import INF, InterpolationProblem, coincident_pairs
 
 __all__ = [
@@ -72,11 +71,6 @@ def nodes_from_poles(poles) -> tuple:
     return tuple(nodes)
 
 
-def _is_integer(x) -> bool:
-    """Whether ``x`` is an integral number (numpy integers included) and not a bool."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
-
-
 @dataclass(frozen=True, eq=False)
 class FilterBankSpec:
     """Bank poles plus sampling controls for one estimation run.
@@ -89,7 +83,7 @@ class FilterBankSpec:
 
     poles: tuple
     samples: int
-    burn_in: int = 1000
+    burn_in: int = BURN_IN
     seed: int = 0             # read by nothing in the package; callers may still pass it
     partners: tuple = field(init=False, repr=False)
 
@@ -105,9 +99,9 @@ class FilterBankSpec:
         partners = conjugate_pairs(poles, TOL_NODE)
         if None in partners:
             raise ValueError("bank poles must be closed under conjugation")
-        if not (_is_integer(self.samples) and self.samples > 0):
+        if not (is_integer(self.samples) and self.samples > 0):
             raise ValueError(f"samples must be a positive integer, got {self.samples!r}")
-        if not (_is_integer(self.burn_in) and self.burn_in >= 0):
+        if not (is_integer(self.burn_in) and self.burn_in >= 0):
             raise ValueError(f"burn_in must be a nonnegative integer, got {self.burn_in!r}")
         object.__setattr__(self, "poles", poles)
         object.__setattr__(self, "partners", tuple(partners))
@@ -117,7 +111,7 @@ def simulate_arma(
     sigma: MonicPolynomial,
     a: MonicPolynomial,
     samples: int,
-    burn_in: int = 1000,
+    burn_in: int = BURN_IN,
     seed: int = 0,
 ) -> np.ndarray:
     """Simulate ``y_t = sum_i sigma_i e_(t-i) - sum_j a_j y_(t-j)``.
@@ -220,16 +214,23 @@ def embed_sigma(sigma: MonicPolynomial, order: int) -> MonicPolynomial:
     return MonicPolynomial(np.concatenate((sigma.coeffs, np.zeros(extra))))
 
 
+#: The data variants of a Monte Carlo configuration, the default first:
+#: simulate, filter and estimate; or take the noise-free true values.
+VARIANTS = ("monte-carlo", "exact")
+
+
 @dataclass(frozen=True, eq=False)
 class MonteCarloConfig:
     """Full pipeline configuration for degree detection.
 
-    ``variant`` is ``"monte-carlo"`` (simulate, filter, estimate) or
-    ``"exact"`` (noise-free true values).  ``sigma_hat`` defaults to the
-    true zeros padded with zeros at the origin up to ``order``, and
-    ``poles`` to ``default_bank_poles(order)``.  ``spec`` is derived, not
-    passed: the checked bank of every run.  Per-run seeds are drawn from
-    ``np.random.SeedSequence(seed).spawn(runs)``.  ``tau_rank``, the
+    ``variant`` is one of :data:`VARIANTS`: Monte Carlo (simulate, filter,
+    estimate), the default, or exact (noise-free true values).
+    ``sigma_hat`` defaults to the true zeros padded with zeros at the
+    origin up to ``order``, and ``poles`` to ``default_bank_poles(order)``.
+    ``spec`` is derived, not passed: the checked bank of every run.  Per-run
+    seeds are drawn from ``np.random.SeedSequence(seed).spawn(runs)``.
+    ``samples`` and ``burn_in`` default to ``SAMPLES`` and ``BURN_IN`` of
+    the table in :mod:`nevpick.polyalg`.  ``tau_rank``, the
     threshold of the degree estimate, lies in ``(0, 1]``.  ``order``,
     ``runs``, ``samples`` and ``burn_in`` are integers (numpy integers
     included, booleans not); the last two are checked by ``spec``.
@@ -240,21 +241,21 @@ class MonteCarloConfig:
     order: int
     sigma_hat: MonicPolynomial | None = None
     poles: tuple | None = None
-    samples: int = 10_000
-    burn_in: int = 1000
+    samples: int = SAMPLES
+    burn_in: int = BURN_IN
     seed: int = 0
     runs: int = 1
-    variant: str = "monte-carlo"
+    variant: str = VARIANTS[0]
     tau_rank: float = DEFAULT_TAU_RANK
     spec: FilterBankSpec = field(init=False, repr=False)
 
     def __post_init__(self):
         order, degree = self.order, self.sigma.degree
-        if not (_is_integer(order) and order >= degree):
+        if not (is_integer(order) and order >= degree):
             raise ValueError(f"order must be an integer of at least {degree}, got {order!r}")
-        if self.variant not in ("monte-carlo", "exact"):
-            raise ValueError("variant must be 'monte-carlo' or 'exact'")
-        if not (_is_integer(self.runs) and self.runs >= 1):
+        if self.variant not in VARIANTS:
+            raise ValueError("variant must be " + " or ".join(map(repr, VARIANTS)))
+        if not (is_integer(self.runs) and self.runs >= 1):
             raise ValueError(f"runs must be a positive integer, got {self.runs!r}")
         if not 0 < self.tau_rank <= 1:
             raise ValueError(f"tau_rank must lie in (0, 1], got {self.tau_rank}")
@@ -274,18 +275,17 @@ class MonteCarloConfig:
 def run_problem(config: MonteCarloConfig, seed: int) -> tuple:
     """The data of one run: ``(problem, y)``.
 
-    The ``"monte-carlo"`` variant simulates the series ``y`` with ``seed``,
-    runs the bank and estimates the values (the problem is validated when
-    it is solved); the ``"exact"`` variant takes the true values and has
-    no series (``y`` is None).
+    The Monte Carlo variant, the first of :data:`VARIANTS`, simulates the
+    series ``y`` with ``seed``, runs the bank and estimates the values (the
+    problem is validated when it is solved); the exact variant takes the
+    true values and has no series (``y`` is None).
     """
     spec = config.spec
-    y = None
-    if config.variant == "exact":
-        values = exact_values(config.sigma, config.a, spec.poles)
-    else:
+    if config.variant == VARIANTS[0]:
         y = simulate_arma(config.sigma, config.a, config.samples, config.burn_in, seed)
         values = estimate_values(filter_bank(y, spec), spec)
+    else:
+        y, values = None, exact_values(config.sigma, config.a, spec.poles)
     problem = InterpolationProblem(
         nodes_from_poles(spec.poles), tuple(values),
         config.sigma_hat or embed_sigma(config.sigma, config.order),

@@ -14,6 +14,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,7 @@ __all__ = [
     "conjugate_pairs",
 ]
 
-# Tolerances and step-control constants of the whole package, in one table.
+# Tolerances, step control and defaults of the whole package, in one table.
 # Nodes are compared as reciprocals 1/z_k, which for a filter bank are its poles.
 TOL_NODE = 1e-12        # distinct nodes / poles; conjugate matching of them (absolute)
 TOL_ROOT_PAIR = 1e-8    # conjugate matching of computed roots, relative to 1 + |z|
@@ -53,6 +54,8 @@ STEP_SNAP = 1e-12       # a step target this close below nu = 1 is moved onto it
 MAX_NEWTON_ITERS = 25   # Newton budget of one correction
 DEFAULT_TAU_RANK = 1e-2  # degree detection: threshold relative to the largest singular value
 BANK_RADIUS = 0.7       # modulus of the nonzero poles of the default filter bank
+SAMPLES = 10_000        # Monte Carlo: samples kept per simulated series,
+BURN_IN = 1000          # ... after discarding this many outputs of the zero-state start
 SPECTRUM_POINTS = 256   # equally spaced angles of the circle grid of spectral densities
 DEVIATION_FLOOR = 1e-12  # log-spectral deviation: floor on the norm it is relative to
 
@@ -65,6 +68,11 @@ def _coeff_array(poly) -> np.ndarray:
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("coefficient vector must be 1-d and nonempty")
     return arr
+
+
+def is_integer(x) -> bool:
+    """Whether ``x`` is an integral number (numpy integers included) and not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def readonly(arr) -> np.ndarray:
@@ -177,28 +185,22 @@ class SymStack:
 
 
 def build_S(x) -> np.ndarray:
-    """Symmetrized-product matrix of a full coefficient vector, or of each row of a stack.
+    """Symmetrized-product matrix of one full coefficient vector.
 
     For vectors ``x, y`` of length ``n + 1``, ``build_S(x) @ y`` gives the
     ``z^k`` coefficients (k = 0..n) of ``x(z) y(1/z) + y(z) x(1/z)``.  The
     matrix is the sum of the Hankel matrix ``H[i, j] = x[i + j]`` and the
     upper-triangular Toeplitz matrix with first row ``x``.  The leading
-    entry of ``x`` may be 0 (e.g. a difference of monic polynomials).
-
-    A 2-d array of shape ``(rows, m)`` is a stack of such vectors: the
-    result has shape ``(rows, m, m)`` and slice ``r`` equals
-    ``build_S(x[r])`` bit for bit.  The result is always C-contiguous, so
-    each slice has the layout of a 1-d call's result (a product with a
-    slice then runs the same BLAS kernel on the same bits).  It is the
-    one-off form of :class:`SymStack`, which a caller that forms products
-    of new vectors of one size again and again keeps instead.
+    entry of ``x`` may be 0 (e.g. a difference of monic polynomials); an
+    ``x`` that is not 1-d raises ``ValueError``.  The result is a new
+    C-contiguous array.  It is the one-off form of :class:`SymStack`, which
+    a caller that forms products of new vectors of one size again and
+    again, or of a stack of vectors at once, keeps instead.
     """
-    stacked = isinstance(x, np.ndarray) and x.ndim == 2
-    rows = np.asarray(x, dtype=float) if stacked else _coeff_array(x)[None]
-    stack = SymStack(*rows.shape)
-    stack.rows[...] = rows
-    S = stack.products()
-    return S if stacked else S[0]
+    x = _coeff_array(x)
+    stack = SymStack(1, x.size)
+    stack.rows[0] = x
+    return stack.products()[0]
 
 
 # The path follower's linear algebra: one small dense solve per tangent and

@@ -1,0 +1,68 @@
+"""Code lines of each module of ``src/nevpick``, and their total.
+
+Run from the root of the repository::
+
+    python tests/check_size.py [PACKAGE_DIR]
+
+A code line is a line that holds a token of code, or lies inside a
+multi-line token of code: blank lines, comment lines and the lines of
+docstrings (the leading string of a module, class or function) are not
+counted.  This is the size a change that deletes code reports, before and
+after; ``wc -l`` counts the docstrings too.  ``PACKAGE_DIR`` defaults to
+this checkout's ``src/nevpick``, so the script can measure another
+checkout.  It prints one ``<module> <lines>`` row per module and a last
+``total <lines>`` row.  The file name keeps it out of the default test
+run.
+"""
+
+import ast
+import io
+import sys
+import tokenize
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nevpick"
+
+NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+            tokenize.DEDENT, tokenize.ENDMARKER, tokenize.ENCODING}
+
+
+def docstring_lines(tree: ast.AST) -> set:
+    """Line numbers of the docstrings in ``tree``."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                lines.update(range(first.lineno, first.end_lineno + 1))
+    return lines
+
+
+def code_lines(source: str) -> int:
+    """The number of code lines of a Python source text."""
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in NOT_CODE:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docstring_lines(ast.parse(source)))
+
+
+def sizes(package: Path) -> dict:
+    """``{module file name: code lines}`` of the modules of ``package``."""
+    return {path.name: code_lines(path.read_text(encoding="utf-8"))
+            for path in sorted(package.glob("*.py"))}
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    rows = sizes(Path(args[0]) if args else PACKAGE)
+    width = max(map(len, rows), default=0)
+    for name, count in rows.items():
+        print(f"{name:<{width}} {count:>5}")
+    print(f"{'total':<{width}} {sum(rows.values()):>5}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import inspect
 import json
 
 import numpy as np
@@ -6,6 +8,8 @@ import pytest
 from click.testing import CliRunner
 
 from nevpick.cli import main
+from nevpick.ingestion import VARIANTS, FilterBankSpec, MonteCarloConfig, simulate_arma
+from nevpick.polyalg import BURN_IN, DEFAULT_TAU_RANK, SAMPLES
 from nevpick.problem import problem_from_json_dict, problem_to_json_dict
 
 
@@ -562,3 +566,29 @@ class TestReduceCommand:
         )
         assert result.exit_code == 2
         assert "conjugate pair" in result.output
+
+
+class TestDefaults:
+    """Each CLI default is the library default it feeds, written in one place."""
+
+    @staticmethod
+    def options(command):
+        return {param.name: param for param in main.commands[command].params}
+
+    def test_monte_carlo_options_equal_the_config_defaults(self):
+        config = {f.name: f.default for f in dataclasses.fields(MonteCarloConfig) if f.init}
+        assert (config["samples"], config["burn_in"]) == (SAMPLES, BURN_IN)
+        for command in ("simulate", "detect-degree"):
+            opts = self.options(command)
+            for name in ("samples", "burn_in", "seed"):
+                assert opts[name].default == config[name], (command, name)
+        opts = self.options("detect-degree")
+        assert opts["runs"].default == config["runs"]
+        assert opts["tau_rank"].default == config["tau_rank"] == DEFAULT_TAU_RANK
+        assert opts["variant"].default == config["variant"] == VARIANTS[0]
+        assert tuple(opts["variant"].type.choices) == VARIANTS
+
+    def test_burn_in_of_the_bank_and_the_simulation(self):
+        spec = {f.name: f.default for f in dataclasses.fields(FilterBankSpec)}
+        assert spec["burn_in"] == BURN_IN
+        assert inspect.signature(simulate_arma).parameters["burn_in"].default == BURN_IN

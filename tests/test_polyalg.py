@@ -38,8 +38,8 @@ def gather_build_S(x):
 
     Entry ``[r, i, j]`` gathers ``x[r, i + j]`` (Hankel part) plus
     ``x[r, j - i]`` (upper Toeplitz part); a position outside either part
-    gathers a padding zero.  Takes a 1-d vector or a 2-d stack, like
-    ``build_S``.
+    gathers a padding zero.  Takes a 1-d vector, like ``build_S``, or a
+    2-d stack, like :func:`stack_products`.
     """
     x = np.asarray(x, dtype=float)
     rows = np.atleast_2d(x)
@@ -52,6 +52,13 @@ def gather_build_S(x):
     flat = np.concatenate((rows.ravel(), np.zeros(1)))
     S = flat[hank] + flat[toep]
     return S if x.ndim == 2 else S[0]
+
+
+def stack_products(x):
+    """``SymStack(rows, m).products()`` of the rows of a 2-d array ``x``."""
+    stack = SymStack(*x.shape)
+    stack.rows[...] = x
+    return stack.products()
 
 
 def greedy_pairs_oracle(points, tol):
@@ -208,16 +215,21 @@ class TestBuildS:
         S = build_S([0.0, 1.0])
         assert np.array_equal(S, [[0.0, 2.0], [1.0, 0.0]])
 
+    def test_rejects_a_stack(self):
+        with pytest.raises(ValueError):
+            build_S(np.ones((2, 3)))
+
     def test_stack_slices_equal_rows_bitwise(self):
         rng = np.random.default_rng(16)
-        for m in range(1, 30):
+        for m in range(1, 31):
             for rows in (1, 2, 3):
                 x = rng.standard_normal((rows, m))
-                S = build_S(x)
+                S = stack_products(x)
                 assert S.shape == (rows, m, m)
                 assert S.flags.c_contiguous
                 for r in range(rows):
                     assert np.array_equal(S[r], build_S(x[r]))
+                assert np.array_equal(S, gather_build_S(x))
 
     @pytest.mark.parametrize("m", range(1, 31))
     def test_equals_gather_oracle_bitwise(self, m):
@@ -225,8 +237,7 @@ class TestBuildS:
         x = rng.standard_normal(m)
         stack = rng.standard_normal((2, m))
         stack[1, 0] = 0.0                      # the [0; g] row of the path follower
-        for arg in (x, stack):
-            S = build_S(arg)
+        for arg, S in ((x, build_S(x)), (stack, stack_products(stack))):
             assert S.flags.c_contiguous
             assert np.array_equal(S, gather_build_S(arg))
 
