@@ -23,6 +23,7 @@ from .polyalg import (
     MonicPolynomial,
     conjugate_pairs,
     is_integer,
+    polyval_pair,
 )
 from .problem import InterpolationProblem
 
@@ -101,13 +102,15 @@ def _conjugate_groups(points: np.ndarray):
     both indices, a real point stands alone.
     """
     points = np.asarray(points, dtype=complex)
+    # one np.angle call for all points: numpy's arctan2 may differ from
+    # math.atan2 in the last bit, and the angles break ties
+    angles = np.abs(np.angle(points))
     groups = []
     for k, j in enumerate(conjugate_pairs(points, TOL_ROOT_PAIR * (1.0 + np.abs(points)))):
         if j is None:
             raise ValueError(f"point {points[k]} has no conjugate partner")
         if j >= k:
-            z = points[k]
-            groups.append((abs(z), abs(np.angle(z)), [k] if j == k else [k, j]))
+            groups.append((abs(points[k]), angles[k], [k] if j == k else [k, j]))
     return groups
 
 
@@ -208,9 +211,8 @@ def spectral_density(solution: Solution, thetas) -> np.ndarray:
     Equals ``2 Re f(e^it)`` of the (denormalized) interpolant pointwise.
     """
     z = np.exp(1j * np.asarray(thetas, dtype=float))
-    num = np.abs(np.polyval(solution.problem.sigma.coeffs, z)) ** 2
-    den = np.abs(np.polyval(solution.a.coeffs, z)) ** 2
-    return solution.scale * solution.rho**2 * num / den
+    sigma_z, a_z = polyval_pair(solution.problem.sigma.coeffs, solution.a.coeffs, z)
+    return solution.scale * solution.rho**2 * np.abs(sigma_z) ** 2 / np.abs(a_z) ** 2
 
 
 def log_spectral_deviation(full: Solution, reduced: Solution) -> float:

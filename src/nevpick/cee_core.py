@@ -25,7 +25,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .polyalg import TOL_P_PH, TOL_P_PSD, TOL_P_SYM, TOL_REAL, inverse, readonly
+from .polyalg import (
+    TOL_P_PH,
+    TOL_P_PSD,
+    TOL_P_SYM,
+    TOL_REAL,
+    eigvalsh,
+    inverse,
+    readonly,
+    solve_complex,
+)
 from .problem import InterpolationProblem
 
 __all__ = [
@@ -87,7 +96,7 @@ def build_cee_matrices(problem: InterpolationProblem) -> np.ndarray:
     """
     V = build_V(problem.node_reciprocals())
     w = problem.values_array()
-    T_dot = np.linalg.solve(V, (w - 0.5)[:, None] * V)
+    T_dot = solve_complex(V, (w - 0.5)[:, None] * V)
     residue = float(np.max(np.abs(T_dot.imag)))
     if residue > TOL_REAL:
         raise RealnessError(
@@ -176,7 +185,7 @@ def recover_P(Gamma: np.ndarray, s: np.ndarray, p: np.ndarray, g: np.ndarray) ->
         raise SteinConsistencyError("recovered matrix is not symmetric")
     if np.max(np.abs(P[:, 0] - p)) > TOL_P_PH * (1.0 + float(np.max(np.abs(p)))):
         raise SteinConsistencyError("P h differs from p; the point is off the trajectory")
-    eigs = np.linalg.eigvalsh(P)
+    eigs = eigvalsh(P)
     if eigs[0] < -TOL_P_PSD:
         raise SteinConsistencyError(f"recovered matrix has eigenvalue {eigs[0]:.3e} < 0")
     hPh = float(P[0, 0])

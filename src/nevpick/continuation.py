@@ -72,7 +72,9 @@ from .polyalg import (
     SymStack,
     build_S,
     companion,
+    polyval_pair,
     readonly,
+    roots,
     solve_vector,
 )
 from .problem import (
@@ -131,7 +133,7 @@ class ContinuationState:
     @cached_property
     def a_roots(self) -> np.ndarray:
         """Roots of ``a(p)`` at this state (sorted, read-only)."""
-        return readonly(np.sort_complex(np.roots(self.a)))
+        return readonly(np.sort_complex(roots(self.a)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,7 +162,7 @@ class Diagnostics:
     @cached_property
     def zeros(self) -> np.ndarray:
         """Roots of ``b``, sorted."""
-        return readonly(np.sort_complex(np.roots(self._b)))
+        return readonly(np.sort_complex(roots(self._b)))
 
     @cached_property
     def spectral_zeros(self) -> np.ndarray:
@@ -210,8 +212,7 @@ class Solution:
 
 def _interpolant_from_reciprocal(a: MonicPolynomial, b: MonicPolynomial, scale: float, zeta):
     """``scale * b(z) / (2 a(z))`` at ``z = 1/zeta`` (``zeta`` may be 0 or an array)."""
-    num = np.polyval(b.coeffs[::-1], zeta)
-    den = np.polyval(a.coeffs[::-1], zeta)
+    num, den = polyval_pair(b.coeffs[::-1], a.coeffs[::-1], zeta)
     return scale * num / (2.0 * den)
 
 

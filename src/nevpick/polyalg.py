@@ -78,7 +78,8 @@ def is_integer(x) -> bool:
 def readonly(arr) -> np.ndarray:
     """``arr`` as an array locked against writes (shared across evaluations)."""
     arr = np.asarray(arr)
-    arr.flags.writeable = False
+    # setflags costs half of what assigning to arr.flags.writeable does
+    arr.setflags(write=False)
     return arr
 
 
@@ -127,10 +128,29 @@ class MonicPolynomial:
 def is_schur(poly) -> bool:
     """True iff every root of ``poly`` satisfies ``|root| < 1``.
 
-    Roots come from the eigenvalues of a companion matrix (``numpy.roots``).
+    Roots come from the eigenvalues of a companion matrix (:func:`roots`).
     """
-    r = np.roots(_coeff_array(poly))
+    r = roots(_coeff_array(poly))
     return bool(np.max(np.abs(r), initial=0.0) < 1.0)
+
+
+def polyval_pair(p, q, x) -> tuple:
+    """``(np.polyval(p, x), np.polyval(q, x))`` for two coefficient vectors
+    of one length, in one Horner pass over a flat array that holds ``x`` twice.
+
+    Every step is elementwise, so the bits are those of ``np.polyval``.
+    """
+    x = np.asanyarray(x)
+    m = x.size
+    xx = np.concatenate((x.ravel(), x.ravel()))
+    # row k: the k-th coefficient of p, then of q, each repeated m times and
+    # cast once, exactly, to the type its addition would cast it to
+    coeffs = np.repeat(np.stack((p, q), axis=1).astype(np.result_type(x, p, q)), m, axis=1)
+    y = np.zeros_like(xx)
+    for c in coeffs:
+        y = y * xx + c
+    # [()] turns a 0-d result into a scalar, as np.polyval returns
+    return y[:m].reshape(x.shape)[()], y[m:].reshape(x.shape)[()]
 
 
 def companion(sigma: MonicPolynomial) -> np.ndarray:
@@ -203,13 +223,15 @@ def build_S(x) -> np.ndarray:
     return stack.products()[0]
 
 
-# The path follower's linear algebra: one small dense solve per tangent and
-# per Newton step, one inverse per new nu.  np.linalg.solve and np.linalg.inv
-# call the LAPACK gufuncs below inside a per-call np.errstate that, at these
-# sizes, costs about as much as LAPACK does; calling the gufuncs with numpy's
-# own signature and argument order gives the same bits without it.  A
-# singular matrix makes LAPACK fill the output with NaN and set the invalid
-# flag, whose warning the caller's np.errstate governs.
+# The solver's linear algebra: one small dense solve per tangent and per
+# Newton step, one inverse per new nu, and once per solve the node system,
+# the roots and the eigenvalue checks.  numpy.linalg calls the LAPACK
+# gufuncs below inside a per-call np.errstate and type dispatch that, at
+# these sizes, cost about as much as LAPACK does; calling the gufuncs with
+# numpy's own signature and argument order gives the same bits without
+# them.  A singular matrix, or a failure to converge, makes LAPACK fill the
+# output with NaN and set the invalid flag, whose warning the caller's
+# np.errstate governs.
 
 
 def solve_vector(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -237,6 +259,65 @@ def inverse(A: np.ndarray) -> np.ndarray:
     return A_inv
 
 
+def solve_complex(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``X`` with ``A X = B`` for a nonempty square complex matrix and a
+    complex matrix of right-hand sides, bit-identical to ``np.linalg.solve(A, B)``.
+
+    Raises ``numpy.linalg.LinAlgError`` when ``X[0, 0]`` is NaN: a singular
+    ``A``, or a NaN input that reaches it.
+    """
+    X = _umath_linalg.solve(A, B, signature="DD->D")
+    if X[0, 0] != X[0, 0]:   # NaN in either part
+        raise LinAlgError("Singular matrix")
+    return X
+
+
+def eigvalsh(A: np.ndarray) -> np.ndarray:
+    """Eigenvalues, ascending, of a nonempty real symmetric or complex
+    Hermitian matrix, read from its lower triangle; bit-identical to
+    ``np.linalg.eigvalsh(A)``.
+
+    Raises ``numpy.linalg.LinAlgError`` when the first is NaN: LAPACK did
+    not converge, or met a NaN.  A NaN input need not surface there, so a
+    caller whose input may hold one checks it first.
+    """
+    w = _umath_linalg.eigvalsh_lo(A, signature="D->d" if A.dtype.kind == "c" else "d->d")
+    if math.isnan(w[0]):
+        raise LinAlgError("Eigenvalues did not converge")
+    return w
+
+
+def roots(poly) -> np.ndarray:
+    """Roots of a real polynomial (descending coefficients), bit-identical to ``np.roots``.
+
+    As there, leading and trailing zero coefficients are trimmed, the
+    eigenvalues of the companion matrix of the rest are the roots, each
+    trailing zero adds a root at 0, and the result is real when every
+    imaginary part is 0.  Raises ``numpy.linalg.LinAlgError`` on a
+    non-finite companion matrix, as ``np.roots`` does, or a NaN eigenvalue
+    (LAPACK did not converge).
+    """
+    c = _coeff_array(poly)
+    nonzero = np.flatnonzero(c)
+    if not nonzero.size:
+        return np.array([])
+    first, last = int(nonzero[0]), int(nonzero[-1])
+    w = np.array([])
+    if last > first:
+        A = np.eye(last - first, k=-1)
+        A[0] = -c[first + 1 : last + 1] / c[first]
+        # the rest of A is 0 and 1; LAPACK given a non-finite entry prints an error
+        if not np.isfinite(A[0]).all():
+            raise LinAlgError("Array must not contain infs or NaNs")
+        w = _umath_linalg.eigvals(A, signature="d->D")
+        if w[0] != w[0]:   # NaN in either part
+            raise LinAlgError("Eigenvalues did not converge")
+        if not w.imag.any():
+            w = w.real
+    trailing = c.size - 1 - last
+    return np.concatenate((w, np.zeros(trailing, w.dtype))) if trailing else w
+
+
 def conjugate_pairs(points, tol) -> list:
     """Partner index of each point under one-to-one conjugate matching.
 
@@ -248,9 +329,18 @@ def conjugate_pairs(points, tol) -> list:
     """
     points = np.asarray(points, dtype=complex)
     size = points.size
+    if not size:
+        return []
     tol = np.broadcast_to(tol, points.shape).tolist()
-    # row k: the distance of every point from the conjugate of point k
-    dist = np.abs(points - np.conj(points)[:, None]).tolist()
+    # row k: the distance of each point after k from the conjugate of point k,
+    # and inf up to k
+    dist = np.abs(points - np.conj(points)[:, None])
+    dist[np.tri(size, dtype=bool)] = math.inf
+    # np.argmin of each row: its first NaN, else its first least entry; when
+    # that point is still unused, it is also the choice among the unused ones
+    nearest = dist.argmin(axis=1)
+    least = dist[np.arange(size), nearest].tolist()
+    nearest = nearest.tolist()
     partner = [None] * size
     used = [False] * size
     for k, z in enumerate(points.tolist()):
@@ -259,19 +349,21 @@ def conjugate_pairs(points, tol) -> list:
         if abs(z.imag) <= tol[k]:
             partner[k] = k
             continue
-        # np.argmin over the distances with every used point's set to inf:
-        # the first NaN (which matches nothing), else the first least one;
-        # every point up to k is used, so index 0 wins when all are inf
-        row, j, best = dist[k], 0, math.inf
-        for i in range(k + 1, size):
-            if used[i]:
-                continue
-            d = row[i]
-            if d != d:
-                best = d
-                break
-            if d < best:
-                j, best = i, d
+        j, best = nearest[k], least[k]
+        if used[j]:
+            # np.argmin over the distances with every used point's set to inf:
+            # the first NaN (which matches nothing), else the first least one;
+            # every point up to k is used, so index 0 wins when all are inf
+            row, j, best = dist[k].tolist(), 0, math.inf
+            for i in range(k + 1, size):
+                if used[i]:
+                    continue
+                d = row[i]
+                if d != d:
+                    best = d
+                    break
+                if d < best:
+                    j, best = i, d
         if best <= tol[k]:
             used[j] = True
             partner[k], partner[j] = j, k

@@ -24,7 +24,9 @@ from .polyalg import (
     TOL_W0_REAL,
     MonicPolynomial,
     conjugate_pairs,
+    eigvalsh,
     is_schur,
+    readonly,
 )
 
 __all__ = [
@@ -78,17 +80,20 @@ class InterpolationProblem:
             )
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "values", values)
+        # 1/inf is 0 and 1/0 is infinite (a node validate rejects); 1.0 / z
+        # is Python's complex division, whose bits numpy's need not match
+        object.__setattr__(self, "_zeta", readonly(np.array(
+            [0j if cmath.isinf(z) else INF if z == 0 else 1.0 / z for z in nodes])))
 
     @property
     def n(self) -> int:
         return len(self.nodes) - 1
 
     def node_reciprocals(self) -> np.ndarray:
-        """Reciprocals 1/z_k as a complex array, with 0 for the infinite node."""
-        out = np.empty(len(self.nodes), dtype=complex)
-        for k, z in enumerate(self.nodes):
-            out[k] = 0.0 if is_inf_node(z) else 1.0 / z
-        return out
+        """Reciprocals 1/z_k as one complex array formed at construction and
+        shared by every call (read-only), with 0 for an infinite node and
+        :data:`INF` for a node at 0."""
+        return self._zeta
 
     def values_array(self) -> np.ndarray:
         return np.asarray(self.values, dtype=complex)
@@ -139,7 +144,9 @@ def validate(problem: InterpolationProblem) -> list:
     half-plane, a Schur spectral-zero polynomial, and positive definiteness
     of the Pick matrix.  This is the one check of the nodes on the way into
     :func:`~nevpick.continuation.solve`; the Pick test is skipped when an
-    earlier check makes it meaningless.
+    earlier check makes it meaningless.  Numpy's floating-point warnings
+    are silenced in the pairing and Pick tests: what they would warn of is
+    reported as a violation.
     """
     out: list[Violation] = []
     nodes = problem.nodes
@@ -150,8 +157,12 @@ def validate(problem: InterpolationProblem) -> list:
     if _not_real(values[0]):
         out.append(Violation("value0-real", f"values[0] = {values[0]} must be real", 0))
 
+    # each loop first makes the cheap test that a valid entry passes; only
+    # an entry that fails it takes the checks that word its violation
     structurally_sound = True
     for k, z in enumerate(nodes):
+        if k and 1.0 < abs(z) < math.inf:
+            continue
         if cmath.isnan(z):
             out.append(Violation("not-finite", f"node {k} is {z}", k))
             structurally_sound = False
@@ -163,38 +174,45 @@ def validate(problem: InterpolationProblem) -> list:
             structurally_sound = False
 
     zeta = problem.node_reciprocals()
-    # a NaN node (reported above) has no distance to the others, so pair none
-    paired = not np.isnan(zeta).any()
-    for k, j in coincident_pairs(zeta) if paired else ():
-        out.append(Violation("node-distinct", f"nodes {k} and {j} coincide", j))
-        structurally_sound = False
-
-    for k, j in enumerate(conjugate_pairs(zeta, TOL_NODE) if paired else ()):
-        if j is None:
-            out.append(Violation("conjugate-closure", f"node {k} has no conjugate partner", k))
+    # the reciprocal of a node at 0 is infinite, and the distances to it are
+    # inf or NaN; a Pick matrix of values as large as 1e308 overflows.  Such
+    # input is reported below, so numpy's warnings about it would only repeat it
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # a NaN node (reported above) has no distance to the others, so pair none
+        paired = not np.isnan(zeta).any()
+        for k, j in coincident_pairs(zeta) if paired else ():
+            out.append(Violation("node-distinct", f"nodes {k} and {j} coincide", j))
             structurally_sound = False
-        elif abs(values[j] - values[k].conjugate()) > TOL_VALUE * (1.0 + abs(values[k])):
-            out.append(
-                Violation(
-                    "conjugate-closure",
-                    f"value at conjugate node {j} is not the conjugate of value {k}",
-                    k,
+
+        for k, j in enumerate(conjugate_pairs(zeta, TOL_NODE) if paired else ()):
+            if j is None:
+                out.append(Violation("conjugate-closure", f"node {k} has no conjugate partner", k))
+                structurally_sound = False
+            elif values[j] != values[k].conjugate() and (
+                    abs(values[j] - values[k].conjugate()) > TOL_VALUE * (1.0 + abs(values[k]))):
+                out.append(
+                    Violation(
+                        "conjugate-closure",
+                        f"value at conjugate node {j} is not the conjugate of value {k}",
+                        k,
+                    )
                 )
-            )
 
-    for k, w in enumerate(values):
-        if not cmath.isfinite(w):
-            out.append(Violation("not-finite", f"value {k} is {w}", k))
-            structurally_sound = False
-        elif not w.real > 0:
-            out.append(Violation("value-rhp", f"Re(w_{k}) = {w.real:.6g} must be positive", k))
+        for k, w in enumerate(values):
+            if 0.0 < w.real < math.inf and abs(w.imag) < math.inf:
+                continue
+            if not cmath.isfinite(w):
+                out.append(Violation("not-finite", f"value {k} is {w}", k))
+                structurally_sound = False
+            else:
+                out.append(Violation("value-rhp", f"Re(w_{k}) = {w.real:.6g} must be positive", k))
 
-    if not is_schur(problem.sigma):
-        out.append(Violation("sigma-not-schur", "sigma has a root with modulus >= 1"))
+        if not is_schur(problem.sigma):
+            out.append(Violation("sigma-not-schur", "sigma has a root with modulus >= 1"))
 
-    if structurally_sound:
-        P = pick_matrix(problem)
-        if not is_positive_definite(P):
+        # values as large as 1e308 overflow the Pick matrix, which then is
+        # not positive definite
+        if structurally_sound and not is_positive_definite(pick_matrix(problem)):
             out.append(Violation("pick-not-pd", "Pick matrix is not positive definite"))
 
     return out
@@ -218,6 +236,8 @@ def is_positive_definite(M: np.ndarray) -> bool:
     ``TOL_PD`` times its maximum eigenvalue.
 
     Rejects (raises) inputs that are not Hermitian within ``TOL_HERMITIAN``.
+    A matrix whose Hermitian part has a NaN or infinite entry is not
+    positive definite.
     """
     M = np.asarray(M)
     if M.size == 0:
@@ -225,7 +245,11 @@ def is_positive_definite(M: np.ndarray) -> bool:
     scale = max(1.0, float(np.max(np.abs(M))))
     if np.max(np.abs(M - M.conj().T)) > TOL_HERMITIAN * scale:
         raise ValueError("matrix is not Hermitian")
-    eigs = np.linalg.eigvalsh(0.5 * (M + M.conj().T))
+    H = 0.5 * (M + M.conj().T)
+    # a NaN or infinite entry (M + M^H may overflow) has no eigenvalues to test
+    if not np.isfinite(H).all():
+        return False
+    eigs = eigvalsh(H)
     return bool(eigs[0] > TOL_PD * max(eigs[-1], 0.0))
 
 

@@ -120,6 +120,21 @@ class TestSolveCommand:
         assert result.exit_code == 2
         assert "node-domain" in result.output
 
+    def test_zero_node_exits_2(self, runner, tmp_path):
+        bad = {
+            "nodes": ["inf", {"re": 0, "im": 0}],
+            "values": [{"re": 0.5, "im": 0.0}, {"re": 0.7, "im": 0.0}],
+            "sigma_coeffs": [1.0, 0.0],
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        result = runner.invoke(
+            main, ["solve", "--input", str(path), "--output", str(tmp_path / "o")]
+        )
+        assert result.exit_code == 2, result.output
+        assert "[node-domain] (index 1)" in result.output
+        assert "Traceback" not in result.output and "Warning" not in result.output
+
     @pytest.mark.parametrize("where, literal, message", [
         (("sigma_coeffs", 2), "nan", "coefficients must be finite"),
         (("values", 5, "re"), "inf", "[not-finite] (index 5)"),

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import PATH_ERRSTATE, random_problem, sym_coeffs
-from nevpick import cee_core, continuation
+from nevpick import cee_core, continuation, polyalg
 from nevpick import problem as problem_module
 from nevpick.cee_core import SteinConsistencyError
 from nevpick.continuation import (
@@ -254,12 +254,14 @@ class TestLinearizationMemo:
         # solve finds roots once, in validate's Schur test of sigma; the
         # poles and spectral zeros are the last and first states' a_roots
         # (a = sigma at nu = 0), found on first read and kept
-        roots, calls = np.roots, []
+        roots, calls = polyalg.roots, []
 
         def counting(coeffs):
             calls.append(1)
             return roots(coeffs)
-        monkeypatch.setattr(np, "roots", counting)
+        # is_schur looks roots up in polyalg, the states in continuation
+        monkeypatch.setattr(polyalg, "roots", counting)
+        monkeypatch.setattr(continuation, "roots", counting)
         sol = solve(reference_problem)
         assert len(calls) == 1
         first, last = sol.trajectory[0], sol.trajectory[-1]

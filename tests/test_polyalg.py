@@ -16,9 +16,13 @@ from nevpick.polyalg import (
     build_S,
     companion,
     conjugate_pairs,
+    eigvalsh,
     inverse,
     is_schur,
+    polyval_pair,
     readonly,
+    roots,
+    solve_complex,
     solve_vector,
 )
 from nevpick.problem import INF, InterpolationProblem
@@ -345,9 +349,16 @@ class TestConjugatePairs:
         assert partner == [1, 0, None, None]
 
 
+def same_array(got, want) -> bool:
+    """Equal bit for bit, with the same dtype, shape and Python type."""
+    return (type(got) is type(want) and np.asarray(got).dtype == np.asarray(want).dtype
+            and np.shape(got) == np.shape(want) and np.array_equal(got, want))
+
+
 class TestLapackPrimitives:
-    """``solve_vector`` and ``inverse`` call numpy's private LAPACK gufuncs;
-    a numpy release that moves or changes them fails here."""
+    """``solve_vector``, ``inverse``, ``solve_complex``, ``eigvalsh`` and
+    ``roots`` call numpy's private LAPACK gufuncs; a numpy release that
+    moves or changes them fails here."""
 
     @pytest.mark.parametrize("n", range(1, 30))
     def test_equal_to_numpy_linalg(self, n):
@@ -374,6 +385,81 @@ class TestLapackPrimitives:
                 solve_vector(A, np.ones(A.shape[0]))
             with pytest.raises(np.linalg.LinAlgError):
                 inverse(A)
+            with pytest.raises(np.linalg.LinAlgError):
+                solve_complex(A.astype(complex), np.ones((A.shape[0], 2), dtype=complex))
+
+    @pytest.mark.parametrize("n", range(1, 30))
+    def test_complex_solve_equal_to_numpy_linalg(self, n):
+        # the node system: a complex Vandermonde matrix and a scaled copy of it
+        rng = np.random.default_rng(100 + n)
+        zeta = 0.9 * rng.uniform(0.0, 1.0, n) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+        V = np.vander(zeta, increasing=True)
+        B = (rng.standard_normal(n) + 1j * rng.standard_normal(n))[:, None] * V
+        assert same_array(solve_complex(V, B), np.linalg.solve(V, B))
+        C = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        assert same_array(solve_complex(C, B), np.linalg.solve(C, B))
+
+    @pytest.mark.parametrize("n", range(1, 30))
+    def test_eigvalsh_equal_to_numpy_linalg(self, n):
+        rng = np.random.default_rng(200 + n)
+        A = rng.standard_normal((n, n))
+        B = A + 1j * rng.standard_normal((n, n))
+        for M in (A + A.T, B + B.conj().T, A):   # A: only its lower triangle is read
+            assert same_array(eigvalsh(M), np.linalg.eigvalsh(M))
+
+    def test_eigvalsh_nan_raises(self):
+        M = np.array([[1.0, 0.0], [np.nan, 1.0]], dtype=complex)
+        with warnings.catch_warnings(), np.errstate(**PATH_ERRSTATE):
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError):
+                eigvalsh(M)
+
+    @pytest.mark.parametrize("degree", range(30))
+    def test_roots_equal_to_numpy(self, degree):
+        rng = np.random.default_rng(300 + degree)
+        c = rng.standard_normal(degree + 1)
+        real = np.atleast_1d(np.poly(rng.uniform(-0.9, 0.9, degree)))   # all roots real
+        padded = np.concatenate((np.zeros(2), c, np.zeros(3)))
+        for coeffs in (c, real, padded, padded[2:], padded[:-3], np.zeros(degree + 1)):
+            assert same_array(roots(coeffs), np.roots(coeffs))
+        if 0 < degree < 8:
+            # real roots come back real (higher degrees split some into pairs)
+            assert roots(real).dtype == float
+
+    def test_roots_of_a_monic_polynomial(self):
+        sigma = MonicPolynomial.from_roots([0.5, 0.2 + 0.3j, 0.2 - 0.3j])
+        assert same_array(roots(sigma), np.roots(sigma.coeffs))
+
+    @pytest.mark.parametrize("coeffs", [[1.0, np.nan, 2.0], [np.nan, 1.0], [1.0, np.inf],
+                                        [1e-320, 1e300, 1.0]], ids=["nan", "nan-lead", "inf",
+                                                                    "overflow"])
+    def test_roots_non_finite_raises_like_numpy(self, coeffs):
+        with np.errstate(**PATH_ERRSTATE), pytest.raises(np.linalg.LinAlgError):
+            np.roots(coeffs)
+        with warnings.catch_warnings(), np.errstate(**PATH_ERRSTATE):
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError):
+                roots(coeffs)
+
+
+class TestPolyvalPair:
+    @pytest.mark.parametrize("degree", range(30))
+    def test_equal_to_polyval(self, degree):
+        rng = np.random.default_rng(400 + degree)
+        p, q = rng.standard_normal(degree + 1), rng.standard_normal(degree + 1)
+        circle = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False))
+        zeta = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+        points = (circle, zeta, zeta[::2], rng.standard_normal(7), rng.standard_normal((3, 4)),
+                  0.0, 0.3 - 0.2j, np.complex128(0.1 + 0.4j), np.array(0.5))
+        for x in points:
+            for p_x, q_x in ((p, q), (p[::-1], q[::-1])):
+                got = polyval_pair(p_x, q_x, x)
+                assert same_array(got[0], np.polyval(p_x, x))
+                assert same_array(got[1], np.polyval(q_x, x))
+
+    def test_rejects_lengths_that_differ(self):
+        with pytest.raises(ValueError):
+            polyval_pair(np.ones(3), np.ones(4), 0.5)
 
 
 def is_float_literal(node) -> bool:

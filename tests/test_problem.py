@@ -1,12 +1,19 @@
+import cmath
+import warnings
+
 import numpy as np
 import pytest
 
-from conftest import random_nodes
+from conftest import PATH_ERRSTATE, positive_real_values, random_nodes, random_schur_monic
 from nevpick.ingestion import FilterBankSpec
-from nevpick.polyalg import MonicPolynomial
+from nevpick.polyalg import TOL_NODE, TOL_VALUE, MonicPolynomial, conjugate_pairs, is_schur
 from nevpick.problem import (
     INF,
     InterpolationProblem,
+    Violation,
+    _not_real,
+    coincident_pairs,
+    is_inf_node,
     is_positive_definite,
     normalize,
     pick_matrix,
@@ -22,9 +29,151 @@ def tiny_problem(values=(2.0, 2.0 + 1.0j, 2.0 - 1.0j)):
     return InterpolationProblem(nodes, values, sigma)
 
 
+def validate_loops_oracle(problem):
+    """``validate`` as one Python loop per check over every index: the form
+    the vectorized flags of ``validate`` must reproduce violation for violation."""
+    out = []
+    nodes = problem.nodes
+    values = problem.values
+
+    if not is_inf_node(nodes[0]):
+        out.append(Violation("node-inf-sentinel", "nodes[0] must be the point at infinity", 0))
+    if _not_real(values[0]):
+        out.append(Violation("value0-real", f"values[0] = {values[0]} must be real", 0))
+
+    structurally_sound = True
+    for k, z in enumerate(nodes):
+        if cmath.isnan(z):
+            out.append(Violation("not-finite", f"node {k} is {z}", k))
+            structurally_sound = False
+        elif k and is_inf_node(z):
+            out.append(Violation("node-domain", "only nodes[0] may be infinite", k))
+            structurally_sound = False
+        elif k and abs(z) <= 1.0:
+            out.append(Violation("node-domain", f"|z_{k}| = {abs(z):.6g} must exceed 1", k))
+            structurally_sound = False
+
+    zeta = problem.node_reciprocals()
+    paired = not np.isnan(zeta).any()
+    for k, j in coincident_pairs(zeta) if paired else ():
+        out.append(Violation("node-distinct", f"nodes {k} and {j} coincide", j))
+        structurally_sound = False
+
+    for k, j in enumerate(conjugate_pairs(zeta, TOL_NODE) if paired else ()):
+        if j is None:
+            out.append(Violation("conjugate-closure", f"node {k} has no conjugate partner", k))
+            structurally_sound = False
+        elif abs(values[j] - values[k].conjugate()) > TOL_VALUE * (1.0 + abs(values[k])):
+            out.append(Violation(
+                "conjugate-closure",
+                f"value at conjugate node {j} is not the conjugate of value {k}", k))
+
+    for k, w in enumerate(values):
+        if not cmath.isfinite(w):
+            out.append(Violation("not-finite", f"value {k} is {w}", k))
+            structurally_sound = False
+        elif not w.real > 0:
+            out.append(Violation("value-rhp", f"Re(w_{k}) = {w.real:.6g} must be positive", k))
+
+    if not is_schur(problem.sigma):
+        out.append(Violation("sigma-not-schur", "sigma has a root with modulus >= 1"))
+
+    if structurally_sound:
+        if not is_positive_definite(pick_matrix(problem)):
+            out.append(Violation("pick-not-pd", "Pick matrix is not positive definite"))
+    return out
+
+
+def outcome(check, problem):
+    """``(code, index, message)`` of each violation, or the type of the error
+    raised: Python's ``abs`` of a complex difference beyond the float range
+    raises ``OverflowError`` in both implementations."""
+    try:
+        return [(v.code, v.index, v.message) for v in check(problem)]
+    except OverflowError as exc:
+        return type(exc)
+
+
+def corrupt(rng, nodes, values, sigma):
+    """One random defect of the kinds ``validate`` reports, applied in place
+    to the lists ``nodes`` and ``values``; returns the (maybe new) sigma."""
+    n = len(nodes) - 1
+    k = int(rng.integers(1, n + 1)) if n else 0
+    kind = rng.integers(14)
+    if kind == 0:
+        nodes[k] = complex(rng.choice([complex(np.nan, 0.0), complex(1.5, np.nan), complex(np.nan, np.inf)]))
+    elif kind == 1:
+        nodes[k] = rng.choice([INF, complex(-np.inf, 0.0), complex(1.5, np.inf)])
+    elif kind == 2:
+        nodes[k] = rng.choice([0j, complex(-0.0, 0.0), complex(0.0, -0.0)])
+    elif kind == 3:
+        # inside the disk, on the circle, or just outside with a part of modulus 1
+        nodes[k] = complex(rng.choice([cmath.rect(0.5, rng.uniform(-3.0, 3.0)), 0.6 + 0.8j, 1j,
+                                       -1.0 + 0j, 1.0 + 0.5j, -0.25 - 1.0j, complex(1.0, 1e-300)]))
+    elif kind == 4 and n:
+        nodes[k] = nodes[int(rng.integers(0, n + 1))]     # coincident (maybe with infinity)
+    elif kind == 5:
+        nodes[k] = nodes[k] + rng.choice([1e-3j, 1e-13j, 1e-3])   # breaks or keeps a pair
+    elif kind == 6:
+        values[k] = values[k] + rng.choice([0.3j, 1e-9j, 3e-9j, 1e-9, 0.0j])
+    elif kind == 7:
+        values[k] = rng.choice([complex(np.nan, 0.0), complex(np.inf, 1.0), complex(0.5, -np.inf)])
+    elif kind == 8:
+        values[k] = complex(rng.choice([-1.0, 0.0, -0.0]), values[k].imag)
+    elif kind == 9:
+        sigma = MonicPolynomial(np.concatenate(([1.0, -1.2], np.zeros(n - 1)))) if n else sigma
+    elif kind == 10:
+        nodes[0] = complex(rng.uniform(1.5, 3.0))
+    elif kind == 11:
+        values[0] = values[0] + rng.choice([1e-3j, 1e-15j])
+    elif kind == 12:
+        values[k] = complex(values[k]) * 1e308
+    else:
+        values[k] = -values[k]
+    return sigma
+
+
 class TestValidate:
     def test_reference_instance_is_valid(self, reference_problem):
         assert validate(reference_problem) == []
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_equals_loop_oracle(self, seed):
+        # a valid draw with up to three defects, and its conjugate-symmetric
+        # values shuffled onto other nodes half the time
+        rng = np.random.default_rng(500 + seed)
+        for _ in range(20):
+            n = int(rng.integers(0, 9))
+            nodes = list(random_nodes(rng, n))
+            values = [complex(w) for w in positive_real_values(rng, n, nodes)] if n else [0.5 + 0j]
+            sigma = random_schur_monic(rng, n) if n else MonicPolynomial([1.0])
+            for _ in range(int(rng.integers(0, 4))):
+                sigma = corrupt(rng, nodes, values, sigma)
+            problem = InterpolationProblem(tuple(nodes), tuple(values), sigma)
+            with warnings.catch_warnings(), np.errstate(**PATH_ERRSTATE):
+                warnings.simplefilter("error")
+                assert outcome(validate, problem) == outcome(validate_loops_oracle, problem)
+
+    def test_zero_node_is_a_domain_violation(self):
+        # 1/0 is infinite, not an error, and no other check trips over it
+        problem = InterpolationProblem((INF, 0j), (0.5, 0.6), MonicPolynomial([1.0, 0.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            violations = validate(problem)
+        assert [(v.code, v.index) for v in violations] == [("node-domain", 1)]
+
+    def test_overflowing_pick_matrix_without_warnings(self):
+        problem = InterpolationProblem((INF, 2.0 + 0j), (0.5, 1e308), MonicPolynomial([1.0, 0.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            violations = validate(problem)
+        assert [(v.code, v.index) for v in violations] == [("pick-not-pd", None)]
+
+    def test_node_reciprocals_formed_once(self, reference_problem):
+        zeta = reference_problem.node_reciprocals()
+        assert reference_problem.node_reciprocals() is zeta
+        assert not zeta.flags.writeable
+        assert zeta[0] == 0 and np.array_equal(zeta[1:], [1.0 / z for z in reference_problem.nodes[1:]])
 
     def test_conjugate_break_detected(self, reference_problem):
         values = list(reference_problem.values)
