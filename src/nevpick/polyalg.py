@@ -44,10 +44,11 @@ TOL_P_PSD = 1e-8        # ... and the floor on its smallest eigenvalue
 TOL_CEE = 1e-8          # CEE residual of a solution (Frobenius norm, absolute)
 TOL_SYM = 1e-8          # symmetric input to singular_values: asymmetry relative to its largest entry
 TOL_NEWTON = 1e-12      # max-norm residual of G at which a Newton correction is accepted
-MU_BAND = 1e-4          # predictor acceptance band on |e1' G| at the predicted point
+MU_BAND_FAST = 1e-2     # predictor acceptance band on |e1' G| at the predicted point: the first path,
+MU_BAND = 1e-4          # ... and the paper's band, the fallback when that path fails a certificate
 STEP_INIT = 0.1         # first continuation step in nu
 STEP_MIN = 1e-8         # a step below this declares the path failed
-STEP_SAFETY = 0.5       # step control: the band residual aimed at, as a share of MU_BAND
+STEP_SAFETY = 0.5       # step control: the band residual aimed at, as a share of the band
 STEP_ACCEPT_RANGE = (0.5, 2.0)   # step factor bounds after an accepted step,
 STEP_REJECT_RANGE = (0.1, 0.5)   # ... and after a prediction outside the band
 STEP_SNAP = 1e-12       # a step target this close below nu = 1 is moved onto it

@@ -120,8 +120,16 @@ class ProblemValidationError(ValueError):
         super().__init__("; ".join(str(v) for v in self.violations))
 
 
+def _modulus(z: complex) -> float:
+    """``abs(z)``, or ``inf`` where it lies beyond the float range and Python's ``abs`` raises."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
 def _not_real(w0: complex) -> bool:
-    return abs(w0.imag) > TOL_W0_REAL * max(1.0, abs(w0))
+    return abs(w0.imag) > TOL_W0_REAL * max(1.0, _modulus(w0))
 
 
 def coincident_pairs(zeta) -> list:
@@ -161,7 +169,7 @@ def validate(problem: InterpolationProblem) -> list:
     # an entry that fails it takes the checks that word its violation
     structurally_sound = True
     for k, z in enumerate(nodes):
-        if k and 1.0 < abs(z) < math.inf:
+        if k and 1.0 < _modulus(z) < math.inf:
             continue
         if cmath.isnan(z):
             out.append(Violation("not-finite", f"node {k} is {z}", k))
@@ -169,7 +177,7 @@ def validate(problem: InterpolationProblem) -> list:
         elif k and is_inf_node(z):
             out.append(Violation("node-domain", "only nodes[0] may be infinite", k))
             structurally_sound = False
-        elif k and abs(z) <= 1.0:
+        elif k and _modulus(z) <= 1.0:
             out.append(Violation("node-domain", f"|z_{k}| = {abs(z):.6g} must exceed 1", k))
             structurally_sound = False
 
@@ -189,7 +197,8 @@ def validate(problem: InterpolationProblem) -> list:
                 out.append(Violation("conjugate-closure", f"node {k} has no conjugate partner", k))
                 structurally_sound = False
             elif values[j] != values[k].conjugate() and (
-                    abs(values[j] - values[k].conjugate()) > TOL_VALUE * (1.0 + abs(values[k]))):
+                    _modulus(values[j] - values[k].conjugate())
+                    > TOL_VALUE * (1.0 + _modulus(values[k]))):
                 out.append(
                     Violation(
                         "conjugate-closure",

@@ -135,6 +135,28 @@ class TestSolveCommand:
         assert "[node-domain] (index 1)" in result.output
         assert "Traceback" not in result.output and "Warning" not in result.output
 
+    @pytest.mark.parametrize("nodes, values, code", [
+        # a value, and a node pair, whose modulus lies beyond the float range
+        ([{"re": 2.0, "im": 1.0}, {"re": 2.0, "im": -1.0}],
+         [{"re": 1.5e308, "im": 1.5e308}, {"re": 0.6, "im": 0.1}], "[conjugate-closure] (index 2)"),
+        ([{"re": 1.5e308, "im": 1.5e308}, {"re": 1.5e308, "im": -1.5e308}],
+         [{"re": 0.6, "im": 0.1}, {"re": 0.6, "im": -0.1}], "[node-distinct] (index 1)"),
+    ])
+    def test_overflowing_modulus_exits_2(self, runner, tmp_path, nodes, values, code):
+        bad = {
+            "nodes": ["inf", *nodes],
+            "values": [{"re": 0.5, "im": 0.0}, *values],
+            "sigma_coeffs": [1.0, 0.0, 0.0],
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        result = runner.invoke(
+            main, ["solve", "--input", str(path), "--output", str(tmp_path / "o")]
+        )
+        assert result.exit_code == 2, result.output
+        assert code in result.output
+        assert "Traceback" not in result.output
+
     @pytest.mark.parametrize("where, literal, message", [
         (("sigma_coeffs", 2), "nan", "coefficients must be finite"),
         (("values", 5, "re"), "inf", "[not-finite] (index 5)"),

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from conftest import certificate_failure, clustered_corpus
-from nevpick.continuation import PathError, solve
+from nevpick.cee_core import SteinConsistencyError
+from nevpick.continuation import HomotopyContext, PathError, _certified_path, _follow_path, solve
+from nevpick.polyalg import MU_BAND, MU_BAND_FAST
 
 # (seed, draw): P asymmetric under a general Stein solve at 1/11, 1/82, 2/6
 # and 2/145; a CEE residual from 1.2e-8 to 2.7e-6 at the others
@@ -40,3 +42,18 @@ def test_known_hard_instance_raises_path_error():
     assert np.all((np.abs(zeros) > 0.93) & (np.abs(zeros) < 0.99))
     with pytest.raises(PathError, match="step size underflowed"):
         solve(problem)
+
+
+def test_wrong_branch_of_the_fast_band_falls_back():
+    # seed 1, draw 236 (n = 5): the path with MU_BAND_FAST ends on a root of
+    # G(., 1) whose P has the eigenvalue -1.8e-2; the path with the paper's
+    # MU_BAND ends on the certified one, which solve returns
+    problem = corpus_draw(1, 236)
+    assert problem.n == 5
+    with pytest.raises(SteinConsistencyError, match="eigenvalue"):
+        _certified_path(HomotopyContext(problem), MU_BAND_FAST)
+    assert certificate_failure(problem) is None
+    sol = solve(problem)
+    states = _follow_path(HomotopyContext(problem), MU_BAND)
+    assert len(sol.trajectory) == len(states)
+    assert np.array_equal(sol.p, states[-1].p)

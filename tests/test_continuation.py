@@ -25,7 +25,15 @@ from nevpick.continuation import (
     predictor,
     solve,
 )
-from nevpick.polyalg import STEP_INIT, TOL_NEWTON, MonicPolynomial, SymStack, build_S
+from nevpick.polyalg import (
+    MU_BAND,
+    MU_BAND_FAST,
+    STEP_INIT,
+    TOL_NEWTON,
+    MonicPolynomial,
+    SymStack,
+    build_S,
+)
 from nevpick.problem import (
     INF,
     InterpolationProblem,
@@ -684,6 +692,43 @@ class TestSolve:
         assert len(reference_solution.trajectory) - 1 <= 60
         assert_step_growth_bounded(reference_solution.trajectory)
 
+    def test_endpoint_does_not_depend_on_the_steps(self, reference_problem):
+        # the end step puts the endpoint at the float root of G(., 1),
+        # whichever band chose the steps that led there
+        fast = _follow_path(HomotopyContext(reference_problem), MU_BAND_FAST)
+        paper = _follow_path(HomotopyContext(reference_problem), MU_BAND)
+        assert len(fast) < len(paper)
+        assert fast[-1].nu == paper[-1].nu == 1.0
+        assert np.max(np.abs(fast[-1].p - paper[-1].p)) <= 1e-13
+
+    def test_end_step_keeps_the_lower_residual(self, reference_problem, reference_solution):
+        ctx = HomotopyContext(reference_problem)
+        p = reference_solution.p
+        r = float(np.abs(eval_G(p, 1.0, ctx)).max())
+        p_kept, r_kept = continuation._end_step(ctx, p, r)
+        assert p_kept is p and r_kept == r
+        # a point off the root is moved, and its residual falls
+        q = p + 1e-9
+        r_q = float(np.abs(eval_G(q, 1.0, ctx)).max())
+        p_new, r_new = continuation._end_step(ctx, q, r_q)
+        assert r_new < r_q
+        assert np.max(np.abs(p_new - p)) < 1e-12
+
+    def test_one_corrector_return_per_accepted_state(self, reference_problem, monkeypatch):
+        # the end step adds no state and calls no corrector, so on a solve
+        # that does not fall back the accepted states are the corrections
+        returns = []
+
+        def counting(p_hat, nu, ctx):
+            result = corrector(p_hat, nu, ctx)
+            returns.append(nu)
+            return result
+
+        monkeypatch.setattr(continuation, "corrector", counting)
+        sol = solve(reference_problem)
+        assert len(returns) == len(sol.trajectory) - 1
+        assert returns == [state.nu for state in sol.trajectory[1:]]
+
     def test_one_operator_pair_per_nu(self, reference_problem, monkeypatch):
         # the context keeps one point: a new point at its nu reuses its
         # operator pair, and a point at a new nu forms one more
@@ -729,7 +774,7 @@ class TestSolve:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(PathError):
-                _follow_path(HomotopyContext(reference_problem))
+                _follow_path(HomotopyContext(reference_problem), MU_BAND_FAST)
 
     def test_singular_first_tangent_halves_the_step(self, reference_problem,
                                                     reference_solution, monkeypatch):
@@ -742,7 +787,7 @@ class TestSolve:
         monkeypatch.setattr(continuation, "jac_G", singular_once)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            states = _follow_path(HomotopyContext(reference_problem))
+            states = _follow_path(HomotopyContext(reference_problem), MU_BAND_FAST)
         # the second tangent is at the start again, and the first RK4 stage
         # after it at the middle of a halved first step
         assert calls[:3] == [0.0, 0.0, 0.25 * STEP_INIT]

@@ -49,7 +49,7 @@ def validate_loops_oracle(problem):
         elif k and is_inf_node(z):
             out.append(Violation("node-domain", "only nodes[0] may be infinite", k))
             structurally_sound = False
-        elif k and abs(z) <= 1.0:
+        elif k and modulus(z) <= 1.0:
             out.append(Violation("node-domain", f"|z_{k}| = {abs(z):.6g} must exceed 1", k))
             structurally_sound = False
 
@@ -63,7 +63,7 @@ def validate_loops_oracle(problem):
         if j is None:
             out.append(Violation("conjugate-closure", f"node {k} has no conjugate partner", k))
             structurally_sound = False
-        elif abs(values[j] - values[k].conjugate()) > TOL_VALUE * (1.0 + abs(values[k])):
+        elif modulus(values[j] - values[k].conjugate()) > TOL_VALUE * (1.0 + modulus(values[k])):
             out.append(Violation(
                 "conjugate-closure",
                 f"value at conjugate node {j} is not the conjugate of value {k}", k))
@@ -84,14 +84,16 @@ def validate_loops_oracle(problem):
     return out
 
 
+def modulus(z):
+    """``|z|`` by numpy's ``hypot``: ``inf`` beyond the float range, where
+    Python's ``abs`` of a complex raises ``OverflowError``."""
+    with np.errstate(over="ignore"):
+        return float(np.abs(np.complex128(z)))
+
+
 def outcome(check, problem):
-    """``(code, index, message)`` of each violation, or the type of the error
-    raised: Python's ``abs`` of a complex difference beyond the float range
-    raises ``OverflowError`` in both implementations."""
-    try:
-        return [(v.code, v.index, v.message) for v in check(problem)]
-    except OverflowError as exc:
-        return type(exc)
+    """``(code, index, message)`` of each violation."""
+    return [(v.code, v.index, v.message) for v in check(problem)]
 
 
 def corrupt(rng, nodes, values, sigma):
@@ -153,6 +155,31 @@ class TestValidate:
             with warnings.catch_warnings(), np.errstate(**PATH_ERRSTATE):
                 warnings.simplefilter("error")
                 assert outcome(validate, problem) == outcome(validate_loops_oracle, problem)
+
+    @pytest.mark.parametrize("nodes, values, expected", [
+        # a value beyond the float range: the modulus of the pair's difference
+        # is inf, so only the small value's side exceeds its tolerance
+        ((INF, 2 + 1j, 2 - 1j), (0.5, 1.5e308 + 1.5e308j, 0.6 + 0.1j), [
+            ("conjugate-closure", 2, "value at conjugate node 1 is not the conjugate of value 2"),
+            ("pick-not-pd", None, "Pick matrix is not positive definite"),
+        ]),
+        # nodes beyond the float range: their reciprocals are subnormal, within
+        # TOL_NODE of 0, of each other and of their own conjugates
+        ((INF, 1.5e308 + 1.5e308j, 1.5e308 - 1.5e308j), (0.5, 0.6 + 0.1j, 0.6 - 0.1j), [
+            ("node-distinct", 1, "nodes 0 and 1 coincide"),
+            ("node-distinct", 2, "nodes 0 and 2 coincide"),
+            ("node-distinct", 2, "nodes 1 and 2 coincide"),
+            ("conjugate-closure", 1, "value at conjugate node 1 is not the conjugate of value 1"),
+            ("conjugate-closure", 2, "value at conjugate node 2 is not the conjugate of value 2"),
+        ]),
+    ])
+    def test_modulus_beyond_float_range_is_reported(self, nodes, values, expected):
+        problem = InterpolationProblem(nodes, values, MonicPolynomial([1.0, 0.0, 0.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert outcome(validate, problem) == expected
+        with np.errstate(**PATH_ERRSTATE):
+            assert outcome(validate_loops_oracle, problem) == expected
 
     def test_zero_node_is_a_domain_violation(self):
         # 1/0 is infinite, not an error, and no other check trips over it
