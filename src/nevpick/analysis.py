@@ -23,7 +23,6 @@ from .polyalg import (
     MonicPolynomial,
     conjugate_pairs,
     is_integer,
-    polyval_pair,
 )
 from .problem import InterpolationProblem
 
@@ -211,8 +210,8 @@ def spectral_density(solution: Solution, thetas) -> np.ndarray:
     Equals ``2 Re f(e^it)`` of the (denormalized) interpolant pointwise.
     """
     z = np.exp(1j * np.asarray(thetas, dtype=float))
-    sigma_z, a_z = polyval_pair(solution.problem.sigma.coeffs, solution.a.coeffs, z)
-    return solution.scale * solution.rho**2 * np.abs(sigma_z) ** 2 / np.abs(a_z) ** 2
+    num = np.abs(np.polyval(solution.problem.sigma.coeffs, z)) ** 2
+    return solution.scale * solution.rho**2 * num / np.abs(np.polyval(solution.a.coeffs, z)) ** 2
 
 
 def log_spectral_deviation(full: Solution, reduced: Solution) -> float:

@@ -85,7 +85,6 @@ from .polyalg import (
     SymStack,
     build_S,
     companion,
-    polyval_pair,
     readonly,
     roots,
     solve_vector,
@@ -225,8 +224,7 @@ class Solution:
 
 def _interpolant_from_reciprocal(a: MonicPolynomial, b: MonicPolynomial, scale: float, zeta):
     """``scale * b(z) / (2 a(z))`` at ``z = 1/zeta`` (``zeta`` may be 0 or an array)."""
-    num, den = polyval_pair(b.coeffs[::-1], a.coeffs[::-1], zeta)
-    return scale * num / (2.0 * den)
+    return scale * np.polyval(b.coeffs[::-1], zeta) / (2.0 * np.polyval(a.coeffs[::-1], zeta))
 
 
 class HomotopyContext:

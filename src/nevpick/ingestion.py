@@ -26,8 +26,7 @@ import numpy as np
 from .analysis import DegreeReport, RunRecord, estimate_positive_degree
 from .continuation import SOLVE_ERRORS, PathError, solve
 from .polyalg import (BANK_RADIUS, BURN_IN, DEFAULT_TAU_RANK, SAMPLES, TOL_NODE,
-                      MonicPolynomial, build_S, conjugate_pairs, is_integer, is_schur,
-                      polyval_pair)
+                      MonicPolynomial, build_S, conjugate_pairs, is_integer, is_schur)
 from .problem import INF, InterpolationProblem, coincident_pairs
 
 __all__ = [
@@ -202,8 +201,7 @@ def exact_values(sigma: MonicPolynomial, a: MonicPolynomial, poles) -> np.ndarra
     """Noise-free interpolation values ``f(1/p_k)`` of the true filter."""
     q = positive_real_numerator(sigma, a)
     zeta = np.asarray([complex(p) for p in poles])
-    num, den = polyval_pair(q[::-1], a.coeffs[::-1], zeta)
-    vals = num / den
+    vals = np.polyval(q[::-1], zeta) / np.polyval(a.coeffs[::-1], zeta)
     vals[np.abs(zeta) == 0] = vals[np.abs(zeta) == 0].real
     return vals
 

@@ -135,25 +135,6 @@ def is_schur(poly) -> bool:
     return bool(np.max(np.abs(r), initial=0.0) < 1.0)
 
 
-def polyval_pair(p, q, x) -> tuple:
-    """``(np.polyval(p, x), np.polyval(q, x))`` for two coefficient vectors
-    of one length, in one Horner pass over a flat array that holds ``x`` twice.
-
-    Every step is elementwise, so the bits are those of ``np.polyval``.
-    """
-    x = np.asanyarray(x)
-    m = x.size
-    xx = np.concatenate((x.ravel(), x.ravel()))
-    # row k: the k-th coefficient of p, then of q, each repeated m times and
-    # cast once, exactly, to the type its addition would cast it to
-    coeffs = np.repeat(np.stack((p, q), axis=1).astype(np.result_type(x, p, q)), m, axis=1)
-    y = np.zeros_like(xx)
-    for c in coeffs:
-        y = y * xx + c
-    # [()] turns a 0-d result into a scalar, as np.polyval returns
-    return y[:m].reshape(x.shape)[()], y[m:].reshape(x.shape)[()]
-
-
 def companion(sigma: MonicPolynomial) -> np.ndarray:
     """Companion matrix ``Gamma`` of a monic polynomial (read-only).
 
@@ -337,8 +318,8 @@ def conjugate_pairs(points, tol) -> list:
     # and inf up to k
     dist = np.abs(points - np.conj(points)[:, None])
     dist[np.tri(size, dtype=bool)] = math.inf
-    # np.argmin of each row: its first NaN, else its first least entry; when
-    # that point is still unused, it is also the choice among the unused ones
+    # each point's nearest later point by np.argmin: while that point is
+    # unused, it is also the choice among the unused ones
     nearest = dist.argmin(axis=1)
     least = dist[np.arange(size), nearest].tolist()
     nearest = nearest.tolist()
@@ -352,19 +333,10 @@ def conjugate_pairs(points, tol) -> list:
             continue
         j, best = nearest[k], least[k]
         if used[j]:
-            # np.argmin over the distances with every used point's set to inf:
-            # the first NaN (which matches nothing), else the first least one;
-            # every point up to k is used, so index 0 wins when all are inf
-            row, j, best = dist[k].tolist(), 0, math.inf
-            for i in range(k + 1, size):
-                if used[i]:
-                    continue
-                d = row[i]
-                if d != d:
-                    best = d
-                    break
-                if d < best:
-                    j, best = i, d
+            # taken: np.argmin over the row with every used point's distance set to inf
+            row = np.where(used, math.inf, dist[k])
+            j = int(row.argmin())
+            best = row[j]
         if best <= tol[k]:
             used[j] = True
             partner[k], partner[j] = j, k

@@ -196,9 +196,11 @@ def validate(problem: InterpolationProblem) -> list:
             if j is None:
                 out.append(Violation("conjugate-closure", f"node {k} has no conjugate partner", k))
                 structurally_sound = False
+            # the smaller modulus sets the tolerance, so a broken pair is
+            # reported at both its indices even when one value's modulus is inf
             elif values[j] != values[k].conjugate() and (
                     _modulus(values[j] - values[k].conjugate())
-                    > TOL_VALUE * (1.0 + _modulus(values[k]))):
+                    > TOL_VALUE * (1.0 + min(_modulus(values[k]), _modulus(values[j])))):
                 out.append(
                     Violation(
                         "conjugate-closure",

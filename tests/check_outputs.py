@@ -1,5 +1,5 @@
 """One SHA-256 digest per solve of a benchmark workload and per CLI output
-file, to compare two checkouts.
+file, and the exact work of each workload, to compare two checkouts.
 
 Run from the root of a checkout::
 
@@ -20,6 +20,27 @@ first read included) and, for each accepted state, ``nu``, ``p``,
 ``a_roots``, ``step``, ``corrector_iters`` and ``residual``, each with
 its dtype and shape.
 
+After its items, each workload prints the exact work of the path follower
+in its run, with counting wrappers on the names that
+``nevpick.continuation`` calls through its own globals (failed items
+included), one line per column::
+
+    <workload> <seed> work <column> <count>
+
+* ``solves``: paths followed with ``MU_BAND_FAST``, one per solve;
+* ``fallbacks``: paths followed again with ``MU_BAND`` after a failure;
+* ``predictions``: RK4 predictions made (a singular stage makes none);
+* ``band_rejects``: predictions outside the band;
+* ``accepted``: corrections that converged, the accepted states after
+  ``nu = 0`` (a discarded attempt's count too);
+* ``tangents``: tangents solved, three per prediction and one at each point
+  predictions start from;
+* ``newton``: Newton steps, the end step of each path included;
+* ``pairs``: operator pairs formed.
+
+The counts do not depend on the host.  ``bench/tracer.py`` counts steps by
+``dG_dnu`` calls instead, which are the tangents here.
+
 The ``cli`` workload runs the commands in-process with click's
 ``CliRunner``: ``solve`` and ``reduce --target-degree 5`` on the reference
 instance, and ``simulate --seed <seed>`` and ``detect-degree`` (``exact``,
@@ -32,6 +53,7 @@ The digest leaves out the ``config`` block (the JSON key, or the CSV's
 first line), which names the output directory and the command's options.
 A command that exits with a nonzero status prints
 ``cli <seed> <command> FAILED exit-<status>`` in place of its digests.
+The ``cli`` workload prints no work lines.
 
 The first line records the thread count of numpy's bundled OpenBLAS,
 asked as ``bench/run.py`` asks it (``None`` when it cannot be asked)::
@@ -48,9 +70,11 @@ script then runs itself in a subprocess with ``PYTHONPATH=PATH/src`` for
 the same seed and workloads, and takes that run's lines.  When the other
 run recorded a different thread count, it says so and exits with status 1
 without comparing digests.  Otherwise it reads the lines for the workloads
-and seed of this run, prints the number of outputs whose line differs (an
-output missing on either side counts) and the first of them, and exits
-with status 1 on any difference::
+and seed of this run, digests and work counts alike, prints the number of
+lines whose last field differs (a line missing on either side counts) and
+the first of them, and exits with status 1 on any difference.  A file
+saved before the work lines were added has none, so compare against a
+checkout directory instead::
 
     PYTHONPATH=src python tests/check_outputs.py --seed 3 --compare outputs.txt
     PYTHONPATH=src python tests/check_outputs.py --seed 3 --compare ../parent
@@ -67,6 +91,8 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -78,12 +104,16 @@ import nevpick  # noqa: E402
 import nevpick.analysis  # noqa: E402
 import workloads  # noqa: E402
 from run import _blas_threads  # noqa: E402
+from nevpick import continuation  # noqa: E402
 from nevpick.cli import main as cli_main  # noqa: E402
+from nevpick.polyalg import MU_BAND, MU_BAND_FAST  # noqa: E402
 from nevpick.problem import problem_to_json_dict  # noqa: E402
 
 DIAGNOSTIC_FIELDS = ("interp_residuals", "max_interp_residual", "cee_residual", "poles",
                      "zeros", "spectral_zeros", "singular_values", "cond_V")
 STATE_FIELDS = ("nu", "p", "a_roots", "step", "corrector_iters", "residual")
+WORK_COLUMNS = ("solves", "fallbacks", "predictions", "band_rejects", "accepted", "tangents",
+                "newton", "pairs")
 
 #: The system JSON of the README, input to ``simulate`` and ``detect-degree``.
 README_SYSTEM = {
@@ -112,6 +142,46 @@ def solution_digest(sol) -> str:
     return digest.hexdigest()
 
 
+@contextmanager
+def counting():
+    """Count the path follower's work inside the block.
+
+    Yields a dict that holds the counts of :data:`WORK_COLUMNS` once the block exits.
+    """
+    calls, returns, bands = Counter(), Counter(), Counter()
+    names = ("_follow_path", "predictor", "corrector", "_tangent", "jac_G", "operator_pair")
+    originals = {name: getattr(continuation, name) for name in names}
+
+    def wrap(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            if name == "_follow_path":
+                bands[args[1]] += 1
+            result = fn(*args, **kwargs)
+            returns[name] += 1
+            return result
+        return counted
+
+    work = {}
+    for name, fn in originals.items():
+        setattr(continuation, name, wrap(name, fn))
+    try:
+        yield work
+    finally:
+        for name, fn in originals.items():
+            setattr(continuation, name, fn)
+        work.update(
+            solves=bands[MU_BAND_FAST],
+            fallbacks=bands[MU_BAND],
+            predictions=returns["predictor"],
+            band_rejects=returns["predictor"] - calls["corrector"],
+            accepted=returns["corrector"],
+            tangents=calls["_tangent"],
+            newton=calls["jac_G"] - calls["_tangent"],
+            pairs=calls["operator_pair"],
+        )
+
+
 def _recording(solve, solutions: list):
     def wrapper(*args, **kwargs):
         sol = solve(*args, **kwargs)
@@ -121,7 +191,7 @@ def _recording(solve, solutions: list):
 
 
 def workload_lines(name: str, seed: int) -> list:
-    """The output lines of one workload at one seed."""
+    """The output lines of one workload at one seed: its digests, then its work."""
     solutions = []
     patched = [(nevpick, "solve"), (nevpick.analysis, "solve")]
     originals = [getattr(module, attr) for module, attr in patched]
@@ -129,19 +199,20 @@ def workload_lines(name: str, seed: int) -> list:
         setattr(module, attr, _recording(getattr(module, attr), solutions))
     lines = []
     try:
-        for item in workloads.build(name, seed):
-            solutions.clear()
-            try:
-                item.run()
-            except (*workloads.TYPED_ERRORS, workloads.CheckFailed) as exc:
-                lines.append(f"{name} {seed} {item.label} FAILED {type(exc).__name__}")
-                continue
-            lines += [f"{name} {seed} {item.label} {k} {solution_digest(sol)}"
-                      for k, sol in enumerate(solutions)]
+        with counting() as work:
+            for item in workloads.build(name, seed):
+                solutions.clear()
+                try:
+                    item.run()
+                except (*workloads.TYPED_ERRORS, workloads.CheckFailed) as exc:
+                    lines.append(f"{name} {seed} {item.label} FAILED {type(exc).__name__}")
+                    continue
+                lines += [f"{name} {seed} {item.label} {k} {solution_digest(sol)}"
+                          for k, sol in enumerate(solutions)]
     finally:
         for (module, attr), original in zip(patched, originals):
             setattr(module, attr, original)
-    return lines
+    return lines + [f"{name} {seed} work {column} {work[column]}" for column in WORK_COLUMNS]
 
 
 def file_digest(path: Path) -> str:
@@ -184,9 +255,10 @@ def cli_lines(seed: int) -> list:
 
 
 def _by_solve(lines) -> dict:
-    """Each line's last field (a digest, or the error of a failed item or
-    command), keyed by the rest of the line: workload, seed, item and solve
-    index, or ``cli``, seed, command and file."""
+    """Each line's last field (a digest, a work count, or the error of a
+    failed item or command), keyed by the rest of the line: workload, seed,
+    item and solve index, workload, seed, ``work`` and column, or ``cli``,
+    seed, command and file."""
     return dict(line.rsplit(" ", 1) for line in lines)
 
 
@@ -249,10 +321,11 @@ def main(argv=None) -> int:
     saved = _by_solve(line for line in text.splitlines() if line.startswith(prefixes))
     diff = differences(now, saved)
     if not diff:
-        print(f"all {len(now)} outputs match {args.compare}")
+        counts = sum(key.split(" ")[2] == "work" for key in now)
+        print(f"all {len(now) - counts} outputs and {counts} work counts match {args.compare}")
         return 0
     first = diff[0]
-    print(f"{len(diff)} of {len(set(now) | set(saved))} outputs differ from {args.compare}; "
+    print(f"{len(diff)} of {len(set(now) | set(saved))} lines differ from {args.compare}; "
           f"first: {first} (saved {saved.get(first)}, now {now.get(first)})")
     return 1
 

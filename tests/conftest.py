@@ -9,6 +9,12 @@ from nevpick.problem import INF, InterpolationProblem, validate
 PATH_ERRSTATE = dict(over="ignore", divide="ignore", invalid="ignore")
 
 
+def same_array(got, want) -> bool:
+    """Equal bit for bit, with the same dtype, shape and Python type."""
+    return (type(got) is type(want) and np.asarray(got).dtype == np.asarray(want).dtype
+            and np.shape(got) == np.shape(want) and np.array_equal(got, want))
+
+
 def sym_coeffs(x, y) -> np.ndarray:
     """Coefficients of ``x(z) y(1/z) + y(z) x(1/z)`` by direct convolution.
 

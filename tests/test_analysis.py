@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import same_array
 from nevpick.analysis import (
     DegreeReport,
     RunRecord,
@@ -251,6 +252,16 @@ class TestSpectralDensity:
         thetas = np.linspace(0, 2 * np.pi, 64, endpoint=False)
         f = reference_solution.interpolant_from_reciprocal(np.exp(-1j * thetas))
         assert np.max(np.abs(spectral_density(reference_solution, thetas) - 2 * f.real)) < 1e-8
+
+    def test_is_its_polyval_formula(self, reference_solution):
+        # bit for bit scale rho^2 |sigma(z)|^2 / |a(z)|^2, in the shape of thetas
+        sol = reference_solution
+        thetas = np.linspace(0.0, np.pi, 12)
+        for t in (thetas, thetas.reshape(3, 4), thetas[:1]):
+            z = np.exp(1j * t)
+            want = (sol.scale * sol.rho**2 * np.abs(np.polyval(sol.problem.sigma.coeffs, z)) ** 2
+                    / np.abs(np.polyval(sol.a.coeffs, z)) ** 2)
+            assert same_array(spectral_density(sol, t), want)
 
     def test_positive_with_peaks_near_poles(self, reference_solution):
         thetas = np.linspace(0, np.pi, 721)

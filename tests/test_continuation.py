@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import PATH_ERRSTATE, random_problem, sym_coeffs
+from conftest import PATH_ERRSTATE, random_problem, same_array, sym_coeffs
 from nevpick import cee_core, continuation, polyalg
 from nevpick import problem as problem_module
 from nevpick.cee_core import SteinConsistencyError
@@ -561,6 +561,20 @@ class TestSolve:
         sol = reference_solution
         for z, w in zip(reference_problem.nodes, reference_problem.values):
             assert abs(sol.interpolant(z) - w) < 1e-10
+
+    def test_interpolant_is_its_polyval_formula(self, reference_solution):
+        # bit for bit scale * b(z) / (2 a(z)) at z = 1/zeta, in the shape of zeta
+        sol = reference_solution
+        b, a = sol.b.coeffs[::-1], sol.a.coeffs[::-1]
+        zeta = np.exp(-1j * np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)) / 1.5
+        for x in (zeta.reshape(3, 4), zeta, np.array(0.4 + 0.1j), 0.0, 0.3 - 0.2j):
+            want = sol.scale * np.polyval(b, x) / (2.0 * np.polyval(a, x))
+            assert same_array(sol.interpolant_from_reciprocal(x), want)
+        # a scalar node gives a numpy scalar, not a 0-d array
+        for z, x in ((2.0 + 1.0j, 1.0 / (2.0 + 1.0j)), (INF, 0.0)):
+            got = sol.interpolant(z)
+            assert isinstance(got, np.generic)
+            assert same_array(got, sol.scale * np.polyval(b, x) / (2.0 * np.polyval(a, x)))
 
     def test_central_problem_is_single_state(self, reference_problem):
         nodes = reference_problem.nodes

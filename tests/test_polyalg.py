@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import nevpick
-from conftest import PATH_ERRSTATE, sym_coeffs
+from conftest import PATH_ERRSTATE, same_array, sym_coeffs
 from nevpick.continuation import HomotopyContext
 from nevpick.polyalg import (
     TOL_NODE,
@@ -19,7 +19,6 @@ from nevpick.polyalg import (
     eigvalsh,
     inverse,
     is_schur,
-    polyval_pair,
     readonly,
     roots,
     solve_complex,
@@ -349,12 +348,6 @@ class TestConjugatePairs:
         assert partner == [1, 0, None, None]
 
 
-def same_array(got, want) -> bool:
-    """Equal bit for bit, with the same dtype, shape and Python type."""
-    return (type(got) is type(want) and np.asarray(got).dtype == np.asarray(want).dtype
-            and np.shape(got) == np.shape(want) and np.array_equal(got, want))
-
-
 class TestLapackPrimitives:
     """``solve_vector``, ``inverse``, ``solve_complex``, ``eigvalsh`` and
     ``roots`` call numpy's private LAPACK gufuncs; a numpy release that
@@ -440,26 +433,6 @@ class TestLapackPrimitives:
             warnings.simplefilter("error")
             with pytest.raises(np.linalg.LinAlgError):
                 roots(coeffs)
-
-
-class TestPolyvalPair:
-    @pytest.mark.parametrize("degree", range(30))
-    def test_equal_to_polyval(self, degree):
-        rng = np.random.default_rng(400 + degree)
-        p, q = rng.standard_normal(degree + 1), rng.standard_normal(degree + 1)
-        circle = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False))
-        zeta = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
-        points = (circle, zeta, zeta[::2], rng.standard_normal(7), rng.standard_normal((3, 4)),
-                  0.0, 0.3 - 0.2j, np.complex128(0.1 + 0.4j), np.array(0.5))
-        for x in points:
-            for p_x, q_x in ((p, q), (p[::-1], q[::-1])):
-                got = polyval_pair(p_x, q_x, x)
-                assert same_array(got[0], np.polyval(p_x, x))
-                assert same_array(got[1], np.polyval(q_x, x))
-
-    def test_rejects_lengths_that_differ(self):
-        with pytest.raises(ValueError):
-            polyval_pair(np.ones(3), np.ones(4), 0.5)
 
 
 def is_float_literal(node) -> bool:

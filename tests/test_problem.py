@@ -63,7 +63,8 @@ def validate_loops_oracle(problem):
         if j is None:
             out.append(Violation("conjugate-closure", f"node {k} has no conjugate partner", k))
             structurally_sound = False
-        elif modulus(values[j] - values[k].conjugate()) > TOL_VALUE * (1.0 + modulus(values[k])):
+        elif (modulus(values[j] - values[k].conjugate())
+              > TOL_VALUE * (1.0 + min(modulus(values[k]), modulus(values[j])))):
             out.append(Violation(
                 "conjugate-closure",
                 f"value at conjugate node {j} is not the conjugate of value {k}", k))
@@ -158,8 +159,9 @@ class TestValidate:
 
     @pytest.mark.parametrize("nodes, values, expected", [
         # a value beyond the float range: the modulus of the pair's difference
-        # is inf, so only the small value's side exceeds its tolerance
+        # is inf, above the tolerance of the smaller value, so both sides report
         ((INF, 2 + 1j, 2 - 1j), (0.5, 1.5e308 + 1.5e308j, 0.6 + 0.1j), [
+            ("conjugate-closure", 1, "value at conjugate node 2 is not the conjugate of value 1"),
             ("conjugate-closure", 2, "value at conjugate node 1 is not the conjugate of value 2"),
             ("pick-not-pd", None, "Pick matrix is not positive definite"),
         ]),
