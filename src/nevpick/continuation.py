@@ -18,22 +18,26 @@ same acceptance band it allows far longer steps near the unit circle.  The
 step control departs too: the band residual of an RK4 prediction scales as
 ``dnu^5``, so with band ``mu`` the next step is
 ``dnu * (STEP_SAFETY * mu / |e1' G|)^(1/5)``, clipped to
-``STEP_ACCEPT_RANGE`` after an accepted step and to ``STEP_REJECT_RANGE``
-after a prediction outside the band.
+``[STEP_ACCEPT_MIN, growth]`` after an accepted step and to
+``STEP_REJECT_RANGE`` after a prediction outside the band.
 
-The band departs as well.  A solve first follows the path with
-``mu = MU_BAND_FAST``, a hundred times the paper's band, which takes about
-two fifths fewer tangents on a near-circle path.  When that path raises
+The band and the first step depart as well.  A solve makes up to two
+attempts at the path, the :class:`~nevpick.polyalg.PathAttempt` records
+``ATTEMPTS`` (band ``mu``, first step, growth cap).  The first,
+``FAST_ATTEMPT``, has a hundred times the paper's band, takes the whole
+path as its first step and lets an accepted step grow the next by up to
+4: a short path is then one RK4 step.  When that path raises
 :class:`PathError` or its endpoint fails a certificate
 (:class:`~nevpick.cee_core.SteinConsistencyError`), the solve follows the
-path again on the same context with the paper's ``mu = MU_BAND`` and raises
-what that attempt raises: a certified endpoint is the unique solution, so
-the fallback only turns failures into certificates.  Every path ends with
-one more Newton step at ``nu = 1``, kept only if it lowers the residual, so
-the endpoint sits at the float root of ``G(., 1)`` whatever steps led
-there.  The bands, the Newton tolerance ``TOL_NEWTON`` and the step bounds
-``STEP_INIT`` and ``STEP_MIN`` are constants of the table in
-:mod:`nevpick.polyalg`; a solve takes no options.
+path again on the same context as ``FALLBACK_ATTEMPT`` says, the paper's
+band on steps from 0.1 growing by up to 2, and raises what that attempt
+raises: a certified endpoint is the unique solution, so the fallback only
+turns failures into certificates.  Every path ends with one more Newton
+step at ``nu = 1``, kept only if it lowers the residual, so the endpoint
+sits at the float root of ``G(., 1)`` whatever steps led there.  The
+attempts, the Newton tolerance ``TOL_NEWTON`` and the step floor
+``STEP_MIN`` are constants of the table in :mod:`nevpick.polyalg`; a
+solve takes no options.
 
 ``G``, ``dG/dp`` and ``dG/dnu`` at one point need only ``S([1; v])`` and
 ``S([0; g])``, the two slices of one stacked product per point, which
@@ -70,11 +74,9 @@ import numpy as np
 from . import cee_core
 from .cee_core import build_V, operator_pair, recover_P, v_and_g
 from .polyalg import (
+    ATTEMPTS,
     MAX_NEWTON_ITERS,
-    MU_BAND,
-    MU_BAND_FAST,
-    STEP_ACCEPT_RANGE,
-    STEP_INIT,
+    STEP_ACCEPT_MIN,
     STEP_MIN,
     STEP_REJECT_RANGE,
     STEP_SAFETY,
@@ -82,6 +84,7 @@ from .polyalg import (
     TOL_CEE,
     TOL_NEWTON,
     MonicPolynomial,
+    PathAttempt,
     SymStack,
     build_S,
     companion,
@@ -416,8 +419,9 @@ def _make_state(ctx, nu, p, step, iters, residual) -> ContinuationState:
     )
 
 
-def _follow_path(ctx: HomotopyContext, mu: float) -> list:
-    """March ``nu`` from 0 to 1 with predictor band ``mu``; return the list of accepted states.
+def _follow_path(ctx: HomotopyContext, attempt: PathAttempt) -> list:
+    """March ``nu`` from 0 to 1 with the band and step schedule of ``attempt``;
+    return the list of accepted states.
 
     The last state holds the endpoint after :func:`_end_step`.
     """
@@ -432,8 +436,10 @@ def _follow_path(ctx: HomotopyContext, mu: float) -> list:
             # the target values already equal 1/2 everywhere
             return states
 
+        mu = attempt.band
+        accept_range = (STEP_ACCEPT_MIN, attempt.growth)
         nu = 0.0
-        step = STEP_INIT
+        step = attempt.first_step
         # tangent at (p, nu); a rejected step leaves both unchanged, so it is reused
         tangent = None
         while nu < 1.0:
@@ -465,7 +471,7 @@ def _follow_path(ctx: HomotopyContext, mu: float) -> list:
             if nu == 1.0:
                 p, residual = _end_step(ctx, p, residual)
             states.append(_make_state(ctx, nu, p, dnu, iters, residual))
-            step = dnu * _clip(factor, STEP_ACCEPT_RANGE)
+            step = dnu * _clip(factor, accept_range)
         return states
 
 
@@ -484,13 +490,13 @@ def _end_step(ctx: HomotopyContext, p: np.ndarray, residual: float) -> tuple:
     return (p_new, r) if r < residual else (p, residual)
 
 
-def _certified_path(ctx: HomotopyContext, mu: float) -> tuple:
-    """Follow the path with band ``mu`` and certify its endpoint.
+def _certified_path(ctx: HomotopyContext, attempt: PathAttempt) -> tuple:
+    """Follow the path as ``attempt`` says and certify its endpoint.
 
     Returns the states, the recovered ``P``, its CEE residual and the tail
     ``v + g`` of ``b`` at the endpoint.
     """
-    states = tuple(_follow_path(ctx, mu))
+    states = tuple(_follow_path(ctx, attempt))
     p = states[-1].p
     _, v, g, _, _ = ctx.linearization(p, 1.0)
     P = readonly(recover_P(ctx.Gamma, ctx.s, p, g))
@@ -499,6 +505,21 @@ def _certified_path(ctx: HomotopyContext, mu: float) -> tuple:
         raise cee_core.SteinConsistencyError(
             f"CEE residual {cee_res:.3e} of the recovered matrix exceeds {TOL_CEE:.0e}")
     return states, P, cee_res, v + g
+
+
+def _first_certified_path(ctx: HomotopyContext) -> tuple:
+    """:func:`_certified_path` of the first of ``ATTEMPTS`` that certifies.
+
+    An attempt that raises :class:`PathError` or
+    :class:`~nevpick.cee_core.SteinConsistencyError` hands over to the next
+    on the same context; the last one raises what it raises.
+    """
+    for attempt in ATTEMPTS[:-1]:
+        try:
+            return _certified_path(ctx, attempt)
+        except (PathError, cee_core.SteinConsistencyError):
+            pass
+    return _certified_path(ctx, ATTEMPTS[-1])
 
 
 def _clip(x: float, bounds: tuple) -> float:
@@ -512,13 +533,13 @@ def solve(problem: InterpolationProblem) -> Solution:
     Validates, normalizes to value 1/2 at infinity, follows the homotopy
     path from the central solution ``p = 0``, recovers the matrix ``P`` from
     the covariance extension equation at the endpoint, and assembles the
-    interpolant with full diagnostics.  The path is followed with the band
-    ``MU_BAND_FAST``, and once more with ``MU_BAND`` if that attempt fails;
-    the trajectory is the certified attempt's.  Deterministic: identical
-    inputs produce bit-identical trajectories.
+    interpolant with full diagnostics.  The path is followed as
+    ``FAST_ATTEMPT`` says, and once more as ``FALLBACK_ATTEMPT`` says if
+    that attempt fails; the trajectory is the certified attempt's.
+    Deterministic: identical inputs produce bit-identical trajectories.
 
     Raises :class:`~nevpick.problem.ProblemValidationError` on invalid input,
-    and, when the attempt with ``MU_BAND`` fails too, :class:`PathError` when
+    and, when the fallback attempt fails too, :class:`PathError` when
     step control fails and :class:`~nevpick.cee_core.SteinConsistencyError`
     when the recovered ``P`` fails a check of
     :func:`~nevpick.cee_core.recover_P` or its CEE residual exceeds
@@ -528,10 +549,7 @@ def solve(problem: InterpolationProblem) -> Solution:
     if violations:
         raise ProblemValidationError(violations)
     ctx = HomotopyContext(problem)
-    try:
-        states, P, cee_res, b_tail = _certified_path(ctx, MU_BAND_FAST)
-    except (PathError, cee_core.SteinConsistencyError):
-        states, P, cee_res, b_tail = _certified_path(ctx, MU_BAND)
+    states, P, cee_res, b_tail = _first_certified_path(ctx)
     p = states[-1].p
     a, b = MonicPolynomial(states[-1].a), MonicPolynomial(_pad(1.0, b_tail))
     zeta = problem.node_reciprocals()

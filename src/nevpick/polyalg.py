@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
@@ -27,6 +28,15 @@ __all__ = [
     "build_S",
     "conjugate_pairs",
 ]
+
+
+class PathAttempt(NamedTuple):
+    """One attempt of a solve at the path: its predictor band and step schedule."""
+
+    band: float        # acceptance band on |e1' G| at the predicted point
+    first_step: float  # first continuation step in nu
+    growth: float      # largest factor of the next step over an accepted one
+
 
 # Tolerances, step control and defaults of the whole package, in one table.
 # Nodes are compared as reciprocals 1/z_k, which for a filter bank are its poles.
@@ -44,12 +54,17 @@ TOL_P_PSD = 1e-8        # ... and the floor on its smallest eigenvalue
 TOL_CEE = 1e-8          # CEE residual of a solution (Frobenius norm, absolute)
 TOL_SYM = 1e-8          # symmetric input to singular_values: asymmetry relative to its largest entry
 TOL_NEWTON = 1e-12      # max-norm residual of G at which a Newton correction is accepted
-MU_BAND_FAST = 1e-2     # predictor acceptance band on |e1' G| at the predicted point: the first path,
-MU_BAND = 1e-4          # ... and the paper's band, the fallback when that path fails a certificate
-STEP_INIT = 0.1         # first continuation step in nu
+# The attempts of a solve at the path, in order (see PathAttempt above).  The first
+# takes the whole path as its first step with a hundred times the paper's band, and
+# lets an accepted step grow the next by up to 4; the fallback, which follows the path
+# again when that attempt fails, is the paper's band on steps from 0.1 growing by up
+# to 2, the schedule of every path before the first attempt had its own.
+FAST_ATTEMPT = PathAttempt(band=1e-2, first_step=1.0, growth=4.0)
+FALLBACK_ATTEMPT = PathAttempt(band=1e-4, first_step=0.1, growth=2.0)
+ATTEMPTS = (FAST_ATTEMPT, FALLBACK_ATTEMPT)
 STEP_MIN = 1e-8         # a step below this declares the path failed
 STEP_SAFETY = 0.5       # step control: the band residual aimed at, as a share of the band
-STEP_ACCEPT_RANGE = (0.5, 2.0)   # step factor bounds after an accepted step,
+STEP_ACCEPT_MIN = 0.5   # step factor bounds after an accepted step: this and the attempt's growth,
 STEP_REJECT_RANGE = (0.1, 0.5)   # ... and after a prediction outside the band
 STEP_SNAP = 1e-12       # a step target this close below nu = 1 is moved onto it
 MAX_NEWTON_ITERS = 25   # Newton budget of one correction

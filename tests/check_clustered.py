@@ -1,28 +1,67 @@
-"""The full clustered near-circle corpus: 240 draws at each of two seeds.
+"""The full clustered near-circle corpus: 240 draws at each of seeds 1 to 20.
 
 Run from the root of the repository::
 
-    PYTHONPATH=src python -m pytest tests/check_clustered.py
+    PYTHONPATH=src python -m pytest -s tests/check_clustered.py
 
-The file name keeps it out of the default test run (about 8 s); a few of
-its draws run there from ``tests/test_clustered.py``.  The gate: at least
-239 of the 240 draws of each seed certify.  The one known failure is seed
-2, draw 35, pinned as a ``PathError`` in ``tests/test_clustered.py``.
+The file name keeps it out of the default test run (about 15 s); a few of
+its draws run there from ``tests/test_clustered.py``.  The gates: at least
+239 of the 240 draws of each of seeds 1 and 2 certify, and every draw of
+seeds 1 to 20 that fails a certificate is one of ``KNOWN_FAILURES``.  The
+failure at seed 2, draw 35 is pinned as a ``PathError`` in
+``tests/test_clustered.py``.  With ``-s`` the run prints how many draws
+failed and how many certified on the fallback attempt.
 """
+
+from functools import cache
 
 import pytest
 
 from conftest import certificate_failure, clustered_corpus
+from nevpick import continuation
+from nevpick.polyalg import FALLBACK_ATTEMPT
 
 DRAWS = 240
 MIN_CERTIFIED = 239
+SEEDS = range(1, 21)
+#: (seed, draw) of the draws that may fail, each with a PathError at the start
+#: of its path; the solver before the first attempt had its own schedule
+#: failed these and (2, 135), (18, 83), (18, 103), (20, 54)
+KNOWN_FAILURES = {(2, 35), (3, 135), (5, 103), (8, 71), (8, 151), (12, 239), (15, 71),
+                  (18, 59)}
+
+
+@cache
+def corpus_failures(seed) -> tuple:
+    """``(failures, fallbacks)`` of one seed's draws: why each failing draw
+    fails, by draw, and the draws that certify on the fallback attempt."""
+    attempts = []
+    follow = continuation._follow_path
+    continuation._follow_path = lambda ctx, attempt: attempts.append(attempt) or follow(ctx, attempt)
+    failures, fallbacks = {}, []
+    try:
+        for t, problem in clustered_corpus(seed, DRAWS):
+            attempts.clear()
+            why = certificate_failure(problem)
+            if why is not None:
+                failures[t] = why
+            elif FALLBACK_ATTEMPT in attempts:
+                fallbacks.append(t)
+    finally:
+        continuation._follow_path = follow
+    return failures, fallbacks
 
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_clustered_corpus_certifies(seed):
-    failures = {}
-    for t, problem in clustered_corpus(seed, DRAWS):
-        why = certificate_failure(problem)
-        if why is not None:
-            failures[t] = why
+    failures, _ = corpus_failures(seed)
     assert DRAWS - len(failures) >= MIN_CERTIFIED, failures
+
+
+def test_failures_are_known():
+    failures = {(seed, t): why for seed in SEEDS for t, why in corpus_failures(seed)[0].items()}
+    fallbacks = sum(len(corpus_failures(seed)[1]) for seed in SEEDS)
+    print(f"\nseeds {SEEDS.start}-{SEEDS.stop - 1}: {len(failures)} draws fail, "
+          f"{fallbacks} certify on the fallback attempt")
+    unknown = {key: why for key, why in failures.items() if key not in KNOWN_FAILURES}
+    assert not unknown, unknown

@@ -27,8 +27,8 @@ included), one line per column::
 
     <workload> <seed> work <column> <count>
 
-* ``solves``: paths followed with ``MU_BAND_FAST``, one per solve;
-* ``fallbacks``: paths followed again with ``MU_BAND`` after a failure;
+* ``solves``: first paths of a solve, one per solve;
+* ``fallbacks``: paths followed again on the same context after a failure;
 * ``predictions``: RK4 predictions made (a singular stage makes none);
 * ``band_rejects``: predictions outside the band;
 * ``accepted``: corrections that converged, the accepted states after
@@ -72,9 +72,17 @@ run recorded a different thread count, it says so and exits with status 1
 without comparing digests.  Otherwise it reads the lines for the workloads
 and seed of this run, digests and work counts alike, prints the number of
 lines whose last field differs (a line missing on either side counts) and
-the first of them, and exits with status 1 on any difference.  A file
-saved before the work lines were added has none, so compare against a
-checkout directory instead::
+the first of them, and exits with status 1 on any difference.  It then
+prints, per workload, the largest absolute difference of ``p``, ``P``,
+``a`` and ``b`` over the solves whose digests differ, so a change that
+moves endpoints by rounding shows by how much.  The values come from
+endpoint lines, which ``--endpoints`` adds after each digest line and a
+run on a checkout directory always has::
+
+    endpoint <workload> <seed> <item label> <solve index> <JSON [p, P, a, b]>
+
+A file saved before the work lines were added has none, so compare
+against a checkout directory instead::
 
     PYTHONPATH=src python tests/check_outputs.py --seed 3 --compare outputs.txt
     PYTHONPATH=src python tests/check_outputs.py --seed 3 --compare ../parent
@@ -106,7 +114,6 @@ import workloads  # noqa: E402
 from run import _blas_threads  # noqa: E402
 from nevpick import continuation  # noqa: E402
 from nevpick.cli import main as cli_main  # noqa: E402
-from nevpick.polyalg import MU_BAND, MU_BAND_FAST  # noqa: E402
 from nevpick.problem import problem_to_json_dict  # noqa: E402
 
 DIAGNOSTIC_FIELDS = ("interp_residuals", "max_interp_residual", "cee_residual", "poles",
@@ -148,15 +155,19 @@ def counting():
 
     Yields a dict that holds the counts of :data:`WORK_COLUMNS` once the block exits.
     """
-    calls, returns, bands = Counter(), Counter(), Counter()
+    calls, returns, paths = Counter(), Counter(), Counter()
     names = ("_follow_path", "predictor", "corrector", "_tangent", "jac_G", "operator_pair")
     originals = {name: getattr(continuation, name) for name in names}
+    last_context = [None]
 
     def wrap(name, fn):
         def counted(*args, **kwargs):
             calls[name] += 1
             if name == "_follow_path":
-                bands[args[1]] += 1
+                # a solve follows its paths on one context, so a path on
+                # the context of the path before it is a fallback
+                paths["fallbacks" if args[0] is last_context[0] else "solves"] += 1
+                last_context[0] = args[0]
             result = fn(*args, **kwargs)
             returns[name] += 1
             return result
@@ -171,8 +182,8 @@ def counting():
         for name, fn in originals.items():
             setattr(continuation, name, fn)
         work.update(
-            solves=bands[MU_BAND_FAST],
-            fallbacks=bands[MU_BAND],
+            solves=paths["solves"],
+            fallbacks=paths["fallbacks"],
             predictions=returns["predictor"],
             band_rejects=returns["predictor"] - calls["corrector"],
             accepted=returns["corrector"],
@@ -190,8 +201,17 @@ def _recording(solve, solutions: list):
     return wrapper
 
 
-def workload_lines(name: str, seed: int) -> list:
-    """The output lines of one workload at one seed: its digests, then its work."""
+def endpoint_line(key: str, sol) -> str:
+    """``endpoint <key> <json>``: the solve's ``p``, ``P``, ``a`` and ``b``,
+    each float written so that it reads back exactly."""
+    values = [np.asarray(value).tolist() for value in (sol.p, sol.P, sol.a.coeffs, sol.b.coeffs)]
+    return f"endpoint {key} {json.dumps(values, separators=(',', ':'))}"
+
+
+def workload_lines(name: str, seed: int, endpoints: bool = False) -> list:
+    """The output lines of one workload at one seed: its digests, then its
+    work; with ``endpoints``, each digest line is followed by its
+    :func:`endpoint_line`."""
     solutions = []
     patched = [(nevpick, "solve"), (nevpick.analysis, "solve")]
     originals = [getattr(module, attr) for module, attr in patched]
@@ -207,8 +227,11 @@ def workload_lines(name: str, seed: int) -> list:
                 except (*workloads.TYPED_ERRORS, workloads.CheckFailed) as exc:
                     lines.append(f"{name} {seed} {item.label} FAILED {type(exc).__name__}")
                     continue
-                lines += [f"{name} {seed} {item.label} {k} {solution_digest(sol)}"
-                          for k, sol in enumerate(solutions)]
+                for k, sol in enumerate(solutions):
+                    key = f"{name} {seed} {item.label} {k}"
+                    lines.append(f"{key} {solution_digest(sol)}")
+                    if endpoints:
+                        lines.append(endpoint_line(key, sol))
     finally:
         for (module, attr), original in zip(patched, originals):
             setattr(module, attr, original)
@@ -273,12 +296,39 @@ def differences(now: dict, saved: dict) -> list:
 
 def checkout_lines(root: Path, seed: int, names: list) -> str:
     """The output of this script run on the package in the checkout ``root``."""
-    command = [sys.executable, str(Path(__file__).resolve()), "--seed", str(seed)]
+    command = [sys.executable, str(Path(__file__).resolve()), "--seed", str(seed), "--endpoints"]
     for name in names:
         command += ["--workload", name]
     env = {**os.environ, "PYTHONPATH": str(root.resolve() / "src")}
     return subprocess.run(command, env=env, stdout=subprocess.PIPE, text=True,
                            check=True).stdout
+
+
+def endpoint_values(lines) -> dict:
+    """The arrays ``(p, P, a, b)`` of each endpoint line, keyed as :func:`_by_solve` keys."""
+    found = {}
+    for line in lines:
+        if line.startswith("endpoint "):
+            key, values = line[len("endpoint "):].rsplit(" ", 1)
+            found[key] = tuple(np.array(value, dtype=float) for value in json.loads(values))
+    return found
+
+
+def endpoint_differences(keys, now: dict, saved: dict) -> list:
+    """One line per workload among ``keys``: the largest absolute difference
+    of ``p``, ``P``, ``a`` and ``b`` over its solves with endpoints on both
+    sides (a shape that differs counts as inf)."""
+    largest, counted = {}, Counter()
+    for key in keys:
+        if key in now and key in saved:
+            workload = key.split(" ")[0]
+            counted[workload] += 1
+            diffs = [float(np.max(np.abs(x - y), initial=0.0)) if x.shape == y.shape else np.inf
+                     for x, y in zip(now[key], saved[key])]
+            largest[workload] = np.maximum(largest.get(workload, 0.0), diffs)
+    return [f"{workload}: {counted[workload]} solves differ; largest difference "
+            + ", ".join(f"{name} {value:.2e}" for name, value in zip("pPab", diffs))
+            for workload, diffs in largest.items()]
 
 
 def thread_line() -> str:
@@ -291,6 +341,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append",
                         choices=sorted(workloads.WORKLOADS) + ["cli"])
     parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--endpoints", action="store_true",
+                        help="follow each digest line with the solve's p, P, a and b")
     parser.add_argument("--compare", type=Path, metavar="PATH",
                         help="compare with the saved output file PATH, or with a run on "
                              "the checkout directory PATH, instead of printing")
@@ -308,16 +360,17 @@ def main(argv=None) -> int:
             print(f"OpenBLAS thread counts differ ({args.compare}: {recorded.split()[1]}, "
                   f"this run: {threads.split()[1]}); digests not compared")
             return 1
+    endpoints = args.endpoints or args.compare is not None
     lines = [line for name in names
              for line in (cli_lines(args.seed) if name == "cli"
-                          else workload_lines(name, args.seed))]
+                          else workload_lines(name, args.seed, endpoints))]
     if args.compare is None:
         print(threads)
         for line in lines:
             print(line)
         return 0
     prefixes = tuple(f"{name} {args.seed} " for name in names)
-    now = _by_solve(lines)
+    now = _by_solve(line for line in lines if not line.startswith("endpoint "))
     saved = _by_solve(line for line in text.splitlines() if line.startswith(prefixes))
     diff = differences(now, saved)
     if not diff:
@@ -327,6 +380,11 @@ def main(argv=None) -> int:
     first = diff[0]
     print(f"{len(diff)} of {len(set(now) | set(saved))} lines differ from {args.compare}; "
           f"first: {first} (saved {saved.get(first)}, now {now.get(first)})")
+    saved_endpoints = endpoint_values(text.splitlines())
+    if not saved_endpoints:
+        print(f"{args.compare} records no endpoints; values not compared")
+    for line in endpoint_differences(diff, endpoint_values(lines), saved_endpoints):
+        print(line)
     return 1
 
 

@@ -1,5 +1,7 @@
-"""The digest script's record of the OpenBLAS thread count, and its work
-counts on the reference instance."""
+"""The digest script's record of the OpenBLAS thread count, its work
+counts on the reference instance, and its endpoint comparison."""
+
+import numpy as np
 
 import check_outputs
 from nevpick.continuation import solve
@@ -27,9 +29,33 @@ def test_counts_of_the_reference_solve(reference_problem):
     with check_outputs.counting() as work:
         sol = solve(reference_problem)
     assert work["solves"] == 1 and work["fallbacks"] == 0
-    assert work["accepted"] == len(sol.trajectory) - 1 == 16
+    assert work["accepted"] == len(sol.trajectory) - 1 == 14
     assert work["predictions"] == work["accepted"] + work["band_rejects"]
     # three tangents per prediction, and one at each point predictions start from
     assert work["tangents"] == 3 * work["predictions"] + work["accepted"]
     # the corrections' Newton steps and the end step
     assert work["newton"] == sum(s.corrector_iters for s in sol.trajectory) + 1
+
+
+def test_endpoint_line_reads_back_exactly(reference_solution):
+    key = "near_circle 3 reference 0"
+    line = check_outputs.endpoint_line(key, reference_solution)
+    assert line.startswith(f"endpoint {key} ")
+    values = check_outputs.endpoint_values([line])[key]
+    sol = reference_solution
+    for got, want in zip(values, (sol.p, sol.P, sol.a.coeffs, sol.b.coeffs)):
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_endpoint_differences_per_workload(reference_solution):
+    keys = ["near_circle 3 reference 0", "near_circle 3 reference 1", "bank_large 3 x 0"]
+    now = check_outputs.endpoint_values(
+        [check_outputs.endpoint_line(key, reference_solution) for key in keys])
+    saved = {key: tuple(value.copy() for value in values) for key, values in now.items()}
+    saved[keys[0]][1][0, 0] += 0.5
+    saved[keys[1]][0][0] -= 0.25
+    # a key on one side only has no values to compare
+    del saved[keys[2]]
+    assert check_outputs.endpoint_differences(keys, now, saved) == [
+        "near_circle: 2 solves differ; largest difference p 2.50e-01, P 5.00e-01, "
+        "a 0.00e+00, b 0.00e+00"]

@@ -219,8 +219,9 @@ class TestSolveCommand:
     def test_path_failure_exits_3(self, runner, tmp_path, reference_problem_file, monkeypatch):
         from nevpick import continuation
 
-        # a first step below STEP_MIN = 1e-8 underflows at once
-        monkeypatch.setattr(continuation, "STEP_INIT", 1e-9)
+        # a first step below STEP_MIN = 1e-8 underflows at once, in every attempt
+        monkeypatch.setattr(continuation, "ATTEMPTS",
+                            tuple(a._replace(first_step=1e-9) for a in continuation.ATTEMPTS))
         result = runner.invoke(
             main, ["solve", "--input", str(reference_problem_file), "--output", str(tmp_path / "o")]
         )

@@ -25,10 +25,12 @@ from nevpick.continuation import (
     predictor,
     solve,
 )
+from nevpick.ingestion import MonteCarloConfig, run_problem
 from nevpick.polyalg import (
-    MU_BAND,
-    MU_BAND_FAST,
-    STEP_INIT,
+    ATTEMPTS,
+    FALLBACK_ATTEMPT,
+    FAST_ATTEMPT,
+    TOL_CEE,
     TOL_NEWTON,
     MonicPolynomial,
     SymStack,
@@ -48,12 +50,13 @@ def n1_problem(z1=2.0, w1=0.8, s1=-0.3):
     )
 
 
-def assert_step_growth_bounded(trajectory):
-    # an accepted step at most doubles the next one; the slack covers the
-    # rounding of nu + step and the snap of the last target onto nu = 1
+def assert_step_growth_bounded(trajectory, attempt):
+    # an accepted step at most multiplies the next one by the attempt's
+    # growth cap; the slack covers the rounding of nu + step and the snap of
+    # the last target onto nu = 1
     steps = [state.step for state in trajectory[1:]]
     for prev, step in zip(steps, steps[1:]):
-        assert step <= 2.0 * prev + 1e-12
+        assert step <= attempt.growth * prev + 1e-12
 
 
 class TestHomotopyMap:
@@ -704,13 +707,35 @@ class TestSolve:
     def test_reference_path_length(self, reference_solution):
         assert reference_solution.trajectory[-1].nu == 1.0
         assert len(reference_solution.trajectory) - 1 <= 60
-        assert_step_growth_bounded(reference_solution.trajectory)
+        # the reference solve does not fall back (test_check_outputs pins its counts)
+        assert_step_growth_bounded(reference_solution.trajectory, FAST_ATTEMPT)
+
+    def test_short_path_is_one_step(self):
+        # a detect_mc-style problem: Monte Carlo values of an order-2 system
+        # at order 4; the first attempt's first step is the whole path
+        sigma = MonicPolynomial.from_roots([0.17 + 0.26j, 0.17 - 0.26j])
+        a = MonicPolynomial.from_roots([0.09 + 0.75j, 0.09 - 0.75j])
+        problem, _ = run_problem(MonteCarloConfig(sigma=sigma, a=a, order=4), 0)
+        sol = solve(problem)
+        assert [state.nu for state in sol.trajectory] == [0.0, 1.0]
+        assert sol.trajectory[1].step == FAST_ATTEMPT.first_step == 1.0
+        assert sol.diagnostics.cee_residual <= TOL_CEE
+        assert sol.diagnostics.max_interp_residual <= 1e-10
+
+    def test_fallback_attempt_keeps_the_paper_schedule(self, reference_problem):
+        # the paper's band on steps from 0.1 growing by up to 2 takes 27
+        # accepted steps on the reference instance, as every path did before
+        # the first attempt had a schedule of its own (that attempt takes 14)
+        states = _follow_path(HomotopyContext(reference_problem), FALLBACK_ATTEMPT)
+        assert len(states) - 1 == 27
+        assert FALLBACK_ATTEMPT.first_step == 0.1 and FALLBACK_ATTEMPT.growth == 2.0
+        assert_step_growth_bounded(states, FALLBACK_ATTEMPT)
 
     def test_endpoint_does_not_depend_on_the_steps(self, reference_problem):
         # the end step puts the endpoint at the float root of G(., 1),
         # whichever band chose the steps that led there
-        fast = _follow_path(HomotopyContext(reference_problem), MU_BAND_FAST)
-        paper = _follow_path(HomotopyContext(reference_problem), MU_BAND)
+        fast = _follow_path(HomotopyContext(reference_problem), FAST_ATTEMPT)
+        paper = _follow_path(HomotopyContext(reference_problem), FALLBACK_ATTEMPT)
         assert len(fast) < len(paper)
         assert fast[-1].nu == paper[-1].nu == 1.0
         assert np.max(np.abs(fast[-1].p - paper[-1].p)) <= 1e-13
@@ -762,20 +787,27 @@ class TestSolve:
         eval_G(p, 0.4, ctx)
         assert calls == [0.3, 0.4]
 
-    def test_identity_suite_path_length(self):
+    def test_identity_suite_path_length(self, monkeypatch):
         # the 100 problems of acceptance criterion 6, drawn the same way
+        attempts = []
+        follow = continuation._follow_path
+        monkeypatch.setattr(continuation, "_follow_path",
+                            lambda ctx, attempt: attempts.append(attempt) or follow(ctx, attempt))
         rng = np.random.default_rng(601)
         total = 0
         for _ in range(100):
             n = int(rng.integers(1, 7))
             trajectory = solve(random_problem(rng, n)).trajectory
-            assert_step_growth_bounded(trajectory)
+            assert_step_growth_bounded(trajectory, FAST_ATTEMPT)
             total += len(trajectory)
+        # no solve fell back, so each trajectory is the first attempt's
+        assert attempts == [FAST_ATTEMPT] * 100
         assert total < 1500
 
     def test_path_error_on_impossible_step_floor(self, reference_problem, monkeypatch):
-        # a first step below STEP_MIN = 1e-8 underflows at once
-        monkeypatch.setattr(continuation, "STEP_INIT", 1e-9)
+        # a first step below STEP_MIN = 1e-8 underflows at once, in every attempt
+        monkeypatch.setattr(continuation, "ATTEMPTS",
+                            tuple(a._replace(first_step=1e-9) for a in ATTEMPTS))
         with pytest.raises(PathError):
             solve(reference_problem)
 
@@ -788,7 +820,7 @@ class TestSolve:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(PathError):
-                _follow_path(HomotopyContext(reference_problem), MU_BAND_FAST)
+                _follow_path(HomotopyContext(reference_problem), FAST_ATTEMPT)
 
     def test_singular_first_tangent_halves_the_step(self, reference_problem,
                                                     reference_solution, monkeypatch):
@@ -801,10 +833,10 @@ class TestSolve:
         monkeypatch.setattr(continuation, "jac_G", singular_once)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            states = _follow_path(HomotopyContext(reference_problem), MU_BAND_FAST)
+            states = _follow_path(HomotopyContext(reference_problem), FAST_ATTEMPT)
         # the second tangent is at the start again, and the first RK4 stage
         # after it at the middle of a halved first step
-        assert calls[:3] == [0.0, 0.0, 0.25 * STEP_INIT]
+        assert calls[:3] == [0.0, 0.0, 0.25 * FAST_ATTEMPT.first_step]
         assert states[-1].nu == 1.0
         assert np.allclose(states[-1].p, reference_solution.p, rtol=0.0, atol=1e-10)
 
