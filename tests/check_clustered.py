@@ -4,7 +4,7 @@ Run from the root of the repository::
 
     PYTHONPATH=src python -m pytest -s tests/check_clustered.py
 
-The file name keeps it out of the default test run (about 15 s); a few of
+The file name keeps it out of the default test run (about 10 s); a few of
 its draws run there from ``tests/test_clustered.py``.  The gates: at least
 239 of the 240 draws of each of seeds 1 and 2 certify, and every draw of
 seeds 1 to 20 that fails a certificate is one of ``KNOWN_FAILURES``.  The
@@ -17,16 +17,15 @@ from functools import cache
 
 import pytest
 
+from check_outputs import counting
 from conftest import certificate_failure, clustered_corpus
-from nevpick import continuation
-from nevpick.polyalg import FALLBACK_ATTEMPT
 
 DRAWS = 240
 MIN_CERTIFIED = 239
 SEEDS = range(1, 21)
 #: (seed, draw) of the draws that may fail, each with a PathError at the start
 #: of its path; the solver before the first attempt had its own schedule
-#: failed these and (2, 135), (18, 83), (18, 103), (20, 54)
+#: failed these and (18, 83), (18, 103), (20, 54)
 KNOWN_FAILURES = {(2, 35), (3, 135), (5, 103), (8, 71), (8, 151), (12, 239), (15, 71),
                   (18, 59)}
 
@@ -35,20 +34,14 @@ KNOWN_FAILURES = {(2, 35), (3, 135), (5, 103), (8, 71), (8, 151), (12, 239), (15
 def corpus_failures(seed) -> tuple:
     """``(failures, fallbacks)`` of one seed's draws: why each failing draw
     fails, by draw, and the draws that certify on the fallback attempt."""
-    attempts = []
-    follow = continuation._follow_path
-    continuation._follow_path = lambda ctx, attempt: attempts.append(attempt) or follow(ctx, attempt)
     failures, fallbacks = {}, []
-    try:
-        for t, problem in clustered_corpus(seed, DRAWS):
-            attempts.clear()
+    for t, problem in clustered_corpus(seed, DRAWS):
+        with counting() as work:
             why = certificate_failure(problem)
-            if why is not None:
-                failures[t] = why
-            elif FALLBACK_ATTEMPT in attempts:
-                fallbacks.append(t)
-    finally:
-        continuation._follow_path = follow
+        if why is not None:
+            failures[t] = why
+        elif work["fallbacks"]:
+            fallbacks.append(t)
     return failures, fallbacks
 
 

@@ -9,16 +9,20 @@ Run from the root of a checkout::
 ``bench/workloads.py`` and ``cli``; the default is all of them.  The items
 are built by the unedited ``bench/workloads.py`` and each is run once.  Every call of
 ``nevpick.solve``, and of the ``solve`` inside ``reduce_model``, is
-recorded, and the script prints one line per solve::
+recorded, and the script prints two lines per solve, its digest and its
+endpoint::
 
     <workload> <seed> <item label> <solve index in the item> <sha256>
+    endpoint <workload> <seed> <item label> <solve index> <JSON [p, P, a, b]>
 
 An item that fails prints ``FAILED <error type>`` in place of its digests.
 The digest covers ``p``, ``P``, the coefficients of ``a`` and ``b``,
 ``rho``, ``scale``, every field of the diagnostics (the ones computed on
 first read included) and, for each accepted state, ``nu``, ``p``,
 ``a_roots``, ``step``, ``corrector_iters`` and ``residual``, each with
-its dtype and shape.
+its dtype and shape.  The endpoint line writes each float of ``p``,
+``P`` and the coefficients of ``a`` and ``b`` so that it reads back
+exactly.
 
 After its items, each workload prints the exact work of the path follower
 in its run, with counting wrappers on the names that
@@ -76,13 +80,10 @@ the first of them, and exits with status 1 on any difference.  It then
 prints, per workload, the largest absolute difference of ``p``, ``P``,
 ``a`` and ``b`` over the solves whose digests differ, so a change that
 moves endpoints by rounding shows by how much.  The values come from
-endpoint lines, which ``--endpoints`` adds after each digest line and a
-run on a checkout directory always has::
-
-    endpoint <workload> <seed> <item label> <solve index> <JSON [p, P, a, b]>
-
-A file saved before the work lines were added has none, so compare
-against a checkout directory instead::
+the endpoint lines of both runs; endpoint lines take no part in the
+digest comparison.  A file saved before the endpoint lines were added
+has none, so its values are not compared; compare against a checkout
+directory instead::
 
     PYTHONPATH=src python tests/check_outputs.py --seed 3 --compare outputs.txt
     PYTHONPATH=src python tests/check_outputs.py --seed 3 --compare ../parent
@@ -209,10 +210,9 @@ def endpoint_line(key: str, sol) -> str:
     return f"endpoint {key} {json.dumps(values, separators=(',', ':'))}"
 
 
-def workload_lines(name: str, seed: int, endpoints: bool = False) -> list:
-    """The output lines of one workload at one seed: its digests, then its
-    work; with ``endpoints``, each digest line is followed by its
-    :func:`endpoint_line`."""
+def workload_lines(name: str, seed: int) -> list:
+    """The output lines of one workload at one seed: its digests, each
+    followed by its :func:`endpoint_line`, then its work."""
     solutions = []
     patched = [(nevpick, "solve"), (nevpick.analysis, "solve")]
     originals = [getattr(module, attr) for module, attr in patched]
@@ -230,9 +230,7 @@ def workload_lines(name: str, seed: int, endpoints: bool = False) -> list:
                     continue
                 for k, sol in enumerate(solutions):
                     key = f"{name} {seed} {item.label} {k}"
-                    lines.append(f"{key} {solution_digest(sol)}")
-                    if endpoints:
-                        lines.append(endpoint_line(key, sol))
+                    lines += [f"{key} {solution_digest(sol)}", endpoint_line(key, sol)]
     finally:
         for (module, attr), original in zip(patched, originals):
             setattr(module, attr, original)
@@ -297,7 +295,7 @@ def differences(now: dict, saved: dict) -> list:
 
 def checkout_lines(root: Path, seed: int, names: list) -> str:
     """The output of this script run on the package in the checkout ``root``."""
-    command = [sys.executable, str(Path(__file__).resolve()), "--seed", str(seed), "--endpoints"]
+    command = [sys.executable, str(Path(__file__).resolve()), "--seed", str(seed)]
     for name in names:
         command += ["--workload", name]
     env = {**os.environ, "PYTHONPATH": str(root.resolve() / "src")}
@@ -342,8 +340,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append",
                         choices=sorted(workloads.WORKLOADS) + ["cli"])
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--endpoints", action="store_true",
-                        help="follow each digest line with the solve's p, P, a and b")
     parser.add_argument("--compare", type=Path, metavar="PATH",
                         help="compare with the saved output file PATH, or with a run on "
                              "the checkout directory PATH, instead of printing")
@@ -361,10 +357,9 @@ def main(argv=None) -> int:
             print(f"OpenBLAS thread counts differ ({args.compare}: {recorded.split()[1]}, "
                   f"this run: {threads.split()[1]}); digests not compared")
             return 1
-    endpoints = args.endpoints or args.compare is not None
     lines = [line for name in names
              for line in (cli_lines(args.seed) if name == "cli"
-                          else workload_lines(name, args.seed, endpoints))]
+                          else workload_lines(name, args.seed))]
     if args.compare is None:
         print(threads)
         for line in lines:

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from check_outputs import counting
 from conftest import PATH_ERRSTATE, random_problem, same_array, sym_coeffs
 from nevpick import cee_core, continuation, polyalg
 from nevpick import problem as problem_module
@@ -787,21 +788,18 @@ class TestSolve:
         eval_G(p, 0.4, ctx)
         assert calls == [0.3, 0.4]
 
-    def test_identity_suite_path_length(self, monkeypatch):
+    def test_identity_suite_path_length(self):
         # the 100 problems of acceptance criterion 6, drawn the same way
-        attempts = []
-        follow = continuation._follow_path
-        monkeypatch.setattr(continuation, "_follow_path",
-                            lambda ctx, attempt: attempts.append(attempt) or follow(ctx, attempt))
         rng = np.random.default_rng(601)
         total = 0
-        for _ in range(100):
-            n = int(rng.integers(1, 7))
-            trajectory = solve(random_problem(rng, n)).trajectory
-            assert_step_growth_bounded(trajectory, FAST_ATTEMPT)
-            total += len(trajectory)
+        with counting() as work:
+            for _ in range(100):
+                n = int(rng.integers(1, 7))
+                trajectory = solve(random_problem(rng, n)).trajectory
+                assert_step_growth_bounded(trajectory, FAST_ATTEMPT)
+                total += len(trajectory)
         # no solve fell back, so each trajectory is the first attempt's
-        assert attempts == [FAST_ATTEMPT] * 100
+        assert work["solves"] == 100 and work["fallbacks"] == 0
         assert total < 1500
 
     def test_path_error_on_impossible_step_floor(self, reference_problem, monkeypatch):
