@@ -21,23 +21,26 @@ step control departs too: the band residual of an RK4 prediction scales as
 ``[STEP_ACCEPT_MIN, growth]`` after an accepted step and to
 ``STEP_REJECT_RANGE`` after a prediction outside the band.
 
-The band and the first step depart as well.  A solve makes up to two
-attempts at the path, the :class:`~nevpick.polyalg.PathAttempt` records
-``ATTEMPTS`` (band ``mu``, first step, growth cap).  The first,
-``FAST_ATTEMPT``, has a hundred times the paper's band, takes the whole
-path as its first step and lets an accepted step grow the next by up to
-4: a short path is then one RK4 step.  When that path raises
-:class:`PathError` or its endpoint fails a certificate
-(:class:`~nevpick.cee_core.SteinConsistencyError`), the solve follows the
-path again on the same context as ``FALLBACK_ATTEMPT`` says, the paper's
-band on steps from 0.1 growing by up to 2, and raises what that attempt
-raises: a certified endpoint is the unique solution, so the fallback only
-turns failures into certificates.  Every path ends with one more Newton
-step at ``nu = 1``, kept only if it lowers the residual, so the endpoint
-sits at the float root of ``G(., 1)`` whatever steps led there.  The
-attempts, the Newton tolerance ``TOL_NEWTON`` and the step floor
-``STEP_MIN`` are constants of the table in :mod:`nevpick.polyalg`; a
-solve takes no options.
+The band and the first step depart as well.  A solve climbs a ladder of
+up to three attempts at the path, the :class:`~nevpick.polyalg.PathAttempt`
+records ``ATTEMPTS`` (band ``mu``, first step, growth cap).  The first two,
+``LOOSE_ATTEMPT`` and ``FAST_ATTEMPT``, have a thousand and a hundred
+times the paper's band, take the whole path as their first step and let
+an accepted step grow the next by up to 4: a short path is then one RK4
+step.  When a rung's path raises :class:`PathError` or its endpoint fails
+a certificate (:class:`~nevpick.cee_core.SteinConsistencyError`), the
+solve follows the path again on the same context as the next rung says;
+the last, ``FALLBACK_ATTEMPT``, is the paper's band on steps from 0.1
+growing by up to 2, and the solve raises what it raises.  The band is a
+speed setting, not the guard against a wrong root: a certified endpoint
+is the unique solution, so each rung only turns the failures of the rungs
+before it into certificates, and a solve fails only when its last two
+rungs, taken alone, fail too.  Every path ends with one more Newton step
+at ``nu = 1``, kept only if it lowers the residual, so the endpoint sits
+at the float root of ``G(., 1)`` whatever steps led there.  The attempts,
+the Newton tolerance ``TOL_NEWTON`` and the step floor ``STEP_MIN`` are
+constants of the table in :mod:`nevpick.polyalg`; a solve takes no
+options.
 
 ``G``, ``dG/dp`` and ``dG/dnu`` at one point need only ``S([1; v])`` and
 ``S([0; g])``, the two slices of one stacked product per point, which
@@ -533,10 +536,11 @@ def solve(problem: InterpolationProblem) -> Solution:
     Validates, normalizes to value 1/2 at infinity, follows the homotopy
     path from the central solution ``p = 0``, recovers the matrix ``P`` from
     the covariance extension equation at the endpoint, and assembles the
-    interpolant with full diagnostics.  The path is followed as
-    ``FAST_ATTEMPT`` says, and once more as ``FALLBACK_ATTEMPT`` says if
-    that attempt fails; the trajectory is the certified attempt's.
-    Deterministic: identical inputs produce bit-identical trajectories.
+    interpolant with full diagnostics.  The path is followed as each of
+    ``ATTEMPTS`` says in turn, ``LOOSE_ATTEMPT``, ``FAST_ATTEMPT`` and
+    ``FALLBACK_ATTEMPT``, until one certifies; the trajectory is that
+    attempt's.  Deterministic: identical inputs produce bit-identical
+    trajectories.
 
     Raises :class:`~nevpick.problem.ProblemValidationError` on invalid input,
     and, when the fallback attempt fails too, :class:`PathError` when

@@ -54,14 +54,16 @@ TOL_P_PSD = 1e-8        # ... and the floor on its smallest eigenvalue
 TOL_CEE = 1e-8          # CEE residual of a solution (Frobenius norm, absolute)
 TOL_SYM = 1e-8          # symmetric input to singular_values: asymmetry relative to its largest entry
 TOL_NEWTON = 1e-12      # max-norm residual of G at which a Newton correction is accepted
-# The attempts of a solve at the path, in order (see PathAttempt above).  The first
-# takes the whole path as its first step with a hundred times the paper's band, and
-# lets an accepted step grow the next by up to 4; the fallback, which follows the path
-# again when that attempt fails, is the paper's band on steps from 0.1 growing by up
-# to 2, the schedule of every path before the first attempt had its own.
+# The attempts of a solve at the path, a ladder tried in order (see PathAttempt
+# above): each rung follows the path again when the one before fails.  The band sets
+# the speed, not the answer: a certified endpoint is the unique solution whatever
+# band led there.  The first two rungs take the whole path as their first step and
+# let an accepted step grow the next by up to 4, with a thousand and a hundred times
+# the paper's band; the last is the paper's band on steps from 0.1 growing by up to 2.
+LOOSE_ATTEMPT = PathAttempt(band=1e-1, first_step=1.0, growth=4.0)
 FAST_ATTEMPT = PathAttempt(band=1e-2, first_step=1.0, growth=4.0)
 FALLBACK_ATTEMPT = PathAttempt(band=1e-4, first_step=0.1, growth=2.0)
-ATTEMPTS = (FAST_ATTEMPT, FALLBACK_ATTEMPT)
+ATTEMPTS = (LOOSE_ATTEMPT, FAST_ATTEMPT, FALLBACK_ATTEMPT)
 STEP_MIN = 1e-8         # a step below this declares the path failed
 STEP_SAFETY = 0.5       # step control: the band residual aimed at, as a share of the band
 STEP_ACCEPT_MIN = 0.5   # step factor bounds after an accepted step: this and the attempt's growth,

@@ -32,7 +32,9 @@ included), one line per column::
     <workload> <seed> work <column> <count>
 
 * ``solves``: first paths of a solve, one per solve;
-* ``fallbacks``: paths followed again on the same context after a failure;
+* ``fallbacks``: paths followed again on the same context after a failure,
+  one per rung of the attempts after the first that a solve tries, so a
+  solve records up to two;
 * ``predictions``: RK4 predictions made (a singular stage makes none);
 * ``band_rejects``: predictions outside the band;
 * ``accepted``: corrections that converged, the accepted states after

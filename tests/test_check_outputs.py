@@ -1,7 +1,9 @@
 """The digest script's record of the OpenBLAS thread count, its work
-counts on the reference instance, and its endpoint comparison."""
+counts on the reference instance and the benchmark workloads, and its
+endpoint comparison."""
 
 import numpy as np
+import pytest
 
 import check_outputs
 from nevpick.continuation import solve
@@ -29,12 +31,21 @@ def test_counts_of_the_reference_solve(reference_problem):
     with check_outputs.counting() as work:
         sol = solve(reference_problem)
     assert work["solves"] == 1 and work["fallbacks"] == 0
-    assert work["accepted"] == len(sol.trajectory) - 1 == 14
+    assert work["accepted"] == len(sol.trajectory) - 1 == 11
     assert work["predictions"] == work["accepted"] + work["band_rejects"]
     # three tangents per prediction, and one at each point predictions start from
     assert work["tangents"] == 3 * work["predictions"] + work["accepted"]
     # the corrections' Newton steps and the end step
     assert work["newton"] == sum(s.corrector_iters for s in sol.trajectory) + 1
+
+
+@pytest.mark.parametrize("name", ["near_circle", "bank_large"])
+def test_workload_solves_do_not_fall_back(name):
+    # bench/tracer.py counts one path per solve; a fallback in a traced run breaks it
+    with check_outputs.counting() as work:
+        for item in check_outputs.workloads.build(name, 3):
+            item.run()
+    assert work["solves"] > 0 and work["fallbacks"] == 0
 
 
 def test_endpoint_line_reads_back_exactly(reference_solution):

@@ -13,7 +13,7 @@ import pytest
 from conftest import certificate_failure, clustered_corpus
 from nevpick.cee_core import SteinConsistencyError
 from nevpick.continuation import HomotopyContext, PathError, _certified_path, _follow_path, solve
-from nevpick.polyalg import FALLBACK_ATTEMPT, FAST_ATTEMPT
+from nevpick.polyalg import FALLBACK_ATTEMPT, FAST_ATTEMPT, LOOSE_ATTEMPT
 
 # (seed, draw): P asymmetric under a general Stein solve at 1/11, 1/82, 2/6
 # and 2/145; a CEE residual from 1.2e-8 to 2.7e-6 at the others
@@ -45,21 +45,21 @@ def test_known_hard_instance_raises_path_error():
 
 
 # the endpoint p of seed 1, draw 236, on the paper's band with steps from
-# 0.1 growing by up to 2: the schedule of every path before the first
-# attempt had one of its own
+# 0.1 growing by up to 2 (FALLBACK_ATTEMPT)
 DRAW_236_P = tuple(map(float.fromhex, (
     "0x1.78ed2ff0b2136p-1", "-0x1.43e58073c7803p+0", "0x1.0d636d2630666p-2",
     "0x1.59d4e72b29e56p-1", "-0x1.7fe989761b1adp-2")))
 
 
 def test_wrong_branch_of_the_fast_band_falls_back():
-    # seed 1, draw 236 (n = 5): the path of FAST_ATTEMPT ends on a root of
-    # G(., 1) whose P has the eigenvalue -1.8e-2; the path of
-    # FALLBACK_ATTEMPT ends on the certified one, which solve returns
+    # seed 1, draw 236 (n = 5): the paths of LOOSE_ATTEMPT and FAST_ATTEMPT
+    # end on a root of G(., 1) whose P has the eigenvalue -1.8e-2; the path
+    # of FALLBACK_ATTEMPT ends on the certified one, which solve returns
     problem = corpus_draw(1, 236)
     assert problem.n == 5
-    with pytest.raises(SteinConsistencyError, match="eigenvalue"):
-        _certified_path(HomotopyContext(problem), FAST_ATTEMPT)
+    for attempt in (LOOSE_ATTEMPT, FAST_ATTEMPT):
+        with pytest.raises(SteinConsistencyError, match="eigenvalue"):
+            _certified_path(HomotopyContext(problem), attempt)
     assert certificate_failure(problem) is None
     sol = solve(problem)
     states = _follow_path(HomotopyContext(problem), FALLBACK_ATTEMPT)
@@ -68,7 +68,7 @@ def test_wrong_branch_of_the_fast_band_falls_back():
 
 
 def test_fallback_endpoint_is_pinned_bit_for_bit():
-    # a solve whose first attempt fails returns the fallback's endpoint:
+    # a solve whose first two rungs fail returns the fallback's endpoint:
     # the paper schedule's, bit for bit, after its 20 accepted steps
     sol = solve(corpus_draw(1, 236))
     assert len(sol.trajectory) - 1 == 20

@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import os
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from nevpick.continuation import (
     CorrectorError,
     HomotopyContext,
     PathError,
+    _certified_path,
     _follow_path,
     _tangent,
     corrector,
@@ -31,9 +33,11 @@ from nevpick.polyalg import (
     ATTEMPTS,
     FALLBACK_ATTEMPT,
     FAST_ATTEMPT,
+    LOOSE_ATTEMPT,
     TOL_CEE,
     TOL_NEWTON,
     MonicPolynomial,
+    PathAttempt,
     SymStack,
     build_S,
 )
@@ -49,6 +53,13 @@ def n1_problem(z1=2.0, w1=0.8, s1=-0.3):
     return InterpolationProblem(
         (INF, complex(z1)), (0.5 + 0.0j, complex(w1)), MonicPolynomial([1.0, s1])
     )
+
+
+def identity_suite():
+    """The 100 problems of acceptance criterion 6, drawn the same way."""
+    rng = np.random.default_rng(601)
+    for _ in range(100):
+        yield random_problem(rng, int(rng.integers(1, 7)))
 
 
 def assert_step_growth_bounded(trajectory, attempt):
@@ -709,24 +720,25 @@ class TestSolve:
         assert reference_solution.trajectory[-1].nu == 1.0
         assert len(reference_solution.trajectory) - 1 <= 60
         # the reference solve does not fall back (test_check_outputs pins its counts)
-        assert_step_growth_bounded(reference_solution.trajectory, FAST_ATTEMPT)
+        assert_step_growth_bounded(reference_solution.trajectory, LOOSE_ATTEMPT)
 
     def test_short_path_is_one_step(self):
         # a detect_mc-style problem: Monte Carlo values of an order-2 system
-        # at order 4; the first attempt's first step is the whole path
+        # at order 4; the first rung's first step is the whole path
         sigma = MonicPolynomial.from_roots([0.17 + 0.26j, 0.17 - 0.26j])
         a = MonicPolynomial.from_roots([0.09 + 0.75j, 0.09 - 0.75j])
         problem, _ = run_problem(MonteCarloConfig(sigma=sigma, a=a, order=4), 0)
         sol = solve(problem)
         assert [state.nu for state in sol.trajectory] == [0.0, 1.0]
-        assert sol.trajectory[1].step == FAST_ATTEMPT.first_step == 1.0
+        assert sol.trajectory[1].step == LOOSE_ATTEMPT.first_step == 1.0
         assert sol.diagnostics.cee_residual <= TOL_CEE
         assert sol.diagnostics.max_interp_residual <= 1e-10
 
     def test_fallback_attempt_keeps_the_paper_schedule(self, reference_problem):
         # the paper's band on steps from 0.1 growing by up to 2 takes 27
         # accepted steps on the reference instance, as every path did before
-        # the first attempt had a schedule of its own (that attempt takes 14)
+        # the attempts had schedules of their own (the second rung alone
+        # takes 14, and the first 11)
         states = _follow_path(HomotopyContext(reference_problem), FALLBACK_ATTEMPT)
         assert len(states) - 1 == 27
         assert FALLBACK_ATTEMPT.first_step == 0.1 and FALLBACK_ATTEMPT.growth == 2.0
@@ -789,18 +801,42 @@ class TestSolve:
         assert calls == [0.3, 0.4]
 
     def test_identity_suite_path_length(self):
-        # the 100 problems of acceptance criterion 6, drawn the same way
-        rng = np.random.default_rng(601)
-        total = 0
-        with counting() as work:
-            for _ in range(100):
-                n = int(rng.integers(1, 7))
-                trajectory = solve(random_problem(rng, n)).trajectory
-                assert_step_growth_bounded(trajectory, FAST_ATTEMPT)
-                total += len(trajectory)
-        # no solve fell back, so each trajectory is the first attempt's
-        assert work["solves"] == 100 and work["fallbacks"] == 0
+        total, fallbacks = 0, {}
+        for k, problem in enumerate(identity_suite()):
+            with counting() as work:
+                trajectory = solve(problem).trajectory
+            assert work["solves"] == 1
+            if work["fallbacks"]:
+                fallbacks[k] = work["fallbacks"]
+            # each trajectory is that of the rung the solve ended on
+            assert_step_growth_bounded(trajectory, ATTEMPTS[work["fallbacks"]])
+            total += len(trajectory)
+        # one solve falls back, once: draw 19 certifies on the second rung
+        assert fallbacks == {19: 1}
         assert total < 1500
+
+    def test_wrong_branch_of_the_loose_band_falls_back(self):
+        # draw 19 of the identity suite (n = 5): the first rung accepts the
+        # whole path in one step, onto a root of G(., 1) with p[0] = 0.011,
+        # whose P has the eigenvalue -0.216; the second rung ends on the
+        # certified root, p[0] = 0.479, which solve returns
+        problem = next(itertools.islice(identity_suite(), 19, None))
+        assert problem.n == 5
+        loose = _follow_path(HomotopyContext(problem), LOOSE_ATTEMPT)
+        assert [state.nu for state in loose] == [0.0, 1.0]
+        with pytest.raises(SteinConsistencyError, match=r"eigenvalue -2\.16"):
+            _certified_path(HomotopyContext(problem), LOOSE_ATTEMPT)
+        sol = solve(problem)
+        states = _follow_path(HomotopyContext(problem), FAST_ATTEMPT)
+        assert len(sol.trajectory) == len(states)
+        assert np.array_equal(sol.p, states[-1].p)
+        assert abs(loose[-1].p[0] - 0.011) < 1e-3 and abs(sol.p[0] - 0.479) < 1e-3
+
+    def test_later_rungs_are_the_two_fixed_attempts(self):
+        # the first rung only turns failures of the two rungs after it into
+        # certificates, so a solve that fails on the ladder fails on them alone
+        assert ATTEMPTS[1:] == (PathAttempt(1e-2, 1.0, 4.0), PathAttempt(1e-4, 0.1, 2.0))
+        assert ATTEMPTS == (LOOSE_ATTEMPT, FAST_ATTEMPT, FALLBACK_ATTEMPT)
 
     def test_path_error_on_impossible_step_floor(self, reference_problem, monkeypatch):
         # a first step below STEP_MIN = 1e-8 underflows at once, in every attempt
