@@ -21,6 +21,15 @@ step control departs too: the band residual of an RK4 prediction scales as
 ``[STEP_ACCEPT_MIN, growth]`` after an accepted step and to
 ``STEP_REJECT_RANGE`` after a prediction outside the band.
 
+The start of the path is known in closed form and is not computed.  At
+``nu = 0``, ``T = 0``, so ``u``, ``U`` and ``g = U v + u`` vanish, and at
+``p = 0`` then ``a = b = v = sigma``: ``G(0, 0) = E S(sigma) [1; s] - 2 d``
+is 0, because ``d`` is half that product, and
+``dG/dnu = -2 E S([0; g])[:, 1:] (U_dot v + u_dot)`` is 0 with ``g``.
+The start state (``p = 0``, ``a = sigma``, residual 0) and its tangent
+(0) need no operator pair, residual, Jacobian or linear solve, and the
+first RK4 stage of a path is its first operator pair and tangent solve.
+
 The band and the first step depart as well.  A solve climbs a ladder of
 up to three attempts at the path, the :class:`~nevpick.polyalg.PathAttempt`
 records ``ATTEMPTS`` (band ``mu``, first step, growth cap).  The first two,
@@ -234,11 +243,11 @@ def _interpolant_from_reciprocal(a: MonicPolynomial, b: MonicPolynomial, scale: 
 
 
 class HomotopyContext:
-    """Holds everything ``G`` needs: the companion matrix ``Gamma`` of
-    ``sigma`` and its double ``twice_Gamma``, its coefficient tail ``s``,
-    ``d``, the slope ``T_dot`` of ``T(nu) = nu T_dot`` with the identity
-    ``eye`` of its size, and one cached point.  The five arrays are
-    read-only.
+    """Holds everything ``G`` needs: the coefficients ``sigma`` of
+    ``sigma`` (``a`` at the start), its companion matrix ``Gamma`` and its
+    double ``twice_Gamma``, its coefficient tail ``s``, ``d``, the slope
+    ``T_dot`` of ``T(nu) = nu T_dot`` with the identity ``eye`` of its
+    size, and one cached point.  The six arrays are read-only.
 
     Normalizes its problem (value exactly 1/2 at infinity), of which it
     keeps only ``scale``, the factor that undoes the normalization.  The
@@ -258,10 +267,10 @@ class HomotopyContext:
         self.Gamma = companion(problem.sigma)
         # doubling is exact, so (A - B U) @ twice_Gamma == 2 (A - B U) @ Gamma bit for bit
         self.twice_Gamma = readonly(2.0 * self.Gamma)
+        self.sigma = problem.sigma.coeffs
         self.s = problem.sigma.tail
         # first n autocorrelation coefficients of sigma
-        c = problem.sigma.coeffs
-        self.d = 0.5 * (build_S(c) @ c)[: self.n]
+        self.d = 0.5 * (build_S(self.sigma) @ self.sigma)[: self.n]
         self.twice_d = 2.0 * self.d   # the rank-one column of jac_G
         self.T_dot = cee_core.build_cee_matrices(problem)
         # formed once: adding 1 to the diagonal per call is slower than adding this copy
@@ -426,15 +435,20 @@ def _follow_path(ctx: HomotopyContext, attempt: PathAttempt) -> list:
     """March ``nu`` from 0 to 1 with the band and step schedule of ``attempt``;
     return the list of accepted states.
 
-    The last state holds the endpoint after :func:`_end_step`.
+    The first state is the central solution ``p = 0`` with ``a = sigma``
+    and residual 0, and the tangent there is 0: both are known in closed
+    form (``G`` and ``dG/dnu`` vanish at ``p = 0``, ``nu = 0``; see the
+    module docstring), so neither is evaluated.  The last state holds the
+    endpoint after :func:`_end_step`.
     """
     # a singular or non-finite point reaches the step driver as LinAlgError
     # or a non-finite residual; numpy's floating-point warnings, the invalid
     # flag of a singular solve_vector or inverse among them, would repeat it
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        p = np.zeros(ctx.n)
-        r0 = eval_G(p, 0.0, ctx)
-        states = [_make_state(ctx, 0.0, p, 0.0, 0, np.abs(r0).max(initial=0.0))]
+        # the central solution, in closed form (module docstring)
+        p = readonly(np.zeros(ctx.n))
+        states = [ContinuationState(nu=0.0, p=p, step=0.0, corrector_iters=0, residual=0.0,
+                                    a=ctx.sigma)]
         if not np.any(ctx.T_dot):
             # the target values already equal 1/2 everywhere
             return states
@@ -443,8 +457,9 @@ def _follow_path(ctx: HomotopyContext, attempt: PathAttempt) -> list:
         accept_range = (STEP_ACCEPT_MIN, attempt.growth)
         nu = 0.0
         step = attempt.first_step
-        # tangent at (p, nu); a rejected step leaves both unchanged, so it is reused
-        tangent = None
+        # tangent at (p, nu), 0 at the start; a rejected step leaves both
+        # unchanged, so it is reused
+        tangent = np.zeros(ctx.n)
         while nu < 1.0:
             if step < STEP_MIN:
                 raise PathError(f"step size underflowed below {STEP_MIN:.1e} at nu={nu:.6g}")

@@ -270,7 +270,11 @@ def normalize(problem: InterpolationProblem) -> tuple:
 
     Multiplying the solved interpolant by ``scale`` undoes the normalization.
     The positive scaling multiplies the Pick matrix by ``1 / (2 w_0)`` and
-    therefore preserves positive definiteness.
+    therefore preserves positive definiteness.  The normalized problem is a
+    copy of ``problem`` with the new values, made without
+    ``InterpolationProblem``'s construction checks: it shares the nodes,
+    ``sigma`` and the reciprocal nodes, which ``problem``'s construction
+    checked and formed.
     """
     w0 = problem.values[0]
     if _not_real(w0) or not w0.real > 0:
@@ -278,7 +282,9 @@ def normalize(problem: InterpolationProblem) -> tuple:
     scale = 2.0 * w0.real
     scaled = [w / scale for w in problem.values]
     scaled[0] = 0.5 + 0.0j
-    return InterpolationProblem(problem.nodes, tuple(scaled), problem.sigma), scale
+    normalized = object.__new__(InterpolationProblem)
+    normalized.__dict__.update(problem.__dict__, values=tuple(scaled))
+    return normalized, scale
 
 
 # ---------------------------------------------------------------------------

@@ -39,10 +39,13 @@ included), one line per column::
 * ``band_rejects``: predictions outside the band;
 * ``accepted``: corrections that converged, the accepted states after
   ``nu = 0`` (a discarded attempt's count too);
-* ``tangents``: tangents solved, three per prediction and one at each point
-  predictions start from;
+* ``tangents``: tangents solved, three per prediction and one at each
+  accepted state that predictions start from; none at the start of a
+  path, where the tangent is 0 in closed form;
 * ``newton``: Newton steps, the end step of each path included;
-* ``pairs``: operator pairs formed.
+* ``pairs``: operator pairs formed, one per new ``nu`` evaluated; none at
+  the start of a path, which is known in closed form, so a path's first
+  pair is its first RK4 stage's.
 
 The counts do not depend on the host.  ``bench/tracer.py`` counts steps by
 ``dG_dnu`` calls instead, which are the tangents here.

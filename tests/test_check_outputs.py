@@ -33,8 +33,9 @@ def test_counts_of_the_reference_solve(reference_problem):
     assert work["solves"] == 1 and work["fallbacks"] == 0
     assert work["accepted"] == len(sol.trajectory) - 1 == 11
     assert work["predictions"] == work["accepted"] + work["band_rejects"]
-    # three tangents per prediction, and one at each point predictions start from
-    assert work["tangents"] == 3 * work["predictions"] + work["accepted"]
+    # three tangents per prediction, and one at each point predictions start
+    # from but the start, where the tangent is 0 and not solved
+    assert work["tangents"] == 3 * work["predictions"] + work["accepted"] - 1 == 70
     # the corrections' Newton steps and the end step
     assert work["newton"] == sum(s.corrector_iters for s in sol.trajectory) + 1
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from check_outputs import counting
-from conftest import PATH_ERRSTATE, random_problem, same_array, sym_coeffs
+from conftest import PATH_ERRSTATE, clustered_corpus, random_problem, same_array, sym_coeffs
 from nevpick import cee_core, continuation, polyalg
 from nevpick import problem as problem_module
 from nevpick.cee_core import SteinConsistencyError
@@ -20,6 +20,7 @@ from nevpick.continuation import (
     PathError,
     _certified_path,
     _follow_path,
+    _make_state,
     _tangent,
     corrector,
     dG_dnu,
@@ -28,7 +29,14 @@ from nevpick.continuation import (
     predictor,
     solve,
 )
-from nevpick.ingestion import MonteCarloConfig, run_problem
+from nevpick.ingestion import (
+    MonteCarloConfig,
+    default_bank_poles,
+    embed_sigma,
+    exact_values,
+    nodes_from_poles,
+    run_problem,
+)
 from nevpick.polyalg import (
     ATTEMPTS,
     FALLBACK_ATTEMPT,
@@ -423,6 +431,65 @@ class TestLazyDiagnostics:
         text = repr(reference_solution.diagnostics)
         assert "cee_residual" in text
         assert "_trajectory" not in text and "_P" not in text
+
+
+def bank_problem(order):
+    """Degree-4 data at a bank of ``order`` poles, with ``sigma`` embedded (trailing zeros)."""
+    sigma = MonicPolynomial.from_roots([0.4 * np.exp(0.9j), 0.4 * np.exp(-0.9j),
+                                        0.5 * np.exp(2.1j), 0.5 * np.exp(-2.1j)])
+    a = MonicPolynomial.from_roots([0.6 * np.exp(1.3j), 0.6 * np.exp(-1.3j),
+                                    0.7 * np.exp(2.5j), 0.7 * np.exp(-2.5j)])
+    poles = default_bank_poles(order)
+    return InterpolationProblem(nodes_from_poles(poles), tuple(exact_values(sigma, a, poles)),
+                                embed_sigma(sigma, order))
+
+
+class TestClosedFormStart:
+    """At ``nu = 0``, ``T = 0``, so ``u``, ``U`` and ``g`` vanish, ``a = b = sigma``,
+    ``G = E S(sigma) [1; s] - 2 d = 0`` and ``dG/dnu = 0``: the path follower
+    takes its start state and first tangent from that closed form."""
+
+    @staticmethod
+    def problems(reference_problem):
+        yield reference_problem
+        yield from identity_suite()
+        for order in (6, 16, 28):
+            yield bank_problem(order)
+        for _, problem in itertools.islice(clustered_corpus(1, 240), 8):
+            yield problem
+
+    def test_residual_and_its_slope_vanish(self, reference_problem):
+        for problem in self.problems(reference_problem):
+            ctx = HomotopyContext(problem)
+            p = np.zeros(ctx.n)
+            assert not np.any(eval_G(p, 0.0, ctx))
+            assert not np.any(dG_dnu(p, 0.0, ctx))
+
+    def test_start_state_is_the_evaluated_one(self, reference_problem):
+        for problem in self.problems(reference_problem):
+            start = solve(problem).trajectory[0]
+            ctx = HomotopyContext(problem)
+            p = np.zeros(ctx.n)
+            residual = np.abs(eval_G(p, 0.0, ctx)).max(initial=0.0)
+            want = _make_state(ctx, 0.0, p, 0.0, 0, residual)
+            for name in ("p", "a", "residual"):
+                got, expected = getattr(start, name), getattr(want, name)
+                assert np.asarray(got).tobytes() == np.asarray(expected).tobytes(), name
+                assert same_array(got, expected), name
+            assert (start.nu, start.step, start.corrector_iters) == (0.0, 0.0, 0)
+            assert not start.p.flags.writeable and not start.a.flags.writeable
+
+    def test_no_work_at_the_start(self, reference_problem, monkeypatch):
+        # the first operator pair and tangent are the first RK4 stage's
+        calls = []
+
+        def recording(T_dot, eye, nu):
+            calls.append(nu)
+            return cee_core.operator_pair(T_dot, eye, nu)
+
+        monkeypatch.setattr(continuation, "operator_pair", recording)
+        _follow_path(HomotopyContext(reference_problem), FAST_ATTEMPT)
+        assert calls[0] == 0.5 * FAST_ATTEMPT.first_step and 0.0 not in calls
 
 
 class TestHomotopyContext:
@@ -868,9 +935,12 @@ class TestSolve:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             states = _follow_path(HomotopyContext(reference_problem), FAST_ATTEMPT)
-        # the second tangent is at the start again, and the first RK4 stage
-        # after it at the middle of a halved first step
-        assert calls[:3] == [0.0, 0.0, 0.25 * FAST_ATTEMPT.first_step]
+        # the tangent at the start is 0 and not solved, so the first one
+        # solved is the first RK4 stage's, at the middle of the first step;
+        # after its singular Jacobian the next two are at the middle of the
+        # halved step
+        first = FAST_ATTEMPT.first_step
+        assert calls[:3] == [0.5 * first, 0.25 * first, 0.25 * first]
         assert states[-1].nu == 1.0
         assert np.allclose(states[-1].p, reference_solution.p, rtol=0.0, atol=1e-10)
 

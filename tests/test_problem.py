@@ -380,6 +380,22 @@ class TestNormalize:
         with pytest.raises(ValueError):
             normalize(tiny_problem(values=(-1.0, 2.0 + 1.0j, 2.0 - 1.0j)))
 
+    def test_shares_the_checked_fields(self, reference_problem):
+        # the normalized problem is not built again: it shares the input's
+        # nodes, sigma and reciprocal nodes, and equals a problem built anew
+        scaled = InterpolationProblem(reference_problem.nodes,
+                                      tuple(3.7 * w for w in reference_problem.values),
+                                      reference_problem.sigma)
+        norm, _ = normalize(scaled)
+        built = InterpolationProblem(norm.nodes, norm.values, norm.sigma)
+        assert type(norm) is InterpolationProblem
+        assert norm.nodes is scaled.nodes and norm.sigma is scaled.sigma
+        assert norm.node_reciprocals() is scaled.node_reciprocals()
+        assert norm.node_reciprocals().tobytes() == built.node_reciprocals().tobytes()
+        assert norm.values == built.values
+        assert all(type(w) is complex for w in norm.values)
+        assert scaled.values[0] == 3.7 * reference_problem.values[0]
+
 
 class TestJson:
     def test_round_trip(self, reference_problem):
