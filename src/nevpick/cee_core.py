@@ -1,6 +1,7 @@
 """Core ingredients of the covariance-extension-equation reformulation.
 
-From a normalized problem (value 1/2 at infinity) this module builds
+From the reciprocal nodes and the normalized values (value 1/2 at
+infinity) of a problem this module builds
 
 * the scaled node Vandermonde matrix ``V`` with rows ``(1, 1/z_k, ..., 1/z_k^n)``,
 * the slope ``T_dot`` of ``T(nu) = V^-1 W(nu) V - 1/2 I``, where
@@ -35,7 +36,6 @@ from .polyalg import (
     readonly,
     solve_complex,
 )
-from .problem import InterpolationProblem
 
 __all__ = [
     "OperatorPair",
@@ -86,16 +86,17 @@ def build_V(zeta) -> np.ndarray:
     return np.vander(zeta, N=zeta.size, increasing=True)
 
 
-def build_cee_matrices(problem: InterpolationProblem) -> np.ndarray:
-    """The nu-independent slope ``T_dot`` for a normalized problem (read-only).
+def build_cee_matrices(zeta: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The nu-independent slope ``T_dot`` (read-only) from the reciprocal
+    nodes ``zeta`` and the normalized values ``w`` (``w[0] = 1/2``), both
+    complex arrays, as :func:`~nevpick.problem.normalize` returns ``w``.
 
     ``T_dot = V^-1 (W - 1/2 I) V`` is real analytically for conjugate-symmetric
     nodes and values; an imaginary residue above ``TOL_REAL`` signals broken
     symmetry and raises :class:`RealnessError`.  ``T(nu) = nu * T_dot``
     exactly, so the start ``T(0) = 0`` is exact.
     """
-    V = build_V(problem.node_reciprocals())
-    w = problem.values_array()
+    V = build_V(zeta)
     T_dot = solve_complex(V, (w - 0.5)[:, None] * V)
     residue = float(np.max(np.abs(T_dot.imag)))
     if residue > TOL_REAL:

@@ -169,8 +169,8 @@ class Diagnostics:
 
     The certificates are computed eagerly; ``solve`` enforces only the CEE
     residual.  The locations, the singular values and ``cond_V`` are
-    computed on first read from the private inputs below, and kept; the
-    arrays they return are read-only.
+    computed on first read from the private inputs below, and kept.  Every
+    array a field holds or a property returns is read-only.
     """
 
     interp_residuals: np.ndarray     # |f(z_k) - w_k| per node, original scale
@@ -245,12 +245,14 @@ def _interpolant_from_reciprocal(a: MonicPolynomial, b: MonicPolynomial, scale: 
 class HomotopyContext:
     """Holds everything ``G`` needs: the coefficients ``sigma`` of
     ``sigma`` (``a`` at the start), its companion matrix ``Gamma`` and its
-    double ``twice_Gamma``, its coefficient tail ``s``, ``d``, the slope
-    ``T_dot`` of ``T(nu) = nu T_dot`` with the identity ``eye`` of its
-    size, and one cached point.  The six arrays are read-only.
+    double ``twice_Gamma``, its coefficient tail ``s``, ``d`` and its
+    double ``twice_d``, the slope ``T_dot`` of ``T(nu) = nu T_dot`` with
+    the identity ``eye`` of its size, and one cached point.  The eight
+    arrays are read-only.
 
-    Normalizes its problem (value exactly 1/2 at infinity), of which it
-    keeps only ``scale``, the factor that undoes the normalization.  The
+    Normalizes its problem's values (value exactly 1/2 at infinity) and
+    builds ``T_dot`` from them and the problem's reciprocal nodes; of the
+    normalization it keeps only ``scale``, the factor that undoes it.  The
     cached point is the linearization of the last point evaluated, with its
     operator pair and, once ``eval_G`` asks for it, its read-only residual:
     Newton iterates, a band test and the tangents of one ``nu`` share one
@@ -262,7 +264,7 @@ class HomotopyContext:
     """
 
     def __init__(self, problem: InterpolationProblem):
-        problem, self.scale = normalize(problem)
+        w, self.scale = normalize(problem)
         self.n = problem.n
         self.Gamma = companion(problem.sigma)
         # doubling is exact, so (A - B U) @ twice_Gamma == 2 (A - B U) @ Gamma bit for bit
@@ -270,9 +272,9 @@ class HomotopyContext:
         self.sigma = problem.sigma.coeffs
         self.s = problem.sigma.tail
         # first n autocorrelation coefficients of sigma
-        self.d = 0.5 * (build_S(self.sigma) @ self.sigma)[: self.n]
-        self.twice_d = 2.0 * self.d   # the rank-one column of jac_G
-        self.T_dot = cee_core.build_cee_matrices(problem)
+        self.d = readonly(0.5 * (build_S(self.sigma) @ self.sigma)[: self.n])
+        self.twice_d = readonly(2.0 * self.d)   # the rank-one column of jac_G
+        self.T_dot = cee_core.build_cee_matrices(problem.node_reciprocals(), w)
         # formed once: adding 1 to the diagonal per call is slower than adding this copy
         self.eye = readonly(np.eye(self.n + 1))
         self._point = ((None, None), None)   # (key, linearization) of the last point evaluated
@@ -573,7 +575,7 @@ def solve(problem: InterpolationProblem) -> Solution:
     a, b = MonicPolynomial(states[-1].a), MonicPolynomial(_pad(1.0, b_tail))
     zeta = problem.node_reciprocals()
     f_vals = _interpolant_from_reciprocal(a, b, ctx.scale, zeta)
-    interp_residuals = np.abs(f_vals - problem.values_array())
+    interp_residuals = readonly(np.abs(f_vals - problem.values_array()))
     return Solution(
         problem=problem,
         a=a,

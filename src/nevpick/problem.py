@@ -265,26 +265,23 @@ def is_positive_definite(M: np.ndarray) -> bool:
 
 
 def normalize(problem: InterpolationProblem) -> tuple:
-    """``(normalized, scale)``: all values divided by ``scale = 2 w_0``, so the
-    value at infinity becomes exactly 1/2.
+    """``(w, scale)``: the values divided by ``scale = 2 w_0``, as one
+    read-only complex array whose value at infinity ``w[0]`` is exactly 1/2.
 
+    Each ``w[k]`` is Python's complex division ``values[k] / scale``.
     Multiplying the solved interpolant by ``scale`` undoes the normalization.
     The positive scaling multiplies the Pick matrix by ``1 / (2 w_0)`` and
-    therefore preserves positive definiteness.  The normalized problem is a
-    copy of ``problem`` with the new values, made without
-    ``InterpolationProblem``'s construction checks: it shares the nodes,
-    ``sigma`` and the reciprocal nodes, which ``problem``'s construction
-    checked and formed.
+    therefore preserves positive definiteness.  The nodes and ``sigma`` do
+    not change, so the normalized values are all a solve needs besides
+    ``problem``.
     """
     w0 = problem.values[0]
     if _not_real(w0) or not w0.real > 0:
         raise ValueError(f"value at infinity must be real and positive, got {w0}")
     scale = 2.0 * w0.real
-    scaled = [w / scale for w in problem.values]
-    scaled[0] = 0.5 + 0.0j
-    normalized = object.__new__(InterpolationProblem)
-    normalized.__dict__.update(problem.__dict__, values=tuple(scaled))
-    return normalized, scale
+    w = np.array([v / scale for v in problem.values], dtype=complex)
+    w[0] = 0.5
+    return readonly(w), scale
 
 
 # ---------------------------------------------------------------------------

@@ -2,17 +2,20 @@
 
 Run from the root of the repository::
 
-    python tests/check_size.py [PACKAGE_DIR]
+    python tests/check_size.py [PATH]
+    python tests/check_size.py --compare PATH
 
 A code line is a line that holds a token of code, or lies inside a
 multi-line token of code: blank lines, comment lines and the lines of
 docstrings (the leading string of a module, class or function) are not
 counted.  This is the size a change that deletes code reports, before and
-after; ``wc -l`` counts the docstrings too.  ``PACKAGE_DIR`` defaults to
-this checkout's ``src/nevpick``, so the script can measure another
-checkout.  It prints one ``<module> <lines>`` row per module and a last
-``total <lines>`` row.  The file name keeps it out of the default test
-run.
+after; ``wc -l`` counts the docstrings too.  ``PATH`` is a checkout root
+or a package directory and defaults to this checkout's ``src/nevpick``.
+The script prints one ``<module> <lines>`` row per module and a last
+``total <lines>`` row.  With ``--compare`` it measures this checkout
+against ``PATH`` in ``<module> <other> <this> <delta>`` rows, a module
+that one side lacks counting 0 there, so a change's size is one command.
+The file name keeps it out of the default test run.
 """
 
 import ast
@@ -54,13 +57,27 @@ def sizes(package: Path) -> dict:
             for path in sorted(package.glob("*.py"))}
 
 
+def package_dir(path: Path) -> Path:
+    """``path/src/nevpick`` if ``path`` is a checkout root, else ``path``."""
+    inner = path / "src" / "nevpick"
+    return inner if inner.is_dir() else path
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
-    rows = sizes(Path(args[0]) if args else PACKAGE)
-    width = max(map(len, rows), default=0)
-    for name, count in rows.items():
-        print(f"{name:<{width}} {count:>5}")
-    print(f"{'total':<{width}} {sum(rows.values()):>5}")
+    if args[:1] == ["--compare"]:
+        theirs, ours = sizes(package_dir(Path(args[1]))), sizes(PACKAGE)
+        rows = {}
+        for name in sorted(theirs.keys() | ours.keys()):
+            other, this = theirs.get(name, 0), ours.get(name, 0)
+            rows[name] = (other, this, this - other)
+    else:
+        rows = {name: (count,)
+                for name, count in sizes(package_dir(Path(args[0])) if args else PACKAGE).items()}
+    rows["total"] = tuple(map(sum, zip(*rows.values()))) or (0,)
+    width = max(map(len, rows))
+    for name, counts in rows.items():
+        print(f"{name:<{width}}" + "".join(f" {count:>5}" for count in counts))
     return 0
 
 

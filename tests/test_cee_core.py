@@ -21,7 +21,8 @@ from nevpick.problem import INF, InterpolationProblem, normalize
 
 
 def normalized_reference(reference_problem):
-    return normalize(reference_problem)[0]
+    """The reciprocal nodes and the normalized values of ``reference_problem``."""
+    return reference_problem.node_reciprocals(), normalize(reference_problem)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -87,9 +88,9 @@ class TestBuildV:
         assert np.linalg.cond(V) < 1e6
 
     def test_row_scaling_leaves_T_unchanged(self, reference_problem):
-        norm = normalized_reference(reference_problem)
-        V = build_V(norm.node_reciprocals())
-        W = build_W(norm.values_array(), 1.0)
+        zeta, w = normalized_reference(reference_problem)
+        V = build_V(zeta)
+        W = build_W(w, 1.0)
         T = build_T(V, W)
         rng = np.random.default_rng(31)
         for _ in range(10):
@@ -108,9 +109,9 @@ class TestBuildW:
 
 class TestBuildT:
     def test_half_identity_gives_zero(self, reference_problem):
-        norm = normalized_reference(reference_problem)
-        V = build_V(norm.node_reciprocals())
-        T = build_T(V, build_W(norm.values_array(), 0.0))
+        zeta, w = normalized_reference(reference_problem)
+        V = build_V(zeta)
+        T = build_T(V, build_W(w, 0.0))
         assert np.max(np.abs(T)) < 1e-12
 
     def test_constant_values_give_half_identity(self):
@@ -119,21 +120,20 @@ class TestBuildT:
         assert np.allclose(T, 0.5 * np.eye(3), atol=1e-12)
 
     def test_reference_real(self, reference_problem):
-        norm = normalized_reference(reference_problem)
-        V = build_V(norm.node_reciprocals())
-        W = build_W(norm.values_array(), 1.0)
+        zeta, w = normalized_reference(reference_problem)
+        V = build_V(zeta)
+        W = build_W(w, 1.0)
         M = np.linalg.solve(V, W[:, None] * V)
         assert np.max(np.abs(M.imag)) < 1e-10
         T = build_T(V, W)
         assert T.dtype == float
 
     def test_broken_symmetry_raises(self, reference_problem):
-        norm = normalized_reference(reference_problem)
-        w = norm.values_array()
+        zeta, w = normalized_reference(reference_problem)
+        w = w.copy()
         w[1] += 0.05j  # breaks conjugate symmetry
-        broken = InterpolationProblem(norm.nodes, tuple(w), norm.sigma)
         with pytest.raises(RealnessError):
-            build_cee_matrices(broken)
+            build_cee_matrices(zeta, w)
 
 
 def pair_at(T_dot, nu):
@@ -144,8 +144,7 @@ def pair_at(T_dot, nu):
 def central_slope(n):
     """``T_dot`` of a problem whose values are all 1/2 (zero slope)."""
     nodes = (INF,) + tuple(2.0 + k for k in range(n))
-    return build_cee_matrices(InterpolationProblem(
-        nodes, (0.5,) * (n + 1), MonicPolynomial.from_roots([0.0] * n)))
+    return build_cee_matrices(reciprocals(nodes), np.full(n + 1, 0.5 + 0.0j))
 
 
 class TestComputeUU:
@@ -160,8 +159,8 @@ class TestComputeUU:
         # nodes (inf, z1), values (1/2, w1): closed-form 2x2 inversion gives
         # u = z1 (w1 - 1/2) / (w1 + 1/2),  U = (w1 - 1/2) / (w1 + 1/2)
         z1, w1 = 2.5, 0.9
-        problem = InterpolationProblem((INF, z1), (0.5, w1), MonicPolynomial([1.0, 0.0]))
-        pair = pair_at(build_cee_matrices(problem), 1.0)
+        T_dot = build_cee_matrices(reciprocals((INF, z1)), np.array([0.5, w1], dtype=complex))
+        pair = pair_at(T_dot, 1.0)
         want_U = (w1 - 0.5) / (w1 + 0.5)
         want_u = z1 * (w1 - 0.5) / (w1 + 0.5)
         assert pair.u[0] == pytest.approx(want_u, rel=1e-12)
@@ -169,8 +168,7 @@ class TestComputeUU:
 
     def test_defining_system_residual(self, reference_problem):
         # against the bottom rows of (I + T)^-1 T by a linear solve
-        norm = normalized_reference(reference_problem)
-        T_dot = build_cee_matrices(norm)
+        T_dot = build_cee_matrices(*normalized_reference(reference_problem))
         for nu in (0.1, 0.5, 1.0):
             pair = pair_at(T_dot, nu)
             u, U = solve_uU(nu * T_dot)
@@ -187,15 +185,13 @@ class TestComputeUUDot:
         assert np.array_equal(pair.U_dot, np.zeros((2, 2)))
 
     def test_at_zero_equals_bottom_rows_of_slope(self, reference_problem):
-        norm = normalized_reference(reference_problem)
-        T_dot = build_cee_matrices(norm)
+        T_dot = build_cee_matrices(*normalized_reference(reference_problem))
         pair = pair_at(T_dot, 0.0)
         assert np.allclose(pair.u_dot, T_dot[1:, 0], atol=1e-14)
         assert np.allclose(pair.U_dot, T_dot[1:, 1:], atol=1e-14)
 
     def test_matches_finite_differences(self, reference_problem):
-        norm = normalized_reference(reference_problem)
-        T_dot = build_cee_matrices(norm)
+        T_dot = build_cee_matrices(*normalized_reference(reference_problem))
         delta = 1e-6
         for nu in (0.1, 0.3, 0.5, 0.7, 0.9):
             pair = pair_at(T_dot, nu)
@@ -211,14 +207,13 @@ class TestComputeUUDot:
 
 class TestOperatorPair:
     def test_exact_zero_at_start(self, reference_problem):
-        norm = normalized_reference(reference_problem)
-        T_dot = build_cee_matrices(norm)
+        T_dot = build_cee_matrices(*normalized_reference(reference_problem))
         pair = pair_at(T_dot, 0.0)
         assert np.all(pair.u == 0.0)
         assert np.all(pair.U == 0.0)
 
     def test_fields_are_read_only_copies_of_the_formula(self, reference_problem):
-        T_dot = build_cee_matrices(normalized_reference(reference_problem))
+        T_dot = build_cee_matrices(*normalized_reference(reference_problem))
         for nu in (0.0, 0.3, 1.0):
             pair = pair_at(T_dot, nu)
             M_inv = np.linalg.inv(np.eye(T_dot.shape[0]) + nu * T_dot)
@@ -239,8 +234,7 @@ class TestOperatorPair:
             operator_pair(-eye, eye, 1.0)
 
     def test_realness_on_grid(self, reference_problem):
-        norm = normalized_reference(reference_problem)
-        T_dot = build_cee_matrices(norm)
+        T_dot = build_cee_matrices(*normalized_reference(reference_problem))
         for nu in np.linspace(0.0, 1.0, 11):
             pair = pair_at(T_dot, nu)
             assert pair.u.dtype == float
@@ -333,7 +327,8 @@ def stein_endpoints():
     for problem in problems:
         sol = solve(problem)
         Gamma, s = companion(problem.sigma), problem.sigma.tail
-        g = v_and_g(pair_at(build_cee_matrices(normalize(problem)[0]), 1.0), Gamma, s, sol.p)[1]
+        T_dot = build_cee_matrices(problem.node_reciprocals(), normalize(problem)[0])
+        g = v_and_g(pair_at(T_dot, 1.0), Gamma, s, sol.p)[1]
         out.append((Gamma, s, sol.p, g))
     return out
 
@@ -405,9 +400,9 @@ class TestCeeResidual:
 
 class TestAffinity:
     def test_T_affine_in_nu(self, reference_problem):
-        norm = normalized_reference(reference_problem)
-        T_dot = build_cee_matrices(norm)
-        V = build_V(norm.node_reciprocals())
+        zeta, w = normalized_reference(reference_problem)
+        T_dot = build_cee_matrices(zeta, w)
+        V = build_V(zeta)
         for nu in np.linspace(0.0, 1.0, 11):
-            direct = build_T(V, build_W(norm.values_array(), nu))
+            direct = build_T(V, build_W(w, nu))
             assert np.max(np.abs(direct - nu * T_dot)) < 1e-10

@@ -416,7 +416,8 @@ class TestLazyDiagnostics:
         assert np.array_equal(diag.singular_values, np.linalg.svd(sol.P, compute_uv=False))
         V = cee_core.build_V(reference_problem.node_reciprocals())
         assert diag.cond_V == float(np.linalg.cond(V))
-        for arr in (diag.poles, diag.zeros, diag.spectral_zeros, diag.singular_values, sol.P):
+        for arr in (diag.interp_residuals, diag.poles, diag.zeros, diag.spectral_zeros,
+                    diag.singular_values, sol.P):
             assert not arr.flags.writeable
 
     def test_central_solution(self):
@@ -501,10 +502,10 @@ class TestHomotopyContext:
             reference_problem.sigma,
         )
         ctx = HomotopyContext(scaled)
-        normalized = normalize(scaled)[0]
-        want = HomotopyContext(normalized)
+        w = normalize(scaled)[0]
+        want = HomotopyContext(InterpolationProblem(scaled.nodes, tuple(w), scaled.sigma))
         assert ctx.scale == 2.0 * lam * reference_problem.values[0].real
-        assert normalized.values[0] == 0.5
+        assert w[0] == 0.5
         assert np.array_equal(ctx.T_dot, want.T_dot)
         rng = np.random.default_rng(64)
         for _ in range(10):
@@ -515,11 +516,12 @@ class TestHomotopyContext:
 
     def test_shared_arrays_are_read_only(self, reference_problem):
         # every evaluation reads these arrays, so none may be written: the
-        # context's five and the fields of the operator pair it caches
+        # context's eight and the fields of the operator pair it caches
         ctx = HomotopyContext(reference_problem)
         pair = ctx.linearization(np.zeros(ctx.n), 0.3)[0]
-        arrays = {"Gamma": ctx.Gamma, "twice_Gamma": ctx.twice_Gamma, "s": ctx.s,
-                  "T_dot": ctx.T_dot, "eye": ctx.eye, **pair._asdict()}
+        arrays = {"sigma": ctx.sigma, "Gamma": ctx.Gamma, "twice_Gamma": ctx.twice_Gamma,
+                  "s": ctx.s, "d": ctx.d, "twice_d": ctx.twice_d, "T_dot": ctx.T_dot,
+                  "eye": ctx.eye, **pair._asdict()}
         for name, value in arrays.items():
             assert not value.flags.writeable, name
 

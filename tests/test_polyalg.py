@@ -473,3 +473,13 @@ def test_polyalg_holds_the_only_table_of_constants():
     stray = [f"{path.name}:{line} {name}" for path in sorted(package.glob("*.py"))
              if path.name != "polyalg.py" for name, line in float_constants(path)]
     assert stray == []
+
+
+def test_no_record_is_built_past_its_constructor():
+    # object.__new__ makes an instance that skips __init__ and its checks
+    package = Path(nevpick.__file__).parent
+    found = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Attribute) and node.attr == "__new__"
+             and isinstance(node.value, ast.Name) and node.value.id == "object"]
+    assert found == []
