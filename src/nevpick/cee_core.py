@@ -17,7 +17,9 @@ whose right-hand vector is ``g = u + U s + U Gamma P h``, with ``s`` the
 coefficient tail of ``sigma``.  At the path endpoint ``P`` is read off that
 equation by a shift recursion: the on-trajectory identity ``P h = p`` turns
 it into a Stein equation in the nilpotent upper shift, which
-back-substitution solves with numpy alone.
+back-substitution solves with numpy alone.  :func:`recover_P` holds the
+whole endpoint certificate: ``P h == p``, positive semidefiniteness,
+``h' P h < 1`` and the CEE residual bound ``TOL_CEE``.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .polyalg import (
+    TOL_CEE,
     TOL_P_PH,
     TOL_P_PSD,
-    TOL_P_SYM,
     TOL_REAL,
     eigvalsh,
     inverse,
@@ -151,10 +153,11 @@ def cee_residual(P: np.ndarray, Gamma: np.ndarray, g: np.ndarray) -> float:
     return float(np.linalg.norm(res, "fro"))
 
 
-def recover_P(Gamma: np.ndarray, s: np.ndarray, p: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Recover the covariance-extension matrix from the endpoint vector ``p``.
+def recover_P(Gamma: np.ndarray, s: np.ndarray, p: np.ndarray, g: np.ndarray) -> tuple:
+    """Recover and certify the covariance-extension matrix from the endpoint vector ``p``.
 
-    With ``P h = p`` the equation is the Stein form
+    Returns ``(P, residual)``: the read-only ``P`` and its
+    :func:`cee_residual`.  With ``P h = p`` the equation is the Stein form
     ``P - Gamma P Gamma' = g g' - (Gamma p)(Gamma p)'``, whose operator
     ``I - Gamma x Gamma`` is ill-conditioned when the spectral zeros cluster
     near the unit circle.  Writing ``Gamma = Z - s h'``, with ``Z`` the upper
@@ -165,31 +168,33 @@ def recover_P(Gamma: np.ndarray, s: np.ndarray, p: np.ndarray, g: np.ndarray) ->
 
     ``Z`` is nilpotent, so ``P = sum_k Z^k R Z'^k``: each row of ``P`` is the
     row of ``R`` plus the next row of ``P`` shifted left, a bottom-up
-    recursion in O(n^2) with no linear solve.  ``P`` is exactly symmetric,
-    since ``R`` is and ``P_ij``, ``P_ji`` add the same terms in the same
-    order; the symmetry check guards that construction.  Nothing forces
-    the first column (``P h``, as ``h = e1``) to equal ``p``, so the checks
-    ``P h == p``, positive semidefiniteness and ``h' P h < 1`` are genuine.
-    A violation raises :class:`SteinConsistencyError`.
+    recursion in O(n^2) with no linear solve.  ``P`` is exactly symmetric
+    by construction, for any input: ``R`` is symmetric entry by entry (IEEE
+    products commute, and ``sZ + sZ'`` adds the same two numbers in both
+    orders), and ``P_ij``, ``P_ji`` add the same terms in the same order.
+    Nothing forces the first column (``P h``, as ``h = e1``) to equal ``p``,
+    so the checks ``P h == p``, positive semidefiniteness, ``h' P h < 1``
+    and a CEE residual at most ``TOL_CEE`` are genuine.  A violation raises
+    :class:`SteinConsistencyError`.
     """
     n = s.size
     if n == 0:
-        return np.zeros((0, 0))
+        return readonly(np.zeros((0, 0))), 0.0
     Gp = Gamma @ p
     sZ = np.outer(np.append(p[1:], 0.0), s)
     # one sum sZ + sZ' keeps R, and so P, bitwise symmetric
     P = np.outer(g, g) - np.outer(Gp, Gp) - (sZ + sZ.T) + p[0] * np.outer(s, s)
     for i in range(n - 2, -1, -1):
         P[i, :-1] += P[i + 1, 1:]
-    scale = max(1.0, float(np.max(np.abs(P))))
-    if np.max(np.abs(P - P.T)) > TOL_P_SYM * scale:
-        raise SteinConsistencyError("recovered matrix is not symmetric")
     if np.max(np.abs(P[:, 0] - p)) > TOL_P_PH * (1.0 + float(np.max(np.abs(p)))):
         raise SteinConsistencyError("P h differs from p; the point is off the trajectory")
     eigs = eigvalsh(P)
     if eigs[0] < -TOL_P_PSD:
         raise SteinConsistencyError(f"recovered matrix has eigenvalue {eigs[0]:.3e} < 0")
-    hPh = float(P[0, 0])
-    if not hPh < 1.0:
-        raise SteinConsistencyError(f"h' P h = {hPh:.6g} must be below 1")
-    return P
+    if not P[0, 0] < 1.0:
+        raise SteinConsistencyError(f"h' P h = {P[0, 0]:.6g} must be below 1")
+    residual = cee_residual(P, Gamma, g)
+    if not residual <= TOL_CEE:
+        raise SteinConsistencyError(
+            f"CEE residual {residual:.3e} of the recovered matrix exceeds {TOL_CEE:.0e}")
+    return readonly(P), residual

@@ -93,7 +93,6 @@ from .polyalg import (
     STEP_REJECT_RANGE,
     STEP_SAFETY,
     STEP_SNAP,
-    TOL_CEE,
     TOL_NEWTON,
     MonicPolynomial,
     PathAttempt,
@@ -513,33 +512,15 @@ def _end_step(ctx: HomotopyContext, p: np.ndarray, residual: float) -> tuple:
 def _certified_path(ctx: HomotopyContext, attempt: PathAttempt) -> tuple:
     """Follow the path as ``attempt`` says and certify its endpoint.
 
-    Returns the states, the recovered ``P``, its CEE residual and the tail
-    ``v + g`` of ``b`` at the endpoint.
+    Returns the states, the recovered ``P`` and its CEE residual, as
+    :func:`~nevpick.cee_core.recover_P` returns them after its checks, and
+    the tail ``v + g`` of ``b`` at the endpoint.
     """
     states = tuple(_follow_path(ctx, attempt))
     p = states[-1].p
     _, v, g, _, _ = ctx.linearization(p, 1.0)
-    P = readonly(recover_P(ctx.Gamma, ctx.s, p, g))
-    cee_res = cee_core.cee_residual(P, ctx.Gamma, g)
-    if not cee_res <= TOL_CEE:
-        raise cee_core.SteinConsistencyError(
-            f"CEE residual {cee_res:.3e} of the recovered matrix exceeds {TOL_CEE:.0e}")
+    P, cee_res = recover_P(ctx.Gamma, ctx.s, p, g)
     return states, P, cee_res, v + g
-
-
-def _first_certified_path(ctx: HomotopyContext) -> tuple:
-    """:func:`_certified_path` of the first of ``ATTEMPTS`` that certifies.
-
-    An attempt that raises :class:`PathError` or
-    :class:`~nevpick.cee_core.SteinConsistencyError` hands over to the next
-    on the same context; the last one raises what it raises.
-    """
-    for attempt in ATTEMPTS[:-1]:
-        try:
-            return _certified_path(ctx, attempt)
-        except (PathError, cee_core.SteinConsistencyError):
-            pass
-    return _certified_path(ctx, ATTEMPTS[-1])
 
 
 def _clip(x: float, bounds: tuple) -> float:
@@ -551,26 +532,34 @@ def solve(problem: InterpolationProblem) -> Solution:
     """Solve one interpolation instance end to end.
 
     Validates, normalizes to value 1/2 at infinity, follows the homotopy
-    path from the central solution ``p = 0``, recovers the matrix ``P`` from
-    the covariance extension equation at the endpoint, and assembles the
-    interpolant with full diagnostics.  The path is followed as each of
-    ``ATTEMPTS`` says in turn, ``LOOSE_ATTEMPT``, ``FAST_ATTEMPT`` and
-    ``FALLBACK_ATTEMPT``, until one certifies; the trajectory is that
-    attempt's.  Deterministic: identical inputs produce bit-identical
-    trajectories.
+    path from the central solution ``p = 0``, recovers and certifies the
+    matrix ``P`` from the covariance extension equation at the endpoint,
+    and assembles the interpolant with full diagnostics.  The path is
+    followed as each of ``ATTEMPTS`` says in turn, ``LOOSE_ATTEMPT``,
+    ``FAST_ATTEMPT`` and ``FALLBACK_ATTEMPT``, on one context, until one
+    certifies; the trajectory is that attempt's.  A rung whose path raises
+    :class:`PathError` or whose endpoint raises
+    :class:`~nevpick.cee_core.SteinConsistencyError` hands over to the next.
+    Deterministic: identical inputs produce bit-identical trajectories.
 
     Raises :class:`~nevpick.problem.ProblemValidationError` on invalid input,
-    and, when the fallback attempt fails too, :class:`PathError` when
-    step control fails and :class:`~nevpick.cee_core.SteinConsistencyError`
-    when the recovered ``P`` fails a check of
-    :func:`~nevpick.cee_core.recover_P` or its CEE residual exceeds
-    ``TOL_CEE``.
+    and, when the fallback attempt fails too, what it raises:
+    :class:`PathError` when step control fails and
+    :class:`~nevpick.cee_core.SteinConsistencyError` when the recovered ``P``
+    fails a check of :func:`~nevpick.cee_core.recover_P`, its CEE residual
+    bound ``TOL_CEE`` among them.
     """
     violations = validate(problem)
     if violations:
         raise ProblemValidationError(violations)
     ctx = HomotopyContext(problem)
-    states, P, cee_res, b_tail = _first_certified_path(ctx)
+    for attempt in ATTEMPTS:
+        try:
+            states, P, cee_res, b_tail = _certified_path(ctx, attempt)
+            break
+        except (PathError, cee_core.SteinConsistencyError):
+            if attempt is ATTEMPTS[-1]:
+                raise
     p = states[-1].p
     a, b = MonicPolynomial(states[-1].a), MonicPolynomial(_pad(1.0, b_tail))
     zeta = problem.node_reciprocals()

@@ -48,8 +48,7 @@ TOL_IMAG = 1e-9         # imaginary coefficients of a root set's polynomial, rel
 TOL_REAL = 1e-9         # imaginary residue of V^-1 W V (broken conjugate symmetry)
 TOL_PD = 1e-12          # positive-definite: smallest eigenvalue relative to the largest
 TOL_HERMITIAN = 1e-10   # Hermitian input to is_positive_definite: asymmetry relative to max(1, max|M|)
-TOL_P_SYM = 1e-10       # recovered P: asymmetry relative to its largest entry,
-TOL_P_PH = 1e-8         # ... |P h - p| relative to 1 + |p|,
+TOL_P_PH = 1e-8         # recovered P: |P h - p| relative to 1 + |p|,
 TOL_P_PSD = 1e-8        # ... and the floor on its smallest eigenvalue
 TOL_CEE = 1e-8          # CEE residual of a solution (Frobenius norm, absolute)
 TOL_SYM = 1e-8          # symmetric input to singular_values: asymmetry relative to its largest entry

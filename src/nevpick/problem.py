@@ -204,7 +204,8 @@ def validate(problem: InterpolationProblem) -> list:
                 out.append(
                     Violation(
                         "conjugate-closure",
-                        f"value at conjugate node {j} is not the conjugate of value {k}",
+                        f"value {k} must be real: node {k} is its own conjugate" if j == k
+                        else f"value at conjugate node {j} is not the conjugate of value {k}",
                         k,
                     )
                 )

@@ -4,6 +4,7 @@ Run from the root of the repository::
 
     python tests/check_size.py [PATH]
     python tests/check_size.py --compare PATH
+    python tests/check_size.py --functions [PATH]
 
 A code line is a line that holds a token of code, or lies inside a
 multi-line token of code: blank lines, comment lines and the lines of
@@ -15,6 +16,10 @@ The script prints one ``<module> <lines>`` row per module and a last
 ``total <lines>`` row.  With ``--compare`` it measures this checkout
 against ``PATH`` in ``<module> <other> <this> <delta>`` rows, a module
 that one side lacks counting 0 there, so a change's size is one command.
+With ``--functions`` it prints one ``<module>:<name> <lines>`` row per
+top-level ``def`` and ``class`` of each module of ``PATH``, in file
+order, with its decorators and counted the same way, so a change's lines
+can be traced to the definitions that hold them.
 The file name keeps it out of the default test run.
 """
 
@@ -42,13 +47,31 @@ def docstring_lines(tree: ast.AST) -> set:
     return lines
 
 
-def code_lines(source: str) -> int:
-    """The number of code lines of a Python source text."""
+def code_line_numbers(source: str, tree: ast.AST) -> set:
+    """Line numbers of the code lines of a Python source text, ``tree`` its parse."""
     lines = set()
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
         if tok.type not in NOT_CODE:
             lines.update(range(tok.start[0], tok.end[0] + 1))
-    return len(lines - docstring_lines(ast.parse(source)))
+    return lines - docstring_lines(tree)
+
+
+def code_lines(source: str) -> int:
+    """The number of code lines of a Python source text."""
+    return len(code_line_numbers(source, ast.parse(source)))
+
+
+def definitions(source: str) -> list:
+    """``(name, code lines)`` of each top-level ``def`` and ``class`` of a
+    Python source text, in file order; decorators count with their definition."""
+    tree = ast.parse(source)
+    lines = code_line_numbers(source, tree)
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            out.append((node.name, len(lines & set(range(first, node.end_lineno + 1)))))
+    return out
 
 
 def sizes(package: Path) -> dict:
@@ -65,6 +88,11 @@ def package_dir(path: Path) -> Path:
 
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
+    if args[:1] == ["--functions"]:
+        package = package_dir(Path(args[1])) if args[1:] else PACKAGE
+        print_rows([(f"{path.stem}:{name}", (count,)) for path in sorted(package.glob("*.py"))
+                    for name, count in definitions(path.read_text(encoding="utf-8"))])
+        return 0
     if args[:1] == ["--compare"]:
         theirs, ours = sizes(package_dir(Path(args[1]))), sizes(PACKAGE)
         rows = {}
@@ -75,10 +103,15 @@ def main(argv=None) -> int:
         rows = {name: (count,)
                 for name, count in sizes(package_dir(Path(args[0])) if args else PACKAGE).items()}
     rows["total"] = tuple(map(sum, zip(*rows.values()))) or (0,)
-    width = max(map(len, rows))
-    for name, counts in rows.items():
-        print(f"{name:<{width}}" + "".join(f" {count:>5}" for count in counts))
+    print_rows(list(rows.items()))
     return 0
+
+
+def print_rows(rows: list) -> None:
+    """Print ``(name, counts)`` rows, the names padded to one width."""
+    width = max((len(name) for name, _ in rows), default=0)
+    for name, counts in rows:
+        print(f"{name:<{width}}" + "".join(f" {count:>5}" for count in counts))
 
 
 if __name__ == "__main__":

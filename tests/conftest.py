@@ -232,8 +232,8 @@ def certificate_failure(problem):
 
     The certificates: a typed-error-free solve that reaches ``nu = 1``, an
     interpolation residual at most 1e-10, a CEE residual at most 1e-8 and an
-    exactly symmetric ``P`` (``recover_P`` checks ``P h == p``, PSD and
-    ``h' P h < 1`` itself).
+    exactly symmetric ``P`` (``recover_P`` checks ``P h == p``, PSD,
+    ``h' P h < 1`` and the CEE bound itself).
     """
     from nevpick.continuation import SOLVE_ERRORS, solve
 

@@ -306,7 +306,7 @@ def test_criterion_8_small_instance_oracles():
         g = ctx.linearization(sol.p, 1.0)[2]
         gamma = ctx.Gamma[0, 0]
         closed = (g[0] ** 2 - gamma**2 * sol.p[0] ** 2) / (1.0 - gamma**2)
-        P = recover_P(ctx.Gamma, ctx.s, sol.p, g)
+        P, _ = recover_P(ctx.Gamma, ctx.s, sol.p, g)
         worst_stein = max(worst_stein, abs(P[0, 0] - closed))
 
     ok = worst_bisect < 1e-10 and worst_stein < 1e-12

@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import solve_discrete_lyapunov, toeplitz
 
 from conftest import PATH_ERRSTATE, random_problem, random_schur_monic
+from nevpick import cee_core
 from nevpick.cee_core import (
     OperatorPair,
     RealnessError,
@@ -348,25 +349,31 @@ class TestSteinSolve:
     def test_recover_P_matches_kronecker_oracle(self, endpoints):
         for Gamma, s, p, g in endpoints:
             oracle = kronecker_stein_solve(Gamma, stein_rhs(Gamma, p, g))
-            P = recover_P(Gamma, s, p, g)
+            P, _ = recover_P(Gamma, s, p, g)
             assert np.max(np.abs(P - 0.5 * (oracle + oracle.T))) < 1e-12
 
     def test_recover_P_matches_scipy_oracle(self, endpoints):
         for Gamma, s, p, g in endpoints:
             oracle = solve_discrete_lyapunov(Gamma, stein_rhs(Gamma, p, g))
-            P = recover_P(Gamma, s, p, g)
+            P, _ = recover_P(Gamma, s, p, g)
             assert np.max(np.abs(P - oracle)) <= 1e-11 * np.max(np.abs(oracle))
 
     def test_recover_P_exactly_symmetric(self, endpoints):
         for Gamma, s, p, g in endpoints:
-            P = recover_P(Gamma, s, p, g)
+            P, _ = recover_P(Gamma, s, p, g)
             assert np.array_equal(P, P.T)
+
+    def test_returns_locked_P_and_its_cee_residual(self, endpoints):
+        for Gamma, s, p, g in endpoints:
+            P, residual = recover_P(Gamma, s, p, g)
+            assert not P.flags.writeable
+            assert residual == cee_residual(P, Gamma, g)
 
 
 class TestRecoverP:
     def test_zero(self):
         sigma = MonicPolynomial([1.0, 0.5, 0.25])
-        P = recover_P(companion(sigma), sigma.tail, np.zeros(2), np.zeros(2))
+        P, _ = recover_P(companion(sigma), sigma.tail, np.zeros(2), np.zeros(2))
         assert np.array_equal(P, np.zeros((2, 2)))
 
     def test_scalar_closed_form(self):
@@ -375,10 +382,25 @@ class TestRecoverP:
         p, gamma = 0.3, 0.5
         g = np.sqrt(p * (1 - gamma**2) + gamma**2 * p**2)
         sigma = MonicPolynomial([1.0, -gamma])
-        P = recover_P(companion(sigma), sigma.tail, np.array([p]), np.array([g]))
+        P, _ = recover_P(companion(sigma), sigma.tail, np.array([p]), np.array([g]))
         closed = (g**2 - gamma**2 * p**2) / (1 - gamma**2)
         assert P[0, 0] == pytest.approx(closed, abs=1e-12)
         assert P[0, 0] == pytest.approx(p, abs=1e-12)
+
+    def test_order_zero(self):
+        P, residual = recover_P(np.zeros((0, 0)), np.zeros(0), np.zeros(0), np.zeros(0))
+        assert P.shape == (0, 0) and not P.flags.writeable
+        assert residual == 0.0
+
+    def test_cee_bound_enforced(self, monkeypatch):
+        # the scalar closed form of test_scalar_closed_form, with the residual
+        # read as above TOL_CEE = 1e-8
+        p, gamma = 0.3, 0.5
+        g = np.sqrt(p * (1 - gamma**2) + gamma**2 * p**2)
+        sigma = MonicPolynomial([1.0, -gamma])
+        monkeypatch.setattr(cee_core, "cee_residual", lambda P, Gamma, g: 2e-8)
+        with pytest.raises(SteinConsistencyError, match="CEE residual 2.000e-08 .* exceeds 1e-08"):
+            recover_P(companion(sigma), sigma.tail, np.array([p]), np.array([g]))
 
     def test_off_trajectory_p_rejected(self):
         sigma = MonicPolynomial([1.0, -0.5])

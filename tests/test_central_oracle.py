@@ -1,0 +1,56 @@
+"""The closed-form central solution against the Pick matrix and against ``solve``.
+
+Degree-2 data (zeros of ``sigma`` at ``0.3 e^{+-i}``, of ``a`` at
+``0.6 e^{+-0.5i}``) at the bank poles of ``default_bank_poles(n)`` scaled
+to radius ``r``, solved at the central ``sigma_c``, whose zeros are the
+nonzero poles.  Each bound is ten times the error measured on a 2-vCPU
+x86-64 host with OpenBLAS, rounded up.
+"""
+
+import numpy as np
+import pytest
+
+from central_oracle import central_density, moment_matrix, pick_matrix
+from nevpick.analysis import spectral_density
+from nevpick.continuation import solve
+from nevpick.ingestion import BANK_RADIUS, default_bank_poles, exact_values, nodes_from_poles
+from nevpick.polyalg import SPECTRUM_POINTS, MonicPolynomial
+from nevpick.problem import InterpolationProblem
+
+SIGMA = MonicPolynomial.from_roots([0.3 * np.exp(1j), 0.3 * np.exp(-1j)])
+A = MonicPolynomial.from_roots([0.6 * np.exp(0.5j), 0.6 * np.exp(-0.5j)])
+MOMENT_POINTS = 2**14   # at 2^12 the n >= 12 cases read 4e-7, 9e-8 and 4e-4
+
+
+def central_data(n, r):
+    """The reciprocal nodes and the values at ``n`` bank poles of radius ``r``."""
+    zeta = default_bank_poles(n) * (r / BANK_RADIUS)
+    return zeta, exact_values(SIGMA, A, zeta)
+
+
+# (n, r, bound): max |moments - Pick| / max |Pick|, measured 8.9e-15,
+# 2.7e-15, 3.8e-15, 9.6e-15 and 3.8e-14
+@pytest.mark.parametrize("n, r, bound", [
+    (4, 0.7, 9e-14), (8, 0.97, 3e-14), (12, 0.99, 4e-14), (20, 0.99, 1e-13), (28, 0.995, 4e-13),
+])
+def test_density_has_the_pick_matrix_as_moments(n, r, bound):
+    zeta, w = central_data(n, r)
+    pick = pick_matrix(zeta, w)
+    err = np.max(np.abs(moment_matrix(zeta, w, MOMENT_POINTS) - pick)) / np.max(np.abs(pick))
+    assert err < bound
+
+
+# (n, r, bound): max |spectral_density / Phi_c - 1|, measured 1.8e-14,
+# 3.3e-14, 3.4e-13 and 1.2e-11.  At n = 28 it reads 1.8e-9, from the
+# rounding of sigma_c's coefficients, not from the solve, so that case is
+# left out
+@pytest.mark.parametrize("n, r, bound", [
+    (4, 0.7, 2e-13), (8, 0.97, 4e-13), (12, 0.99, 4e-12), (20, 0.99, 1.2e-10),
+])
+def test_solve_at_central_sigma_matches_the_closed_form(n, r, bound):
+    zeta, w = central_data(n, r)
+    problem = InterpolationProblem(nodes_from_poles(zeta), tuple(w),
+                                   MonicPolynomial.from_roots(zeta[1:]))
+    thetas = np.linspace(0.0, 2.0 * np.pi, SPECTRUM_POINTS, endpoint=False)
+    density = spectral_density(solve(problem), thetas)
+    assert np.max(np.abs(density / central_density(zeta, w, thetas) - 1.0)) < bound

@@ -53,3 +53,28 @@ def test_compare_with_itself_and_a_copy_lacking_a_module(tmp_path, capsys):
     assert rows.pop("cli.py") == (0, cli, cli)
     assert rows.pop("total")[2] == cli
     assert all(delta == 0 for _, _, delta in rows.values())
+
+
+def test_functions_rows_in_file_order(tmp_path, capsys):
+    (tmp_path / "mod.py").write_text('''"""Module docstring."""
+
+import functools
+
+X = 1
+
+
+@functools.cache
+def second(a):
+    """Docstring."""
+    # a comment
+    return a
+
+
+def first():
+    return (1,
+            2)
+''')
+    assert check_size.main(["--functions", str(tmp_path)]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    # the decorator, def and return of second; def and the two-line return of first
+    assert rows == [["mod:second", "3"], ["mod:first", "3"]]

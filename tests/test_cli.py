@@ -229,11 +229,12 @@ class TestSolveCommand:
 
     def test_cee_certificate_failure_exits_3(self, runner, tmp_path, reference_problem_file,
                                              monkeypatch):
-        from nevpick import continuation
+        from nevpick import cee_core
 
-        recover = continuation.recover_P
-        monkeypatch.setattr(continuation, "recover_P",
-                            lambda Gamma, s, p, g: recover(Gamma, s, p, g) + 1e-6 * np.eye(s.size))
+        # the CEE residual read at P + 1e-6 I exceeds TOL_CEE = 1e-8
+        residual = cee_core.cee_residual
+        monkeypatch.setattr(cee_core, "cee_residual",
+                            lambda P, Gamma, g: residual(P + 1e-6 * np.eye(P.shape[0]), Gamma, g))
         result = runner.invoke(
             main, ["solve", "--input", str(reference_problem_file), "--output", str(tmp_path / "o")]
         )

@@ -445,6 +445,16 @@ def bank_problem(order):
                                 embed_sigma(sigma, order))
 
 
+def test_recovered_P_exactly_symmetric():
+    # recover_P builds P symmetric entry by entry (R is, and P_ij and P_ji
+    # add the same terms in the same order) and does not check it
+    clustered = (problem for _, problem in itertools.islice(clustered_corpus(1, 240), 8))
+    for problem in itertools.chain(identity_suite(), map(bank_problem, range(16, 29, 2)),
+                                   clustered):
+        P = solve(problem).P
+        assert np.array_equal(P, P.T)
+
+
 class TestClosedFormStart:
     """At ``nu = 0``, ``T = 0``, so ``u``, ``U`` and ``g`` vanish, ``a = b = sigma``,
     ``G = E S(sigma) [1; s] - 2 d = 0`` and ``dG/dnu = 0``: the path follower
@@ -718,14 +728,15 @@ class TestSolve:
 
     @pytest.mark.parametrize("offset,fails", [(1e-6, True), (1e-12, False)])
     def test_cee_certificate_enforced(self, reference_problem, monkeypatch, offset, fails):
-        # a P whose CEE residual exceeds TOL_CEE = 1e-8 fails the solve with
-        # the typed error; one well inside the bound is returned
-        recover = continuation.recover_P
+        # a CEE residual above TOL_CEE = 1e-8 fails the solve with the typed
+        # error; one well inside the bound is returned.  The residual is read
+        # at P + offset I, in place of the recovered P
+        residual = cee_core.cee_residual
 
-        def perturbed(Gamma, s, p, g):
-            return recover(Gamma, s, p, g) + offset * np.eye(s.size)
+        def perturbed(P, Gamma, g):
+            return residual(P + offset * np.eye(P.shape[0]), Gamma, g)
 
-        monkeypatch.setattr(continuation, "recover_P", perturbed)
+        monkeypatch.setattr(cee_core, "cee_residual", perturbed)
         if fails:
             with pytest.raises(SteinConsistencyError, match="CEE residual"):
                 solve(reference_problem)

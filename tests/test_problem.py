@@ -67,7 +67,8 @@ def validate_loops_oracle(problem):
               > TOL_VALUE * (1.0 + min(modulus(values[k]), modulus(values[j])))):
             out.append(Violation(
                 "conjugate-closure",
-                f"value at conjugate node {j} is not the conjugate of value {k}", k))
+                f"value {k} must be real: node {k} is its own conjugate" if j == k
+                else f"value at conjugate node {j} is not the conjugate of value {k}", k))
 
     for k, w in enumerate(values):
         if not cmath.isfinite(w):
@@ -171,8 +172,8 @@ class TestValidate:
             ("node-distinct", 1, "nodes 0 and 1 coincide"),
             ("node-distinct", 2, "nodes 0 and 2 coincide"),
             ("node-distinct", 2, "nodes 1 and 2 coincide"),
-            ("conjugate-closure", 1, "value at conjugate node 1 is not the conjugate of value 1"),
-            ("conjugate-closure", 2, "value at conjugate node 2 is not the conjugate of value 2"),
+            ("conjugate-closure", 1, "value 1 must be real: node 1 is its own conjugate"),
+            ("conjugate-closure", 2, "value 2 must be real: node 2 is its own conjugate"),
         ]),
     ])
     def test_modulus_beyond_float_range_is_reported(self, nodes, values, expected):
@@ -210,6 +211,13 @@ class TestValidate:
         bad = InterpolationProblem(reference_problem.nodes, tuple(values), reference_problem.sigma)
         codes = [v.code for v in validate(bad)]
         assert "conjugate-closure" in codes
+
+    def test_nonreal_value_at_real_node(self):
+        # a real node is its own conjugate partner, so its value must be real
+        bad = InterpolationProblem((INF, 2.0 + 0j, 3.0 + 0j), (0.5, 0.6 + 0.1j, 0.7),
+                                   MonicPolynomial([1.0, 0.0, 0.0]))
+        closure = [(v.index, v.message) for v in validate(bad) if v.code == "conjugate-closure"]
+        assert closure == [(1, "value 1 must be real: node 1 is its own conjugate")]
 
     def test_node_inside_disk_detected(self):
         nodes = (INF, 0.9 + 0.0j)
