@@ -10,8 +10,11 @@ nodes.  The value of the underlying positive-real function at ``1/p_k`` is
 estimated by the sample second moment of the bank output (the plain
 square, not the squared magnitude, so complex poles produce the complex
 analytic continuation of the real-pole case).  The bank filters each
-conjugate pair of poles once and writes the partner's row as its exact
-conjugate; pole 0 passes ``y`` through unfiltered.  An exact, noise-free
+conjugate pair of poles once, in place in its own row of the bank, through
+the private kernel of ``scipy.signal.sosfilt`` (the public wrapper would
+filter a complex copy of the series and cost a per-call overhead), and
+writes the partner's row as its exact conjugate; pole 0 passes ``y``
+through unfiltered.  An exact, noise-free
 variant evaluates ``f`` directly from the filter, for tests and sharp
 degree detection.  The Monte Carlo driver repeats the full pipeline
 (simulate, filter, estimate, solve, singular values) with per-run seeds.
@@ -71,6 +74,15 @@ def nodes_from_poles(poles) -> tuple:
     return tuple(nodes)
 
 
+def _check_counts(samples, burn_in) -> None:
+    """The rule for a series' sample counts: ``samples`` a positive and
+    ``burn_in`` a nonnegative integer (numpy integers included, booleans not)."""
+    if not (is_integer(samples) and samples > 0):
+        raise ValueError(f"samples must be a positive integer, got {samples!r}")
+    if not (is_integer(burn_in) and burn_in >= 0):
+        raise ValueError(f"burn_in must be a nonnegative integer, got {burn_in!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class FilterBankSpec:
     """Bank poles plus sampling controls for one estimation run.
@@ -99,10 +111,7 @@ class FilterBankSpec:
         partners = conjugate_pairs(poles, TOL_NODE)
         if None in partners:
             raise ValueError("bank poles must be closed under conjugation")
-        if not (is_integer(self.samples) and self.samples > 0):
-            raise ValueError(f"samples must be a positive integer, got {self.samples!r}")
-        if not (is_integer(self.burn_in) and self.burn_in >= 0):
-            raise ValueError(f"burn_in must be a nonnegative integer, got {self.burn_in!r}")
+        _check_counts(self.samples, self.burn_in)
         object.__setattr__(self, "poles", poles)
         object.__setattr__(self, "partners", tuple(partners))
 
@@ -118,8 +127,10 @@ def simulate_arma(
 
     ``e`` is unit-variance Gaussian white noise from a seeded generator;
     the recursion starts from zero state and the first ``burn_in`` outputs
-    are discarded.  Deterministic per seed.
+    are discarded.  Deterministic per seed.  ``samples`` and ``burn_in``
+    follow :class:`FilterBankSpec`'s rule.
     """
+    _check_counts(samples, burn_in)
     if sigma.degree != a.degree:
         raise ValueError("sigma and a must have the same degree")
     if not is_schur(a):
@@ -133,17 +144,28 @@ def simulate_arma(
     return y[burn_in:]
 
 
-def filter_bank(y: np.ndarray, spec: FilterBankSpec) -> np.ndarray:
+def filter_bank(y, spec: FilterBankSpec) -> np.ndarray:
     """Run ``y`` through every first-order section ``u_t = p u_(t-1) + y_t``.
 
-    Returns an array of shape ``(n + 1, len(y))``.  The row of pole 0 is
-    ``y`` itself; a real pole is filtered in real arithmetic by ``lfilter``;
-    each conjugate pair of poles is filtered once, as the one-pole section
-    ``[1, 0, 0, 1, -p, 0]`` of ``sosfilt`` (bit-identical to ``lfilter``'s
-    complex path, and about twice as fast), and the partner's row is the
-    exact conjugate of its row.
+    ``y`` is a nonempty 1-d real series; anything else raises
+    ``ValueError``.  Returns an array of shape ``(n + 1, len(y))``.  The row
+    of pole 0 is ``y`` itself; a real pole is filtered in real arithmetic by
+    ``lfilter``; each conjugate pair of poles is filtered once, in place in
+    its row, as the one-pole section ``[1, 0, 0, 1, -p, 0]`` of
+    ``sosfilt``'s kernel (bit-identical to ``lfilter``'s complex path, and
+    about twice as fast), and the partner's row is the exact conjugate of
+    its row.
     """
-    from scipy.signal import lfilter, sosfilt
+    y = np.asarray(y)
+    if y.ndim != 1 or y.size == 0 or np.iscomplexobj(y):
+        raise ValueError("y must be a nonempty 1-d real series")
+    from scipy.signal import lfilter
+    # sosfilt(sos, x) makes a C-ordered complex copy of x and filters it in
+    # place with this kernel, after a per-call overhead of about 16 us; the
+    # bank row is already C-contiguous and complex, so the kernel filters it
+    # where it lies, with the same bits and no copy.  Imported here, not at
+    # module level: solving never needs it.
+    from scipy.signal._sosfilt import _sosfilt
 
     y = np.asarray(y, dtype=float)
     out = np.empty((len(spec.poles), y.size), dtype=complex)
@@ -154,7 +176,9 @@ def filter_bank(y: np.ndarray, spec: FilterBankSpec) -> np.ndarray:
         elif j == k:
             out[k] = lfilter([1.0], [1.0, -p.real], y)
         elif k < j:
-            out[k] = sosfilt([[1.0, 0.0, 0.0, 1.0, -p, 0.0]], y)
+            out[k] = y
+            sos = np.array([[1.0, 0.0, 0.0, 1.0, -p, 0.0]], dtype=complex)
+            _sosfilt(sos, out[k:k + 1], np.zeros((1, 1, 2), dtype=complex))
             np.conjugate(out[k], out=out[j])
     return out
 

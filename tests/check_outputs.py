@@ -15,7 +15,18 @@ endpoint::
     <workload> <seed> <item label> <solve index in the item> <sha256>
     endpoint <workload> <seed> <item label> <solve index> <JSON [p, P, a, b]>
 
-An item that fails prints ``FAILED <error type>`` in place of its digests.
+Every call of ``nevpick.filter_bank``, and of the ``filter_bank`` inside
+``run_problem``, is recorded too, and an item prints one line per bank it
+forms, ahead of its solves' lines::
+
+    <workload> <seed> <item label> bank <bank index in the item> <sha256>
+
+The bank digest covers the bank's bytes, dtype and shape, the conjugate
+rows included, so a change to the filter shows in the bank itself and not
+only in the solves built on it.  Only ``detect_mc`` forms banks.
+
+An item that fails prints ``FAILED <error type>`` in place of its solves'
+digests, after the digests of the banks it formed.
 The digest covers ``p``, ``P``, the coefficients of ``a`` and ``b``,
 ``rho``, ``scale``, every field of the diagnostics (the ones computed on
 first read included) and, for each accepted state, ``nu``, ``p``,
@@ -107,6 +118,7 @@ import sys
 import tempfile
 from collections import Counter
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +128,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
 import nevpick  # noqa: E402
 import nevpick.analysis  # noqa: E402
+import nevpick.ingestion  # noqa: E402
 import workloads  # noqa: E402
 from run import _blas_threads  # noqa: E402
 from nevpick import continuation  # noqa: E402
@@ -208,6 +221,21 @@ def _recording(solve, solutions: list):
     return wrapper
 
 
+def bank_digest(bank) -> str:
+    """SHA-256 of a filter bank's bytes, dtype and shape."""
+    digest = hashlib.sha256()
+    _feed(digest, bank)
+    return digest.hexdigest()
+
+
+def _digesting(filter_bank, digests: list):
+    def wrapper(*args, **kwargs):
+        bank = filter_bank(*args, **kwargs)
+        digests.append(bank_digest(bank))
+        return bank
+    return wrapper
+
+
 def endpoint_line(key: str, sol) -> str:
     """``endpoint <key> <json>``: the solve's ``p``, ``P``, ``a`` and ``b``,
     each float written so that it reads back exactly."""
@@ -216,28 +244,38 @@ def endpoint_line(key: str, sol) -> str:
 
 
 def workload_lines(name: str, seed: int) -> list:
-    """The output lines of one workload at one seed: its digests, each
-    followed by its :func:`endpoint_line`, then its work."""
-    solutions = []
-    patched = [(nevpick, "solve"), (nevpick.analysis, "solve")]
-    originals = [getattr(module, attr) for module, attr in patched]
-    for module, attr in patched:
-        setattr(module, attr, _recording(getattr(module, attr), solutions))
+    """The output lines of one workload at one seed: per item, its bank
+    digests, then its solve digests, each followed by its
+    :func:`endpoint_line`; then the workload's work."""
+    solutions, banks = [], []
+    patched = {(nevpick, "solve"): partial(_recording, solutions=solutions),
+               (nevpick.analysis, "solve"): partial(_recording, solutions=solutions),
+               (nevpick, "filter_bank"): partial(_digesting, digests=banks),
+               (nevpick.ingestion, "filter_bank"): partial(_digesting, digests=banks)}
+    originals = {target: getattr(*target) for target in patched}
+    for (module, attr), wrap in patched.items():
+        setattr(module, attr, wrap(getattr(module, attr)))
     lines = []
     try:
         with counting() as work:
             for item in workloads.build(name, seed):
                 solutions.clear()
+                banks.clear()
+                failed = None
                 try:
                     item.run()
                 except (*workloads.TYPED_ERRORS, workloads.CheckFailed) as exc:
-                    lines.append(f"{name} {seed} {item.label} FAILED {type(exc).__name__}")
+                    failed = type(exc).__name__
+                item_key = f"{name} {seed} {item.label}"
+                lines += [f"{item_key} bank {k} {digest}" for k, digest in enumerate(banks)]
+                if failed:
+                    lines.append(f"{item_key} FAILED {failed}")
                     continue
                 for k, sol in enumerate(solutions):
-                    key = f"{name} {seed} {item.label} {k}"
+                    key = f"{item_key} {k}"
                     lines += [f"{key} {solution_digest(sol)}", endpoint_line(key, sol)]
     finally:
-        for (module, attr), original in zip(patched, originals):
+        for (module, attr), original in originals.items():
             setattr(module, attr, original)
     return lines + [f"{name} {seed} work {column} {work[column]}" for column in WORK_COLUMNS]
 
@@ -381,7 +419,8 @@ def main(argv=None) -> int:
     first = diff[0]
     print(f"{len(diff)} of {len(set(now) | set(saved))} lines differ from {args.compare}; "
           f"first: {first} (saved {saved.get(first)}, now {now.get(first)})")
-    solves = [key for key in diff if key.split(" ")[0] != "cli" and key.split(" ")[2] != "work"]
+    solves = [key for key in diff if key.split(" ")[0] != "cli" and key.split(" ")[2] != "work"
+              and key.split(" ")[-2] != "bank"]
     saved_endpoints = endpoint_values(text.splitlines())
     if solves and not saved_endpoints:
         print(f"{args.compare} records no endpoints; values not compared")

@@ -1,12 +1,15 @@
 """The digest script's record of the OpenBLAS thread count, its work
-counts on the reference instance and the benchmark workloads, and its
-endpoint comparison."""
+counts on the reference instance and the benchmark workloads, its bank
+digests, and its endpoint comparison."""
 
 import numpy as np
 import pytest
 
 import check_outputs
+import nevpick
 from nevpick.continuation import solve
+from nevpick.ingestion import FilterBankSpec, MonteCarloConfig, filter_bank, run_problem
+from nevpick.polyalg import MonicPolynomial
 
 
 def test_first_line_is_thread_count():
@@ -71,3 +74,39 @@ def test_endpoint_differences_per_workload(reference_solution):
     assert check_outputs.endpoint_differences(keys, now, saved) == [
         "near_circle: 2 solves differ; largest difference p 2.50e-01, P 5.00e-01, "
         "a 0.00e+00, b 0.00e+00"]
+
+
+def test_workload_lines_digest_every_bank(monkeypatch):
+    # a small item that forms one bank through nevpick.filter_bank and one
+    # through run_problem, then solves nothing
+    config = MonteCarloConfig(sigma=MonicPolynomial([1.0, 0.2]), a=MonicPolynomial([1.0, -0.5]),
+                              order=3, samples=8, burn_in=2)
+    y = np.random.default_rng(0).standard_normal(8)
+
+    def run():
+        nevpick.filter_bank(y, config.spec)
+        nevpick.ingestion.run_problem(config, 5)
+        return 0
+
+    item = check_outputs.workloads.Item("small n=3", run)
+    monkeypatch.setattr(check_outputs.workloads, "build", lambda name, seed: [item])
+    lines = check_outputs.workload_lines("detect_mc", 3)
+    banks = (filter_bank(y, config.spec), filter_bank(run_problem(config, 5)[1], config.spec))
+    assert lines[:2] == [f"detect_mc 3 small n=3 bank {k} {check_outputs.bank_digest(bank)}"
+                         for k, bank in enumerate(banks)]
+    assert lines[2] == "detect_mc 3 work solves 0"
+    # the wrappers are gone once the workload has run
+    assert nevpick.filter_bank is filter_bank and nevpick.ingestion.filter_bank is filter_bank
+
+
+def test_bank_digest_covers_every_row_dtype_and_shape():
+    spec = FilterBankSpec(poles=(0.0, 0.3 + 0.4j, 0.3 - 0.4j, 0.5), samples=8)
+    bank = filter_bank(np.random.default_rng(0).standard_normal(8), spec)
+    digest = check_outputs.bank_digest(bank)
+    # one ulp in the conjugate row, the same bytes in another shape, or
+    # another dtype gives another digest
+    changed = bank.copy()
+    changed[2, -1] = complex(changed[2, -1].real, np.nextafter(changed[2, -1].imag, np.inf))
+    others = {check_outputs.bank_digest(other)
+              for other in (changed, bank.reshape(2, -1), bank.view(float))}
+    assert len(others) == 3 and digest not in others

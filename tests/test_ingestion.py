@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.signal import lfilter, welch
+from scipy.signal import lfilter, sosfilt, welch
 
 from conftest import sym_coeffs
 from nevpick.analysis import singular_values
@@ -143,6 +143,19 @@ class TestSimulateArma:
         with pytest.raises(ValueError):
             simulate_arma(MonicPolynomial([1.0, 0.0]), MonicPolynomial([1.0]), 100, 0, 0)
 
+    @pytest.mark.parametrize("field, samples, burn_in", [
+        ("samples", -5, 10), ("samples", 0, 10), ("burn_in", 5, -3), ("samples", True, 0),
+        ("samples", 2.5, 0),
+    ])
+    def test_rejects_bad_counts_as_the_spec_does(self, field, samples, burn_in):
+        # each used to return a series: empty, 2 samples for (5, -3) (y[-3:]),
+        # 1 sample for True; 2.5 failed inside numpy
+        sigma, a = degree2_system()
+        with pytest.raises(ValueError, match=f"{field} must be a"):
+            simulate_arma(sigma, a, samples, burn_in, 0)
+        with pytest.raises(ValueError, match=f"{field} must be a"):
+            FilterBankSpec(poles=(0.0, 0.5), samples=samples, burn_in=burn_in)
+
 
 def filter_bank_per_pole(y, poles) -> np.ndarray:
     """Oracle: every bank row from its own complex ``lfilter`` run."""
@@ -175,8 +188,9 @@ class TestFilterBank:
     @pytest.mark.parametrize("radius", [0.3, 0.9, 0.999])
     @pytest.mark.parametrize("length", [1, 2, 3, 5000])
     def test_pair_row_is_lfilter_bitwise(self, radius, length):
-        # a conjugate pair runs as one sosfilt section, which repeats
-        # lfilter's complex recursion exactly, at every length
+        # a conjugate pair runs in place through sosfilt's kernel as one
+        # section, which repeats lfilter's complex recursion exactly, at
+        # every length
         p = radius * np.exp(1.1j)
         spec = FilterBankSpec(poles=(0.0, p, np.conj(p)), samples=length)
         y = np.random.default_rng(length).standard_normal(length)
@@ -218,6 +232,58 @@ class TestFilterBank:
         y = np.random.default_rng(1).standard_normal(200)
         u = filter_bank(y, spec)
         assert np.array_equal(u[2], np.conj(u[1]))
+
+    @pytest.mark.parametrize("draw", range(50))
+    def test_matches_public_filters_bytewise(self, draw):
+        # the in-place kernel call gives the bits of the public sosfilt, row by
+        # row, over random conjugate-closed banks, lengths and scales
+        rng = np.random.default_rng(2900 + draw)
+        radii = rng.uniform(0.0, 0.999, size=rng.integers(0, 5))
+        pairs = radii * np.exp(1j * rng.uniform(0.01, np.pi - 0.01, size=radii.size))
+        pairs[:1] = 0.999 * np.exp(1j * rng.uniform(0.01, np.pi - 0.01, size=pairs[:1].size))
+        reals = rng.uniform(-0.999, 0.999, size=rng.integers(0 if pairs.size else 1, 3))
+        poles = (0.0, *(q for p in pairs for q in (p, np.conj(p))), *reals)
+        length = (1, 2, 3, 17, 10_000)[draw % 5]
+        y = rng.standard_normal(length) * (1e-300, 1.0, 1e300)[draw % 3]
+        spec = FilterBankSpec(poles=poles, samples=length)
+        u = filter_bank(y, spec)
+        want = np.empty_like(u)
+        for k, j in enumerate(spec.partners):
+            p = spec.poles[k]
+            if p == 0:
+                want[k] = y
+            elif j == k:
+                want[k] = lfilter([1.0], [1.0, -p.real], y)
+            elif k < j:
+                want[k] = sosfilt([[1.0, 0.0, 0.0, 1.0, -p, 0.0]], y)
+                want[j] = np.conj(want[k])
+        assert u.dtype == want.dtype and u.shape == want.shape
+        assert u.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_filters_pairs_without_a_copy(self, n):
+        # a pair's row is filtered where it lies; only a real pole's lfilter
+        # row (odd n) is formed apart from the bank
+        y = np.random.default_rng(n).standard_normal(100_000)
+        spec = FilterBankSpec(poles=tuple(default_bank_poles(n)), samples=y.size)
+        filter_bank(y, spec)   # scipy's imports and first-call caches
+        tracemalloc.start()
+        try:
+            out = filter_bank(y, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        extra = peak - out.nbytes
+        assert extra < (y.nbytes if n % 2 else 0) + 64 * 1024
+
+    @pytest.mark.parametrize("y", [np.zeros(0), [], np.zeros((2, 3)), np.ones(4) + 1j,
+                                   np.ones(4, dtype=complex)])
+    def test_rejects_what_is_not_a_real_series(self, y):
+        # an empty y failed inside scipy, a 2-d y in the row assignment, and
+        # a complex y lost its imaginary part with a ComplexWarning
+        spec = FilterBankSpec(poles=(0.0, 0.3 + 0.4j, 0.3 - 0.4j), samples=4)
+        with pytest.raises(ValueError, match="y must be a nonempty 1-d real series"):
+            filter_bank(y, spec)
 
 
 class TestImportGuard:
