@@ -34,6 +34,7 @@ __all__ = [
     "dominant_zeros",
     "reduce_model",
     "spectral_density",
+    "spectrum_angles",
     "log_spectral_deviation",
 ]
 
@@ -204,21 +205,46 @@ def reduce_model(solution: Solution, target_degree: int):
     return reduced, solve(reduced)
 
 
-def spectral_density(solution: Solution, thetas) -> np.ndarray:
-    """Power spectral density ``scale * rho^2 |sigma(e^it)|^2 / |a(e^it)|^2``.
+def spectrum_angles() -> np.ndarray:
+    """The angles ``theta_k = 2 pi k / N``, ``k = 0..N-1``, of the circle grid
+    of ``N = SPECTRUM_POINTS`` points on which densities are evaluated."""
+    return np.linspace(0.0, 2.0 * np.pi, SPECTRUM_POINTS, endpoint=False)
+
+
+def _grid_moduli(coeffs: np.ndarray) -> np.ndarray:
+    """``|c(e^{i theta_k})|`` on the :func:`spectrum_angles` grid for each row
+    ``c`` of the real coefficient array ``coeffs``, from one FFT along the rows.
+
+    For real ``c``, ``|FFT(c)_k| = |c(e^{i theta_k})|`` in either order of
+    the coefficients.  Coefficients ``N`` apart multiply the same power on
+    the grid (``z^N = 1`` there), so a degree at or above ``N`` is folded
+    modulo ``N`` first, where ``fft(c, N)`` would truncate it.
+    """
+    from numpy.fft import fft   # loaded on first use: a solve needs no numpy.fft
+
+    rows, width = coeffs.shape
+    if width > SPECTRUM_POINTS:
+        padded = np.pad(coeffs, ((0, 0), (0, -width % SPECTRUM_POINTS)))
+        coeffs = padded.reshape(rows, -1, SPECTRUM_POINTS).sum(axis=1)
+    return np.abs(fft(coeffs, SPECTRUM_POINTS))
+
+
+def spectral_density(solution: Solution) -> np.ndarray:
+    """Power spectral density ``scale * rho^2 |sigma(e^it)|^2 / |a(e^it)|^2``
+    at the ``SPECTRUM_POINTS`` angles of :func:`spectrum_angles`.
 
     Equals ``2 Re f(e^it)`` of the (denormalized) interpolant pointwise.
+    Both moduli come from one FFT of the stacked coefficients of ``sigma``
+    and ``a``, whose cost does not grow with the degree.
     """
-    z = np.exp(1j * np.asarray(thetas, dtype=float))
-    num = np.abs(np.polyval(solution.problem.sigma.coeffs, z)) ** 2
-    return solution.scale * solution.rho**2 * num / np.abs(np.polyval(solution.a.coeffs, z)) ** 2
+    sigma, a = _grid_moduli(np.stack((solution.problem.sigma.coeffs, solution.a.coeffs)))
+    return solution.scale * solution.rho**2 * sigma**2 / a**2
 
 
 def log_spectral_deviation(full: Solution, reduced: Solution) -> float:
-    """Relative L2 distance between log spectral densities on the circle grid
-    of ``SPECTRUM_POINTS`` angles."""
-    thetas = np.linspace(0.0, 2.0 * np.pi, SPECTRUM_POINTS, endpoint=False)
-    lf = np.log(spectral_density(full, thetas))
-    lr = np.log(spectral_density(reduced, thetas))
+    """Relative L2 distance between the log spectral densities of the two
+    solutions on the :func:`spectral_density` grid."""
+    lf = np.log(spectral_density(full))
+    lr = np.log(spectral_density(reduced))
     denom = float(np.linalg.norm(lf))
     return float(np.linalg.norm(lr - lf)) / max(denom, DEVIATION_FLOOR)

@@ -15,12 +15,11 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import click
-import numpy as np
 
-from .analysis import log_spectral_deviation, reduce_model, spectral_density
+from .analysis import log_spectral_deviation, reduce_model, spectral_density, spectrum_angles
 from .continuation import SOLVE_ERRORS, Solution, solve
 from .ingestion import VARIANTS, MonteCarloConfig, monte_carlo, run_problem
-from .polyalg import BURN_IN, DEFAULT_TAU_RANK, SAMPLES, SPECTRUM_POINTS
+from .polyalg import BURN_IN, DEFAULT_TAU_RANK, SAMPLES
 from .problem import (
     InterpolationProblem,
     ProblemValidationError,
@@ -300,9 +299,9 @@ def cmd_reduce(input_path, output_path, target_degree):
                 {"config": config, **problem_to_json_dict(reduced_problem)})
     _write_json(out / "reduced_solution.json",
                 {"config": config, **solution_to_json_dict(reduced_solution)})
-    thetas = np.linspace(0.0, 2.0 * np.pi, SPECTRUM_POINTS, endpoint=False)
-    phi_full = spectral_density(full, thetas)
-    phi_red = spectral_density(reduced_solution, thetas)
+    thetas = spectrum_angles()
+    phi_full = spectral_density(full)
+    phi_red = spectral_density(reduced_solution)
     _write_csv(out / "spectra.csv", config, ["theta", "phi_full", "phi_reduced"],
                ([repr(float(t)), repr(float(pf)), repr(float(pr))]
                 for t, pf, pr in zip(thetas, phi_full, phi_red)))

@@ -73,6 +73,13 @@ The matrix products of a path point are ``ndarray.dot`` calls, here and
 in :mod:`nevpick.cee_core`: ``dot`` calls the BLAS routine that ``@``
 calls, so the bits are the same, and at these sizes skips about as much
 time in ``@``'s dispatch as a matrix-vector product takes in BLAS.
+
+The interpolant is evaluated from one power table of its points,
+``np.vander``, times the coefficients of ``b`` and ``a``: a fixed number
+of numpy calls whatever the degree, where Horner's rule makes two per
+coefficient.  The solve's interpolation residuals,
+:meth:`Solution.interpolant` and :meth:`Solution.interpolant_from_reciprocal`
+share that helper.
 """
 
 from __future__ import annotations
@@ -213,6 +220,9 @@ class Solution:
     The interpolant is ``f(z) = scale * b(z) / (2 a(z))`` with both
     polynomials monic; ``scale`` undoes the internal normalization to
     value 1/2 at infinity and equals twice the requested value there.
+    Both evaluation methods form one power table of their points:
+    :meth:`interpolant` of ``1/z`` outside the closed unit disk and of ``z``
+    inside it, :meth:`interpolant_from_reciprocal` of the ``zeta`` given.
     """
 
     problem: InterpolationProblem
@@ -226,10 +236,15 @@ class Solution:
     diagnostics: Diagnostics
 
     def interpolant(self, z):
-        """Evaluate ``f(z) = scale * b(z) / (2 a(z))``; accepts the infinity sentinel."""
+        """Evaluate ``f(z) = scale * b(z) / (2 a(z))``; accepts the infinity sentinel.
+
+        Evaluated in ``z`` where ``|z| <= 1`` and in ``1/z`` beyond, so no
+        power of either overflows: ``f(0)`` is ``scale * b_n / (2 a_n)``.
+        """
         z = complex(z)
-        zeta = 0.0 if is_inf_node(z) else 1.0 / z
-        return self.interpolant_from_reciprocal(zeta)
+        if abs(z) <= 1.0:
+            return _half_ratio(z, self.b.coeffs[::-1], self.a.coeffs[::-1], self.scale)
+        return self.interpolant_from_reciprocal(0.0 if is_inf_node(z) else 1.0 / z)
 
     def interpolant_from_reciprocal(self, zeta):
         """Evaluate the interpolant at ``z = 1/zeta`` (``zeta`` may be 0 or an array)."""
@@ -237,8 +252,23 @@ class Solution:
 
 
 def _interpolant_from_reciprocal(a: MonicPolynomial, b: MonicPolynomial, scale: float, zeta):
-    """``scale * b(z) / (2 a(z))`` at ``z = 1/zeta`` (``zeta`` may be 0 or an array)."""
-    return scale * np.polyval(b.coeffs[::-1], zeta) / (2.0 * np.polyval(a.coeffs[::-1], zeta))
+    """``scale * b(z) / (2 a(z))`` at ``z = 1/zeta`` (``zeta`` may be 0 or an array).
+
+    Multiplying ``b(z)`` and ``a(z)`` by ``zeta^n`` puts their coefficients
+    in increasing powers of ``zeta``, as they are stored.
+    """
+    return _half_ratio(zeta, b.coeffs, a.coeffs, scale)
+
+
+def _half_ratio(x, top: np.ndarray, bottom: np.ndarray, scale: float):
+    """``scale * top(x) / (2 bottom(x))``, the coefficients of ``top`` and
+    ``bottom`` in increasing powers of ``x``, from one power table of ``x``.
+
+    In the shape of ``x``: a scalar gives a numpy scalar.
+    """
+    x = np.asarray(x)
+    powers = np.vander(x.ravel(), len(top), increasing=True)
+    return (scale * powers.dot(top) / (2.0 * powers.dot(bottom))).reshape(x.shape)[()]
 
 
 class HomotopyContext:

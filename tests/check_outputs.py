@@ -13,7 +13,9 @@ recorded, and the script prints two lines per solve, its digest and its
 endpoint::
 
     <workload> <seed> <item label> <solve index in the item> <sha256>
-    endpoint <workload> <seed> <item label> <solve index> <JSON [p, P, a, b]>
+    endpoint <workload> <seed> <item label> <solve index> <JSON [p, P, a, b, r]>
+
+where ``r`` is the solve's interpolation residuals, one per node.
 
 Every call of ``nevpick.filter_bank``, and of the ``filter_bank`` inside
 ``run_problem``, is recorded too, and an item prints one line per bank it
@@ -32,8 +34,8 @@ The digest covers ``p``, ``P``, the coefficients of ``a`` and ``b``,
 first read included) and, for each accepted state, ``nu``, ``p``,
 ``a_roots``, ``step``, ``corrector_iters`` and ``residual``, each with
 its dtype and shape.  The endpoint line writes each float of ``p``,
-``P`` and the coefficients of ``a`` and ``b`` so that it reads back
-exactly.
+``P``, the coefficients of ``a`` and ``b`` and the interpolation
+residuals so that it reads back exactly.
 
 After its items, each workload prints the exact work of the path follower
 in its run, with counting wrappers on the names that
@@ -94,12 +96,14 @@ and seed of this run, digests and work counts alike, prints the number of
 lines whose last field differs (a line missing on either side counts) and
 the first of them, and exits with status 1 on any difference.  It then
 prints, per workload, the largest absolute difference of ``p``, ``P``,
-``a`` and ``b`` over the solves whose digests differ, so a change that
-moves endpoints by rounding shows by how much.  The values come from
+``a`` and ``b`` over the solves whose digests differ, and beside it that
+of the interpolation residuals, so a change that moves endpoints by
+rounding, or only a certificate, shows by how much.  The values come from
 the endpoint lines of both runs; endpoint lines take no part in the
 digest comparison.  A file saved before the endpoint lines were added
-has none, so its values are not compared; compare against a checkout
-directory instead::
+has none, so its values are not compared, and one saved before the
+residuals were added to them has no residual figure; compare against a
+checkout directory instead::
 
     PYTHONPATH=src python tests/check_outputs.py --seed 3 --compare outputs.txt
     PYTHONPATH=src python tests/check_outputs.py --seed 3 --compare ../parent
@@ -138,6 +142,7 @@ from nevpick.problem import problem_to_json_dict  # noqa: E402
 DIAGNOSTIC_FIELDS = ("interp_residuals", "max_interp_residual", "cee_residual", "poles",
                      "zeros", "spectral_zeros", "singular_values", "cond_V")
 STATE_FIELDS = ("nu", "p", "a_roots", "step", "corrector_iters", "residual")
+ENDPOINT_FIELDS = ("p", "P", "a", "b", "interp_residuals")
 WORK_COLUMNS = ("solves", "fallbacks", "predictions", "band_rejects", "accepted", "tangents",
                 "newton", "pairs")
 
@@ -237,9 +242,10 @@ def _digesting(filter_bank, digests: list):
 
 
 def endpoint_line(key: str, sol) -> str:
-    """``endpoint <key> <json>``: the solve's ``p``, ``P``, ``a`` and ``b``,
-    each float written so that it reads back exactly."""
-    values = [np.asarray(value).tolist() for value in (sol.p, sol.P, sol.a.coeffs, sol.b.coeffs)]
+    """``endpoint <key> <json>``: the solve's ``p``, ``P``, ``a``, ``b`` and
+    interpolation residuals, each float written so that it reads back exactly."""
+    values = [np.asarray(value).tolist() for value in (sol.p, sol.P, sol.a.coeffs, sol.b.coeffs,
+                                                       sol.diagnostics.interp_residuals)]
     return f"endpoint {key} {json.dumps(values, separators=(',', ':'))}"
 
 
@@ -347,7 +353,8 @@ def checkout_lines(root: Path, seed: int, names: list) -> str:
 
 
 def endpoint_values(lines) -> dict:
-    """The arrays ``(p, P, a, b)`` of each endpoint line, keyed as :func:`_by_solve` keys."""
+    """The arrays ``(p, P, a, b, residuals)`` of each endpoint line (the
+    residuals only where the line has them), keyed as :func:`_by_solve` keys."""
     found = {}
     for line in lines:
         if line.startswith("endpoint "):
@@ -358,8 +365,8 @@ def endpoint_values(lines) -> dict:
 
 def endpoint_differences(keys, now: dict, saved: dict) -> list:
     """One line per workload among ``keys``: the largest absolute difference
-    of ``p``, ``P``, ``a`` and ``b`` over its solves with endpoints on both
-    sides (a shape that differs counts as inf)."""
+    of ``p``, ``P``, ``a``, ``b`` and the interpolation residuals over its
+    solves with endpoints on both sides (a shape that differs counts as inf)."""
     largest, counted = {}, Counter()
     for key in keys:
         if key in now and key in saved:
@@ -369,7 +376,7 @@ def endpoint_differences(keys, now: dict, saved: dict) -> list:
                      for x, y in zip(now[key], saved[key])]
             largest[workload] = np.maximum(largest.get(workload, 0.0), diffs)
     return [f"{workload}: {counted[workload]} solves differ; largest difference "
-            + ", ".join(f"{name} {value:.2e}" for name, value in zip("pPab", diffs))
+            + ", ".join(f"{name} {value:.2e}" for name, value in zip(ENDPOINT_FIELDS, diffs))
             for workload, diffs in largest.items()]
 
 

@@ -3,18 +3,18 @@
 Degree-2 data (zeros of ``sigma`` at ``0.3 e^{+-i}``, of ``a`` at
 ``0.6 e^{+-0.5i}``) at the bank poles of ``default_bank_poles(n)`` scaled
 to radius ``r``, solved at the central ``sigma_c``, whose zeros are the
-nonzero poles.  Each bound is ten times the error measured on a 2-vCPU
-x86-64 host with OpenBLAS, rounded up.
+nonzero poles.  Each bound is ten times an error measured on a 2-vCPU
+x86-64 host with OpenBLAS, rounded up (for the densities, see below).
 """
 
 import numpy as np
 import pytest
 
 from central_oracle import central_density, moment_matrix, pick_matrix
-from nevpick.analysis import spectral_density
+from nevpick.analysis import spectral_density, spectrum_angles
 from nevpick.continuation import solve
 from nevpick.ingestion import BANK_RADIUS, default_bank_poles, exact_values, nodes_from_poles
-from nevpick.polyalg import SPECTRUM_POINTS, MonicPolynomial
+from nevpick.polyalg import MonicPolynomial
 from nevpick.problem import InterpolationProblem
 
 SIGMA = MonicPolynomial.from_roots([0.3 * np.exp(1j), 0.3 * np.exp(-1j)])
@@ -40,10 +40,12 @@ def test_density_has_the_pick_matrix_as_moments(n, r, bound):
     assert err < bound
 
 
-# (n, r, bound): max |spectral_density / Phi_c - 1|, measured 1.8e-14,
-# 3.3e-14, 3.4e-13 and 1.2e-11.  At n = 28 it reads 1.8e-9, from the
-# rounding of sigma_c's coefficients, not from the solve, so that case is
-# left out
+# (n, r, bound): max |spectral_density / Phi_c - 1| on the density's grid,
+# measured 2.2e-14, 8.0e-14, 3.5e-13 and 1.2e-11, 5 to 10 times below the
+# bounds, which are ten times what a density by Horner's rule reads
+# (1.8e-14, 3.3e-14, 3.4e-13 and 1.2e-11).  At n = 28 it reads 1.8e-9,
+# from the rounding of sigma_c's coefficients, not from the solve, so that
+# case is left out
 @pytest.mark.parametrize("n, r, bound", [
     (4, 0.7, 2e-13), (8, 0.97, 4e-13), (12, 0.99, 4e-12), (20, 0.99, 1.2e-10),
 ])
@@ -51,6 +53,5 @@ def test_solve_at_central_sigma_matches_the_closed_form(n, r, bound):
     zeta, w = central_data(n, r)
     problem = InterpolationProblem(nodes_from_poles(zeta), tuple(w),
                                    MonicPolynomial.from_roots(zeta[1:]))
-    thetas = np.linspace(0.0, 2.0 * np.pi, SPECTRUM_POINTS, endpoint=False)
-    density = spectral_density(solve(problem), thetas)
-    assert np.max(np.abs(density / central_density(zeta, w, thetas) - 1.0)) < bound
+    density = spectral_density(solve(problem))
+    assert np.max(np.abs(density / central_density(zeta, w, spectrum_angles()) - 1.0)) < bound

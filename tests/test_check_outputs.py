@@ -58,7 +58,9 @@ def test_endpoint_line_reads_back_exactly(reference_solution):
     assert line.startswith(f"endpoint {key} ")
     values = check_outputs.endpoint_values([line])[key]
     sol = reference_solution
-    for got, want in zip(values, (sol.p, sol.P, sol.a.coeffs, sol.b.coeffs)):
+    wanted = (sol.p, sol.P, sol.a.coeffs, sol.b.coeffs, sol.diagnostics.interp_residuals)
+    assert len(values) == len(wanted)
+    for got, want in zip(values, wanted):
         assert got.shape == want.shape and np.array_equal(got, want)
 
 
@@ -69,11 +71,12 @@ def test_endpoint_differences_per_workload(reference_solution):
     saved = {key: tuple(value.copy() for value in values) for key, values in now.items()}
     saved[keys[0]][1][0, 0] += 0.5
     saved[keys[1]][0][0] -= 0.25
+    saved[keys[1]][4][-1] += 1e-15
     # a key on one side only has no values to compare
     del saved[keys[2]]
     assert check_outputs.endpoint_differences(keys, now, saved) == [
         "near_circle: 2 solves differ; largest difference p 2.50e-01, P 5.00e-01, "
-        "a 0.00e+00, b 0.00e+00"]
+        "a 0.00e+00, b 0.00e+00, interp_residuals 1.00e-15"]
 
 
 def test_workload_lines_digest_every_bank(monkeypatch):

@@ -657,18 +657,49 @@ class TestSolve:
             assert abs(sol.interpolant(z) - w) < 1e-10
 
     def test_interpolant_is_its_polyval_formula(self, reference_solution):
-        # bit for bit scale * b(z) / (2 a(z)) at z = 1/zeta, in the shape of zeta
+        # bit for bit scale * b(z) / (2 a(z)) at z = 1/zeta from one power
+        # table of zeta, in the shape of zeta; and the Horner formula to
+        # rounding (gap measured 6.5e-16)
         sol = reference_solution
-        b, a = sol.b.coeffs[::-1], sol.a.coeffs[::-1]
+        b, a = sol.b.coeffs, sol.a.coeffs
+
+        def power_table(x):
+            x = np.asarray(x)
+            powers = np.vander(x.ravel(), len(b), increasing=True)
+            return (sol.scale * powers.dot(b) / (2.0 * powers.dot(a))).reshape(x.shape)[()]
+
+        def horner(x):
+            return sol.scale * np.polyval(b[::-1], x) / (2.0 * np.polyval(a[::-1], x))
+
         zeta = np.exp(-1j * np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)) / 1.5
         for x in (zeta.reshape(3, 4), zeta, np.array(0.4 + 0.1j), 0.0, 0.3 - 0.2j):
-            want = sol.scale * np.polyval(b, x) / (2.0 * np.polyval(a, x))
-            assert same_array(sol.interpolant_from_reciprocal(x), want)
+            got = sol.interpolant_from_reciprocal(x)
+            assert same_array(got, power_table(x))
+            assert np.shape(got) == np.shape(x) and np.max(np.abs(got - horner(x))) < 6.5e-15
         # a scalar node gives a numpy scalar, not a 0-d array
         for z, x in ((2.0 + 1.0j, 1.0 / (2.0 + 1.0j)), (INF, 0.0)):
             got = sol.interpolant(z)
             assert isinstance(got, np.generic)
-            assert same_array(got, sol.scale * np.polyval(b, x) / (2.0 * np.polyval(a, x)))
+            assert same_array(got, power_table(x))
+
+    def test_interpolant_inside_the_disk(self, reference_solution):
+        # evaluated in z, not 1/z: f(0) = scale * b_n / (2 a_n) is finite, and
+        # so is f at a z whose reciprocal overflows
+        sol = reference_solution
+        f0 = sol.interpolant(0)
+        assert f0 == sol.scale * sol.b.coeffs[-1] / (2.0 * sol.a.coeffs[-1])
+        assert abs(f0 + 0.5004) < 1e-4
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tiny = sol.interpolant(1e-200)
+        assert np.isfinite(tiny) and abs(tiny - f0) <= 1e-15 * abs(f0)
+        # the two forms agree where both are finite, at and off the circle
+        for z in (0.5 + 0.2j, -0.9j, np.exp(0.7j)):
+            assert abs(sol.interpolant(z) - sol.interpolant_from_reciprocal(1.0 / z)) < 1e-12
+        # the nodes lie outside the disk: their values are the reciprocal form's
+        for z in sol.problem.nodes:
+            x = 0.0 if z == INF else 1.0 / z
+            assert same_array(sol.interpolant(z), sol.interpolant_from_reciprocal(x))
 
     def test_central_problem_is_single_state(self, reference_problem):
         nodes = reference_problem.nodes

@@ -288,18 +288,22 @@ class TestFilterBank:
 
 class TestImportGuard:
     def test_solving_never_loads_scipy_signal(self):
-        # importing and solving load no scipy module at all; simulate_arma and
-        # filter_bank import scipy.signal on first use
+        # importing and solving load no scipy module at all and no numpy.fft;
+        # simulate_arma and filter_bank import scipy.signal on first use, and
+        # spectral_density numpy.fft
         script = (
             "import sys\n"
             "import nevpick, nevpick.cli\n"
             "from conftest import REFERENCE_NODES, REFERENCE_SPECTRAL_ZEROS, REFERENCE_VALUES\n"
             "from nevpick import InterpolationProblem, MonicPolynomial, simulate_arma, solve\n"
+            "from nevpick import spectral_density\n"
             "sol = solve(InterpolationProblem(REFERENCE_NODES, REFERENCE_VALUES,\n"
             "                                 MonicPolynomial.from_roots(REFERENCE_SPECTRAL_ZEROS)))\n"
             "assert sol.trajectory[-1].nu == 1.0\n"
             "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
             "assert not loaded, loaded\n"
+            "assert 'numpy.fft' not in sys.modules\n"
+            "assert spectral_density(sol).shape == (256,) and 'numpy.fft' in sys.modules\n"
             "y = simulate_arma(MonicPolynomial([1.0, 0.4]), MonicPolynomial([1.0, -0.5]), 100)\n"
             "assert y.shape == (100,) and 'scipy.signal' in sys.modules\n"
         )
