@@ -24,6 +24,7 @@ whole endpoint certificate: ``P h == p``, positive semidefiniteness,
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -100,7 +101,7 @@ def build_cee_matrices(zeta: np.ndarray, w: np.ndarray) -> np.ndarray:
     """
     V = build_V(zeta)
     T_dot = solve_complex(V, (w - 0.5)[:, None] * V)
-    residue = float(np.max(np.abs(T_dot.imag)))
+    residue = float(np.abs(T_dot.imag).max())
     if residue > TOL_REAL:
         raise RealnessError(
             f"imaginary residue {residue:.3e} exceeds {TOL_REAL:.0e}; "
@@ -149,8 +150,8 @@ def cee_residual(P: np.ndarray, Gamma: np.ndarray, g: np.ndarray) -> float:
 
     ``h = e1``, so ``P h h' P`` is the outer product of column 0 and row 0.
     """
-    res = P - Gamma @ (P - P[:, :1] @ P[:1]) @ Gamma.T - np.outer(g, g)
-    return float(np.linalg.norm(res, "fro"))
+    res = (P - Gamma @ (P - P[:, :1] @ P[:1]) @ Gamma.T - g[:, None] * g).ravel()
+    return math.sqrt(res.dot(res))
 
 
 def recover_P(Gamma: np.ndarray, s: np.ndarray, p: np.ndarray, g: np.ndarray) -> tuple:
@@ -181,12 +182,12 @@ def recover_P(Gamma: np.ndarray, s: np.ndarray, p: np.ndarray, g: np.ndarray) ->
     if n == 0:
         return readonly(np.zeros((0, 0))), 0.0
     Gp = Gamma @ p
-    sZ = np.outer(np.append(p[1:], 0.0), s)
+    sZ = np.concatenate((p[1:], [0.0]))[:, None] * s
     # one sum sZ + sZ' keeps R, and so P, bitwise symmetric
-    P = np.outer(g, g) - np.outer(Gp, Gp) - (sZ + sZ.T) + p[0] * np.outer(s, s)
+    P = g[:, None] * g - Gp[:, None] * Gp - (sZ + sZ.T) + p[0] * (s[:, None] * s)
     for i in range(n - 2, -1, -1):
         P[i, :-1] += P[i + 1, 1:]
-    if np.max(np.abs(P[:, 0] - p)) > TOL_P_PH * (1.0 + float(np.max(np.abs(p)))):
+    if np.abs(P[:, 0] - p).max() > TOL_P_PH * (1.0 + float(np.abs(p).max())):
         raise SteinConsistencyError("P h differs from p; the point is off the trajectory")
     eigs = eigvalsh(P)
     if eigs[0] < -TOL_P_PSD:

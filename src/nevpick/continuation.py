@@ -480,7 +480,7 @@ def _follow_path(ctx: HomotopyContext, attempt: PathAttempt) -> list:
         p = readonly(np.zeros(ctx.n))
         states = [ContinuationState(nu=0.0, p=p, step=0.0, corrector_iters=0, residual=0.0,
                                     a=ctx.sigma)]
-        if not np.any(ctx.T_dot):
+        if not ctx.T_dot.any():
             # the target values already equal 1/2 everywhere
             return states
 
@@ -606,7 +606,7 @@ def solve(problem: InterpolationProblem) -> Solution:
         trajectory=states,
         diagnostics=Diagnostics(
             interp_residuals=interp_residuals,
-            max_interp_residual=float(np.max(interp_residuals)),
+            max_interp_residual=float(interp_residuals.max()),
             cee_residual=cee_res,
             _trajectory=states,
             _b=b.coeffs,

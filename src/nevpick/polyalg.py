@@ -116,7 +116,7 @@ class MonicPolynomial:
             raise ValueError("coeffs must be a nonempty 1-d vector")
         if arr[0] != 1.0:
             raise ValueError("leading coefficient must be exactly 1")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("coefficients must be finite")
         object.__setattr__(self, "coeffs", readonly(arr))
 
@@ -133,8 +133,8 @@ class MonicPolynomial:
     def from_roots(cls, roots) -> "MonicPolynomial":
         """Monic polynomial with the given (conjugate-closed) roots."""
         c = np.atleast_1d(np.poly(np.asarray(roots, dtype=complex)))
-        scale = max(1.0, float(np.max(np.abs(c))))
-        if np.max(np.abs(c.imag)) > TOL_IMAG * scale:
+        scale = max(1.0, float(np.abs(c).max()))
+        if np.abs(c.imag).max() > TOL_IMAG * scale:
             raise ValueError("roots are not closed under conjugation")
         return cls(c.real)
 
@@ -148,7 +148,7 @@ def is_schur(poly) -> bool:
     Roots come from the eigenvalues of a companion matrix (:func:`roots`).
     """
     r = roots(_coeff_array(poly))
-    return bool(np.max(np.abs(r), initial=0.0) < 1.0)
+    return bool(np.abs(r).max(initial=0.0) < 1.0)
 
 
 def companion(sigma: MonicPolynomial) -> np.ndarray:
@@ -296,7 +296,7 @@ def roots(poly) -> np.ndarray:
     (LAPACK did not converge).
     """
     c = _coeff_array(poly)
-    nonzero = np.flatnonzero(c)
+    nonzero = c.nonzero()[0]
     if not nonzero.size:
         return np.array([])
     first, last = int(nonzero[0]), int(nonzero[-1])
@@ -329,15 +329,16 @@ def conjugate_pairs(points, tol) -> list:
     size = points.size
     if not size:
         return []
-    tol = np.broadcast_to(tol, points.shape).tolist()
+    tol = (np.zeros(size) + tol).tolist()
     # row k: the distance of each point after k from the conjugate of point k,
     # and inf up to k
     dist = np.abs(points - np.conj(points)[:, None])
-    dist[np.tri(size, dtype=bool)] = math.inf
+    index = np.arange(size)
+    dist[index[:, None] >= index] = math.inf
     # each point's nearest later point by np.argmin: while that point is
     # unused, it is also the choice among the unused ones
     nearest = dist.argmin(axis=1)
-    least = dist[np.arange(size), nearest].tolist()
+    least = dist[index, nearest].tolist()
     nearest = nearest.tolist()
     partner = [None] * size
     used = [False] * size

@@ -138,9 +138,9 @@ def coincident_pairs(zeta) -> list:
     Applied to reciprocal nodes, which for a filter bank are its poles.
     """
     zeta = np.asarray(zeta)
-    close = np.abs(zeta[:, None] - zeta[None, :]) <= TOL_NODE
-    k, j = np.nonzero(np.triu(close, 1))
-    return list(zip(k.tolist(), j.tolist()))
+    k, j = (np.abs(zeta[:, None] - zeta[None, :]) <= TOL_NODE).nonzero()
+    upper = k < j
+    return list(zip(k[upper].tolist(), j[upper].tolist()))
 
 
 def validate(problem: InterpolationProblem) -> list:
@@ -254,8 +254,8 @@ def is_positive_definite(M: np.ndarray) -> bool:
     M = np.asarray(M)
     if M.size == 0:
         return True
-    scale = max(1.0, float(np.max(np.abs(M))))
-    if np.max(np.abs(M - M.conj().T)) > TOL_HERMITIAN * scale:
+    scale = max(1.0, float(np.abs(M).max()))
+    if np.abs(M - M.conj().T).max() > TOL_HERMITIAN * scale:
         raise ValueError("matrix is not Hermitian")
     H = 0.5 * (M + M.conj().T)
     # a NaN or infinite entry (M + M^H may overflow) has no eigenvalues to test

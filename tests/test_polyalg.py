@@ -475,6 +475,34 @@ def test_polyalg_holds_the_only_table_of_constants():
     assert stray == []
 
 
+# numpy functions that wrap one compiled call in Python-level argument
+# handling; each is replaced by the call it makes (see tests/test_numpy_forms.py)
+NUMPY_WRAPPERS = {"np.triu", "np.tri", "np.broadcast_to", "np.outer", "np.append",
+                  "np.flatnonzero", "np.angle", "np.linalg.norm",
+                  "np.max", "np.min", "np.all", "np.any"}
+
+
+def numpy_wrapper_uses(path):
+    """``(name, line)`` of each use of a name of ``NUMPY_WRAPPERS`` in the Python file ``path``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [(ast.unparse(node), node.lineno) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and ast.unparse(node) in NUMPY_WRAPPERS]
+
+
+def test_numpy_wrapper_scan_finds_each_name(tmp_path):
+    path = tmp_path / "uses.py"
+    path.write_text("".join(f"y = {name}(x)\n" for name in sorted(NUMPY_WRAPPERS))
+                    + "z = x.max() + np.abs(x).all() + np.linalg.solve(x, y)\n")
+    assert sorted(name for name, _ in numpy_wrapper_uses(path)) == sorted(NUMPY_WRAPPERS)
+
+
+def test_no_module_calls_a_numpy_wrapper():
+    package = Path(nevpick.__file__).parent
+    found = [f"{path.name}:{line} {name}" for path in sorted(package.glob("*.py"))
+             for name, line in numpy_wrapper_uses(path)]
+    assert found == []
+
+
 def test_no_record_is_built_past_its_constructor():
     # object.__new__ makes an instance that skips __init__ and its checks
     package = Path(nevpick.__file__).parent
