@@ -156,7 +156,7 @@ def _trajectory_rows(solution: Solution):
 def _exit_codes(*input_errors):
     """Exit 2 on invalid input (a failed validation, ``_InputError`` or one of
     ``input_errors``) and 3 on a typed solve error, which is tested first
-    (a ``RealnessError`` is also a ``ValueError``)."""
+    (a ``LinAlgError`` is also a ``ValueError``)."""
     try:
         yield
     except ProblemValidationError as exc:

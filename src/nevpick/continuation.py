@@ -145,7 +145,7 @@ class PathError(RuntimeError):
 
 #: The typed errors of a failed solve: invalid input or a numerical failure.
 SOLVE_ERRORS = (ProblemValidationError, PathError, cee_core.SteinConsistencyError,
-                cee_core.RealnessError, np.linalg.LinAlgError)
+                np.linalg.LinAlgError)
 
 
 @dataclass(frozen=True, eq=False)

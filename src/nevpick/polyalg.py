@@ -45,9 +45,7 @@ TOL_ROOT_PAIR = 1e-8    # conjugate matching of computed roots, relative to 1 + 
 TOL_VALUE = 1e-9        # conjugate closure of interpolation values, relative to 1 + |w|
 TOL_W0_REAL = 1e-12     # value at infinity: imaginary part relative to max(1, |w_0|)
 TOL_IMAG = 1e-9         # imaginary coefficients of a root set's polynomial, relative
-TOL_REAL = 1e-9         # imaginary residue of V^-1 W V (broken conjugate symmetry)
 TOL_PD = 1e-12          # positive-definite: smallest eigenvalue relative to the largest
-TOL_HERMITIAN = 1e-10   # Hermitian input to is_positive_definite: asymmetry relative to max(1, max|M|)
 TOL_P_PH = 1e-8         # recovered P: |P h - p| relative to 1 + |p|,
 TOL_P_PSD = 1e-8        # ... and the floor on its smallest eigenvalue
 TOL_CEE = 1e-8          # CEE residual of a solution (Frobenius norm, absolute)
@@ -105,12 +103,16 @@ class MonicPolynomial:
     """Real monic polynomial ``z^n + c1 z^(n-1) + ... + cn``.
 
     ``coeffs`` holds ``(1, c1, ..., cn)`` in descending powers; the leading
-    entry must be exactly 1.  Instances are immutable.
+    entry must be exactly 1.  Instances are immutable.  Complex coefficients
+    raise ``TypeError``, in an array as in a list (numpy's cast of an array
+    would drop the imaginary parts with only a warning).
     """
 
     coeffs: np.ndarray
 
     def __post_init__(self):
+        if np.asarray(self.coeffs).dtype.kind == "c":
+            raise TypeError("coefficients must be real, got a complex array")
         arr = np.array(self.coeffs, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("coeffs must be a nonempty 1-d vector")

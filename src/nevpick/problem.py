@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .polyalg import (
-    TOL_HERMITIAN,
     TOL_NODE,
     TOL_PD,
     TOL_VALUE,
@@ -151,10 +150,12 @@ def validate(problem: InterpolationProblem) -> list:
     conjugate closure of node/value pairs, finite values in the open right
     half-plane, a Schur spectral-zero polynomial, and positive definiteness
     of the Pick matrix.  This is the one check of the nodes on the way into
-    :func:`~nevpick.continuation.solve`; the Pick test is skipped when an
-    earlier check makes it meaningless.  Numpy's floating-point warnings
-    are silenced in the pairing and Pick tests: what they would warn of is
-    reported as a violation.
+    :func:`~nevpick.continuation.solve`, and its one conjugate-symmetry
+    rule: the solve takes the real part of ``T_dot`` and the Pick test the
+    Hermitian part of the Pick matrix, without checks of their own.  The
+    Pick test is skipped when an earlier check makes it meaningless.
+    Numpy's floating-point warnings are silenced in the pairing and Pick
+    tests: what they would warn of is reported as a violation.
     """
     out: list[Violation] = []
     nodes = problem.nodes
@@ -244,19 +245,20 @@ def pick_matrix(problem: InterpolationProblem) -> np.ndarray:
 
 
 def is_positive_definite(M: np.ndarray) -> bool:
-    """True iff the Hermitian matrix ``M`` has minimum eigenvalue above
-    ``TOL_PD`` times its maximum eigenvalue.
+    """True iff the Hermitian part ``H = (M + M^H) / 2`` of ``M`` has minimum
+    eigenvalue above ``TOL_PD`` times its maximum eigenvalue.
 
-    Rejects (raises) inputs that are not Hermitian within ``TOL_HERMITIAN``.
-    A matrix whose Hermitian part has a NaN or infinite entry is not
-    positive definite.
+    No input is rejected for its asymmetry.  A Pick matrix is Hermitian
+    analytically for any nodes and values, so what asymmetry
+    :func:`pick_matrix` returns is rounding; it is largest near the unit
+    circle, where ``1 - zeta_k conj(zeta_l)`` cancels.  ``H`` is the nearest
+    Hermitian matrix to ``M``, so its eigenvalues differ from those of the
+    matrix meant by at most that rounding.  A matrix whose Hermitian part
+    has a NaN or infinite entry is not positive definite.
     """
     M = np.asarray(M)
     if M.size == 0:
         return True
-    scale = max(1.0, float(np.abs(M).max()))
-    if np.abs(M - M.conj().T).max() > TOL_HERMITIAN * scale:
-        raise ValueError("matrix is not Hermitian")
     H = 0.5 * (M + M.conj().T)
     # a NaN or infinite entry (M + M^H may overflow) has no eigenvalues to test
     if not np.isfinite(H).all():

@@ -85,6 +85,16 @@ def reference_solution(reference_problem):
     return solve(reference_problem)
 
 
+def near_circle_problem(r):
+    """Nodes ``r e^{+-0.7i}``, ``r e^{+-2.1i}``, values ``0.6 +- 0.1j``,
+    ``0.7 +- 0.2j`` and ``sigma = z^4 + 0.1``.  Just above ``r = 1`` the
+    Pick matrix's denominators ``1 - zeta_k conj(zeta_l)`` cancel, and its
+    rounding is far from Hermitian relative to its entries."""
+    nodes = (INF,) + tuple(r * np.exp(sign * 1j * t) for t in (0.7, 2.1) for sign in (1, -1))
+    values = (0.5, 0.6 + 0.1j, 0.6 - 0.1j, 0.7 + 0.2j, 0.7 - 0.2j)
+    return InterpolationProblem(nodes, values, MonicPolynomial([1.0, 0.0, 0.0, 0.0, 0.1]))
+
+
 # ---------------------------------------------------------------------------
 # Random-instance generators shared across test modules.
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ from conftest import PATH_ERRSTATE, random_problem, random_schur_monic
 from nevpick import cee_core
 from nevpick.cee_core import (
     OperatorPair,
-    RealnessError,
     SteinConsistencyError,
     build_cee_matrices,
     build_V,
@@ -129,12 +128,17 @@ class TestBuildT:
         T = build_T(V, W)
         assert T.dtype == float
 
-    def test_broken_symmetry_raises(self, reference_problem):
+    def test_broken_symmetry_gives_real_slope(self, reference_problem):
+        # validate is the one symmetry rule: the slope is the real part, which
+        # is the slope of the broken pair's average (nodes 1 and 2 are conjugate)
         zeta, w = normalized_reference(reference_problem)
-        w = w.copy()
-        w[1] += 0.05j  # breaks conjugate symmetry
-        with pytest.raises(RealnessError):
-            build_cee_matrices(zeta, w)
+        broken, average = w.copy(), w.copy()
+        broken[1] += 0.05j
+        average[1] += 0.025j
+        average[2] -= 0.025j
+        T_dot = build_cee_matrices(zeta, broken)
+        assert T_dot.dtype == float and not T_dot.flags.writeable
+        assert np.abs(T_dot - build_cee_matrices(zeta, average)).max() < 1e-14
 
 
 def pair_at(T_dot, nu):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from conftest import near_circle_problem
 from nevpick.cli import main
 from nevpick.ingestion import VARIANTS, FilterBankSpec, MonteCarloConfig, simulate_arma
 from nevpick.polyalg import BURN_IN, DEFAULT_TAU_RANK, SAMPLES
@@ -105,6 +106,17 @@ class TestSolveCommand:
             for i in range(7):
                 re, im = float(row[8 + 2 * i]), float(row[9 + 2 * i])
                 assert re * re + im * im < 1.0
+
+    @pytest.mark.parametrize("r, code", [(1 + 1e-8, 0), (1 + 1e-10, 0), (1 + 1e-12, 0),
+                                         (1 + 1e-14, 2)])
+    def test_nodes_next_to_the_circle(self, runner, tmp_path, r, code):
+        # the Pick test judges the Hermitian part of pick_matrix's rounding;
+        # at 1 + 1e-14 that matrix is not positive definite in floats
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem_to_json_dict(near_circle_problem(r))))
+        result = runner.invoke(main, ["solve", "--input", str(path), "--output", str(tmp_path / "o")])
+        assert result.exit_code == code, result.output
+        assert ("pick-not-pd" in result.stderr) == (code == 2)
 
     def test_invalid_node_exits_2(self, runner, tmp_path):
         bad = {
@@ -584,11 +596,9 @@ class TestReduceCommand:
 
     def test_typed_solve_error_exits_3(self, runner, tmp_path, reference_problem_file,
                                        monkeypatch):
-        # a RealnessError is also a ValueError; from the reduced solve it still exits 3
-        from nevpick.cee_core import RealnessError
-
+        # a LinAlgError is also a ValueError; from the reduced solve it still exits 3
         def failing(problem):
-            raise RealnessError("injected")
+            raise np.linalg.LinAlgError("injected")
 
         monkeypatch.setattr("nevpick.analysis.solve", failing)
         result = runner.invoke(

@@ -111,6 +111,14 @@ class TestMonicPolynomial:
         with pytest.raises(ValueError, match="finite"):
             MonicPolynomial([1.0, bad, 0.25])
 
+    @pytest.mark.parametrize("as_array", [False, True], ids=["list", "array"])
+    def test_rejects_complex_coefficients(self, as_array):
+        coeffs = [1, 0.5j, 0.25]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TypeError):
+                MonicPolynomial(np.array(coeffs) if as_array else coeffs)
+
     def test_immutable(self):
         p = MonicPolynomial([1.0, 0.5])
         with pytest.raises(ValueError):
@@ -473,6 +481,42 @@ def test_polyalg_holds_the_only_table_of_constants():
     stray = [f"{path.name}:{line} {name}" for path in sorted(package.glob("*.py"))
              if path.name != "polyalg.py" for name, line in float_constants(path)]
     assert stray == []
+
+
+def table_names(path):
+    """Names of the module-level upper-case assignments in the Python file ``path``."""
+    names = []
+    for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name) and t.id.isupper()]
+    return names
+
+
+def unread_table_names(package):
+    """Names of the table in ``package/polyalg.py`` that no module of ``package``
+    reads, as a name or as an attribute; an import or the assignment that
+    defines a name is not a read."""
+    read = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return [name for name in table_names(package / "polyalg.py") if name not in read]
+
+
+def test_table_scan_finds_an_unread_name(tmp_path):
+    (tmp_path / "polyalg.py").write_text("TOL_A = 1e-9\nTOL_B = 1e-9\nPAIR = (TOL_A, 2)\n")
+    (tmp_path / "user.py").write_text("from .polyalg import PAIR, TOL_B\nx = polyalg.PAIR\n")
+    assert unread_table_names(tmp_path) == ["TOL_B"]
+
+
+def test_every_name_of_the_table_is_read():
+    package = Path(nevpick.__file__).parent
+    assert len(table_names(package / "polyalg.py")) > 20
+    assert unread_table_names(package) == []
 
 
 # numpy functions that wrap one compiled call in Python-level argument

@@ -4,7 +4,14 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import PATH_ERRSTATE, positive_real_values, random_nodes, random_schur_monic
+from conftest import (
+    PATH_ERRSTATE,
+    near_circle_problem,
+    positive_real_values,
+    random_nodes,
+    random_schur_monic,
+)
+from nevpick.continuation import solve
 from nevpick.ingestion import FilterBankSpec
 from nevpick.polyalg import TOL_NODE, TOL_VALUE, MonicPolynomial, conjugate_pairs, is_schur
 from nevpick.problem import (
@@ -357,12 +364,36 @@ class TestIsPositiveDefinite:
     def test_indefinite(self):
         assert not is_positive_definite(np.diag([1.0, -1.0]))
 
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            is_positive_definite(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    def test_judges_the_hermitian_part(self):
+        # no matrix is rejected for its asymmetry: [[1, 1/2], [1/2, 1]] is
+        # positive definite, [[1, 1], [1, 1]] is singular
+        assert is_positive_definite(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        assert not is_positive_definite(np.array([[1.0, 3.0], [-1.0, 1.0]]))
 
     def test_reference(self, reference_problem):
         assert is_positive_definite(pick_matrix(reference_problem))
+
+
+class TestOneSymmetryRule:
+    """Data that validate accepts solve: no later check rejects it for asymmetry."""
+
+    @pytest.mark.parametrize("share", [0.5, 0.9, 0.99])
+    def test_broken_value_pair_is_solved_as_its_average(self, reference_problem, share):
+        values = list(reference_problem.values)
+        brk = share * TOL_VALUE * (1.0 + abs(values[1]))
+        values[1] += brk * 1j
+        problem = InterpolationProblem(reference_problem.nodes, values, reference_problem.sigma)
+        assert validate(problem) == []
+        residuals = solve(problem).diagnostics.interp_residuals
+        # no real interpolant comes closer than half the break at both nodes
+        assert residuals[1:3] == pytest.approx([brk / 2, brk / 2], rel=1e-2)
+        assert residuals.max() == pytest.approx(brk / 2, rel=1e-2)
+
+    @pytest.mark.parametrize("r", [1 + 1e-8, 1 + 1e-10, 1 + 1e-12])
+    def test_nodes_next_to_the_circle_solve(self, r):
+        problem = near_circle_problem(r)
+        assert validate(problem) == []
+        assert solve(problem).diagnostics.max_interp_residual < 1e-12
 
 
 class TestNormalize:
