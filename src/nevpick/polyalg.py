@@ -43,7 +43,6 @@ class PathAttempt(NamedTuple):
 TOL_NODE = 1e-12        # distinct nodes / poles; conjugate matching of them (absolute)
 TOL_ROOT_PAIR = 1e-8    # conjugate matching of computed roots, relative to 1 + |z|
 TOL_VALUE = 1e-9        # conjugate closure of interpolation values, relative to 1 + |w|
-TOL_W0_REAL = 1e-12     # value at infinity: imaginary part relative to max(1, |w_0|)
 TOL_IMAG = 1e-9         # imaginary coefficients of a root set's polynomial, relative
 TOL_PD = 1e-12          # positive-definite: smallest eigenvalue relative to the largest
 TOL_P_PH = 1e-8         # recovered P: |P h - p| relative to 1 + |p|,
@@ -76,10 +75,20 @@ DEVIATION_FLOOR = 1e-12  # log-spectral deviation: floor on the norm it is relat
 
 
 def _coeff_array(poly) -> np.ndarray:
-    """Coerce an argument to a 1-d float coefficient array (descending)."""
+    """The one coercion of a real coefficient vector (descending) to a 1-d
+    float array: a :class:`MonicPolynomial` gives its ``coeffs`` and a float
+    array itself, with no copy.
+
+    Complex coefficients raise ``TypeError``, in an array as in a list
+    (numpy's cast of an array would drop the imaginary parts with only a
+    warning); a vector that is not 1-d or is empty raises ``ValueError``.
+    """
     if isinstance(poly, MonicPolynomial):
         return poly.coeffs
-    arr = np.asarray(poly, dtype=float)
+    arr = np.asarray(poly)
+    if arr.dtype.kind == "c":
+        raise TypeError("coefficients must be real, got a complex array")
+    arr = np.asarray(arr, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("coefficient vector must be 1-d and nonempty")
     return arr
@@ -103,19 +112,16 @@ class MonicPolynomial:
     """Real monic polynomial ``z^n + c1 z^(n-1) + ... + cn``.
 
     ``coeffs`` holds ``(1, c1, ..., cn)`` in descending powers; the leading
-    entry must be exactly 1.  Instances are immutable.  Complex coefficients
-    raise ``TypeError``, in an array as in a list (numpy's cast of an array
-    would drop the imaginary parts with only a warning).
+    entry must be exactly 1.  Instances are immutable.  The coefficients
+    are coerced by the rule of every coefficient vector of the package
+    (``_coeff_array``: complex ones raise ``TypeError``, a vector that is
+    not 1-d or is empty ``ValueError``) and then copied.
     """
 
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if np.asarray(self.coeffs).dtype.kind == "c":
-            raise TypeError("coefficients must be real, got a complex array")
-        arr = np.array(self.coeffs, dtype=float)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("coeffs must be a nonempty 1-d vector")
+        arr = np.array(_coeff_array(self.coeffs))
         if arr[0] != 1.0:
             raise ValueError("leading coefficient must be exactly 1")
         if not np.isfinite(arr).all():
@@ -149,7 +155,7 @@ def is_schur(poly) -> bool:
 
     Roots come from the eigenvalues of a companion matrix (:func:`roots`).
     """
-    r = roots(_coeff_array(poly))
+    r = roots(poly)
     return bool(np.abs(r).max(initial=0.0) < 1.0)
 
 

@@ -20,7 +20,6 @@ from .polyalg import (
     TOL_NODE,
     TOL_PD,
     TOL_VALUE,
-    TOL_W0_REAL,
     MonicPolynomial,
     conjugate_pairs,
     eigvalsh,
@@ -127,10 +126,6 @@ def _modulus(z: complex) -> float:
         return math.inf
 
 
-def _not_real(w0: complex) -> bool:
-    return abs(w0.imag) > TOL_W0_REAL * max(1.0, _modulus(w0))
-
-
 def coincident_pairs(zeta) -> list:
     """Index pairs ``(k, j)``, ``k < j``, of points closer than ``TOL_NODE``.
 
@@ -145,17 +140,21 @@ def coincident_pairs(zeta) -> list:
 def validate(problem: InterpolationProblem) -> list:
     """Check every instance invariant; return a list of violations (empty = valid).
 
-    Checks: infinity sentinel at index 0 with a real value, all other nodes
-    finite and strictly outside the closed unit disk, distinct nodes,
-    conjugate closure of node/value pairs, finite values in the open right
+    Checks: infinity sentinel at index 0, all other nodes finite and
+    strictly outside the closed unit disk, distinct nodes, conjugate
+    closure of node/value pairs, finite values in the open right
     half-plane, a Schur spectral-zero polynomial, and positive definiteness
     of the Pick matrix.  This is the one check of the nodes on the way into
     :func:`~nevpick.continuation.solve`, and its one conjugate-symmetry
-    rule: the solve takes the real part of ``T_dot`` and the Pick test the
-    Hermitian part of the Pick matrix, without checks of their own.  The
-    Pick test is skipped when an earlier check makes it meaningless.
-    Numpy's floating-point warnings are silenced in the pairing and Pick
-    tests: what they would warn of is reported as a violation.
+    rule: the solve takes the real part of ``T_dot``, :func:`normalize` the
+    real part of ``w_0`` and the Pick test the Hermitian part of the Pick
+    matrix, without checks of their own.  A self-conjugate node, the point
+    at infinity among them, is its own partner, so its value ``w`` passes
+    when ``2 |Im w| <= TOL_VALUE (1 + |w|)``; the value at infinity has no
+    rule of its own.  The Pick test is skipped when an earlier check makes
+    it meaningless.  Numpy's floating-point warnings are silenced in the
+    pairing and Pick tests: what they would warn of is reported as a
+    violation.
     """
     out: list[Violation] = []
     nodes = problem.nodes
@@ -163,8 +162,6 @@ def validate(problem: InterpolationProblem) -> list:
 
     if not is_inf_node(nodes[0]):
         out.append(Violation("node-inf-sentinel", "nodes[0] must be the point at infinity", 0))
-    if _not_real(values[0]):
-        out.append(Violation("value0-real", f"values[0] = {values[0]} must be real", 0))
 
     # each loop first makes the cheap test that a valid entry passes; only
     # an entry that fails it takes the checks that word its violation
@@ -268,19 +265,23 @@ def is_positive_definite(M: np.ndarray) -> bool:
 
 
 def normalize(problem: InterpolationProblem) -> tuple:
-    """``(w, scale)``: the values divided by ``scale = 2 w_0``, as one
+    """``(w, scale)``: the values divided by ``scale = 2 Re w_0``, as one
     read-only complex array whose value at infinity ``w[0]`` is exactly 1/2.
 
     Each ``w[k]`` is Python's complex division ``values[k] / scale``.
     Multiplying the solved interpolant by ``scale`` undoes the normalization.
-    The positive scaling multiplies the Pick matrix by ``1 / (2 w_0)`` and
+    The positive scaling multiplies the Pick matrix by ``1 / (2 Re w_0)`` and
     therefore preserves positive definiteness.  The nodes and ``sigma`` do
     not change, so the normalized values are all a solve needs besides
-    ``problem``.
+    ``problem``.  The only guard is ``Re w_0 > 0``: :func:`validate` judges
+    whether ``w_0`` is real, and a ``w_0`` it accepts is taken as its real
+    part, the average with its conjugate, as ``build_cee_matrices`` takes
+    every self-conjugate value.  The interpolation residual at infinity is
+    then ``|Im w_0|``.
     """
     w0 = problem.values[0]
-    if _not_real(w0) or not w0.real > 0:
-        raise ValueError(f"value at infinity must be real and positive, got {w0}")
+    if not w0.real > 0:
+        raise ValueError(f"value at infinity must have a positive real part, got {w0}")
     scale = 2.0 * w0.real
     w = np.array([v / scale for v in problem.values], dtype=complex)
     w[0] = 0.5

@@ -118,6 +118,20 @@ class TestSolveCommand:
         assert result.exit_code == code, result.output
         assert ("pick-not-pd" in result.stderr) == (code == 2)
 
+    @pytest.mark.parametrize("imag, code", [(1e-8, 2), (1e-10, 0)])
+    def test_value_at_infinity_is_judged_once(self, runner, tmp_path, reference_problem,
+                                              imag, code):
+        data = problem_to_json_dict(reference_problem)
+        data["values"][0] = {"re": 0.5, "im": imag}
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(data))
+        result = runner.invoke(main, ["solve", "--input", str(path), "--output", str(tmp_path / "o")])
+        assert result.exit_code == code, result.output
+        if code == 2:
+            violations = [line for line in result.stderr.splitlines() if line.startswith("  ")]
+            assert violations == [
+                "  [conjugate-closure] (index 0) value 0 must be real: node 0 is its own conjugate"]
+
     def test_invalid_node_exits_2(self, runner, tmp_path):
         bad = {
             "nodes": ["inf", {"re": 0.5, "im": 0.0}],

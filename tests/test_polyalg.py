@@ -119,6 +119,23 @@ class TestMonicPolynomial:
             with pytest.raises(TypeError):
                 MonicPolynomial(np.array(coeffs) if as_array else coeffs)
 
+    @pytest.mark.parametrize("function, oracle", [
+        (is_schur, lambda c: bool(np.abs(np.roots(c)).max() < 1.0)),
+        (build_S, gather_build_S),
+        (roots, np.roots),
+    ], ids=["is_schur", "build_S", "roots"])
+    def test_every_coefficient_vector_follows_the_same_rule(self, function, oracle):
+        # complex coefficients raise TypeError in an array as in a list, and
+        # a real list and a real array give numpy's bits
+        coeffs = [1.0, -0.5, 0.25]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bad in ([1, 0.5j, 0.25], np.array([1, 0.5j, 0.25])):
+                with pytest.raises(TypeError):
+                    function(bad)
+            assert same_array(function(coeffs), oracle(coeffs))
+            assert same_array(function(np.array(coeffs)), oracle(coeffs))
+
     def test_immutable(self):
         p = MonicPolynomial([1.0, 0.5])
         with pytest.raises(ValueError):

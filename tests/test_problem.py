@@ -18,7 +18,6 @@ from nevpick.problem import (
     INF,
     InterpolationProblem,
     Violation,
-    _not_real,
     coincident_pairs,
     is_inf_node,
     is_positive_definite,
@@ -45,8 +44,6 @@ def validate_loops_oracle(problem):
 
     if not is_inf_node(nodes[0]):
         out.append(Violation("node-inf-sentinel", "nodes[0] must be the point at infinity", 0))
-    if _not_real(values[0]):
-        out.append(Violation("value0-real", f"values[0] = {values[0]} must be real", 0))
 
     structurally_sound = True
     for k, z in enumerate(nodes):
@@ -388,6 +385,23 @@ class TestOneSymmetryRule:
         # no real interpolant comes closer than half the break at both nodes
         assert residuals[1:3] == pytest.approx([brk / 2, brk / 2], rel=1e-2)
         assert residuals.max() == pytest.approx(brk / 2, rel=1e-2)
+
+    @pytest.mark.parametrize("d, valid", [(1e-11, True), (1e-10, True), (5e-10, True),
+                                          (7e-10, True), (8e-10, False), (1e-8, False)])
+    def test_value_at_infinity_is_judged_as_a_self_conjugate_value(self, reference_problem,
+                                                                   d, valid):
+        # node 0 is its own conjugate partner: w_0 = 0.5 + d i passes while
+        # 2 d <= TOL_VALUE (1 + |w_0|), about d <= 7.5e-10, and is solved as
+        # its real part, with residual d at infinity
+        values = (0.5 + d * 1j,) + reference_problem.values[1:]
+        problem = InterpolationProblem(reference_problem.nodes, values, reference_problem.sigma)
+        if not valid:
+            assert outcome(validate, problem) == [
+                ("conjugate-closure", 0, "value 0 must be real: node 0 is its own conjugate")]
+            return
+        assert validate(problem) == []
+        residuals = solve(problem).diagnostics.interp_residuals
+        assert residuals[0] == pytest.approx(d, rel=1e-12)
 
     @pytest.mark.parametrize("r", [1 + 1e-8, 1 + 1e-10, 1 + 1e-12])
     def test_nodes_next_to_the_circle_solve(self, r):
