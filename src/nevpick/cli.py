@@ -2,8 +2,11 @@
 
 All commands read a JSON input file and write their results into an output
 directory (JSON for structured results, CSV for series and grids; every
-output embeds the resolved configuration).  Exit codes: 0 success,
-2 invalid input, 3 numerical failure, 4 partial Monte Carlo.
+output embeds the resolved configuration).  Each command reads its input,
+runs, echoes its summary and hands its files to ``_write``, the one writer
+of every output file.  Exit codes: 0 success, 2 invalid input (an output
+path that cannot be written included), 3 numerical failure, 4 partial
+Monte Carlo.
 """
 
 from __future__ import annotations
@@ -81,32 +84,38 @@ def _system_config(data: dict, path: str, **controls) -> MonteCarloConfig:
         raise _InputError(f"{path}: {exc}") from exc
 
 
-def _config() -> dict:
-    """The resolved configuration of the running command, embedded in every output."""
+def _write(output_path: str, files: dict):
+    """Write ``files``, an ordered ``{file name: content}`` dict, into the
+    directory ``output_path`` and echo their paths; the one writer of every
+    output file.
+
+    A dict is written as JSON and a ``(header, rows)`` pair as CSV; each
+    embeds the resolved configuration of the running command (a ``config``
+    key, or a ``# config: {...}`` first line).  A path that cannot be
+    written exits 2.
+    """
     ctx = click.get_current_context()
     params = dict(ctx.params)
-    return {"command": ctx.info_name, "input": params.pop("input_path"),
-            "output": params.pop("output_path"), **params}
-
-
-def _out_dir(path: str) -> Path:
-    out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_json(path: Path, payload: dict):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _write_csv(path: Path, config: dict, header: list, rows):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    config = {"command": ctx.info_name, "input": params.pop("input_path"),
+              "output": params.pop("output_path"), **params}
+    out = path = Path(output_path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, content in files.items():
+            path = out / name
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                if isinstance(content, dict):
+                    json.dump({"config": config, **content}, fh, indent=2, sort_keys=True)
+                    fh.write("\n")
+                else:
+                    header, rows = content
+                    fh.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
+                    writer = csv.writer(fh)
+                    writer.writerow(header)
+                    writer.writerows(rows)      # lazily: a series may be long
+    except OSError as exc:
+        _fail(EXIT_INVALID_INPUT, f"cannot write {path}: {exc}")
+    click.echo("wrote " + ", ".join(str(out / name) for name in files))
 
 
 def solution_to_json_dict(solution: Solution) -> dict:
@@ -186,21 +195,14 @@ def main():
 @click.option("--output", "output_path", required=True, type=click.Path(), help="Output directory.")
 def cmd_solve(input_path, output_path):
     """Solve one interpolation problem; write solution.json and trajectory.csv."""
-    config = _config()
     with _exit_codes():
         problem = _load_problem(input_path)
         solution = solve(problem)
-    out = _out_dir(output_path)
-    payload = {"config": config, **solution_to_json_dict(solution)}
-    _write_json(out / "solution.json", payload)
-    header, rows = _trajectory_rows(solution)
-    _write_csv(out / "trajectory.csv", config, header, rows)
-    click.echo(
-        f"solved degree {problem.n}: rho={solution.rho:.6g}, "
-        f"max interpolation residual={solution.diagnostics.max_interp_residual:.3e}, "
-        f"{len(solution.trajectory)} trajectory states"
-    )
-    click.echo(f"wrote {out / 'solution.json'} and {out / 'trajectory.csv'}")
+    click.echo(f"solved degree {problem.n}: rho={solution.rho:.6g}, "
+               f"max interpolation residual={solution.diagnostics.max_interp_residual:.3e}, "
+               f"{len(solution.trajectory)} trajectory states")
+    _write(output_path, {"solution.json": solution_to_json_dict(solution),
+                         "trajectory.csv": _trajectory_rows(solution)})
 
 
 @main.command("simulate")
@@ -210,26 +212,20 @@ def cmd_solve(input_path, output_path):
 @click.option("--samples", type=int, default=SAMPLES, show_default=True)
 @click.option("--burn-in", type=int, default=BURN_IN, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-def cmd_simulate(input_path, output_path, samples, burn_in, seed):
+def cmd_simulate(input_path, output_path, **controls):
     """Simulate the filter, estimate values; write problem.json and series.csv."""
-    config = _config()
     with _exit_codes():
-        system = _system_config(_load_json(input_path), input_path,
-                                samples=samples, burn_in=burn_in, seed=seed)
-        problem, y = run_problem(system, seed)
+        system = _system_config(_load_json(input_path), input_path, **controls)
+        problem, y = run_problem(system, system.seed)
     violations = validate(problem)
-    out = _out_dir(output_path)
-    payload = {
-        "config": config,
-        **problem_to_json_dict(problem),
-        "violations": [str(v) for v in violations],
-    }
-    _write_json(out / "problem.json", payload)
-    _write_csv(out / "series.csv", config, ["t", "y"],
-               ([t, repr(float(v))] for t, v in enumerate(y)))
     status = "INVALID: " + "; ".join(map(str, violations)) if violations else "valid"
-    click.echo(f"simulated {samples} samples (seed {seed}); emitted problem is {status}")
-    click.echo(f"wrote {out / 'problem.json'} and {out / 'series.csv'}")
+    click.echo(f"simulated {system.samples} samples (seed {system.seed}); "
+               f"emitted problem is {status}")
+    _write(output_path, {
+        "problem.json": {**problem_to_json_dict(problem),
+                         "violations": [str(v) for v in violations]},
+        "series.csv": (["t", "y"], ([t, repr(float(v))] for t, v in enumerate(y))),
+    })
 
 
 @main.command("detect-degree")
@@ -243,38 +239,34 @@ def cmd_simulate(input_path, output_path, samples, burn_in, seed):
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--tau-rank", type=float, default=DEFAULT_TAU_RANK, show_default=True,
               help="Relative singular-value threshold for the degree estimate.")
-def cmd_detect_degree(input_path, output_path, runs, variant, samples, burn_in, seed, tau_rank):
+def cmd_detect_degree(input_path, output_path, **controls):
     """Estimate the positive degree; write degree_report.json and runs.csv."""
-    config = _config()
     with _exit_codes():
         data = _load_json(input_path)
         if isinstance(data, dict) and "order" not in data:   # poly_from_json rejects a non-object
             raise _InputError(f"{input_path}: 'order' is required")
-        mc = _system_config(data, input_path, samples=samples, burn_in=burn_in, seed=seed,
-                            runs=runs, variant=variant, tau_rank=tau_rank)
+        mc = _system_config(data, input_path, **controls)
         report = monte_carlo(mc)
-    out = _out_dir(output_path)
-    payload = {
-        "config": config,
-        "singular_values": report.singular_values.tolist(),
-        "estimated_degree": report.estimated_degree,
-        "threshold": report.threshold,
-        "runs_attempted": report.runs_attempted,
-        "runs_failed": report.runs_failed,
-    }
-    _write_json(out / "degree_report.json", payload)
     header = ["run", "seed", "status", "error"] + [f"s{i + 1}" for i in range(mc.order)]
     rows = []
     for rec in report.per_run:
         svals = [repr(float(s)) for s in rec.singular_values] if rec.ok else [""] * mc.order
         rows.append([rec.run, rec.seed, "ok" if rec.ok else "failed", rec.error or ""] + svals)
-    _write_csv(out / "runs.csv", config, header, rows)
     click.echo(f"estimated positive degree: {report.estimated_degree}")
     click.echo("mean singular values: "
                + " ".join(f"{s:.4e}" for s in report.singular_values))
     if report.runs_failed:
         click.echo(f"{report.runs_failed} of {report.runs_attempted} runs failed", err=True)
-    click.echo(f"wrote {out / 'degree_report.json'} and {out / 'runs.csv'}")
+    _write(output_path, {
+        "degree_report.json": {
+            "singular_values": report.singular_values.tolist(),
+            "estimated_degree": report.estimated_degree,
+            "threshold": report.threshold,
+            "runs_attempted": report.runs_attempted,
+            "runs_failed": report.runs_failed,
+        },
+        "runs.csv": (header, rows),
+    })
     if report.runs_failed == 0:
         sys.exit(EXIT_OK)
     ok = report.runs_attempted - report.runs_failed
@@ -288,30 +280,22 @@ def cmd_detect_degree(input_path, output_path, runs, variant, samples, burn_in, 
               help="Degree of the reduced model (dominant spectral zeros kept).")
 def cmd_reduce(input_path, output_path, target_degree):
     """Solve, reduce to the target degree, and dump both spectral densities."""
-    config = _config()
     with _exit_codes():
         problem = _load_problem(input_path)
         full = solve(problem)
     with _exit_codes(ValueError):
         reduced_problem, reduced_solution = reduce_model(full, target_degree)
-    out = _out_dir(output_path)
-    _write_json(out / "reduced_problem.json",
-                {"config": config, **problem_to_json_dict(reduced_problem)})
-    _write_json(out / "reduced_solution.json",
-                {"config": config, **solution_to_json_dict(reduced_solution)})
-    thetas = spectrum_angles()
-    phi_full = spectral_density(full)
-    phi_red = spectral_density(reduced_solution)
-    _write_csv(out / "spectra.csv", config, ["theta", "phi_full", "phi_reduced"],
-               ([repr(float(t)), repr(float(pf)), repr(float(pr))]
-                for t, pf, pr in zip(thetas, phi_full, phi_red)))
     deviation = log_spectral_deviation(full, reduced_solution)
-    click.echo(
-        f"reduced degree {problem.n} -> {target_degree}; "
-        f"log-spectral deviation {deviation:.4f}"
-    )
-    click.echo(f"wrote {out / 'reduced_problem.json'}, {out / 'reduced_solution.json'}, "
-               f"{out / 'spectra.csv'}")
+    click.echo(f"reduced degree {problem.n} -> {target_degree}; "
+               f"log-spectral deviation {deviation:.4f}")
+    spectra = zip(spectrum_angles(), spectral_density(full), spectral_density(reduced_solution))
+    _write(output_path, {
+        "reduced_problem.json": problem_to_json_dict(reduced_problem),
+        "reduced_solution.json": solution_to_json_dict(reduced_solution),
+        "spectra.csv": (["theta", "phi_full", "phi_reduced"],
+                        ([repr(float(t)), repr(float(pf)), repr(float(pr))]
+                         for t, pf, pr in spectra)),
+    })
 
 
 if __name__ == "__main__":

@@ -247,17 +247,12 @@ class Solution:
         return self.interpolant_from_reciprocal(0.0 if is_inf_node(z) else 1.0 / z)
 
     def interpolant_from_reciprocal(self, zeta):
-        """Evaluate the interpolant at ``z = 1/zeta`` (``zeta`` may be 0 or an array)."""
-        return _interpolant_from_reciprocal(self.a, self.b, self.scale, zeta)
+        """Evaluate the interpolant at ``z = 1/zeta`` (``zeta`` may be 0 or an array).
 
-
-def _interpolant_from_reciprocal(a: MonicPolynomial, b: MonicPolynomial, scale: float, zeta):
-    """``scale * b(z) / (2 a(z))`` at ``z = 1/zeta`` (``zeta`` may be 0 or an array).
-
-    Multiplying ``b(z)`` and ``a(z)`` by ``zeta^n`` puts their coefficients
-    in increasing powers of ``zeta``, as they are stored.
-    """
-    return _half_ratio(zeta, b.coeffs, a.coeffs, scale)
+        Multiplying ``b(z)`` and ``a(z)`` by ``zeta^n`` puts their
+        coefficients in increasing powers of ``zeta``, as they are stored.
+        """
+        return _half_ratio(zeta, self.b.coeffs, self.a.coeffs, self.scale)
 
 
 def _half_ratio(x, top: np.ndarray, bottom: np.ndarray, scale: float):
@@ -593,7 +588,7 @@ def solve(problem: InterpolationProblem) -> Solution:
     p = states[-1].p
     a, b = MonicPolynomial(states[-1].a), MonicPolynomial(_pad(1.0, b_tail))
     zeta = problem.node_reciprocals()
-    f_vals = _interpolant_from_reciprocal(a, b, ctx.scale, zeta)
+    f_vals = _half_ratio(zeta, b.coeffs, a.coeffs, ctx.scale)     # in powers of zeta = 1/z
     interp_residuals = readonly(np.abs(f_vals - problem.values_array()))
     return Solution(
         problem=problem,

@@ -53,10 +53,11 @@ def default_bank_poles(n: int) -> np.ndarray:
 
     The ``n`` nonzero poles sit equally spaced on the circle of radius
     ``BANK_RADIUS``, rotated off the real axis for even ``n``; odd ``n``
-    keeps one real pole at ``+BANK_RADIUS``.
+    keeps one real pole at ``+BANK_RADIUS``.  ``n`` is a nonnegative
+    integer (numpy integers included, booleans not).
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    if not (is_integer(n) and n >= 0):
+        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
     k = np.arange(n)
     if n % 2 == 0:
         angles = (2 * k + 1) * np.pi / n

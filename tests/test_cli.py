@@ -1,12 +1,15 @@
+import ast
 import csv
 import dataclasses
 import inspect
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import nevpick
 from conftest import near_circle_problem
 from nevpick.cli import main
 from nevpick.ingestion import VARIANTS, FilterBankSpec, MonteCarloConfig, simulate_arma
@@ -655,3 +658,112 @@ class TestDefaults:
         spec = {f.name: f.default for f in dataclasses.fields(FilterBankSpec)}
         assert spec["burn_in"] == BURN_IN
         assert inspect.signature(simulate_arma).parameters["burn_in"].default == BURN_IN
+
+
+# each command with some options set: its input ("problem" or "system"),
+# its flags, and the files it writes
+COMMAND_RUNS = {
+    "solve": ("problem", [], ["solution.json", "trajectory.csv"]),
+    "simulate": ("system", ["--samples", "2000", "--seed", "4"], ["problem.json", "series.csv"]),
+    "detect-degree": ("system", ["--variant", "exact", "--tau-rank", "0.01"],
+                      ["degree_report.json", "runs.csv"]),
+    "reduce": ("problem", ["--target-degree", "2"],
+               ["reduced_problem.json", "reduced_solution.json", "spectra.csv"]),
+}
+
+
+class TestOutputFiles:
+    """Every output file of every command goes through one writer."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path, reference_problem_file):
+        system = tmp_path / "system.json"
+        system.write_text(json.dumps(degree2_config(order=3)))
+        return {"problem": str(reference_problem_file), "system": str(system)}
+
+    @staticmethod
+    def args(command, inputs, out):
+        kind, flags, _ = COMMAND_RUNS[command]
+        return [command, "--input", inputs[kind], "--output", str(out), *flags]
+
+    @pytest.mark.parametrize("command", list(COMMAND_RUNS))
+    def test_unwritable_output_exits_2(self, runner, tmp_path, inputs, command):
+        taken = tmp_path / "taken"
+        taken.write_text("a file, not a directory")
+        result = runner.invoke(main, self.args(command, inputs, taken))
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1, result.stderr
+        assert lines[0].startswith(f"error: cannot write {taken}: "), result.stderr
+        assert "Traceback" not in result.output
+        assert taken.read_text() == "a file, not a directory"
+
+    def test_every_file_carries_the_resolved_config(self, runner, tmp_path, inputs):
+        options = {
+            "solve": {},
+            "simulate": {"samples": 2000, "burn_in": BURN_IN, "seed": 4},
+            "detect-degree": {"runs": 1, "variant": "exact", "samples": SAMPLES,
+                              "burn_in": BURN_IN, "seed": 0, "tau_rank": 0.01},
+            "reduce": {"target_degree": 2},
+        }
+        checked = 0
+        for command, (kind, _, names) in COMMAND_RUNS.items():
+            out = tmp_path / command
+            result = runner.invoke(main, self.args(command, inputs, out))
+            assert result.exit_code == 0, result.output
+            expected = {"command": command, "input": inputs[kind], "output": str(out),
+                        **options[command]}
+            assert sorted(path.name for path in out.iterdir()) == names
+            for name in names:
+                if name.endswith(".json"):
+                    config = json.loads((out / name).read_text())["config"]
+                else:
+                    config, _, _ = read_csv(out / name)
+                assert config == expected, (command, name)
+                checked += 1
+        assert checked == 9
+
+
+FILE_CALLS = {"open", "mkdir", "write_text"}
+FILE_WRITERS = {"cli._load_json", "cli._write"}
+
+
+def file_calls(module, source):
+    """``module.function`` of each call of a name in ``FILE_CALLS`` (as a
+    function or a method) in ``source``, in source order; ``module`` alone
+    for a call outside every function."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{module}.{child.name}")
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in FILE_CALLS:
+                    found.append(owner)
+            visit(child, owner)
+
+    visit(ast.parse(source), module)
+    return found
+
+
+def test_file_call_scan_finds_each_call():
+    source = ("import pathlib\n"
+              "def _write(p):\n    open(p, 'w')\n"
+              "def helper(p):\n    pathlib.Path(p).mkdir()\n    p.write_text('x')\n"
+              "class Store:\n    def save(self, p):\n        with p.open('w'):\n            pass\n"
+              "def reader(p):\n    return p.read_text() + str(p.exists())\n"
+              "open('log', 'w')\n")
+    assert file_calls("cli", source) == ["cli._write", "cli.helper", "cli.helper", "cli.save",
+                                         "cli"]
+
+
+def test_file_io_lives_in_the_cli_reader_and_writer():
+    package = Path(nevpick.__file__).parent
+    found = {name for path in sorted(package.glob("*.py"))
+             for name in file_calls(path.stem, path.read_text())}
+    assert found == FILE_WRITERS

@@ -70,6 +70,15 @@ class TestDefaultBankPoles:
         real = [p for p in poles[1:] if abs(p.imag) < 1e-12]
         assert len(real) == 1 and real[0].real == pytest.approx(0.7)
 
+    @pytest.mark.parametrize("n", [-1, 2.5, True])
+    def test_rejects_non_integer_or_negative_n(self, n):
+        # 2.5 would give poles not closed under conjugation, True one real pole
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            default_bank_poles(n)
+
+    def test_accepts_numpy_integer(self):
+        assert np.array_equal(default_bank_poles(np.int64(4)), default_bank_poles(4))
+
 
 class TestFilterBankSpec:
     def test_rejects_missing_zero_pole(self):
