@@ -124,18 +124,12 @@ def operator_pair(T_dot: np.ndarray, eye: np.ndarray, nu: float) -> OperatorPair
     first give ``(u, U)`` and of the second ``(u_dot, U_dot)``, from one
     inverse; the equal form ``I - M^-1`` would lose digits for small ``nu``.
     ``M`` is nonsingular for admissible data (its eigenvalues are the
-    shifted values ``1/2 + nu (w_k - 1/2)``, all with positive real part);
-    a singular ``M`` means corrupted input and surfaces as ``LinAlgError``.
-    The inverse is :func:`~nevpick.polyalg.inverse`, so a singular ``M``
-    also sets numpy's invalid flag, which the path follower ignores.
+    shifted values ``1/2 + nu (w_k - 1/2)``, all with positive real part).
+    A singular ``M`` raises the ``LinAlgError`` of
+    :func:`~nevpick.polyalg.inverse` and sets numpy's invalid flag; the path
+    follower ignores the flag and catches the error, which halves its step.
     """
-    try:
-        M_inv = inverse(eye + nu * T_dot)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            "I + T is singular, which valid interpolation data cannot produce; "
-            "the input is corrupted"
-        ) from exc
+    M_inv = inverse(eye + nu * T_dot)
     # ndarray.dot: the BLAS call of @ without its dispatch (see nevpick.continuation)
     bottom = M_inv[1:].dot(T_dot)
     uU = readonly(nu * bottom)

@@ -17,9 +17,12 @@ RK4 predictor departs from the Euler step of the source method: with the
 same acceptance band it allows far longer steps near the unit circle.  The
 step control departs too: the band residual of an RK4 prediction scales as
 ``dnu^5``, so with band ``mu`` the next step is
-``dnu * (STEP_SAFETY * mu / |e1' G|)^(1/5)``, clipped to
-``[STEP_ACCEPT_MIN, growth]`` after an accepted step and to
-``STEP_REJECT_RANGE`` after a prediction outside the band.
+``dnu * (STEP_SAFETY * mu / |e1' G|)^(1/5)``.  After an accepted step the
+factor is capped at the attempt's growth and needs no floor: an accepted
+prediction has ``|e1' G| <= mu``, so its factor is at least
+``STEP_SAFETY^(1/5)``, about 0.87.  After a prediction outside the band the
+factor is clipped to ``STEP_REJECT_RANGE``.  The target of a step is
+``min(nu + step, 1)``.
 
 The start of the path is known in closed form and is not computed.  At
 ``nu = 0``, ``T = 0``, so ``u``, ``U`` and ``g = U v + u`` vanish, and at
@@ -84,6 +87,7 @@ share that helper.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -95,11 +99,9 @@ from .cee_core import build_V, operator_pair, recover_P, v_and_g
 from .polyalg import (
     ATTEMPTS,
     MAX_NEWTON_ITERS,
-    STEP_ACCEPT_MIN,
     STEP_MIN,
     STEP_REJECT_RANGE,
     STEP_SAFETY,
-    STEP_SNAP,
     TOL_NEWTON,
     MonicPolynomial,
     PathAttempt,
@@ -113,7 +115,6 @@ from .polyalg import (
 from .problem import (
     InterpolationProblem,
     ProblemValidationError,
-    is_inf_node,
     normalize,
     validate,
 )
@@ -244,7 +245,7 @@ class Solution:
         z = complex(z)
         if abs(z) <= 1.0:
             return _half_ratio(z, self.b.coeffs[::-1], self.a.coeffs[::-1], self.scale)
-        return self.interpolant_from_reciprocal(0.0 if is_inf_node(z) else 1.0 / z)
+        return self.interpolant_from_reciprocal(0.0 if cmath.isinf(z) else 1.0 / z)
 
     def interpolant_from_reciprocal(self, zeta):
         """Evaluate the interpolant at ``z = 1/zeta`` (``zeta`` may be 0 or an array).
@@ -334,10 +335,6 @@ class HomotopyContext:
             self._point = (key, (pair, v, g, S[0], S[1]))
             self._G = None
         return self._point[1]
-
-
-def _pad(lead: float, vec: np.ndarray) -> np.ndarray:
-    return np.concatenate(([lead], vec))
 
 
 def eval_G(p: np.ndarray, nu: float, ctx: HomotopyContext) -> np.ndarray:
@@ -453,7 +450,7 @@ def _make_state(ctx, nu, p, step, iters, residual) -> ContinuationState:
         step=float(step),
         corrector_iters=int(iters),
         residual=float(residual),
-        a=readonly(_pad(1.0, v - g)),
+        a=readonly(np.concatenate(([1.0], v - g))),
     )
 
 
@@ -480,7 +477,6 @@ def _follow_path(ctx: HomotopyContext, attempt: PathAttempt) -> list:
             return states
 
         mu = attempt.band
-        accept_range = (STEP_ACCEPT_MIN, attempt.growth)
         nu = 0.0
         step = attempt.first_step
         # tangent at (p, nu), 0 at the start; a rejected step leaves both
@@ -489,9 +485,7 @@ def _follow_path(ctx: HomotopyContext, attempt: PathAttempt) -> list:
         while nu < 1.0:
             if step < STEP_MIN:
                 raise PathError(f"step size underflowed below {STEP_MIN:.1e} at nu={nu:.6g}")
-            target = nu + step
-            if target >= 1.0 - STEP_SNAP:
-                target = 1.0
+            target = min(nu + step, 1.0)
             dnu = target - nu
             try:
                 if tangent is None:
@@ -515,7 +509,7 @@ def _follow_path(ctx: HomotopyContext, attempt: PathAttempt) -> list:
             if nu == 1.0:
                 p, residual = _end_step(ctx, p, residual)
             states.append(_make_state(ctx, nu, p, dnu, iters, residual))
-            step = dnu * _clip(factor, accept_range)
+            step = dnu * min(factor, attempt.growth)
         return states
 
 
@@ -586,7 +580,7 @@ def solve(problem: InterpolationProblem) -> Solution:
             if attempt is ATTEMPTS[-1]:
                 raise
     p = states[-1].p
-    a, b = MonicPolynomial(states[-1].a), MonicPolynomial(_pad(1.0, b_tail))
+    a, b = MonicPolynomial(states[-1].a), MonicPolynomial(np.concatenate(([1.0], b_tail)))
     zeta = problem.node_reciprocals()
     f_vals = _half_ratio(zeta, b.coeffs, a.coeffs, ctx.scale)     # in powers of zeta = 1/z
     interp_residuals = readonly(np.abs(f_vals - problem.values_array()))

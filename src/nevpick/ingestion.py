@@ -75,13 +75,16 @@ def nodes_from_poles(poles) -> tuple:
     return tuple(nodes)
 
 
-def _check_counts(samples, burn_in) -> None:
-    """The rule for a series' sample counts: ``samples`` a positive and
-    ``burn_in`` a nonnegative integer (numpy integers included, booleans not)."""
+def _check_counts(samples, burn_in, seed) -> None:
+    """The rule for a series' sample counts and seed: ``samples`` a positive
+    and ``burn_in`` and ``seed`` nonnegative integers (numpy integers
+    included, booleans not)."""
     if not (is_integer(samples) and samples > 0):
         raise ValueError(f"samples must be a positive integer, got {samples!r}")
     if not (is_integer(burn_in) and burn_in >= 0):
         raise ValueError(f"burn_in must be a nonnegative integer, got {burn_in!r}")
+    if not (is_integer(seed) and seed >= 0):
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,14 +93,14 @@ class FilterBankSpec:
 
     ``partners`` is derived, not passed: ``partners[k]`` is the index of the
     conjugate of ``poles[k]`` (``k`` itself for a real pole).  ``samples``
-    is a positive and ``burn_in`` a nonnegative integer (numpy integers
-    included, booleans not).
+    is a positive and ``burn_in`` and ``seed`` nonnegative integers (numpy
+    integers included, booleans not).
     """
 
     poles: tuple
     samples: int
     burn_in: int = BURN_IN
-    seed: int = 0             # read by nothing in the package; callers may still pass it
+    seed: int = 0             # checked, then read by nothing in the package
     partners: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -112,7 +115,7 @@ class FilterBankSpec:
         partners = conjugate_pairs(poles, TOL_NODE)
         if None in partners:
             raise ValueError("bank poles must be closed under conjugation")
-        _check_counts(self.samples, self.burn_in)
+        _check_counts(self.samples, self.burn_in, self.seed)
         object.__setattr__(self, "poles", poles)
         object.__setattr__(self, "partners", tuple(partners))
 
@@ -128,10 +131,10 @@ def simulate_arma(
 
     ``e`` is unit-variance Gaussian white noise from a seeded generator;
     the recursion starts from zero state and the first ``burn_in`` outputs
-    are discarded.  Deterministic per seed.  ``samples`` and ``burn_in``
-    follow :class:`FilterBankSpec`'s rule.
+    are discarded.  Deterministic per seed.  ``samples``, ``burn_in`` and
+    ``seed`` follow :class:`FilterBankSpec`'s rule.
     """
-    _check_counts(samples, burn_in)
+    _check_counts(samples, burn_in, seed)
     if sigma.degree != a.degree:
         raise ValueError("sigma and a must have the same degree")
     if not is_schur(a):
@@ -257,8 +260,8 @@ class MonteCarloConfig:
     ``samples`` and ``burn_in`` default to ``SAMPLES`` and ``BURN_IN`` of
     the table in :mod:`nevpick.polyalg`.  ``tau_rank``, the
     threshold of the degree estimate, lies in ``(0, 1]``.  ``order``,
-    ``runs``, ``samples`` and ``burn_in`` are integers (numpy integers
-    included, booleans not); the last two are checked by ``spec``.
+    ``runs``, ``samples``, ``burn_in`` and ``seed`` are integers (numpy
+    integers included, booleans not); the last three are checked by ``spec``.
     """
 
     sigma: MonicPolynomial
@@ -294,7 +297,7 @@ class MonteCarloConfig:
             raise ValueError(f"sigma_hat must have degree order = {self.order}")
         poles = default_bank_poles(self.order) if self.poles is None else self.poles
         object.__setattr__(self, "spec", FilterBankSpec(
-            poles=poles, samples=self.samples, burn_in=self.burn_in))
+            poles=poles, samples=self.samples, burn_in=self.burn_in, seed=self.seed))
 
 
 def run_problem(config: MonteCarloConfig, seed: int) -> tuple:

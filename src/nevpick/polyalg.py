@@ -62,9 +62,7 @@ FALLBACK_ATTEMPT = PathAttempt(band=1e-4, first_step=0.1, growth=2.0)
 ATTEMPTS = (LOOSE_ATTEMPT, FAST_ATTEMPT, FALLBACK_ATTEMPT)
 STEP_MIN = 1e-8         # a step below this declares the path failed
 STEP_SAFETY = 0.5       # step control: the band residual aimed at, as a share of the band
-STEP_ACCEPT_MIN = 0.5   # step factor bounds after an accepted step: this and the attempt's growth,
-STEP_REJECT_RANGE = (0.1, 0.5)   # ... and after a prediction outside the band
-STEP_SNAP = 1e-12       # a step target this close below nu = 1 is moved onto it
+STEP_REJECT_RANGE = (0.1, 0.5)   # step factor bounds after a prediction outside the band
 MAX_NEWTON_ITERS = 25   # Newton budget of one correction
 DEFAULT_TAU_RANK = 1e-2  # degree detection: threshold relative to the largest singular value
 BANK_RADIUS = 0.7       # modulus of the nonzero poles of the default filter bank

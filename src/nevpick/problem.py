@@ -49,11 +49,6 @@ __all__ = [
 INF = complex(math.inf, 0.0)
 
 
-def is_inf_node(z: complex) -> bool:
-    z = complex(z)
-    return cmath.isinf(z)
-
-
 @dataclass(frozen=True, eq=False)
 class InterpolationProblem:
     """Nodes, values and spectral zeros of one interpolation instance.
@@ -160,7 +155,7 @@ def validate(problem: InterpolationProblem) -> list:
     nodes = problem.nodes
     values = problem.values
 
-    if not is_inf_node(nodes[0]):
+    if not cmath.isinf(nodes[0]):
         out.append(Violation("node-inf-sentinel", "nodes[0] must be the point at infinity", 0))
 
     # each loop first makes the cheap test that a valid entry passes; only
@@ -172,7 +167,7 @@ def validate(problem: InterpolationProblem) -> list:
         if cmath.isnan(z):
             out.append(Violation("not-finite", f"node {k} is {z}", k))
             structurally_sound = False
-        elif k and is_inf_node(z):
+        elif k and cmath.isinf(z):
             out.append(Violation("node-domain", "only nodes[0] may be infinite", k))
             structurally_sound = False
         elif k and _modulus(z) <= 1.0:
@@ -337,7 +332,7 @@ def poly_from_json(data: dict, name: str) -> MonicPolynomial:
 
 
 def problem_to_json_dict(problem: InterpolationProblem) -> dict:
-    nodes = ["inf" if is_inf_node(z) else complex_to_json(z) for z in problem.nodes]
+    nodes = ["inf" if cmath.isinf(z) else complex_to_json(z) for z in problem.nodes]
     return {
         "nodes": nodes,
         "values": [complex_to_json(w) for w in problem.values],

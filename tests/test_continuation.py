@@ -42,6 +42,7 @@ from nevpick.polyalg import (
     FALLBACK_ATTEMPT,
     FAST_ATTEMPT,
     LOOSE_ATTEMPT,
+    STEP_SAFETY,
     TOL_CEE,
     TOL_NEWTON,
     MonicPolynomial,
@@ -55,6 +56,14 @@ from nevpick.problem import (
     ProblemValidationError,
     normalize,
 )
+
+
+def short_path_problem():
+    """A detect_mc-style problem, Monte Carlo values of an order-2 system at
+    order 4, whose whole path the first rung accepts in one step."""
+    sigma = MonicPolynomial.from_roots([0.17 + 0.26j, 0.17 - 0.26j])
+    a = MonicPolynomial.from_roots([0.09 + 0.75j, 0.09 - 0.75j])
+    return run_problem(MonteCarloConfig(sigma=sigma, a=a, order=4), 0)[0]
 
 
 def n1_problem(z1=2.0, w1=0.8, s1=-0.3):
@@ -834,12 +843,8 @@ class TestSolve:
         assert_step_growth_bounded(reference_solution.trajectory, LOOSE_ATTEMPT)
 
     def test_short_path_is_one_step(self):
-        # a detect_mc-style problem: Monte Carlo values of an order-2 system
-        # at order 4; the first rung's first step is the whole path
-        sigma = MonicPolynomial.from_roots([0.17 + 0.26j, 0.17 - 0.26j])
-        a = MonicPolynomial.from_roots([0.09 + 0.75j, 0.09 - 0.75j])
-        problem, _ = run_problem(MonteCarloConfig(sigma=sigma, a=a, order=4), 0)
-        sol = solve(problem)
+        # the first rung's first step is the whole path
+        sol = solve(short_path_problem())
         assert [state.nu for state in sol.trajectory] == [0.0, 1.0]
         assert sol.trajectory[1].step == LOOSE_ATTEMPT.first_step == 1.0
         assert sol.diagnostics.cee_residual <= TOL_CEE
@@ -987,6 +992,55 @@ class TestSolve:
         assert calls[:3] == [0.5 * first, 0.25 * first, 0.25 * first]
         assert states[-1].nu == 1.0
         assert np.allclose(states[-1].p, reference_solution.p, rtol=0.0, atol=1e-10)
+
+    def test_singular_operator_matrix_inside_the_path_halves_the_step(
+            self, reference_problem, reference_solution, monkeypatch):
+        # the first I + nu T_dot inverted after the first accepted state is
+        # singular: the LinAlgError of inverse reaches the step driver as it
+        # is, and the next pair is formed at the middle of the halved step
+        accepted, nus, failed = [], [], []
+
+        def recording_state(ctx, nu, *args):
+            accepted.append(nu)
+            return _make_state(ctx, nu, *args)
+
+        def recording_pair(T_dot, eye, nu):
+            nus.append(nu)
+            return cee_core.operator_pair(T_dot, eye, nu)
+
+        def singular_once(matrix):
+            if accepted and not failed:
+                failed.append(len(nus) - 1)     # the index of this pair's nu
+                raise np.linalg.LinAlgError("Singular matrix")
+            return polyalg.inverse(matrix)
+
+        monkeypatch.setattr(continuation, "_make_state", recording_state)
+        monkeypatch.setattr(continuation, "operator_pair", recording_pair)
+        monkeypatch.setattr(cee_core, "inverse", singular_once)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            states = _follow_path(HomotopyContext(reference_problem), FAST_ATTEMPT)
+        (k,), nu0 = failed, accepted[0]
+        assert 0.0 < nu0 < nus[k] < 1.0
+        assert nus[k + 1] - nu0 == pytest.approx(0.5 * (nus[k] - nu0), rel=1e-12)
+        assert states[1].nu == nu0 and states[-1].nu == 1.0
+        assert np.allclose(states[-1].p, reference_solution.p, rtol=0.0, atol=1e-12)
+
+    def test_sliver_below_one_takes_one_more_step(self):
+        # an accepted step that lands within 1e-12 below nu = 1 is followed
+        # by one more step, of the sliver's length, onto nu = 1 exactly
+        problem = short_path_problem()
+        sliver = LOOSE_ATTEMPT._replace(first_step=1.0 - 2.0**-44)
+        states = _follow_path(HomotopyContext(problem), sliver)
+        assert [state.nu for state in states] == [0.0, 1.0 - 2.0**-44, 1.0]
+        assert states[-1].step == 2.0**-44
+        assert np.allclose(states[-1].p, solve(problem).p, rtol=0.0, atol=1e-12)
+
+    def test_accepted_step_needs_no_floor(self):
+        # an accepted prediction has |e1' G| <= band, so its step factor
+        # (STEP_SAFETY band / |e1' G|)^(1/5) is at least STEP_SAFETY^(1/5):
+        # an accepted step never cuts the next by more than half
+        assert STEP_SAFETY ** 0.2 >= 0.5
 
 
 class TestScalarOracle:

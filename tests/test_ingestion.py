@@ -107,6 +107,7 @@ class TestFilterBankSpec:
     @pytest.mark.parametrize("field, value", [
         ("samples", 2.5), ("samples", 10.0), ("samples", True), ("samples", 0),
         ("samples", "10"), ("burn_in", 10.5), ("burn_in", False), ("burn_in", -1),
+        ("seed", -1), ("seed", 1.5), ("seed", True),
     ])
     def test_rejects_non_integer_counts(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be a"):
@@ -164,6 +165,20 @@ class TestSimulateArma:
             simulate_arma(sigma, a, samples, burn_in, 0)
         with pytest.raises(ValueError, match=f"{field} must be a"):
             FilterBankSpec(poles=(0.0, 0.5), samples=samples, burn_in=burn_in)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_rejects_a_seed_that_is_not_a_nonnegative_integer(self, seed):
+        # -1 failed inside numpy with its own message, 1.5 with a TypeError;
+        # True simulated a series
+        sigma, a = degree2_system()
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            simulate_arma(sigma, a, 100, 0, seed)
+
+    def test_accepts_numpy_and_large_integer_seeds(self):
+        sigma, a = degree2_system()
+        assert np.array_equal(simulate_arma(sigma, a, 100, 0, np.int64(9)),
+                              simulate_arma(sigma, a, 100, 0, 9))
+        assert simulate_arma(sigma, a, 100, 0, 99999999999999999999999).shape == (100,)
 
 
 def filter_bank_per_pole(y, poles) -> np.ndarray:
@@ -564,10 +579,12 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("field, value", [
         ("runs", 2.5), ("runs", True), ("runs", 0), ("runs", 2.0),
         ("samples", 2.5), ("burn_in", 10.5), ("burn_in", True),
+        ("seed", -1), ("seed", 1.5), ("seed", True),
     ])
     def test_rejects_non_integer_counts(self, field, value):
         # runs=2.5 and burn_in=10.5 used to fail inside monte_carlo with a
-        # TypeError; runs=True ran once
+        # TypeError; runs=True ran once; a bad seed was taken and failed
+        # or ran inside monte_carlo
         sigma, a = degree2_system()
         with pytest.raises(ValueError, match=f"{field} must be a"):
             MonteCarloConfig(sigma=sigma, a=a, order=2, **{field: value})

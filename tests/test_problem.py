@@ -19,7 +19,6 @@ from nevpick.problem import (
     InterpolationProblem,
     Violation,
     coincident_pairs,
-    is_inf_node,
     is_positive_definite,
     normalize,
     pick_matrix,
@@ -42,7 +41,7 @@ def validate_loops_oracle(problem):
     nodes = problem.nodes
     values = problem.values
 
-    if not is_inf_node(nodes[0]):
+    if not cmath.isinf(nodes[0]):
         out.append(Violation("node-inf-sentinel", "nodes[0] must be the point at infinity", 0))
 
     structurally_sound = True
@@ -50,7 +49,7 @@ def validate_loops_oracle(problem):
         if cmath.isnan(z):
             out.append(Violation("not-finite", f"node {k} is {z}", k))
             structurally_sound = False
-        elif k and is_inf_node(z):
+        elif k and cmath.isinf(z):
             out.append(Violation("node-domain", "only nodes[0] may be infinite", k))
             structurally_sound = False
         elif k and modulus(z) <= 1.0:
