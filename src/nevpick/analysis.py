@@ -150,8 +150,12 @@ def dominant_zeros(zeros, m: int) -> list:
     a tie count as equal (computed roots of equal modulus differ in the
     last digits), and ties are broken by ascending angle.  A group that
     would leave a count no later groups can fill is skipped; raises when no
-    conjugate-closed choice of ``m`` zeros exists.
+    conjugate-closed choice of ``m`` zeros exists.  ``m`` is a nonnegative
+    integer (numpy integers included, booleans not); anything else raises
+    ``ValueError``.
     """
+    if not (is_integer(m) and m >= 0):
+        raise ValueError(f"m must be a nonnegative integer, got {m!r}")
     zeros = np.asarray(zeros, dtype=complex)
     groups = _conjugate_groups(zeros)
     groups.sort(key=lambda g: -g[0])

@@ -87,6 +87,15 @@ def _check_counts(samples, burn_in, seed) -> None:
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
+def _check_filter(sigma: MonicPolynomial, a: MonicPolynomial) -> None:
+    """The rule for a filter ``sigma(z)/a(z)``: ``sigma`` and ``a`` of the same
+    degree, and ``a`` Schur stable (every root inside the unit circle)."""
+    if sigma.degree != a.degree:
+        raise ValueError("sigma and a must have the same degree")
+    if not is_schur(a):
+        raise ValueError("filter denominator a is not Schur stable")
+
+
 @dataclass(frozen=True, eq=False)
 class FilterBankSpec:
     """Bank poles plus sampling controls for one estimation run.
@@ -132,13 +141,12 @@ def simulate_arma(
     ``e`` is unit-variance Gaussian white noise from a seeded generator;
     the recursion starts from zero state and the first ``burn_in`` outputs
     are discarded.  Deterministic per seed.  ``samples``, ``burn_in`` and
-    ``seed`` follow :class:`FilterBankSpec`'s rule.
+    ``seed`` follow :class:`FilterBankSpec`'s rule, and ``sigma`` and ``a``
+    the filter rule (same degree, ``a`` Schur stable); a breach of either
+    raises ``ValueError``.
     """
     _check_counts(samples, burn_in, seed)
-    if sigma.degree != a.degree:
-        raise ValueError("sigma and a must have the same degree")
-    if not is_schur(a):
-        raise ValueError("filter denominator is not Schur stable")
+    _check_filter(sigma, a)
     # imported here, not at module level: solving never needs it
     from scipy.signal import lfilter
 
@@ -199,8 +207,12 @@ def estimate_values(bank_outputs: np.ndarray, spec: FilterBankSpec) -> np.ndarra
     enforced exactly by averaging each estimate with the conjugate of its
     partner (which also forces the value at infinity to be real).  A short
     sample can give values whose Pick matrix is not positive definite;
-    ``validate`` reports that as ``pick-not-pd`` when they are solved.
+    ``validate`` reports that as ``pick-not-pd`` when they are solved.  The
+    bank must have one row per pole of ``spec``, as ``filter_bank(y, spec)``
+    makes it; any other row count raises ``ValueError``.
     """
+    if len(bank_outputs) != len(spec.poles):
+        raise ValueError(f"the bank must have {len(spec.poles)} rows, got {len(bank_outputs)}")
     poles = np.asarray(spec.poles)
     moment = np.empty(len(poles), dtype=bank_outputs.dtype)
     for k, j in enumerate(spec.partners):
@@ -217,16 +229,21 @@ def positive_real_numerator(sigma: MonicPolynomial, a: MonicPolynomial) -> np.nd
 
     Solves the linear system making ``q(z) a(1/z) + a(z) q(1/z)`` match the
     autocorrelation coefficients of ``sigma``, so ``f = q/a`` satisfies
-    ``f(z) + f(1/z) = sigma(z) sigma(1/z) / (a(z) a(1/z))``.
+    ``f(z) + f(1/z) = sigma(z) sigma(1/z) / (a(z) a(1/z))``.  ``f`` is
+    positive real only for a Schur-stable ``a``: a filter that breaks the
+    filter rule of :func:`simulate_arma` raises ``ValueError``.
     """
-    if sigma.degree != a.degree:
-        raise ValueError("sigma and a must have the same degree")
+    _check_filter(sigma, a)
     rhs = 0.5 * (build_S(sigma.coeffs) @ sigma.coeffs)
     return np.linalg.solve(build_S(a.coeffs), rhs)
 
 
 def exact_values(sigma: MonicPolynomial, a: MonicPolynomial, poles) -> np.ndarray:
-    """Noise-free interpolation values ``f(1/p_k)`` of the true filter."""
+    """Noise-free interpolation values ``f(1/p_k)`` of the true filter.
+
+    ``sigma`` and ``a`` follow the filter rule of :func:`simulate_arma`
+    (checked by :func:`positive_real_numerator`; ``ValueError`` otherwise).
+    """
     q = positive_real_numerator(sigma, a)
     zeta = np.asarray([complex(p) for p in poles])
     vals = np.polyval(q[::-1], zeta) / np.polyval(a.coeffs[::-1], zeta)
@@ -254,7 +271,12 @@ class MonteCarloConfig:
     ``variant`` is one of :data:`VARIANTS`: Monte Carlo (simulate, filter,
     estimate), the default, or exact (noise-free true values).
     ``sigma_hat`` defaults to the true zeros padded with zeros at the
-    origin up to ``order``, and ``poles`` to ``default_bank_poles(order)``.
+    origin up to ``order`` (``embed_sigma(sigma, order)``), and ``poles`` to
+    ``default_bank_poles(order)``.  ``sigma_hat`` is resolved at
+    construction and is never ``None`` afterwards: the given or padded
+    polynomial, checked once to have degree ``order`` and to be Schur
+    stable, and shared by every run.  ``sigma`` and ``a`` follow the filter
+    rule of :func:`simulate_arma`.
     ``spec`` is derived, not passed: the checked bank of every run.  Per-run
     seeds are drawn from ``np.random.SeedSequence(seed).spawn(runs)``.
     ``samples`` and ``burn_in`` default to ``SAMPLES`` and ``BURN_IN`` of
@@ -287,15 +309,16 @@ class MonteCarloConfig:
             raise ValueError(f"runs must be a positive integer, got {self.runs!r}")
         if not 0 < self.tau_rank <= 1:
             raise ValueError(f"tau_rank must lie in (0, 1], got {self.tau_rank}")
-        if self.a.degree != self.sigma.degree:
-            raise ValueError("sigma and a must have the same degree")
-        if not is_schur(self.a):
-            raise ValueError("filter denominator a is not Schur stable")
-        if self.poles is not None and len(self.poles) != self.order + 1:
-            raise ValueError(f"bank_poles must list order + 1 = {self.order + 1} poles")
-        if self.sigma_hat is not None and self.sigma_hat.degree != self.order:
-            raise ValueError(f"sigma_hat must have degree order = {self.order}")
-        poles = default_bank_poles(self.order) if self.poles is None else self.poles
+        _check_filter(self.sigma, self.a)
+        if self.poles is not None and len(self.poles) != order + 1:
+            raise ValueError(f"bank_poles must list order + 1 = {order + 1} poles")
+        sigma_hat = embed_sigma(self.sigma, order) if self.sigma_hat is None else self.sigma_hat
+        if sigma_hat.degree != order:
+            raise ValueError(f"sigma_hat must have degree order = {order}")
+        if not is_schur(sigma_hat):
+            raise ValueError("sigma_hat (given, or sigma padded with zeros) is not Schur stable")
+        object.__setattr__(self, "sigma_hat", sigma_hat)
+        poles = default_bank_poles(order) if self.poles is None else self.poles
         object.__setattr__(self, "spec", FilterBankSpec(
             poles=poles, samples=self.samples, burn_in=self.burn_in, seed=self.seed))
 
@@ -306,7 +329,8 @@ def run_problem(config: MonteCarloConfig, seed: int) -> tuple:
     The Monte Carlo variant, the first of :data:`VARIANTS`, simulates the
     series ``y`` with ``seed``, runs the bank and estimates the values (the
     problem is validated when it is solved); the exact variant takes the
-    true values and has no series (``y`` is None).
+    true values and has no series (``y`` is None).  Every run's problem
+    takes the one ``config.sigma_hat`` resolved at construction.
     """
     spec = config.spec
     if config.variant == VARIANTS[0]:
@@ -315,9 +339,7 @@ def run_problem(config: MonteCarloConfig, seed: int) -> tuple:
     else:
         y, values = None, exact_values(config.sigma, config.a, spec.poles)
     problem = InterpolationProblem(
-        nodes_from_poles(spec.poles), tuple(values),
-        config.sigma_hat or embed_sigma(config.sigma, config.order),
-    )
+        nodes_from_poles(spec.poles), tuple(values), config.sigma_hat)
     return problem, y
 
 

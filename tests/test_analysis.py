@@ -157,6 +157,17 @@ class TestDominantZeros:
         with pytest.raises(ValueError):
             dominant_zeros([0.5, -0.5], 3)
 
+    @pytest.mark.parametrize("m", [2.5, 1.5, True, -1])
+    def test_rejects_a_count_that_is_not_a_nonnegative_integer(self, m):
+        # 2.5 kept no zero, 1.5 and True kept one, and -1 was reported as a
+        # split conjugate pair
+        with pytest.raises(ValueError, match="m must be a nonnegative integer"):
+            dominant_zeros([0.9, -0.9, 0.5], m)
+
+    def test_accepts_numpy_integer_count(self):
+        zeros = [0.9j, -0.9j, 0.8, 0.5]
+        assert dominant_zeros(zeros, np.int64(2)) == dominant_zeros(zeros, 2)
+
 
 class TestReduceModel:
     def test_same_degree_reproduces(self, degree6):

@@ -45,6 +45,23 @@ def degree2_config(order=2, **extra):
     return cfg
 
 
+# a sigma_hat with a root at 1.5, given or padded from sigma; the degree-2
+# system of ``degree2_config`` is otherwise valid
+NON_SCHUR_SIGMA_HAT = {
+    "sigma-hat-not-schur": ({"sigma_hat_roots": [1.5, 0.31]}, []),
+    "sigma-not-schur": ({"sigma_roots": [1.5, 0.31]}, []),
+}
+
+
+def forbid_runs(monkeypatch):
+    """Make simulating a series or taking the true values fail the test."""
+    def run(*args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr("nevpick.ingestion.simulate_arma", run)
+    monkeypatch.setattr("nevpick.ingestion.exact_values", run)
+
+
 # roots of a degree-1 system, on which order 1 (what ``int(True)`` gives) is valid
 DEGREE1_ROOTS = {"sigma_roots": [{"re": 0.31, "im": 0.0}], "a_roots": [{"re": 0.76, "im": 0.0}]}
 
@@ -304,6 +321,23 @@ class TestSimulateCommand:
         assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("case", list(NON_SCHUR_SIGMA_HAT))
+    def test_non_schur_sigma_hat_exits_2_before_any_run(self, runner, tmp_path, monkeypatch,
+                                                        case):
+        # it exited 0 and wrote a problem.json that no solve accepts
+        forbid_runs(monkeypatch)
+        extra, _ = NON_SCHUR_SIGMA_HAT[case]
+        cfg_path = tmp_path / "system.json"
+        cfg_path.write_text(json.dumps(degree2_config(**extra)))
+        result = runner.invoke(
+            main, ["simulate", "--input", str(cfg_path), "--output", str(tmp_path / "o")]
+        )
+        assert result.exit_code == 2, result.output
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
+        assert "sigma_hat" in lines[0]
+        assert not (tmp_path / "o").exists()
+
     def test_negative_seed_exits_2(self, runner, tmp_path):
         # it used to exit 1 with numpy's traceback
         cfg_path = tmp_path / "system.json"
@@ -489,6 +523,7 @@ class TestDetectDegreeCommand:
         "nan-pole": ({"bank_poles": [0.0, {"re": float("nan"), "im": 0.0}, 0.5]}, []),
         "a-of-other-degree": ({"a_coeffs": [1.0, 0.0, 0.0, 0.0]}, []),
         "a-not-schur": ({"a_coeffs": [1.0, -1.5, 0.0]}, []),
+        **NON_SCHUR_SIGMA_HAT,
         "samples-0": ({}, ["--samples", "0"]),
         "burn-in-negative": ({}, ["--burn-in", "-1"]),
         "seed-negative": ({}, ["--seed", "-1"]),
@@ -505,8 +540,10 @@ class TestDetectDegreeCommand:
 
     @pytest.mark.parametrize("variant", ["monte-carlo", "exact"])
     @pytest.mark.parametrize("case", list(INVALID_SYSTEMS))
-    def test_invalid_system_exits_2(self, runner, tmp_path, case, variant):
-        # the whole system is checked before the first run: one error line, no traceback
+    def test_invalid_system_exits_2(self, runner, tmp_path, monkeypatch, case, variant):
+        # the whole system is checked before the first run: one error line, no
+        # traceback, and no run's data is made
+        forbid_runs(monkeypatch)
         extra, flags = self.INVALID_SYSTEMS[case]
         cfg = degree2_config(**extra)
         if "a_coeffs" in extra:
@@ -521,6 +558,8 @@ class TestDetectDegreeCommand:
         assert isinstance(result.exception, SystemExit)
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
+        if case in NON_SCHUR_SIGMA_HAT:     # these exited 3 after every run had failed
+            assert "sigma_hat" in lines[0]
         assert not (tmp_path / "o").exists()
 
     def test_tau_rank_one_counts_the_top_singular_value(self, runner, tmp_path):

@@ -408,6 +408,17 @@ class TestEstimateValues:
             j = int(np.argmin(np.abs(poles - np.conj(p))))
             assert w[j] == np.conj(w[k])
 
+    @pytest.mark.parametrize("rows", [4, 2])
+    def test_rejects_a_bank_of_another_row_count(self, rows):
+        # 4 rows against 3 poles dropped the last row silently; 2 rows raised
+        # IndexError
+        sigma, a = degree2_system()
+        spec = FilterBankSpec(poles=tuple(default_bank_poles(2)), samples=500, seed=3)
+        bank = filter_bank(simulate_arma(sigma, a, spec.samples, spec.burn_in, spec.seed),
+                           FilterBankSpec(poles=tuple(default_bank_poles(3)), samples=500))
+        with pytest.raises(ValueError, match="the bank must have 3 rows"):
+            estimate_values(bank[:rows], spec)
+
     def test_short_sample_pick_failure_reported_by_validate(self):
         # estimate_values only estimates; a Pick matrix that is not positive
         # definite is reported once, by validate, when the values are solved
@@ -464,6 +475,14 @@ class TestExactValues:
         assert np.allclose(
             build_S(a.coeffs) @ q, 0.5 * sym_coeffs(sigma.coeffs, sigma.coeffs), atol=1e-13
         )
+
+    def test_rejects_a_denominator_that_is_not_schur(self):
+        # this returned [0.1, -0.3], values of no positive-real function
+        sigma, a = MonicPolynomial([1.0, -0.5]), MonicPolynomial([1.0, -1.5])
+        with pytest.raises(ValueError, match="filter denominator a is not Schur stable"):
+            exact_values(sigma, a, [0.0, 0.5])
+        with pytest.raises(ValueError, match="filter denominator a is not Schur stable"):
+            positive_real_numerator(sigma, a)
 
     def test_estimates_converge_to_exact(self):
         # sampling-error decay consistent with 1/sqrt(N)
@@ -562,6 +581,32 @@ class TestMonteCarlo:
         sigma, a = degree2_system()
         monte_carlo(MonteCarloConfig(sigma=sigma, a=a, order=2, samples=1000, runs=3, seed=8))
         assert len(calls) == 3
+
+    def test_resolves_sigma_hat_once(self, monkeypatch):
+        # the padded true zeros, bit for bit, or the given polynomial itself;
+        # no run embeds again
+        sigma, a = degree2_system()
+        cfg = MonteCarloConfig(sigma=sigma, a=a, order=4, samples=1000)
+        assert np.array_equal(cfg.sigma_hat.coeffs, embed_sigma(sigma, 4).coeffs)
+        given = MonicPolynomial.from_roots([0.5, -0.5, 0.2, 0.1])
+        assert MonteCarloConfig(sigma=sigma, a=a, order=4, sigma_hat=given).sigma_hat is given
+
+        def no_embed(*args):
+            raise AssertionError("embed_sigma called after construction")
+
+        monkeypatch.setattr("nevpick.ingestion.embed_sigma", no_embed)
+        problem, _ = run_problem(cfg, 5)
+        assert problem.sigma is cfg.sigma_hat
+
+    @pytest.mark.parametrize("hat_roots", [[1.5, 0.5, 0.2], None])
+    def test_rejects_a_sigma_hat_that_is_not_schur(self, hat_roots):
+        # given, or the padded true zeros; every run failed validation before
+        sigma, a = degree2_system()
+        if hat_roots is None:
+            sigma = MonicPolynomial.from_roots([1.5, 0.31])
+        sigma_hat = None if hat_roots is None else MonicPolynomial.from_roots(hat_roots)
+        with pytest.raises(ValueError, match="sigma_hat .* is not Schur stable"):
+            MonteCarloConfig(sigma=sigma, a=a, order=3, sigma_hat=sigma_hat)
 
     def test_rejects_bad_variant(self):
         sigma, a = degree2_system()
