@@ -10,11 +10,22 @@ nodes.  The value of the underlying positive-real function at ``1/p_k`` is
 estimated by the sample second moment of the bank output (the plain
 square, not the squared magnitude, so complex poles produce the complex
 analytic continuation of the real-pole case).  The bank filters each
-conjugate pair of poles once, in place in its own row of the bank, through
-the private kernel of ``scipy.signal.sosfilt`` (the public wrapper would
-filter a complex copy of the series and cost a per-call overhead), and
-writes the partner's row as its exact conjugate; pole 0 passes ``y``
-through unfiltered.  An exact, noise-free
+pole's section ``u_t = y_t + p u_(t-1)`` in one pass over ``y``, in a
+private C function of about twenty lines: a conjugate pair's loop writes
+the pair's row and the partner's row, its exact conjugate, together, and
+a real pole's loop writes its row with imaginary part 0; pole 0 passes
+``y`` through unfiltered.  The loops form the same products and sums, in
+the same order, as ``scipy.signal.lfilter`` and ``sosfilt`` do for these
+sections, and are compiled without contraction into fused multiply-adds
+and without ``-ffast-math``, so every bank entry has the bits of
+``lfilter``'s (a zero entry's sign aside, where the series itself has
+exact zeros).  They are compiled with the interpreter's own C compiler
+on the first ``filter_bank`` call of a process (about 45 ms with gcc)
+and loaded with ``ctypes``; nothing is compiled at import.  Where the
+compiler is missing or fails, the bank silently falls back to scipy:
+each pair filtered once, in place in its row, through the private kernel
+of ``sosfilt``, the partner's row written as its exact conjugate, and a
+real pole through ``lfilter``, with the same bits.  An exact, noise-free
 variant evaluates ``f`` directly from the filter, for tests and sharp
 degree detection.  The Monte Carlo driver repeats the full pipeline
 (simulate, filter, estimate, solve, singular values) with per-run seeds.
@@ -22,6 +33,10 @@ degree detection.  The Monte Carlo driver repeats the full pipeline
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -156,21 +171,124 @@ def simulate_arma(
     return y[burn_in:]
 
 
+#: The bank's first-order sections, each one pass over ``y``.  A pair's
+#: ``u_t = y_t + p u_(t-1)`` is the complex sum ``(y_t, 0) + p u_(t-1)``,
+#: as in ``sosfilt``'s section: the ``0.0 +`` keeps its zero imaginary
+#: parts positive, as ``sosfilt``'s are, where ``p`` has a negative
+#: imaginary part.
+_KERNEL_SOURCE = r"""
+#include <stddef.h>
+
+void bank_pair(const double *y, double *u, double *v, ptrdiff_t n, double pr, double pi)
+{
+    double ur = 0.0, ui = 0.0, t;
+    for (ptrdiff_t i = 0; i < n; i++) {
+        t = y[i] + (pr * ur - pi * ui);
+        ui = 0.0 + (pr * ui + pi * ur);
+        ur = t;
+        u[2 * i] = ur;
+        u[2 * i + 1] = ui;
+        v[2 * i] = ur;
+        v[2 * i + 1] = -ui;
+    }
+}
+
+void bank_real(const double *y, double *u, ptrdiff_t n, double p)
+{
+    double ur = 0.0;
+    for (ptrdiff_t i = 0; i < n; i++) {
+        ur = y[i] + p * ur;
+        u[2 * i] = ur;
+        u[2 * i + 1] = 0.0;
+    }
+}
+"""
+
+#: No contraction into fused multiply-adds and no ``-ffast-math``, so the
+#: sections round as ``lfilter`` and ``sosfilt`` do and keep subnormals.
+_KERNEL_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
+
+@functools.cache
+def _kernel():
+    """The compiled bank sections, once per process, or None.
+
+    ``_KERNEL_SOURCE`` goes to the interpreter's own C compiler
+    (``sysconfig``'s ``CC``) on its standard input, and the library it
+    writes into a private temporary directory is loaded, then removed with
+    the directory.  None where there is no compiler, or compiling or
+    loading fails: the compiler's output is captured, nothing is raised,
+    and ``filter_bank`` takes the scipy path.
+    """
+    # imported here, not at module level: import nevpick starts no process
+    import shlex
+    import subprocess
+    import sysconfig
+
+    cc = sysconfig.get_config_var("CC")
+    if not cc:
+        return None
+    try:
+        with tempfile.TemporaryDirectory(ignore_cleanup_errors=True) as tmp:
+            library = os.path.join(tmp, "bank.so")
+            subprocess.run([*shlex.split(cc), *_KERNEL_FLAGS, "-x", "c", "-", "-o", library],
+                           input=_KERNEL_SOURCE, text=True, capture_output=True, check=True,
+                           timeout=60)
+            kernel = ctypes.CDLL(library)
+    except (OSError, ValueError, subprocess.SubprocessError):
+        return None
+    pointer, size, real = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double
+    kernel.bank_pair.argtypes = (pointer, pointer, pointer, size, real, real)
+    kernel.bank_pair.restype = None
+    kernel.bank_real.argtypes = (pointer, pointer, size, real)
+    kernel.bank_real.restype = None
+    return kernel
+
+
 def filter_bank(y, spec: FilterBankSpec) -> np.ndarray:
     """Run ``y`` through every first-order section ``u_t = p u_(t-1) + y_t``.
 
     ``y`` is a nonempty 1-d real series; anything else raises
     ``ValueError``.  Returns an array of shape ``(n + 1, len(y))``.  The row
-    of pole 0 is ``y`` itself; a real pole is filtered in real arithmetic by
-    ``lfilter``; each conjugate pair of poles is filtered once, in place in
-    its row, as the one-pole section ``[1, 0, 0, 1, -p, 0]`` of
-    ``sosfilt``'s kernel (bit-identical to ``lfilter``'s complex path, and
-    about twice as fast), and the partner's row is the exact conjugate of
-    its row.
+    of pole 0 is ``y`` itself; every other row is written in one pass over
+    ``y`` by the compiled sections of the module docstring: a real pole's
+    in real arithmetic, and each conjugate pair's once, with the partner's
+    row the exact conjugate of its row.  The bits are ``lfilter``'s on
+    both paths, the compiled one and the scipy fallback (on the compiled
+    one, a zero entry may take the other sign where ``y`` has exact
+    zeros).
     """
     y = np.asarray(y)
     if y.ndim != 1 or y.size == 0 or np.iscomplexobj(y):
         raise ValueError("y must be a nonempty 1-d real series")
+    # contiguous doubles: the compiled sections read y through a pointer
+    y = np.ascontiguousarray(y, dtype=float)
+    out = np.empty((len(spec.poles), y.size), dtype=complex)
+    kernel = _kernel()
+    if kernel is None:
+        _scipy_bank(y, spec, out)
+        return out
+    for k, j in enumerate(spec.partners):
+        p = spec.poles[k]
+        if p == 0:
+            out[k] = y
+        elif j == k:
+            kernel.bank_real(y.ctypes.data, out[k].ctypes.data, y.size, p.real)
+        elif k < j:
+            kernel.bank_pair(y.ctypes.data, out[k].ctypes.data, out[j].ctypes.data,
+                             y.size, p.real, p.imag)
+    return out
+
+
+def _scipy_bank(y: np.ndarray, spec: FilterBankSpec, out: np.ndarray) -> None:
+    """``filter_bank``'s rows into ``out`` through scipy, where no kernel loads.
+
+    A real pole is filtered by ``lfilter``; each conjugate pair once, in
+    place in its row, as the one-pole section ``[1, 0, 0, 1, -p, 0]`` of
+    ``sosfilt``'s kernel (bit-identical to ``lfilter``'s complex path, and
+    about twice as fast), and the partner's row is the exact conjugate of
+    its row.
+    """
     from scipy.signal import lfilter
     # sosfilt(sos, x) makes a C-ordered complex copy of x and filters it in
     # place with this kernel, after a per-call overhead of about 16 us; the
@@ -179,8 +297,6 @@ def filter_bank(y, spec: FilterBankSpec) -> np.ndarray:
     # module level: solving never needs it.
     from scipy.signal._sosfilt import _sosfilt
 
-    y = np.asarray(y, dtype=float)
-    out = np.empty((len(spec.poles), y.size), dtype=complex)
     for k, j in enumerate(spec.partners):
         p = spec.poles[k]
         if p == 0:
@@ -192,7 +308,6 @@ def filter_bank(y, spec: FilterBankSpec) -> np.ndarray:
             sos = np.array([[1.0, 0.0, 0.0, 1.0, -p, 0.0]], dtype=complex)
             _sosfilt(sos, out[k:k + 1], np.zeros((1, 1, 2), dtype=complex))
             np.conjugate(out[k], out=out[j])
-    return out
 
 
 def estimate_values(bank_outputs: np.ndarray, spec: FilterBankSpec) -> np.ndarray:
@@ -208,9 +323,13 @@ def estimate_values(bank_outputs: np.ndarray, spec: FilterBankSpec) -> np.ndarra
     partner (which also forces the value at infinity to be real).  A short
     sample can give values whose Pick matrix is not positive definite;
     ``validate`` reports that as ``pick-not-pd`` when they are solved.  The
-    bank must have one row per pole of ``spec``, as ``filter_bank(y, spec)``
-    makes it; any other row count raises ``ValueError``.
+    bank must be 2-d, with one row per pole of ``spec`` and at least one
+    column, as ``filter_bank(y, spec)`` makes it; any other shape raises
+    ``ValueError``.
     """
+    if bank_outputs.ndim != 2 or bank_outputs.shape[1] == 0:
+        raise ValueError(f"the bank must be 2-d with at least one column, "
+                         f"got shape {bank_outputs.shape}")
     if len(bank_outputs) != len(spec.poles):
         raise ValueError(f"the bank must have {len(spec.poles)} rows, got {len(bank_outputs)}")
     poles = np.asarray(spec.poles)
@@ -252,11 +371,14 @@ def exact_values(sigma: MonicPolynomial, a: MonicPolynomial, poles) -> np.ndarra
 
 
 def embed_sigma(sigma: MonicPolynomial, order: int) -> MonicPolynomial:
-    """Pad a spectral-zero polynomial with zeros at the origin up to ``order``."""
-    extra = order - sigma.degree
-    if extra < 0:
-        raise ValueError("order must be at least the degree of sigma")
-    return MonicPolynomial(np.concatenate((sigma.coeffs, np.zeros(extra))))
+    """Pad a spectral-zero polynomial with zeros at the origin up to ``order``.
+
+    ``order`` is an integer (numpy integers included, booleans not) of at
+    least ``sigma``'s degree; anything else raises ``ValueError``.
+    """
+    if not (is_integer(order) and order >= sigma.degree):
+        raise ValueError(f"order must be an integer of at least {sigma.degree}, got {order!r}")
+    return MonicPolynomial(np.concatenate((sigma.coeffs, np.zeros(order - sigma.degree))))
 
 
 #: The data variants of a Monte Carlo configuration, the default first:

@@ -1,6 +1,9 @@
 import os
+import shlex
+import shutil
 import subprocess
 import sys
+import sysconfig
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -10,6 +13,7 @@ import pytest
 from scipy.signal import lfilter, sosfilt, welch
 
 from conftest import sym_coeffs
+from nevpick import ingestion
 from nevpick.analysis import singular_values
 from nevpick.cee_core import SteinConsistencyError
 from nevpick.continuation import solve
@@ -189,6 +193,21 @@ def filter_bank_per_pole(y, poles) -> np.ndarray:
     return out
 
 
+def public_bank(y, spec) -> np.ndarray:
+    """Oracle: the bank row by row from the public ``lfilter`` and ``sosfilt``."""
+    want = np.empty((len(spec.poles), y.size), dtype=complex)
+    for k, j in enumerate(spec.partners):
+        p = spec.poles[k]
+        if p == 0:
+            want[k] = y
+        elif j == k:
+            want[k] = lfilter([1.0], [1.0, -p.real], y)
+        elif k < j:
+            want[k] = sosfilt([[1.0, 0.0, 0.0, 1.0, -p, 0.0]], y)
+            want[j] = np.conj(want[k])
+    return want
+
+
 def assert_matches_oracle(spec, y, rtol=1e-13):
     u = filter_bank(y, spec)
     oracle = filter_bank_per_pole(y, spec.poles)
@@ -197,6 +216,8 @@ def assert_matches_oracle(spec, y, rtol=1e-13):
 
 
 class TestFilterBank:
+    """The bank on the path this host takes: compiled wherever a C compiler is found."""
+
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_per_pole_oracle(self, n):
         # odd n has a real pole at +0.7, filtered in real arithmetic
@@ -212,9 +233,8 @@ class TestFilterBank:
     @pytest.mark.parametrize("radius", [0.3, 0.9, 0.999])
     @pytest.mark.parametrize("length", [1, 2, 3, 5000])
     def test_pair_row_is_lfilter_bitwise(self, radius, length):
-        # a conjugate pair runs in place through sosfilt's kernel as one
-        # section, which repeats lfilter's complex recursion exactly, at
-        # every length
+        # a conjugate pair's section repeats lfilter's complex recursion
+        # exactly, at every length
         p = radius * np.exp(1.1j)
         spec = FilterBankSpec(poles=(0.0, p, np.conj(p)), samples=length)
         y = np.random.default_rng(length).standard_normal(length)
@@ -259,8 +279,8 @@ class TestFilterBank:
 
     @pytest.mark.parametrize("draw", range(50))
     def test_matches_public_filters_bytewise(self, draw):
-        # the in-place kernel call gives the bits of the public sosfilt, row by
-        # row, over random conjugate-closed banks, lengths and scales
+        # the bank has the bits of the public lfilter and sosfilt, row by row,
+        # over random conjugate-closed banks, lengths and scales
         rng = np.random.default_rng(2900 + draw)
         radii = rng.uniform(0.0, 0.999, size=rng.integers(0, 5))
         pairs = radii * np.exp(1j * rng.uniform(0.01, np.pi - 0.01, size=radii.size))
@@ -271,23 +291,36 @@ class TestFilterBank:
         y = rng.standard_normal(length) * (1e-300, 1.0, 1e300)[draw % 3]
         spec = FilterBankSpec(poles=poles, samples=length)
         u = filter_bank(y, spec)
-        want = np.empty_like(u)
-        for k, j in enumerate(spec.partners):
-            p = spec.poles[k]
-            if p == 0:
-                want[k] = y
-            elif j == k:
-                want[k] = lfilter([1.0], [1.0, -p.real], y)
-            elif k < j:
-                want[k] = sosfilt([[1.0, 0.0, 0.0, 1.0, -p, 0.0]], y)
-                want[j] = np.conj(want[k])
+        want = public_bank(y, spec)
         assert u.dtype == want.dtype and u.shape == want.shape
         assert u.tobytes() == want.tobytes()
 
+    def test_pairs_listed_conjugate_first_bytewise(self):
+        # a pair whose first pole has a negative imaginary part, in each lower
+        # quadrant: the first sample's zero imaginary part stays positive
+        y = np.random.default_rng(37).standard_normal(1000)
+        p, q = 0.8 * np.exp(2.0j), 0.5 * np.exp(0.7j)
+        spec = FilterBankSpec(poles=(0.0, np.conj(p), p, np.conj(q), q), samples=y.size)
+        assert filter_bank(y, spec).tobytes() == public_bank(y, spec).tobytes()
+
+    def test_signed_zeros_in_the_series_keep_the_values(self):
+        # exact zeros of either sign in y, a pole of each kind and a pair
+        # listed with its negative-imaginary pole first: every entry equals
+        # the public filters' (a zero entry may differ in sign on the
+        # compiled path)
+        rng = np.random.default_rng(31)
+        y = rng.standard_normal(400)
+        y[rng.random(400) < 0.5] = 0.0
+        y[:40] = 0.0
+        y[rng.random(400) < 0.5] *= -1.0
+        p = 0.8 * np.exp(-2.0j)
+        spec = FilterBankSpec(poles=(0.0, p, np.conj(p), -0.6, 0.3), samples=y.size)
+        assert np.array_equal(filter_bank(y, spec), public_bank(y, spec))
+
     @pytest.mark.parametrize("n", range(1, 9))
     def test_filters_pairs_without_a_copy(self, n):
-        # a pair's row is filtered where it lies; only a real pole's lfilter
-        # row (odd n) is formed apart from the bank
+        # every row is filtered where it lies; only the scipy path forms a
+        # real pole's lfilter row (odd n) apart from the bank
         y = np.random.default_rng(n).standard_normal(100_000)
         spec = FilterBankSpec(poles=tuple(default_bank_poles(n)), samples=y.size)
         filter_bank(y, spec)   # scipy's imports and first-call caches
@@ -298,7 +331,8 @@ class TestFilterBank:
         finally:
             tracemalloc.stop()
         extra = peak - out.nbytes
-        assert extra < (y.nbytes if n % 2 else 0) + 64 * 1024
+        lfilter_row = y.nbytes if n % 2 and ingestion._kernel() is None else 0
+        assert extra < lfilter_row + 64 * 1024
 
     @pytest.mark.parametrize("y", [np.zeros(0), [], np.zeros((2, 3)), np.ones(4) + 1j,
                                    np.ones(4, dtype=complex)])
@@ -310,14 +344,36 @@ class TestFilterBank:
             filter_bank(y, spec)
 
 
+class TestFilterBankFallback(TestFilterBank):
+    """Every bank test again on the scipy path, the one a host without a C
+    compiler takes: the kernel loader is made to find no kernel."""
+
+    @pytest.fixture(autouse=True)
+    def no_kernel(self, monkeypatch):
+        monkeypatch.setattr(ingestion, "_kernel", lambda: None)
+
+
+def run_script(script: str, **env) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter that imports this checkout's
+    ``nevpick`` and the tests' ``conftest``, with ``env`` added to its
+    environment."""
+    src = str(Path(sys.modules["nevpick"].__file__).resolve().parents[1])
+    here = str(Path(__file__).resolve().parent)
+    path = os.pathsep.join(filter(None, [src, here, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path, **env),
+                          capture_output=True, text=True, timeout=120)
+
+
 class TestImportGuard:
     def test_solving_never_loads_scipy_signal(self):
-        # importing and solving load no scipy module at all and no numpy.fft;
-        # simulate_arma and filter_bank import scipy.signal on first use, and
-        # spectral_density numpy.fft
+        # importing and solving load no scipy module at all and no numpy.fft,
+        # and compile nothing (importing loads no subprocess module either;
+        # conftest's pytest does); simulate_arma imports scipy.signal on
+        # first use, and spectral_density numpy.fft
         script = (
             "import sys\n"
             "import nevpick, nevpick.cli\n"
+            "assert 'subprocess' not in sys.modules\n"
             "from conftest import REFERENCE_NODES, REFERENCE_SPECTRAL_ZEROS, REFERENCE_VALUES\n"
             "from nevpick import InterpolationProblem, MonicPolynomial, simulate_arma, solve\n"
             "from nevpick import spectral_density\n"
@@ -327,17 +383,37 @@ class TestImportGuard:
             "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
             "assert not loaded, loaded\n"
             "assert 'numpy.fft' not in sys.modules\n"
+            "assert nevpick.ingestion._kernel.cache_info().currsize == 0\n"
             "assert spectral_density(sol).shape == (256,) and 'numpy.fft' in sys.modules\n"
             "y = simulate_arma(MonicPolynomial([1.0, 0.4]), MonicPolynomial([1.0, -0.5]), 100)\n"
             "assert y.shape == (100,) and 'scipy.signal' in sys.modules\n"
         )
-        src = str(Path(sys.modules["nevpick"].__file__).resolve().parents[1])
-        here = str(Path(__file__).resolve().parent)
-        path = os.pathsep.join(filter(None, [src, here, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path)
-        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                              text=True, timeout=120)
+        proc = run_script(script)
         assert proc.returncode == 0, proc.stderr
+
+    def test_first_filter_bank_call_leaves_no_file_behind(self, tmp_path):
+        # the kernel is compiled in a private directory of the temporary
+        # directory, removed once the library is loaded; the compiled bank
+        # needs no scipy
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from nevpick import FilterBankSpec, default_bank_poles, filter_bank, ingestion\n"
+            "spec = FilterBankSpec(poles=tuple(default_bank_poles(3)), samples=100)\n"
+            "assert filter_bank(np.ones(100), spec).shape == (4, 100)\n"
+            "assert ingestion._kernel() is None or 'scipy' not in sys.modules\n"
+        )
+        proc = run_script(script, TMPDIR=str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_kernel_loads_where_the_compiler_is_found(self):
+        # a failed compile falls back silently, so only this test would see a
+        # lost kernel
+        cc = sysconfig.get_config_var("CC")
+        if not cc or shutil.which(shlex.split(cc)[0]) is None:
+            pytest.skip(f"the interpreter's C compiler {cc!r} is not on PATH")
+        assert ingestion._kernel() is not None
 
 
 def estimate_values_squared(bank, poles) -> np.ndarray:
@@ -407,6 +483,17 @@ class TestEstimateValues:
         for k, p in enumerate(poles):
             j = int(np.argmin(np.abs(poles - np.conj(p))))
             assert w[j] == np.conj(w[k])
+
+    @pytest.mark.parametrize("bank", [np.ones(3, dtype=complex), np.ones((3, 0), dtype=complex),
+                                      np.ones((3, 2, 1), dtype=complex)])
+    def test_rejects_a_bank_that_is_not_2d_with_columns(self, bank):
+        # a 1-d bank raised TypeError from @, and a bank of no columns gave
+        # all-NaN values with a RuntimeWarning
+        spec = FilterBankSpec(poles=tuple(default_bank_poles(2)), samples=500)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="the bank must be 2-d with at least one column"):
+                estimate_values(bank, spec)
 
     @pytest.mark.parametrize("rows", [4, 2])
     def test_rejects_a_bank_of_another_row_count(self, rows):
@@ -514,6 +601,16 @@ class TestEmbedSigma:
     def test_rejects_shrinking(self):
         with pytest.raises(ValueError):
             embed_sigma(MonicPolynomial([1.0, 0.5, 0.25]), 1)
+
+    @pytest.mark.parametrize("order", [3.0, True, 2.5, "3"])
+    def test_rejects_an_order_that_is_not_an_integer(self, order):
+        # 3.0 raised numpy's TypeError and True padded as if order were 1
+        with pytest.raises(ValueError, match="order must be an integer of at least 0"):
+            embed_sigma(MonicPolynomial([1.0]), order)
+
+    def test_accepts_numpy_integer_order(self):
+        hat = embed_sigma(MonicPolynomial([1.0, 0.5]), np.int64(3))
+        assert np.array_equal(hat.coeffs, [1.0, 0.5, 0.0, 0.0])
 
 
 class TestMonteCarlo:
