@@ -19,13 +19,16 @@ the same order, as ``scipy.signal.lfilter`` and ``sosfilt`` do for these
 sections, and are compiled without contraction into fused multiply-adds
 and without ``-ffast-math``, so every bank entry has the bits of
 ``lfilter``'s (a zero entry's sign aside, where the series itself has
-exact zeros).  They are compiled with the interpreter's own C compiler
-on the first ``filter_bank`` call of a process (about 45 ms with gcc)
-and loaded with ``ctypes``; nothing is compiled at import.  Where the
-compiler is missing or fails, the bank silently falls back to scipy:
-each pair filtered once, in place in its row, through the private kernel
-of ``sosfilt``, the partner's row written as its exact conjugate, and a
-real pole through ``lfilter``, with the same bits.  An exact, noise-free
+exact zeros); a loaded library whose output on a fixed series has other
+bits is not used.  They are compiled with the interpreter's own C
+compiler (about 45 ms with gcc) and loaded with ``ctypes`` once a
+process has filtered about as much through scipy as compiling costs, so
+a process that filters one short series compiles nothing; nothing is
+compiled at import.  Until then, and wherever the compiler is missing or
+fails, the bank runs through scipy: each pair filtered once, in place in
+its row, through the private kernel of ``sosfilt``, the partner's row
+written as its exact conjugate, and a real pole through ``lfilter``,
+with the same bits.  An exact, noise-free
 variant evaluates ``f`` directly from the filter, for tests and sharp
 degree detection.  The Monte Carlo driver repeats the full pipeline
 (simulate, filter, estimate, solve, singular values) with per-run seeds.
@@ -208,6 +211,19 @@ void bank_real(const double *y, double *u, ptrdiff_t n, double p)
 #: sections round as ``lfilter`` and ``sosfilt`` do and keep subnormals.
 _KERNEL_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
+#: The SHA-256 of ``_kernel_digest``'s rows where the sections round as
+#: ``lfilter`` does: the same recursion in IEEE double arithmetic.
+_KERNEL_DIGEST = "e78f3702762e4c3bad780dc193df0739fb43f527a719a2abd5641bb1f55e262f"
+
+#: Sample-rows (samples times nonzero poles, summed over calls) the scipy
+#: path filters in a process before the sections are compiled.  scipy takes
+#: about 5.5 ns a sample-row and compiling about 45 ms (gcc 12, 2 vCPUs),
+#: so the compile comes once scipy has cost what it does: a process that
+#: filters little, such as a default ``detect-degree`` run (4e4), compiles
+#: nothing, and none spends much more than twice the least it could.
+_COMPILE_AFTER = 8_000_000
+_scipy_rows = 0
+
 
 @functools.cache
 def _kernel():
@@ -216,9 +232,11 @@ def _kernel():
     ``_KERNEL_SOURCE`` goes to the interpreter's own C compiler
     (``sysconfig``'s ``CC``) on its standard input, and the library it
     writes into a private temporary directory is loaded, then removed with
-    the directory.  None where there is no compiler, or compiling or
-    loading fails: the compiler's output is captured, nothing is raised,
-    and ``filter_bank`` takes the scipy path.
+    the directory.  None where there is no compiler, where compiling or
+    loading fails (the compiler's output is captured, nothing is raised),
+    or where the loaded sections do not give ``_KERNEL_DIGEST`` (a compiler
+    whose default floating-point mode reorders, contracts or flushes);
+    ``filter_bank`` then takes the scipy path.
     """
     # imported here, not at module level: import nevpick starts no process
     import shlex
@@ -242,30 +260,58 @@ def _kernel():
     kernel.bank_pair.restype = None
     kernel.bank_real.argtypes = (pointer, pointer, size, real)
     kernel.bank_real.restype = None
-    return kernel
+    return kernel if _kernel_digest(kernel) == _KERNEL_DIGEST else None
+
+
+def _kernel_digest(kernel) -> str:
+    """The SHA-256 of the sections' rows on a fixed series, little-endian.
+
+    The series (256 samples) and the poles (a third-quadrant pair and a
+    negative real pole) are dyadic, so exact on every host, and the rows
+    round from about the twentieth sample on: contraction, reordering or
+    extended precision changes their bits, and so does flushing the
+    subnormal copy of the series to zero.
+    """
+    import hashlib
+
+    base = (np.arange(1, 257) * 37 % 101 - 50) / 16.0
+    digest = hashlib.sha256()
+    for y in (base, base * 2.0 ** -1060):
+        rows = np.empty((3, y.size), dtype=complex)
+        kernel.bank_pair(y.ctypes.data, rows[0].ctypes.data, rows[1].ctypes.data,
+                         y.size, -0.625, -0.6875)
+        kernel.bank_real(y.ctypes.data, rows[2].ctypes.data, y.size, -0.8125)
+        digest.update(rows.astype("<c16").tobytes())
+    return digest.hexdigest()
 
 
 def filter_bank(y, spec: FilterBankSpec) -> np.ndarray:
     """Run ``y`` through every first-order section ``u_t = p u_(t-1) + y_t``.
 
-    ``y`` is a nonempty 1-d real series; anything else raises
+    ``y`` is a nonempty 1-d real finite series; anything else raises
     ``ValueError``.  Returns an array of shape ``(n + 1, len(y))``.  The row
     of pole 0 is ``y`` itself; every other row is written in one pass over
-    ``y`` by the compiled sections of the module docstring: a real pole's
-    in real arithmetic, and each conjugate pair's once, with the partner's
-    row the exact conjugate of its row.  The bits are ``lfilter``'s on
-    both paths, the compiled one and the scipy fallback (on the compiled
-    one, a zero entry may take the other sign where ``y`` has exact
-    zeros).
+    ``y`` by the compiled sections of the module docstring, once the
+    process has filtered ``_COMPILE_AFTER`` sample-rows through scipy: a
+    real pole's in real arithmetic, and each conjugate pair's once, with
+    the partner's row the exact conjugate of its row.  The bits are
+    ``lfilter``'s on both paths, the compiled one and the scipy one (on
+    the compiled one, a zero entry may take the other sign where ``y`` has
+    exact zeros).
     """
+    global _scipy_rows
     y = np.asarray(y)
     if y.ndim != 1 or y.size == 0 or np.iscomplexobj(y):
         raise ValueError("y must be a nonempty 1-d real series")
     # contiguous doubles: the compiled sections read y through a pointer
     y = np.ascontiguousarray(y, dtype=float)
+    if not np.isfinite(y).all():
+        # the two paths turn an infinite sample into different non-finite rows
+        raise ValueError("y must be finite")
     out = np.empty((len(spec.poles), y.size), dtype=complex)
-    kernel = _kernel()
+    kernel = _kernel() if _scipy_rows >= _COMPILE_AFTER else None
     if kernel is None:
+        _scipy_rows += y.size * np.count_nonzero(spec.poles)
         _scipy_bank(y, spec, out)
         return out
     for k, j in enumerate(spec.partners):
@@ -281,7 +327,8 @@ def filter_bank(y, spec: FilterBankSpec) -> np.ndarray:
 
 
 def _scipy_bank(y: np.ndarray, spec: FilterBankSpec, out: np.ndarray) -> None:
-    """``filter_bank``'s rows into ``out`` through scipy, where no kernel loads.
+    """``filter_bank``'s rows into ``out`` through scipy, before the kernel
+    is compiled and where none loads.
 
     A real pole is filtered by ``lfilter``; each conjugate pair once, in
     place in its row, as the one-pole section ``[1, 0, 0, 1, -p, 0]`` of

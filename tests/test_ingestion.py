@@ -1,3 +1,4 @@
+import ctypes
 import os
 import shlex
 import shutil
@@ -216,7 +217,12 @@ def assert_matches_oracle(spec, y, rtol=1e-13):
 
 
 class TestFilterBank:
-    """The bank on the path this host takes: compiled wherever a C compiler is found."""
+    """The bank on the compiled path, wherever a C compiler is found: the
+    scipy path is made to have filtered enough already."""
+
+    @pytest.fixture(autouse=True)
+    def compile_at_once(self, monkeypatch):
+        monkeypatch.setattr(ingestion, "_COMPILE_AFTER", 0)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_per_pole_oracle(self, n):
@@ -343,6 +349,14 @@ class TestFilterBank:
         with pytest.raises(ValueError, match="y must be a nonempty 1-d real series"):
             filter_bank(y, spec)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_a_series_that_is_not_finite(self, bad):
+        # with y = [1, inf, 1, 1] the compiled real row read [1, inf, inf, inf]
+        # and the scipy one [1, inf, nan, nan] (0 * inf in scipy's sections)
+        spec = FilterBankSpec(poles=(0.0, 0.5j, -0.5j, 0.5), samples=4)
+        with pytest.raises(ValueError, match="y must be finite"):
+            filter_bank(np.array([1.0, bad, 1.0, 1.0]), spec)
+
 
 class TestFilterBankFallback(TestFilterBank):
     """Every bank test again on the scipy path, the one a host without a C
@@ -362,6 +376,31 @@ def run_script(script: str, **env) -> subprocess.CompletedProcess:
     path = os.pathsep.join(filter(None, [src, here, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path, **env),
                           capture_output=True, text=True, timeout=120)
+
+
+def doubles(address: int, n: int) -> np.ndarray:
+    """The ``n`` doubles at ``address``, as an array that writes through."""
+    return np.ctypeslib.as_array((ctypes.c_double * n).from_address(address))
+
+
+class PythonSections:
+    """Oracle: ``ingestion``'s C sections in Python floats, called as they are."""
+
+    @staticmethod
+    def bank_pair(y, u, v, n, pr, pi):
+        y, u, v = doubles(y, n).tolist(), doubles(u, 2 * n), doubles(v, 2 * n)
+        ur = ui = 0.0
+        for t in range(n):
+            ur, ui = y[t] + (pr * ur - pi * ui), 0.0 + (pr * ui + pi * ur)
+            u[2 * t], u[2 * t + 1], v[2 * t], v[2 * t + 1] = ur, ui, ur, -ui
+
+    @staticmethod
+    def bank_real(y, u, n, p):
+        y, u = doubles(y, n).tolist(), doubles(u, 2 * n)
+        ur = 0.0
+        for t in range(n):
+            ur = y[t] + p * ur
+            u[2 * t], u[2 * t + 1] = ur, 0.0
 
 
 class TestImportGuard:
@@ -400,12 +439,66 @@ class TestImportGuard:
             "import numpy as np\n"
             "from nevpick import FilterBankSpec, default_bank_poles, filter_bank, ingestion\n"
             "spec = FilterBankSpec(poles=tuple(default_bank_poles(3)), samples=100)\n"
+            "ingestion._COMPILE_AFTER = 0\n"
             "assert filter_bank(np.ones(100), spec).shape == (4, 100)\n"
+            "assert ingestion._kernel.cache_info().currsize == 1\n"
             "assert ingestion._kernel() is None or 'scipy' not in sys.modules\n"
         )
         proc = run_script(script, TMPDIR=str(tmp_path))
         assert proc.returncode == 0, proc.stderr
         assert list(tmp_path.iterdir()) == []
+
+    def test_compiles_once_the_scipy_path_has_filtered_enough(self, monkeypatch):
+        # three calls of 1000 samples through two nonzero poles fill a
+        # threshold of 6000 sample-rows; only the fourth asks for the kernel
+        asked = []
+        monkeypatch.setattr(ingestion, "_kernel", lambda: asked.append(1))
+        monkeypatch.setattr(ingestion, "_COMPILE_AFTER", 6000)
+        monkeypatch.setattr(ingestion, "_scipy_rows", 0)
+        y = np.random.default_rng(5).standard_normal(1000)
+        spec = FilterBankSpec(poles=tuple(default_bank_poles(2)), samples=y.size)
+        for _ in range(3):
+            filter_bank(y, spec)
+        assert asked == [] and ingestion._scipy_rows == 6000
+        filter_bank(y, spec)
+        assert asked == [1]
+
+    def test_a_default_detect_degree_run_compiles_nothing(self, tmp_path):
+        # one series of 1e4 samples through four nonzero poles would save
+        # about 0.1 ms compiled and cost about 45 ms to compile
+        system = tmp_path / "system.json"
+        system.write_text('{"sigma_roots": [{"re": 0.17, "im": 0.26}, {"re": 0.17, "im": -0.26}],'
+                          ' "a_roots": [{"re": 0.09, "im": 0.75}, {"re": 0.09, "im": -0.75}],'
+                          ' "order": 4}')
+        script = (
+            "from nevpick import cli, ingestion\n"
+            "try:\n"
+            f"    cli.main(['detect-degree', '--input', {str(system)!r},\n"
+            f"              '--output', {str(tmp_path / 'out')!r}], standalone_mode=False)\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+            "assert ingestion._scipy_rows == 40_000, ingestion._scipy_rows\n"
+            "assert ingestion._kernel.cache_info().currsize == 0\n"
+        )
+        proc = run_script(script)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "out" / "degree_report.json").exists()
+
+    def test_kernel_digest_is_the_recursion_in_double_arithmetic(self):
+        # the constant the loaded sections are checked against is the bits of
+        # the same recursion in Python floats, written through the addresses
+        # the C sections get
+        assert ingestion._kernel_digest(PythonSections) == ingestion._KERNEL_DIGEST
+
+    def test_a_kernel_of_other_bits_is_not_used(self, monkeypatch):
+        # a compiler that contracts, reorders or flushes subnormals loads a
+        # library whose digest differs: the scipy path runs instead
+        monkeypatch.setattr(ingestion, "_KERNEL_DIGEST", "0" * 64)
+        ingestion._kernel.cache_clear()
+        try:
+            assert ingestion._kernel() is None
+        finally:
+            ingestion._kernel.cache_clear()
 
     def test_kernel_loads_where_the_compiler_is_found(self):
         # a failed compile falls back silently, so only this test would see a
