@@ -9,26 +9,30 @@ nodes.  The value of the underlying positive-real function at ``1/p_k`` is
 
 estimated by the sample second moment of the bank output (the plain
 square, not the squared magnitude, so complex poles produce the complex
-analytic continuation of the real-pole case).  The bank filters each
-pole's section ``u_t = y_t + p u_(t-1)`` in one pass over ``y``, in a
-private C function of about twenty lines: a conjugate pair's loop writes
-the pair's row and the partner's row, its exact conjugate, together, and
-a real pole's loop writes its row with imaginary part 0; pole 0 passes
-``y`` through unfiltered.  The loops form the same products and sums, in
-the same order, as ``scipy.signal.lfilter`` and ``sosfilt`` do for these
-sections, and are compiled without contraction into fused multiply-adds
-and without ``-ffast-math``, so every bank entry has the bits of
-``lfilter``'s (a zero entry's sign aside, where the series itself has
-exact zeros); a loaded library whose output on a fixed series has other
-bits is not used.  They are compiled with the interpreter's own C
-compiler (about 45 ms with gcc) and loaded with ``ctypes`` once a
-process has filtered about as much through scipy as compiling costs, so
-a process that filters one short series compiles nothing; nothing is
-compiled at import.  Until then, and wherever the compiler is missing or
-fails, the bank runs through scipy: each pair filtered once, in place in
-its row, through the private kernel of ``sosfilt``, the partner's row
-written as its exact conjugate, and a real pole through ``lfilter``,
-with the same bits.  An exact, noise-free
+analytic continuation of the real-pole case).  Both recursions, the
+simulation's and the bank's, run in private C functions of about sixty
+lines in all.  The simulation's repeats ``scipy.signal.lfilter``'s
+transposed direct form II and writes only the outputs after the burn-in.
+The bank filters each pole's section ``u_t = y_t + p u_(t-1)`` in one
+pass over ``y``: up to three conjugate pairs share a pass, each pair's
+loop writing its row and the partner's row, its exact conjugate,
+together, and a real pole's loop writes its row with imaginary part 0;
+pole 0 passes ``y`` through unfiltered.  The loops form the same
+products and sums, in the same order, as ``lfilter`` and ``sosfilt`` do,
+and are compiled without contraction into fused multiply-adds and
+without ``-ffast-math``, so the series and every bank entry have the
+bits of ``lfilter``'s (a bank zero entry's sign aside, where the series
+itself has exact zeros); a loaded library whose output on a fixed
+series has other bits is not used.  They are compiled with the
+interpreter's own C compiler (about 70 ms with gcc) and loaded with
+``ctypes`` once a process has filtered about as much through scipy's
+bank as compiling costs, so a process that filters one short series
+compiles nothing; nothing is compiled at import.  Until then, and
+wherever the compiler is missing or fails, both run through scipy:
+the simulation through ``lfilter``, and the bank with each pair
+filtered once, in place in its row, through the private kernel of
+``sosfilt``, the partner's row written as its exact conjugate, and a
+real pole through ``lfilter``, with the same bits.  An exact, noise-free
 variant evaluates ``f`` directly from the filter, for tests and sharp
 degree detection.  The Monte Carlo driver repeats the full pipeline
 (simulate, filter, estimate, solve, singular values) with per-run seeds.
@@ -158,41 +162,89 @@ def simulate_arma(
 
     ``e`` is unit-variance Gaussian white noise from a seeded generator;
     the recursion starts from zero state and the first ``burn_in`` outputs
-    are discarded.  Deterministic per seed.  ``samples``, ``burn_in`` and
-    ``seed`` follow :class:`FilterBankSpec`'s rule, and ``sigma`` and ``a``
-    the filter rule (same degree, ``a`` Schur stable); a breach of either
+    are discarded.  Deterministic per seed.  The recursion runs in the
+    compiled section of the module docstring once the process has filtered
+    ``_COMPILE_AFTER`` bank sample-rows through scipy (the simulation adds
+    none), and through ``scipy.signal.lfilter`` before then; the bits are
+    ``lfilter``'s on both paths.  ``samples``, ``burn_in`` and ``seed``
+    follow :class:`FilterBankSpec`'s rule, and ``sigma`` and ``a`` the
+    filter rule (same degree, ``a`` Schur stable); a breach of either
     raises ``ValueError``.
     """
     _check_counts(samples, burn_in, seed)
     _check_filter(sigma, a)
-    # imported here, not at module level: solving never needs it
-    from scipy.signal import lfilter
+    e = np.random.default_rng(seed).standard_normal(samples + burn_in)
+    kernel = _kernel() if _scipy_rows >= _COMPILE_AFTER else None
+    if kernel is None:
+        # imported here, not at module level: solving never needs it
+        from scipy.signal import lfilter
+        return lfilter(sigma.coeffs, a.coeffs, e)[burn_in:]
+    y = np.empty(samples)
+    state = np.zeros(a.degree)      # kept referenced: the section writes it
+    kernel.arma(e.ctypes.data, y.ctypes.data, e.size, burn_in, sigma.coeffs.ctypes.data,
+                a.coeffs.ctypes.data, a.degree, state.ctypes.data)
+    return y
 
-    rng = np.random.default_rng(seed)
-    e = rng.standard_normal(samples + burn_in)
-    y = lfilter(sigma.coeffs, a.coeffs, e)
-    return y[burn_in:]
 
-
-#: The bank's first-order sections, each one pass over ``y``.  A pair's
-#: ``u_t = y_t + p u_(t-1)`` is the complex sum ``(y_t, 0) + p u_(t-1)``,
-#: as in ``sosfilt``'s section: the ``0.0 +`` keeps its zero imaginary
-#: parts positive, as ``sosfilt``'s are, where ``p`` has a negative
-#: imaginary part.
+#: The compiled sections.  ``arma`` is ``lfilter``'s transposed direct
+#: form II for a monic ``a`` of degree ``m``, ``y = z_0 + b_0 x``,
+#: ``z_k = (z_(k+1) + x b_(k+1)) - y a_(k+1)`` and ``z_(m-1) = x b_m -
+#: y a_m``, with ``z_0`` in a register and ``z_1 .. z_(m-1)`` in
+#: ``z[1 .. m-1]`` (``z`` holds ``m`` zeros); degree 0 gives ``0.0 + b_0
+#: x``, as ``lfilter``'s convolution does.  It writes only the outputs
+#: after the first ``skip``.  ``bank_pairs`` runs ``w`` = 1 to 3 conjugate
+#: pairs of the bank in one pass over ``y``, each pair's state in
+#: registers, so their latency chains overlap; a pair's ``u_t = y_t + p
+#: u_(t-1)`` is the complex sum ``(y_t, 0) + p u_(t-1)``, as in
+#: ``sosfilt``'s section: the ``0.0 +`` keeps its zero imaginary parts
+#: positive, as ``sosfilt``'s are, where ``p`` has a negative imaginary
+#: part.
 _KERNEL_SOURCE = r"""
 #include <stddef.h>
 
-void bank_pair(const double *y, double *u, double *v, ptrdiff_t n, double pr, double pi)
+void arma(const double *e, double *y, ptrdiff_t n, ptrdiff_t skip,
+          const double *b, const double *a, ptrdiff_t m, double *z)
 {
-    double ur = 0.0, ui = 0.0, t;
+    double x, w, z0 = 0.0;
     for (ptrdiff_t i = 0; i < n; i++) {
-        t = y[i] + (pr * ur - pi * ui);
-        ui = 0.0 + (pr * ui + pi * ur);
-        ur = t;
-        u[2 * i] = ur;
-        u[2 * i + 1] = ui;
-        v[2 * i] = ur;
-        v[2 * i + 1] = -ui;
+        x = e[i];
+        w = z0 + b[0] * x;
+        if (m == 1) {
+            z0 = x * b[1] - w * a[1];
+        } else if (m > 1) {
+            z0 = (z[1] + x * b[1]) - w * a[1];
+            for (ptrdiff_t k = 2; k < m; k++)
+                z[k - 1] = (z[k] + x * b[k]) - w * a[k];
+            z[m - 1] = x * b[m] - w * a[m];
+        }
+        if (i >= skip)
+            y[i - skip] = w;
+    }
+}
+
+/* sample i of the pair of pole (p[0], p[1]) and state s, into the pair's
+   row u[0] and the partner's conjugate row u[1] */
+static inline void pair_step(double y, const double *p, double *s, double *const *u, ptrdiff_t i)
+{
+    double t = y + (p[0] * s[0] - p[1] * s[1]);
+    s[1] = 0.0 + (p[0] * s[1] + p[1] * s[0]);
+    s[0] = t;
+    u[0][2 * i] = t;
+    u[0][2 * i + 1] = s[1];
+    u[1][2 * i] = t;
+    u[1][2 * i + 1] = -s[1];
+}
+
+/* pair k of the w has pole (p[2k], p[2k+1]) and rows u[2k], u[2k+1] */
+void bank_pairs(const double *y, ptrdiff_t n, ptrdiff_t w, const double *p, double *const *u)
+{
+    double s[6] = {0.0};
+    for (ptrdiff_t i = 0; i < n; i++) {
+        pair_step(y[i], p, s, u, i);
+        if (w > 1)
+            pair_step(y[i], p + 2, s + 2, u + 2, i);
+        if (w > 2)
+            pair_step(y[i], p + 4, s + 4, u + 4, i);
     }
 }
 
@@ -211,23 +263,26 @@ void bank_real(const double *y, double *u, ptrdiff_t n, double p)
 #: sections round as ``lfilter`` and ``sosfilt`` do and keep subnormals.
 _KERNEL_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
-#: The SHA-256 of ``_kernel_digest``'s rows where the sections round as
-#: ``lfilter`` does: the same recursion in IEEE double arithmetic.
-_KERNEL_DIGEST = "e78f3702762e4c3bad780dc193df0739fb43f527a719a2abd5641bb1f55e262f"
+#: The SHA-256 of ``_kernel_digest``'s outputs where the sections round as
+#: ``lfilter`` does: the same recursions in IEEE double arithmetic.
+_KERNEL_DIGEST = "1c45c65b19f86176f8db43d861c8014101d16c1ae726b666981ace6ec5a22c00"
 
 #: Sample-rows (samples times nonzero poles, summed over calls) the scipy
-#: path filters in a process before the sections are compiled.  scipy takes
-#: about 5.5 ns a sample-row and compiling about 45 ms (gcc 12, 2 vCPUs),
-#: so the compile comes once scipy has cost what it does: a process that
-#: filters little, such as a default ``detect-degree`` run (4e4), compiles
-#: nothing, and none spends much more than twice the least it could.
-_COMPILE_AFTER = 8_000_000
+#: path of ``filter_bank`` filters in a process before the sections are
+#: compiled; ``_scipy_rows`` counts them, and ``simulate_arma`` reads it
+#: but adds nothing.  scipy's bank takes about 7 ns a sample-row and
+#: compiling and checking the sections about 70 ms (gcc 12, 2 vCPUs), so
+#: the compile comes once scipy has cost what it does: a process that
+#: filters little, such as a default ``detect-degree`` run (4e4),
+#: compiles nothing, and none spends much more than twice the least it
+#: could.
+_COMPILE_AFTER = 10_000_000
 _scipy_rows = 0
 
 
 @functools.cache
 def _kernel():
-    """The compiled bank sections, once per process, or None.
+    """The compiled sections, once per process, or None.
 
     ``_KERNEL_SOURCE`` goes to the interpreter's own C compiler
     (``sysconfig``'s ``CC``) on its standard input, and the library it
@@ -236,7 +291,7 @@ def _kernel():
     loading fails (the compiler's output is captured, nothing is raised),
     or where the loaded sections do not give ``_KERNEL_DIGEST`` (a compiler
     whose default floating-point mode reorders, contracts or flushes);
-    ``filter_bank`` then takes the scipy path.
+    ``simulate_arma`` and ``filter_bank`` then take the scipy path.
     """
     # imported here, not at module level: import nevpick starts no process
     import shlex
@@ -256,32 +311,53 @@ def _kernel():
     except (OSError, ValueError, subprocess.SubprocessError):
         return None
     pointer, size, real = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double
-    kernel.bank_pair.argtypes = (pointer, pointer, pointer, size, real, real)
-    kernel.bank_pair.restype = None
+    kernel.arma.argtypes = (pointer, pointer, size, size, pointer, pointer, size, pointer)
+    kernel.bank_pairs.argtypes = (pointer, size, size, pointer, pointer)
     kernel.bank_real.argtypes = (pointer, pointer, size, real)
-    kernel.bank_real.restype = None
+    for section in (kernel.arma, kernel.bank_pairs, kernel.bank_real):
+        section.restype = None
     return kernel if _kernel_digest(kernel) == _KERNEL_DIGEST else None
 
 
-def _kernel_digest(kernel) -> str:
-    """The SHA-256 of the sections' rows on a fixed series, little-endian.
+def _row_addresses(out: np.ndarray, rows) -> np.ndarray:
+    """The addresses of rows ``rows`` of ``out``, as ``bank_pairs`` takes them."""
+    return out.ctypes.data + out.strides[0] * np.asarray(rows, dtype=np.uintp)
 
-    The series (256 samples) and the poles (a third-quadrant pair and a
-    negative real pole) are dyadic, so exact on every host, and the rows
-    round from about the twentieth sample on: contraction, reordering or
-    extended precision changes their bits, and so does flushing the
-    subnormal copy of the series to zero.
+
+def _kernel_digest(kernel) -> str:
+    """The SHA-256 of the sections' outputs on a fixed series, little-endian.
+
+    The series (256 samples), the poles (three pairs, filtered as blocks
+    of one, two and three, and a negative real pole) and the coefficients
+    of the two filters (degree 1, and degree 5 on ``arma``'s loop over
+    ``z``) are dyadic, so exact on every host, and the outputs round from
+    about the twentieth sample on: contraction, reordering or extended
+    precision changes their bits, and so does flushing the subnormal copy
+    of the series to zero.  Nothing here imports scipy.
     """
     import hashlib
 
     base = (np.arange(1, 257) * 37 % 101 - 50) / 16.0
+    pairs = np.array([-0.625, -0.6875, 0.5, 0.75, 0.875, -0.25])
+    filters = [(np.array([1.0, 0.25]), np.array([1.0, -0.5])),
+               (np.array([1.0, -0.375, -0.46875, 0.2109375, -0.033203125, 0.0146484375]),
+                np.array([1.0, -0.75, -0.3125, 0.234375, 0.015625, -0.01171875]))]
+    skip = 16
     digest = hashlib.sha256()
     for y in (base, base * 2.0 ** -1060):
-        rows = np.empty((3, y.size), dtype=complex)
-        kernel.bank_pair(y.ctypes.data, rows[0].ctypes.data, rows[1].ctypes.data,
-                         y.size, -0.625, -0.6875)
-        kernel.bank_real(y.ctypes.data, rows[2].ctypes.data, y.size, -0.8125)
-        digest.update(rows.astype("<c16").tobytes())
+        for w in (1, 2, 3):
+            rows = np.empty((2 * w, y.size), dtype=complex)
+            addresses = _row_addresses(rows, range(2 * w))
+            kernel.bank_pairs(y.ctypes.data, y.size, w, pairs.ctypes.data, addresses.ctypes.data)
+            digest.update(rows.astype("<c16").tobytes())
+        row = np.empty(y.size, dtype=complex)
+        kernel.bank_real(y.ctypes.data, row.ctypes.data, y.size, -0.8125)
+        digest.update(row.astype("<c16").tobytes())
+        for b, a in filters:
+            out, state = np.empty(y.size - skip), np.zeros(a.size - 1)
+            kernel.arma(y.ctypes.data, out.ctypes.data, y.size, skip, b.ctypes.data,
+                        a.ctypes.data, a.size - 1, state.ctypes.data)
+            digest.update(out.astype("<f8").tobytes())
     return digest.hexdigest()
 
 
@@ -293,11 +369,11 @@ def filter_bank(y, spec: FilterBankSpec) -> np.ndarray:
     of pole 0 is ``y`` itself; every other row is written in one pass over
     ``y`` by the compiled sections of the module docstring, once the
     process has filtered ``_COMPILE_AFTER`` sample-rows through scipy: a
-    real pole's in real arithmetic, and each conjugate pair's once, with
-    the partner's row the exact conjugate of its row.  The bits are
-    ``lfilter``'s on both paths, the compiled one and the scipy one (on
-    the compiled one, a zero entry may take the other sign where ``y`` has
-    exact zeros).
+    real pole's in real arithmetic, and the conjugate pairs up to three
+    to a pass, each pair once, with the partner's row the exact conjugate
+    of its row.  The bits are ``lfilter``'s on both paths, the compiled
+    one and the scipy one (on the compiled one, a zero entry may take the
+    other sign where ``y`` has exact zeros).
     """
     global _scipy_rows
     y = np.asarray(y)
@@ -320,9 +396,12 @@ def filter_bank(y, spec: FilterBankSpec) -> np.ndarray:
             out[k] = y
         elif j == k:
             kernel.bank_real(y.ctypes.data, out[k].ctypes.data, y.size, p.real)
-        elif k < j:
-            kernel.bank_pair(y.ctypes.data, out[k].ctypes.data, out[j].ctypes.data,
-                             y.size, p.real, p.imag)
+    pairs = [k for k, j in enumerate(spec.partners) if k < j]
+    for first in range(0, len(pairs), 3):
+        block = pairs[first:first + 3]
+        poles = np.array([(spec.poles[k].real, spec.poles[k].imag) for k in block])
+        rows = _row_addresses(out, [r for k in block for r in (k, spec.partners[k])])
+        kernel.bank_pairs(y.ctypes.data, y.size, len(block), poles.ctypes.data, rows.ctypes.data)
     return out
 
 

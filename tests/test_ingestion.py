@@ -123,7 +123,37 @@ class TestFilterBankSpec:
         assert spec.samples == 10 and spec.burn_in == 0
 
 
+def arma_system(degree: int, seed: int) -> tuple:
+    """A Schur-stable ``(sigma, a)`` of ``degree``: conjugate pairs of roots
+    at random angles, plus one real root for an odd degree."""
+    rng = np.random.default_rng(seed)
+    def roots(radius):
+        pairs = radius * np.exp(1j * rng.uniform(0.1, 3.0, degree // 2))
+        return [*pairs, *np.conj(pairs), *rng.uniform(-0.9, 0.9, degree % 2)]
+    return (MonicPolynomial.from_roots(roots(rng.uniform(0.2, 0.9, degree // 2))),
+            MonicPolynomial.from_roots(roots(rng.uniform(0.3, 0.95, degree // 2))))
+
+
 class TestSimulateArma:
+    """The simulation on the compiled path, wherever a C compiler is found:
+    the bank's scipy path is made to have filtered enough already."""
+
+    @pytest.fixture(autouse=True)
+    def compile_at_once(self, monkeypatch):
+        monkeypatch.setattr(ingestion, "_COMPILE_AFTER", 0)
+
+    @pytest.mark.parametrize("samples", [1, 10_000])
+    @pytest.mark.parametrize("burn_in", [0, 1000])
+    @pytest.mark.parametrize("degree", [*range(9), 20])
+    def test_is_lfilter_bytewise(self, degree, burn_in, samples):
+        # the series is lfilter's output on the seeded noise after the burn-in
+        sigma, a = arma_system(degree, seed=degree)
+        y = simulate_arma(sigma, a, samples, burn_in, seed=degree + 40)
+        e = np.random.default_rng(degree + 40).standard_normal(samples + burn_in)
+        want = lfilter(sigma.coeffs, a.coeffs, e)[burn_in:]
+        assert y.dtype == want.dtype and y.shape == want.shape == (samples,)
+        assert y.tobytes() == want.tobytes()
+
     def test_allpass_reproduces_noise_exactly(self):
         sigma = MonicPolynomial([1.0, 0.4, -0.1])
         y = simulate_arma(sigma, sigma, samples=500, burn_in=0, seed=3)
@@ -184,6 +214,15 @@ class TestSimulateArma:
         assert np.array_equal(simulate_arma(sigma, a, 100, 0, np.int64(9)),
                               simulate_arma(sigma, a, 100, 0, 9))
         assert simulate_arma(sigma, a, 100, 0, 99999999999999999999999).shape == (100,)
+
+
+class TestSimulateArmaFallback(TestSimulateArma):
+    """Every simulation test again on the scipy path, the one a host without
+    a C compiler takes: the kernel loader is made to find no kernel."""
+
+    @pytest.fixture(autouse=True)
+    def no_kernel(self, monkeypatch):
+        monkeypatch.setattr(ingestion, "_kernel", lambda: None)
 
 
 def filter_bank_per_pole(y, poles) -> np.ndarray:
@@ -309,6 +348,19 @@ class TestFilterBank:
         spec = FilterBankSpec(poles=(0.0, np.conj(p), p, np.conj(q), q), samples=y.size)
         assert filter_bank(y, spec).tobytes() == public_bank(y, spec).tobytes()
 
+    @pytest.mark.parametrize("pairs", range(1, 8))
+    def test_pairs_in_blocks_of_three_bytewise(self, pairs):
+        # the compiled path filters the pairs three to a pass, the last pass
+        # taking what is left; the pairs are listed in shuffled order, some
+        # with the negative-imaginary pole first, beside two real poles
+        rng = np.random.default_rng(4100 + pairs)
+        p = rng.uniform(0.1, 0.999, pairs) * np.exp(1j * rng.uniform(0.01, np.pi - 0.01, pairs))
+        poles = [*p, *np.conj(p), -0.4, 0.6]
+        order = rng.permutation(len(poles))
+        y = rng.standard_normal(3000)
+        spec = FilterBankSpec(poles=(0.0, *(poles[k] for k in order)), samples=y.size)
+        assert filter_bank(y, spec).tobytes() == public_bank(y, spec).tobytes()
+
     def test_signed_zeros_in_the_series_keep_the_values(self):
         # exact zeros of either sign in y, a pole of each kind and a pair
         # listed with its negative-imaginary pole first: every entry equals
@@ -387,6 +439,28 @@ class PythonSections:
     """Oracle: ``ingestion``'s C sections in Python floats, called as they are."""
 
     @staticmethod
+    def arma(e, y, n, skip, b, a, m, z):
+        # lfilter's loop as written, every delay in the list z
+        e, y = doubles(e, n).tolist(), doubles(y, n - skip)
+        b, a = doubles(b, m + 1).tolist(), doubles(a, m + 1).tolist()
+        z = [0.0] * (m + 1)
+        for t in range(n):
+            x = e[t]
+            w = z[0] + b[0] * x
+            for k in range(m - 1):
+                z[k] = (z[k + 1] + x * b[k + 1]) - w * a[k + 1]
+            if m:
+                z[m - 1] = x * b[m] - w * a[m]
+            if t >= skip:
+                y[t - skip] = w
+
+    @staticmethod
+    def bank_pairs(y, n, w, p, u):
+        p, u = doubles(p, 2 * w).tolist(), list((ctypes.c_size_t * (2 * w)).from_address(u))
+        for k in range(w):
+            PythonSections.bank_pair(y, u[2 * k], u[2 * k + 1], n, p[2 * k], p[2 * k + 1])
+
+    @staticmethod
     def bank_pair(y, u, v, n, pr, pi):
         y, u, v = doubles(y, n).tolist(), doubles(u, 2 * n), doubles(v, 2 * n)
         ur = ui = 0.0
@@ -448,6 +522,24 @@ class TestImportGuard:
         assert proc.returncode == 0, proc.stderr
         assert list(tmp_path.iterdir()) == []
 
+    def test_the_compiled_path_loads_no_scipy(self):
+        # with the kernel loaded, a simulated series and its bank need no
+        # scipy module at all
+        script = (
+            "import sys\n"
+            "from nevpick import (FilterBankSpec, MonicPolynomial, default_bank_poles,\n"
+            "                     filter_bank, ingestion, simulate_arma)\n"
+            "ingestion._COMPILE_AFTER = 0\n"
+            "sigma, a = MonicPolynomial([1.0, 0.4, 0.2]), MonicPolynomial([1.0, -0.5, 0.3])\n"
+            "y = simulate_arma(sigma, a, 1000, 100, 5)\n"
+            "bank = filter_bank(y, FilterBankSpec(poles=tuple(default_bank_poles(5)), samples=1000))\n"
+            "assert y.shape == (1000,) and bank.shape == (6, 1000)\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert ingestion._kernel() is None or not loaded, loaded\n"
+        )
+        proc = run_script(script)
+        assert proc.returncode == 0, proc.stderr
+
     def test_compiles_once_the_scipy_path_has_filtered_enough(self, monkeypatch):
         # three calls of 1000 samples through two nonzero poles fill a
         # threshold of 6000 sample-rows; only the fourth asks for the kernel
@@ -503,10 +595,27 @@ class TestImportGuard:
     def test_kernel_loads_where_the_compiler_is_found(self):
         # a failed compile falls back silently, so only this test would see a
         # lost kernel
-        cc = sysconfig.get_config_var("CC")
-        if not cc or shutil.which(shlex.split(cc)[0]) is None:
-            pytest.skip(f"the interpreter's C compiler {cc!r} is not on PATH")
+        interpreter_cc()
         assert ingestion._kernel() is not None
+
+    def test_kernel_source_compiles_without_warnings(self, tmp_path):
+        # a warning can mark code the compiler reads otherwise than meant,
+        # and a failed compile falls back silently
+        cc = interpreter_cc()
+        proc = subprocess.run([*cc, *ingestion._KERNEL_FLAGS, "-Wall", "-Wextra", "-Werror",
+                               "-x", "c", "-", "-o", str(tmp_path / "bank.so")],
+                              input=ingestion._KERNEL_SOURCE, text=True, capture_output=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+
+def interpreter_cc() -> list:
+    """The interpreter's C compiler command, ``sysconfig``'s ``CC`` split;
+    the test is skipped where it is not on ``PATH``."""
+    cc = sysconfig.get_config_var("CC")
+    if not cc or shutil.which(shlex.split(cc)[0]) is None:
+        pytest.skip(f"the interpreter's C compiler {cc!r} is not on PATH")
+    return shlex.split(cc)
 
 
 def estimate_values_squared(bank, poles) -> np.ndarray:
