@@ -330,10 +330,10 @@ def _kernel_digest(kernel) -> str:
     The series (256 samples), the poles (three pairs, filtered as blocks
     of one, two and three, and a negative real pole) and the coefficients
     of the two filters (degree 1, and degree 5 on ``arma``'s loop over
-    ``z``) are dyadic, so exact on every host, and the outputs round from
-    about the twentieth sample on: contraction, reordering or extended
-    precision changes their bits, and so does flushing the subnormal copy
-    of the series to zero.  Nothing here imports scipy.
+    ``z``) are dyadic, so exact on every host, and each output rounds
+    from between the 12th and the 48th sample on: contraction, reordering
+    or extended precision changes their bits, and so does flushing the
+    subnormal copy of the series to zero.  Nothing here imports scipy.
     """
     import hashlib
 

@@ -482,7 +482,8 @@ class TestImportGuard:
         # importing and solving load no scipy module at all and no numpy.fft,
         # and compile nothing (importing loads no subprocess module either;
         # conftest's pytest does); simulate_arma imports scipy.signal on
-        # first use, and spectral_density numpy.fft
+        # first use below the compile threshold, and spectral_density
+        # numpy.fft
         script = (
             "import sys\n"
             "import nevpick, nevpick.cli\n"
