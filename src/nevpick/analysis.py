@@ -10,6 +10,7 @@ interpolation conditions, and re-solves at the lower order.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,8 +87,20 @@ def singular_values(P: np.ndarray) -> np.ndarray:
     return np.linalg.svd(P, compute_uv=False)
 
 
+def check_tau_rank(tau_rank) -> None:
+    """The rule for the degree estimate's threshold: ``tau_rank`` a real
+    number (numpy floats included, booleans not) in ``(0, 1]``; anything
+    else raises ``ValueError``."""
+    if not (isinstance(tau_rank, numbers.Real) and not isinstance(tau_rank, bool)
+            and 0 < tau_rank <= 1):
+        raise ValueError(f"tau_rank must be a real number in (0, 1], got {tau_rank!r}")
+
+
 def estimate_positive_degree(svals, tau_rank: float = DEFAULT_TAU_RANK) -> int:
-    """Count of singular values at or above ``tau_rank`` times the largest."""
+    """Count of singular values at or above ``tau_rank`` times the largest.
+
+    ``tau_rank`` follows :func:`check_tau_rank`'s rule."""
+    check_tau_rank(tau_rank)
     s = np.asarray(svals, dtype=float)
     if s.size == 0 or s[0] <= 0.0:
         return 0

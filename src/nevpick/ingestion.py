@@ -25,14 +25,14 @@ bits of ``lfilter``'s (a bank zero entry's sign aside, where the series
 itself has exact zeros); a loaded library whose output on a fixed
 series has other bits is not used.  They are compiled with the
 interpreter's own C compiler (about 70 ms with gcc) and loaded with
-``ctypes`` once a process has filtered about as much through scipy's
-bank as compiling costs, so a process that filters one short series
-compiles nothing; nothing is compiled at import.  Until then, and
-wherever the compiler is missing or fails, both run through scipy:
-the simulation through ``lfilter``, and the bank with each pair
-filtered once, in place in its row, through the private kernel of
-``sosfilt``, the partner's row written as its exact conjugate, and a
-real pole through ``lfilter``, with the same bits.  An exact, noise-free
+``ctypes`` on a process's first simulation or bank call; nothing is
+compiled at import, and wherever they load, simulating and filtering
+import no scipy.  Wherever the compiler is missing or fails, or the
+loaded library has other bits, both run through scipy: the simulation
+through ``lfilter``, and the bank with each pair filtered once, in
+place in its row, through the private kernel of ``sosfilt``, the
+partner's row written as its exact conjugate, and a real pole through
+``lfilter``, with the same bits.  An exact, noise-free
 variant evaluates ``f`` directly from the filter, for tests and sharp
 degree detection.  The Monte Carlo driver repeats the full pipeline
 (simulate, filter, estimate, solve, singular values) with per-run seeds.
@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import DegreeReport, RunRecord, estimate_positive_degree
+from .analysis import DegreeReport, RunRecord, check_tau_rank, estimate_positive_degree
 from .continuation import SOLVE_ERRORS, PathError, solve
 from .polyalg import (BANK_RADIUS, BURN_IN, DEFAULT_TAU_RANK, SAMPLES, TOL_NODE,
                       MonicPolynomial, build_S, conjugate_pairs, is_integer, is_schur)
@@ -163,18 +163,18 @@ def simulate_arma(
     ``e`` is unit-variance Gaussian white noise from a seeded generator;
     the recursion starts from zero state and the first ``burn_in`` outputs
     are discarded.  Deterministic per seed.  The recursion runs in the
-    compiled section of the module docstring once the process has filtered
-    ``_COMPILE_AFTER`` bank sample-rows through scipy (the simulation adds
-    none), and through ``scipy.signal.lfilter`` before then; the bits are
-    ``lfilter``'s on both paths.  ``samples``, ``burn_in`` and ``seed``
-    follow :class:`FilterBankSpec`'s rule, and ``sigma`` and ``a`` the
-    filter rule (same degree, ``a`` Schur stable); a breach of either
-    raises ``ValueError``.
+    compiled section of the module docstring, compiled on the process's
+    first simulation or bank call, and through ``scipy.signal.lfilter``
+    wherever that section does not load; the bits are ``lfilter``'s on
+    both paths.  ``samples``, ``burn_in`` and ``seed`` follow
+    :class:`FilterBankSpec`'s rule, and ``sigma`` and ``a`` the filter
+    rule (same degree, ``a`` Schur stable); a breach of either raises
+    ``ValueError``.
     """
     _check_counts(samples, burn_in, seed)
     _check_filter(sigma, a)
     e = np.random.default_rng(seed).standard_normal(samples + burn_in)
-    kernel = _kernel() if _scipy_rows >= _COMPILE_AFTER else None
+    kernel = _kernel()
     if kernel is None:
         # imported here, not at module level: solving never needs it
         from scipy.signal import lfilter
@@ -267,19 +267,6 @@ _KERNEL_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 #: ``lfilter`` does: the same recursions in IEEE double arithmetic.
 _KERNEL_DIGEST = "1c45c65b19f86176f8db43d861c8014101d16c1ae726b666981ace6ec5a22c00"
 
-#: Sample-rows (samples times nonzero poles, summed over calls) the scipy
-#: path of ``filter_bank`` filters in a process before the sections are
-#: compiled; ``_scipy_rows`` counts them, and ``simulate_arma`` reads it
-#: but adds nothing.  scipy's bank takes about 7 ns a sample-row and
-#: compiling and checking the sections about 70 ms (gcc 12, 2 vCPUs), so
-#: the compile comes once scipy has cost what it does: a process that
-#: filters little, such as a default ``detect-degree`` run (4e4),
-#: compiles nothing, and none spends much more than twice the least it
-#: could.
-_COMPILE_AFTER = 10_000_000
-_scipy_rows = 0
-
-
 @functools.cache
 def _kernel():
     """The compiled sections, once per process, or None.
@@ -367,15 +354,14 @@ def filter_bank(y, spec: FilterBankSpec) -> np.ndarray:
     ``y`` is a nonempty 1-d real finite series; anything else raises
     ``ValueError``.  Returns an array of shape ``(n + 1, len(y))``.  The row
     of pole 0 is ``y`` itself; every other row is written in one pass over
-    ``y`` by the compiled sections of the module docstring, once the
-    process has filtered ``_COMPILE_AFTER`` sample-rows through scipy: a
-    real pole's in real arithmetic, and the conjugate pairs up to three
-    to a pass, each pair once, with the partner's row the exact conjugate
-    of its row.  The bits are ``lfilter``'s on both paths, the compiled
-    one and the scipy one (on the compiled one, a zero entry may take the
-    other sign where ``y`` has exact zeros).
+    ``y`` by the compiled sections of the module docstring, compiled on
+    the process's first simulation or bank call: a real pole's in real
+    arithmetic, and the conjugate pairs up to three to a pass, each pair
+    once, with the partner's row the exact conjugate of its row.  The
+    bits are ``lfilter``'s on both paths, the compiled one and the scipy
+    one, taken where the sections do not load (on the compiled one, a
+    zero entry may take the other sign where ``y`` has exact zeros).
     """
-    global _scipy_rows
     y = np.asarray(y)
     if y.ndim != 1 or y.size == 0 or np.iscomplexobj(y):
         raise ValueError("y must be a nonempty 1-d real series")
@@ -385,9 +371,8 @@ def filter_bank(y, spec: FilterBankSpec) -> np.ndarray:
         # the two paths turn an infinite sample into different non-finite rows
         raise ValueError("y must be finite")
     out = np.empty((len(spec.poles), y.size), dtype=complex)
-    kernel = _kernel() if _scipy_rows >= _COMPILE_AFTER else None
+    kernel = _kernel()
     if kernel is None:
-        _scipy_rows += y.size * np.count_nonzero(spec.poles)
         _scipy_bank(y, spec, out)
         return out
     for k, j in enumerate(spec.partners):
@@ -406,8 +391,8 @@ def filter_bank(y, spec: FilterBankSpec) -> np.ndarray:
 
 
 def _scipy_bank(y: np.ndarray, spec: FilterBankSpec, out: np.ndarray) -> None:
-    """``filter_bank``'s rows into ``out`` through scipy, before the kernel
-    is compiled and where none loads.
+    """``filter_bank``'s rows into ``out`` through scipy, where no kernel
+    loads.
 
     A real pole is filtered by ``lfilter``; each conjugate pair once, in
     place in its row, as the one-pole section ``[1, 0, 0, 1, -p, 0]`` of
@@ -449,10 +434,11 @@ def estimate_values(bank_outputs: np.ndarray, spec: FilterBankSpec) -> np.ndarra
     partner (which also forces the value at infinity to be real).  A short
     sample can give values whose Pick matrix is not positive definite;
     ``validate`` reports that as ``pick-not-pd`` when they are solved.  The
-    bank must be 2-d, with one row per pole of ``spec`` and at least one
-    column, as ``filter_bank(y, spec)`` makes it; any other shape raises
-    ``ValueError``.
+    bank, an array or nested lists, must be 2-d, with one row per pole of
+    ``spec`` and at least one column, as ``filter_bank(y, spec)`` makes
+    it; any other shape raises ``ValueError``.
     """
+    bank_outputs = np.asarray(bank_outputs)
     if bank_outputs.ndim != 2 or bank_outputs.shape[1] == 0:
         raise ValueError(f"the bank must be 2-d with at least one column, "
                          f"got shape {bank_outputs.shape}")
@@ -528,10 +514,11 @@ class MonteCarloConfig:
     ``spec`` is derived, not passed: the checked bank of every run.  Per-run
     seeds are drawn from ``np.random.SeedSequence(seed).spawn(runs)``.
     ``samples`` and ``burn_in`` default to ``SAMPLES`` and ``BURN_IN`` of
-    the table in :mod:`nevpick.polyalg`.  ``tau_rank``, the
-    threshold of the degree estimate, lies in ``(0, 1]``.  ``order``,
-    ``runs``, ``samples``, ``burn_in`` and ``seed`` are integers (numpy
-    integers included, booleans not); the last three are checked by ``spec``.
+    the table in :mod:`nevpick.polyalg`.  ``tau_rank``, the threshold of
+    the degree estimate, follows :func:`~nevpick.analysis.check_tau_rank`'s
+    rule.  ``order``, ``runs``, ``samples``, ``burn_in`` and ``seed`` are
+    integers (numpy integers included, booleans not); the last three are
+    checked by ``spec``.
     """
 
     sigma: MonicPolynomial
@@ -555,8 +542,7 @@ class MonteCarloConfig:
             raise ValueError("variant must be " + " or ".join(map(repr, VARIANTS)))
         if not (is_integer(self.runs) and self.runs >= 1):
             raise ValueError(f"runs must be a positive integer, got {self.runs!r}")
-        if not 0 < self.tau_rank <= 1:
-            raise ValueError(f"tau_rank must lie in (0, 1], got {self.tau_rank}")
+        check_tau_rank(self.tau_rank)
         _check_filter(self.sigma, self.a)
         if self.poles is not None and len(self.poles) != order + 1:
             raise ValueError(f"bank_poles must list order + 1 = {order + 1} poles")

@@ -113,6 +113,19 @@ class TestEstimatePositiveDegree:
         with pytest.raises(ValueError):
             estimate_positive_degree([0.1, 0.5])
 
+    @pytest.mark.parametrize("tau_rank", [0.0, 2.0, -0.5, float("nan"), float("inf"), True,
+                                          np.bool_(True), "0.5", None, 0.5j])
+    def test_rejects_a_tau_rank_outside_the_rule(self, tau_rank):
+        # 0.0 counted all three values and 2.0 none, without complaint; "0.5"
+        # raised TypeError from the comparison
+        with pytest.raises(ValueError, match=r"tau_rank must be a real number in \(0, 1\]"):
+            estimate_positive_degree([1, .1, .001], tau_rank)
+
+    @pytest.mark.parametrize("tau_rank, degree", [(1, 1), (np.float64(0.5), 1),
+                                                  (np.float32(0.05), 2), (np.int64(1), 1)])
+    def test_accepts_real_numbers_in_the_unit_interval(self, tau_rank, degree):
+        assert estimate_positive_degree([1, .1, .001], tau_rank) == degree
+
 
 class TestDegreeReport:
     def test_runs_failed_counts_failed_records(self):

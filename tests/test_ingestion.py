@@ -136,11 +136,7 @@ def arma_system(degree: int, seed: int) -> tuple:
 
 class TestSimulateArma:
     """The simulation on the compiled path, wherever a C compiler is found:
-    the bank's scipy path is made to have filtered enough already."""
-
-    @pytest.fixture(autouse=True)
-    def compile_at_once(self, monkeypatch):
-        monkeypatch.setattr(ingestion, "_COMPILE_AFTER", 0)
+    the first call compiles the sections."""
 
     @pytest.mark.parametrize("samples", [1, 10_000])
     @pytest.mark.parametrize("burn_in", [0, 1000])
@@ -257,11 +253,7 @@ def assert_matches_oracle(spec, y, rtol=1e-13):
 
 class TestFilterBank:
     """The bank on the compiled path, wherever a C compiler is found: the
-    scipy path is made to have filtered enough already."""
-
-    @pytest.fixture(autouse=True)
-    def compile_at_once(self, monkeypatch):
-        monkeypatch.setattr(ingestion, "_COMPILE_AFTER", 0)
+    first call compiles the sections."""
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_per_pole_oracle(self, n):
@@ -478,12 +470,15 @@ class PythonSections:
 
 
 class TestImportGuard:
+    #: a degree-2 system detected at order 4, as the CLI reads it
+    SYSTEM = ('{"sigma_roots": [{"re": 0.17, "im": 0.26}, {"re": 0.17, "im": -0.26}],'
+              ' "a_roots": [{"re": 0.09, "im": 0.75}, {"re": 0.09, "im": -0.75}], "order": 4}')
+
     def test_solving_never_loads_scipy_signal(self):
         # importing and solving load no scipy module at all and no numpy.fft,
         # and compile nothing (importing loads no subprocess module either;
-        # conftest's pytest does); simulate_arma imports scipy.signal on
-        # first use below the compile threshold, and spectral_density
-        # numpy.fft
+        # conftest's pytest does); simulate_arma imports scipy.signal only
+        # where the kernel does not load, and spectral_density numpy.fft
         script = (
             "import sys\n"
             "import nevpick, nevpick.cli\n"
@@ -500,7 +495,8 @@ class TestImportGuard:
             "assert nevpick.ingestion._kernel.cache_info().currsize == 0\n"
             "assert spectral_density(sol).shape == (256,) and 'numpy.fft' in sys.modules\n"
             "y = simulate_arma(MonicPolynomial([1.0, 0.4]), MonicPolynomial([1.0, -0.5]), 100)\n"
-            "assert y.shape == (100,) and 'scipy.signal' in sys.modules\n"
+            "assert y.shape == (100,)\n"
+            "assert ('scipy.signal' in sys.modules) == (nevpick.ingestion._kernel() is None)\n"
         )
         proc = run_script(script)
         assert proc.returncode == 0, proc.stderr
@@ -514,7 +510,6 @@ class TestImportGuard:
             "import numpy as np\n"
             "from nevpick import FilterBankSpec, default_bank_poles, filter_bank, ingestion\n"
             "spec = FilterBankSpec(poles=tuple(default_bank_poles(3)), samples=100)\n"
-            "ingestion._COMPILE_AFTER = 0\n"
             "assert filter_bank(np.ones(100), spec).shape == (4, 100)\n"
             "assert ingestion._kernel.cache_info().currsize == 1\n"
             "assert ingestion._kernel() is None or 'scipy' not in sys.modules\n"
@@ -530,7 +525,6 @@ class TestImportGuard:
             "import sys\n"
             "from nevpick import (FilterBankSpec, MonicPolynomial, default_bank_poles,\n"
             "                     filter_bank, ingestion, simulate_arma)\n"
-            "ingestion._COMPILE_AFTER = 0\n"
             "sigma, a = MonicPolynomial([1.0, 0.4, 0.2]), MonicPolynomial([1.0, -0.5, 0.3])\n"
             "y = simulate_arma(sigma, a, 1000, 100, 5)\n"
             "bank = filter_bank(y, FilterBankSpec(poles=tuple(default_bank_poles(5)), samples=1000))\n"
@@ -541,41 +535,60 @@ class TestImportGuard:
         proc = run_script(script)
         assert proc.returncode == 0, proc.stderr
 
-    def test_compiles_once_the_scipy_path_has_filtered_enough(self, monkeypatch):
-        # three calls of 1000 samples through two nonzero poles fill a
-        # threshold of 6000 sample-rows; only the fourth asks for the kernel
-        asked = []
-        monkeypatch.setattr(ingestion, "_kernel", lambda: asked.append(1))
-        monkeypatch.setattr(ingestion, "_COMPILE_AFTER", 6000)
-        monkeypatch.setattr(ingestion, "_scipy_rows", 0)
-        y = np.random.default_rng(5).standard_normal(1000)
-        spec = FilterBankSpec(poles=tuple(default_bank_poles(2)), samples=y.size)
-        for _ in range(3):
-            filter_bank(y, spec)
-        assert asked == [] and ingestion._scipy_rows == 6000
-        filter_bank(y, spec)
-        assert asked == [1]
-
-    def test_a_default_detect_degree_run_compiles_nothing(self, tmp_path):
-        # one series of 1e4 samples through four nonzero poles would save
-        # about 0.1 ms compiled and cost about 45 ms to compile
+    def test_a_detect_degree_run_loads_no_scipy_where_the_kernel_loads(self, tmp_path):
+        # an exact run filters nothing, so it compiles nothing; a default
+        # (Monte Carlo) run then compiles the sections on its first
+        # simulation and needs no scipy module wherever they load
         system = tmp_path / "system.json"
-        system.write_text('{"sigma_roots": [{"re": 0.17, "im": 0.26}, {"re": 0.17, "im": -0.26}],'
-                          ' "a_roots": [{"re": 0.09, "im": 0.75}, {"re": 0.09, "im": -0.75}],'
-                          ' "order": 4}')
+        system.write_text(self.SYSTEM)
         script = (
+            "import sys\n"
             "from nevpick import cli, ingestion\n"
-            "try:\n"
-            f"    cli.main(['detect-degree', '--input', {str(system)!r},\n"
-            f"              '--output', {str(tmp_path / 'out')!r}], standalone_mode=False)\n"
-            "except SystemExit as exc:\n"
-            "    assert exc.code == 0, exc.code\n"
-            "assert ingestion._scipy_rows == 40_000, ingestion._scipy_rows\n"
+            "def detect(out, *flags):\n"
+            "    try:\n"
+            f"        cli.main(['detect-degree', '--input', {str(system)!r}, '--output', out,\n"
+            "                  *flags], standalone_mode=False)\n"
+            "    except SystemExit as exc:\n"
+            "        assert exc.code == 0, exc.code\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            f"detect({str(tmp_path / 'exact')!r}, '--variant', 'exact')\n"
             "assert ingestion._kernel.cache_info().currsize == 0\n"
+            "assert not scipy_modules(), scipy_modules()\n"
+            f"detect({str(tmp_path / 'mc')!r})\n"
+            "assert ingestion._kernel.cache_info().currsize == 1\n"
+            "assert ingestion._kernel() is None or not scipy_modules(), scipy_modules()\n"
         )
         proc = run_script(script)
         assert proc.returncode == 0, proc.stderr
-        assert (tmp_path / "out" / "degree_report.json").exists()
+        for run in ("exact", "mc"):
+            assert (tmp_path / run / "degree_report.json").exists()
+
+    def test_a_simulate_run_writes_the_same_bytes_on_the_scipy_path(self, tmp_path):
+        # a default simulate run, compiled and with the kernel loader made to
+        # find no kernel (the path of a host without a C compiler): the same
+        # files (both into one directory, whose path the files record), and
+        # only the scipy path loads scipy.signal
+        system = tmp_path / "system.json"
+        system.write_text(self.SYSTEM)
+        written = {}
+        for path in ("compiled", "scipy"):
+            script = (
+                "import sys\n"
+                "from nevpick import cli, ingestion\n"
+                + ("ingestion._kernel = lambda: None\n" if path == "scipy" else "")
+                + "try:\n"
+                f"    cli.main(['simulate', '--input', {str(system)!r},\n"
+                f"              '--output', {str(tmp_path / 'out')!r}], standalone_mode=False)\n"
+                "except SystemExit as exc:\n"
+                "    assert exc.code == 0, exc.code\n"
+                "assert ('scipy.signal' in sys.modules) == (ingestion._kernel() is None)\n"
+            )
+            proc = run_script(script)
+            assert proc.returncode == 0, (path, proc.stderr)
+            written[path] = [(tmp_path / "out" / name).read_bytes()
+                             for name in ("problem.json", "series.csv")]
+        assert written["compiled"] == written["scipy"]
 
     def test_kernel_digest_is_the_recursion_in_double_arithmetic(self):
         # the constant the loaded sections are checked against is the bits of
@@ -688,7 +701,7 @@ class TestEstimateValues:
             assert w[j] == np.conj(w[k])
 
     @pytest.mark.parametrize("bank", [np.ones(3, dtype=complex), np.ones((3, 0), dtype=complex),
-                                      np.ones((3, 2, 1), dtype=complex)])
+                                      np.ones((3, 2, 1), dtype=complex), [1.0, 2.0, 3.0]])
     def test_rejects_a_bank_that_is_not_2d_with_columns(self, bank):
         # a 1-d bank raised TypeError from @, and a bank of no columns gave
         # all-NaN values with a RuntimeWarning
@@ -697,6 +710,13 @@ class TestEstimateValues:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="the bank must be 2-d with at least one column"):
                 estimate_values(bank, spec)
+
+    def test_takes_a_bank_of_nested_lists(self):
+        # a list raised AttributeError on .ndim
+        sigma, a = degree2_system()
+        spec = FilterBankSpec(poles=tuple(default_bank_poles(3)), samples=200, seed=4)
+        bank = filter_bank(simulate_arma(sigma, a, spec.samples, spec.burn_in, spec.seed), spec)
+        assert np.array_equal(estimate_values(bank.tolist(), spec), estimate_values(bank, spec))
 
     @pytest.mark.parametrize("rows", [4, 2])
     def test_rejects_a_bank_of_another_row_count(self, rows):
@@ -933,6 +953,20 @@ class TestMonteCarlo:
         sigma, a = degree2_system()
         with pytest.raises(ValueError, match=f"{field} must be a"):
             MonteCarloConfig(sigma=sigma, a=a, order=2, **{field: value})
+
+    @pytest.mark.parametrize("tau_rank", [True, "0.5", 0.0, 1.5, float("nan")])
+    def test_rejects_a_tau_rank_outside_the_rule(self, tau_rank):
+        # True was accepted and stored as True; "0.5" raised TypeError from
+        # the comparison
+        sigma, a = degree2_system()
+        with pytest.raises(ValueError, match=r"tau_rank must be a real number in \(0, 1\]"):
+            MonteCarloConfig(sigma=sigma, a=a, order=2, tau_rank=tau_rank)
+
+    def test_accepts_a_numpy_float_tau_rank(self):
+        sigma, a = degree2_system()
+        cfg = MonteCarloConfig(sigma=sigma, a=a, order=3, variant="exact",
+                               tau_rank=np.float32(0.01))
+        assert monte_carlo(cfg).estimated_degree == 2
 
     def test_accepts_numpy_integer_counts(self):
         sigma, a = degree2_system()
