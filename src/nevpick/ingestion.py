@@ -22,17 +22,19 @@ products and sums, in the same order, as ``lfilter`` and ``sosfilt`` do,
 and are compiled without contraction into fused multiply-adds and
 without ``-ffast-math``, so the series and every bank entry have the
 bits of ``lfilter``'s (a bank zero entry's sign aside, where the series
-itself has exact zeros); a loaded library whose output on a fixed
-series has other bits is not used.  They are compiled with the
-interpreter's own C compiler (about 70 ms with gcc) and loaded with
-``ctypes`` on a process's first simulation or bank call; nothing is
-compiled at import, and wherever they load, simulating and filtering
-import no scipy.  Wherever the compiler is missing or fails, or the
-loaded library has other bits, both run through scipy: the simulation
-through ``lfilter``, and the bank with each pair filtered once, in
-place in its row, through the private kernel of ``sosfilt``, the
-partner's row written as its exact conjugate, and a real pole through
-``lfilter``, with the same bits.  An exact, noise-free
+itself has exact zeros).  They are compiled with the interpreter's own
+C compiler (about 70 ms with gcc) and loaded with ``ctypes`` on a
+process's first simulation or bank call; nothing is compiled at import.
+``_PythonSections`` is their twin in Python floats, statement by
+statement, with the same bits.  It is the check: a loaded library is
+used only where its output on a fixed series is the twin's, byte for
+byte.  And it is the fallback: it runs wherever ``sysconfig`` gives no
+compiler (CPython's Windows builds), wherever compiling or loading
+fails, and wherever the library's output differs.  It is slow: per 1e5
+samples, about 50 ms for a degree-2 simulation, 35 ms per conjugate
+pair and 17 ms per real pole of the bank, where the compiled sections
+take about 3 ms for a simulation and 1 ms for a bank of order 6.
+No path imports scipy.  An exact, noise-free
 variant evaluates ``f`` directly from the filter, for tests and sharp
 degree detection.  The Monte Carlo driver repeats the full pipeline
 (simulate, filter, estimate, solve, singular values) with per-run seeds.
@@ -164,25 +166,20 @@ def simulate_arma(
     the recursion starts from zero state and the first ``burn_in`` outputs
     are discarded.  Deterministic per seed.  The recursion runs in the
     compiled section of the module docstring, compiled on the process's
-    first simulation or bank call, and through ``scipy.signal.lfilter``
-    wherever that section does not load; the bits are ``lfilter``'s on
-    both paths.  ``samples``, ``burn_in`` and ``seed`` follow
-    :class:`FilterBankSpec`'s rule, and ``sigma`` and ``a`` the filter
-    rule (same degree, ``a`` Schur stable); a breach of either raises
-    ``ValueError``.
+    first simulation or bank call, and in its Python twin wherever that
+    section does not load (about 50 ms per 1e5 samples at degree 2); the
+    bits are ``lfilter``'s on both paths.  ``samples``, ``burn_in`` and
+    ``seed`` follow :class:`FilterBankSpec`'s rule, and ``sigma`` and
+    ``a`` the filter rule (same degree, ``a`` Schur stable); a breach of
+    either raises ``ValueError``.
     """
     _check_counts(samples, burn_in, seed)
     _check_filter(sigma, a)
     e = np.random.default_rng(seed).standard_normal(samples + burn_in)
-    kernel = _kernel()
-    if kernel is None:
-        # imported here, not at module level: solving never needs it
-        from scipy.signal import lfilter
-        return lfilter(sigma.coeffs, a.coeffs, e)[burn_in:]
     y = np.empty(samples)
     state = np.zeros(a.degree)      # kept referenced: the section writes it
-    kernel.arma(e.ctypes.data, y.ctypes.data, e.size, burn_in, sigma.coeffs.ctypes.data,
-                a.coeffs.ctypes.data, a.degree, state.ctypes.data)
+    _kernel().arma(e.ctypes.data, y.ctypes.data, e.size, burn_in, sigma.coeffs.ctypes.data,
+                   a.coeffs.ctypes.data, a.degree, state.ctypes.data)
     return y
 
 
@@ -263,22 +260,94 @@ void bank_real(const double *y, double *u, ptrdiff_t n, double p)
 #: sections round as ``lfilter`` and ``sosfilt`` do and keep subnormals.
 _KERNEL_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
-#: The SHA-256 of ``_kernel_digest``'s outputs where the sections round as
-#: ``lfilter`` does: the same recursions in IEEE double arithmetic.
-_KERNEL_DIGEST = "1c45c65b19f86176f8db43d861c8014101d16c1ae726b666981ace6ec5a22c00"
+
+def _doubles(address: int, n: int):
+    """The ``n`` doubles at ``address``, read and written in place."""
+    return (ctypes.c_double * n).from_address(address)
+
+
+#: Samples per block of ``_blocks``: every index into a block's views is
+#: below 256, a small int CPython does not allocate, so a loop over a block
+#: allocates nothing and runs about twice as fast as one over the series.
+_BLOCK = 128
+
+
+def _blocks(n: int, *series):
+    """Samples ``0 .. n - 1`` in blocks of up to ``_BLOCK``: per block, per
+    ``(address, width)`` of ``series``, a view of the block's samples of
+    ``width`` doubles each at ``address``."""
+    for start in range(0, n, _BLOCK):
+        yield [_doubles(a + 8 * w * start, w * min(_BLOCK, n - start)) for a, w in series]
+
+
+class _PythonSections:
+    """The compiled sections in Python floats, called as they are: the
+    sections wherever no library loads, and the check a library must pass.
+
+    A namespace, as the loaded library is: its functions are called on the
+    class, with the C's names and arguments.  Each repeats the C's
+    statements, on the addresses the C gets; ``arma`` keeps the register
+    ``z_0`` in ``z[0]`` of a list of its own, which folds the C's three
+    branches into one loop, and ``bank_pairs`` runs its pairs one after
+    another, which the independent pairs allow.  Python's float arithmetic
+    is IEEE double and never contracts, so the outputs have the C's bits.
+    The series are read and the rows written one double at a time, the
+    bank's in ``_blocks``, so no copy of either is made.
+    """
+
+    def arma(e, y, n, skip, b, a, m, z):
+        e, y = _doubles(e, n), _doubles(y, n - skip)
+        b, a = _doubles(b, m + 1)[:], _doubles(a, m + 1)[:]
+        z = [0.0] * (m + 1)
+        for i in range(n):
+            x = e[i]
+            w = z[0] + b[0] * x
+            for k in range(1, m):
+                z[k - 1] = (z[k] + x * b[k]) - w * a[k]
+            if m:
+                z[m - 1] = x * b[m] - w * a[m]
+            if i >= skip:
+                y[i - skip] = w
+
+    def bank_pairs(y, n, w, p, u):
+        p, u = _doubles(p, 2 * w), (ctypes.c_size_t * (2 * w)).from_address(u)
+        for first, second, p0, p1 in zip(u[::2], u[1::2], p[::2], p[1::2]):
+            s0 = s1 = 0.0
+            for ys, row, partner in _blocks(n, (y, 1), (first, 2), (second, 2)):
+                for i in range(len(ys)):
+                    t = ys[i] + (p0 * s0 - p1 * s1)
+                    s1 = 0.0 + (p0 * s1 + p1 * s0)
+                    s0 = t
+                    row[2 * i] = t
+                    row[2 * i + 1] = s1
+                    partner[2 * i] = t
+                    partner[2 * i + 1] = -s1
+
+    def bank_real(y, u, n, p):
+        ur = 0.0
+        for ys, us in _blocks(n, (y, 1), (u, 2)):
+            for i in range(len(ys)):
+                ur = ys[i] + p * ur
+                us[2 * i] = ur
+                us[2 * i + 1] = 0.0
+
 
 @functools.cache
 def _kernel():
-    """The compiled sections, once per process, or None.
+    """The compiled sections, once per process, or ``_PythonSections``.
 
     ``_KERNEL_SOURCE`` goes to the interpreter's own C compiler
     (``sysconfig``'s ``CC``) on its standard input, and the library it
     writes into a private temporary directory is loaded, then removed with
-    the directory.  None where there is no compiler, where compiling or
-    loading fails (the compiler's output is captured, nothing is raised),
-    or where the loaded sections do not give ``_KERNEL_DIGEST`` (a compiler
-    whose default floating-point mode reorders, contracts or flushes);
-    ``simulate_arma`` and ``filter_bank`` then take the scipy path.
+    the directory.  The library is used only where its outputs on
+    ``_kernel_outputs``' fixed series are the twin's, byte for byte (the
+    twin's share of the first call is about 2 ms, the compile's about 70).
+    Elsewhere the twin runs, with the same bits and about 20 to 120 times
+    slower (per 1e5 samples, 50 ms for a degree-2 simulation and 35 ms a
+    bank pair): where there is no ``CC`` (CPython's Windows builds), where
+    compiling or loading fails (the compiler's output is captured, nothing
+    is raised), and where the library's outputs differ (a compiler whose
+    default floating-point mode reorders, contracts or flushes).
     """
     # imported here, not at module level: import nevpick starts no process
     import shlex
@@ -287,7 +356,7 @@ def _kernel():
 
     cc = sysconfig.get_config_var("CC")
     if not cc:
-        return None
+        return _PythonSections
     try:
         with tempfile.TemporaryDirectory(ignore_cleanup_errors=True) as tmp:
             library = os.path.join(tmp, "bank.so")
@@ -296,14 +365,15 @@ def _kernel():
                            timeout=60)
             kernel = ctypes.CDLL(library)
     except (OSError, ValueError, subprocess.SubprocessError):
-        return None
+        return _PythonSections
     pointer, size, real = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double
     kernel.arma.argtypes = (pointer, pointer, size, size, pointer, pointer, size, pointer)
     kernel.bank_pairs.argtypes = (pointer, size, size, pointer, pointer)
     kernel.bank_real.argtypes = (pointer, pointer, size, real)
     for section in (kernel.arma, kernel.bank_pairs, kernel.bank_real):
         section.restype = None
-    return kernel if _kernel_digest(kernel) == _KERNEL_DIGEST else None
+    same = list(_kernel_outputs(kernel)) == list(_kernel_outputs(_PythonSections))
+    return kernel if same else _PythonSections
 
 
 def _row_addresses(out: np.ndarray, rows) -> np.ndarray:
@@ -311,8 +381,9 @@ def _row_addresses(out: np.ndarray, rows) -> np.ndarray:
     return out.ctypes.data + out.strides[0] * np.asarray(rows, dtype=np.uintp)
 
 
-def _kernel_digest(kernel) -> str:
-    """The SHA-256 of the sections' outputs on a fixed series, little-endian.
+def _kernel_outputs(kernel):
+    """The bytes of the sections' outputs on a fixed series, one output at
+    a time.
 
     The series (256 samples), the poles (three pairs, filtered as blocks
     of one, two and three, and a negative real pole) and the coefficients
@@ -320,32 +391,28 @@ def _kernel_digest(kernel) -> str:
     ``z``) are dyadic, so exact on every host, and each output rounds
     from between the 12th and the 48th sample on: contraction, reordering
     or extended precision changes their bits, and so does flushing the
-    subnormal copy of the series to zero.  Nothing here imports scipy.
+    subnormal copy of the series to zero.
     """
-    import hashlib
-
     base = (np.arange(1, 257) * 37 % 101 - 50) / 16.0
     pairs = np.array([-0.625, -0.6875, 0.5, 0.75, 0.875, -0.25])
     filters = [(np.array([1.0, 0.25]), np.array([1.0, -0.5])),
                (np.array([1.0, -0.375, -0.46875, 0.2109375, -0.033203125, 0.0146484375]),
                 np.array([1.0, -0.75, -0.3125, 0.234375, 0.015625, -0.01171875]))]
     skip = 16
-    digest = hashlib.sha256()
     for y in (base, base * 2.0 ** -1060):
         for w in (1, 2, 3):
             rows = np.empty((2 * w, y.size), dtype=complex)
             addresses = _row_addresses(rows, range(2 * w))
             kernel.bank_pairs(y.ctypes.data, y.size, w, pairs.ctypes.data, addresses.ctypes.data)
-            digest.update(rows.astype("<c16").tobytes())
+            yield rows.tobytes()
         row = np.empty(y.size, dtype=complex)
         kernel.bank_real(y.ctypes.data, row.ctypes.data, y.size, -0.8125)
-        digest.update(row.astype("<c16").tobytes())
+        yield row.tobytes()
         for b, a in filters:
             out, state = np.empty(y.size - skip), np.zeros(a.size - 1)
             kernel.arma(y.ctypes.data, out.ctypes.data, y.size, skip, b.ctypes.data,
                         a.ctypes.data, a.size - 1, state.ctypes.data)
-            digest.update(out.astype("<f8").tobytes())
-    return digest.hexdigest()
+            yield out.tobytes()
 
 
 def filter_bank(y, spec: FilterBankSpec) -> np.ndarray:
@@ -358,9 +425,10 @@ def filter_bank(y, spec: FilterBankSpec) -> np.ndarray:
     the process's first simulation or bank call: a real pole's in real
     arithmetic, and the conjugate pairs up to three to a pass, each pair
     once, with the partner's row the exact conjugate of its row.  The
-    bits are ``lfilter``'s on both paths, the compiled one and the scipy
-    one, taken where the sections do not load (on the compiled one, a
-    zero entry may take the other sign where ``y`` has exact zeros).
+    sections' Python twin runs where they do not load (per 1e5 samples,
+    about 35 ms a pair and 17 ms a real pole), with the same bits.  The
+    bits are ``lfilter``'s, but for the sign of a zero entry where ``y``
+    has exact zeros.
     """
     y = np.asarray(y)
     if y.ndim != 1 or y.size == 0 or np.iscomplexobj(y):
@@ -368,57 +436,22 @@ def filter_bank(y, spec: FilterBankSpec) -> np.ndarray:
     # contiguous doubles: the compiled sections read y through a pointer
     y = np.ascontiguousarray(y, dtype=float)
     if not np.isfinite(y).all():
-        # the two paths turn an infinite sample into different non-finite rows
+        # an infinite sample leaves only inf and nan in its rows after it
         raise ValueError("y must be finite")
     out = np.empty((len(spec.poles), y.size), dtype=complex)
-    kernel = _kernel()
-    if kernel is None:
-        _scipy_bank(y, spec, out)
-        return out
     for k, j in enumerate(spec.partners):
         p = spec.poles[k]
         if p == 0:
             out[k] = y
         elif j == k:
-            kernel.bank_real(y.ctypes.data, out[k].ctypes.data, y.size, p.real)
+            _kernel().bank_real(y.ctypes.data, out[k].ctypes.data, y.size, p.real)
     pairs = [k for k, j in enumerate(spec.partners) if k < j]
     for first in range(0, len(pairs), 3):
         block = pairs[first:first + 3]
         poles = np.array([(spec.poles[k].real, spec.poles[k].imag) for k in block])
         rows = _row_addresses(out, [r for k in block for r in (k, spec.partners[k])])
-        kernel.bank_pairs(y.ctypes.data, y.size, len(block), poles.ctypes.data, rows.ctypes.data)
+        _kernel().bank_pairs(y.ctypes.data, y.size, len(block), poles.ctypes.data, rows.ctypes.data)
     return out
-
-
-def _scipy_bank(y: np.ndarray, spec: FilterBankSpec, out: np.ndarray) -> None:
-    """``filter_bank``'s rows into ``out`` through scipy, where no kernel
-    loads.
-
-    A real pole is filtered by ``lfilter``; each conjugate pair once, in
-    place in its row, as the one-pole section ``[1, 0, 0, 1, -p, 0]`` of
-    ``sosfilt``'s kernel (bit-identical to ``lfilter``'s complex path, and
-    about twice as fast), and the partner's row is the exact conjugate of
-    its row.
-    """
-    from scipy.signal import lfilter
-    # sosfilt(sos, x) makes a C-ordered complex copy of x and filters it in
-    # place with this kernel, after a per-call overhead of about 16 us; the
-    # bank row is already C-contiguous and complex, so the kernel filters it
-    # where it lies, with the same bits and no copy.  Imported here, not at
-    # module level: solving never needs it.
-    from scipy.signal._sosfilt import _sosfilt
-
-    for k, j in enumerate(spec.partners):
-        p = spec.poles[k]
-        if p == 0:
-            out[k] = y
-        elif j == k:
-            out[k] = lfilter([1.0], [1.0, -p.real], y)
-        elif k < j:
-            out[k] = y
-            sos = np.array([[1.0, 0.0, 0.0, 1.0, -p, 0.0]], dtype=complex)
-            _sosfilt(sos, out[k:k + 1], np.zeros((1, 1, 2), dtype=complex))
-            np.conjugate(out[k], out=out[j])
 
 
 def estimate_values(bank_outputs: np.ndarray, spec: FilterBankSpec) -> np.ndarray:

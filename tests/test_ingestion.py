@@ -213,12 +213,12 @@ class TestSimulateArma:
 
 
 class TestSimulateArmaFallback(TestSimulateArma):
-    """Every simulation test again on the scipy path, the one a host without
-    a C compiler takes: the kernel loader is made to find no kernel."""
+    """Every simulation test again on the Python twin of the sections, the
+    path of a host without a C compiler: the kernel loader returns the twin."""
 
     @pytest.fixture(autouse=True)
     def no_kernel(self, monkeypatch):
-        monkeypatch.setattr(ingestion, "_kernel", lambda: None)
+        monkeypatch.setattr(ingestion, "_kernel", lambda: ingestion._PythonSections)
 
 
 def filter_bank_per_pole(y, poles) -> np.ndarray:
@@ -369,11 +369,10 @@ class TestFilterBank:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_filters_pairs_without_a_copy(self, n):
-        # every row is filtered where it lies; only the scipy path forms a
-        # real pole's lfilter row (odd n) apart from the bank
+        # every row is filtered where it lies, and y is read where it lies
         y = np.random.default_rng(n).standard_normal(100_000)
         spec = FilterBankSpec(poles=tuple(default_bank_poles(n)), samples=y.size)
-        filter_bank(y, spec)   # scipy's imports and first-call caches
+        filter_bank(y, spec)   # first-call caches
         tracemalloc.start()
         try:
             out = filter_bank(y, spec)
@@ -381,8 +380,7 @@ class TestFilterBank:
         finally:
             tracemalloc.stop()
         extra = peak - out.nbytes
-        lfilter_row = y.nbytes if n % 2 and ingestion._kernel() is None else 0
-        assert extra < lfilter_row + 64 * 1024
+        assert extra < 64 * 1024
 
     @pytest.mark.parametrize("y", [np.zeros(0), [], np.zeros((2, 3)), np.ones(4) + 1j,
                                    np.ones(4, dtype=complex)])
@@ -395,20 +393,20 @@ class TestFilterBank:
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_rejects_a_series_that_is_not_finite(self, bad):
-        # with y = [1, inf, 1, 1] the compiled real row read [1, inf, inf, inf]
-        # and the scipy one [1, inf, nan, nan] (0 * inf in scipy's sections)
+        # with y = [1, inf, 1, 1] the real row reads [1, inf, inf, inf] and
+        # the pair rows turn nan: no entry after the sample is a value
         spec = FilterBankSpec(poles=(0.0, 0.5j, -0.5j, 0.5), samples=4)
         with pytest.raises(ValueError, match="y must be finite"):
             filter_bank(np.array([1.0, bad, 1.0, 1.0]), spec)
 
 
 class TestFilterBankFallback(TestFilterBank):
-    """Every bank test again on the scipy path, the one a host without a C
-    compiler takes: the kernel loader is made to find no kernel."""
+    """Every bank test again on the Python twin of the sections, the path of
+    a host without a C compiler: the kernel loader returns the twin."""
 
     @pytest.fixture(autouse=True)
     def no_kernel(self, monkeypatch):
-        monkeypatch.setattr(ingestion, "_kernel", lambda: None)
+        monkeypatch.setattr(ingestion, "_kernel", lambda: ingestion._PythonSections)
 
 
 def run_script(script: str, **env) -> subprocess.CompletedProcess:
@@ -422,53 +420,6 @@ def run_script(script: str, **env) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=120)
 
 
-def doubles(address: int, n: int) -> np.ndarray:
-    """The ``n`` doubles at ``address``, as an array that writes through."""
-    return np.ctypeslib.as_array((ctypes.c_double * n).from_address(address))
-
-
-class PythonSections:
-    """Oracle: ``ingestion``'s C sections in Python floats, called as they are."""
-
-    @staticmethod
-    def arma(e, y, n, skip, b, a, m, z):
-        # lfilter's loop as written, every delay in the list z
-        e, y = doubles(e, n).tolist(), doubles(y, n - skip)
-        b, a = doubles(b, m + 1).tolist(), doubles(a, m + 1).tolist()
-        z = [0.0] * (m + 1)
-        for t in range(n):
-            x = e[t]
-            w = z[0] + b[0] * x
-            for k in range(m - 1):
-                z[k] = (z[k + 1] + x * b[k + 1]) - w * a[k + 1]
-            if m:
-                z[m - 1] = x * b[m] - w * a[m]
-            if t >= skip:
-                y[t - skip] = w
-
-    @staticmethod
-    def bank_pairs(y, n, w, p, u):
-        p, u = doubles(p, 2 * w).tolist(), list((ctypes.c_size_t * (2 * w)).from_address(u))
-        for k in range(w):
-            PythonSections.bank_pair(y, u[2 * k], u[2 * k + 1], n, p[2 * k], p[2 * k + 1])
-
-    @staticmethod
-    def bank_pair(y, u, v, n, pr, pi):
-        y, u, v = doubles(y, n).tolist(), doubles(u, 2 * n), doubles(v, 2 * n)
-        ur = ui = 0.0
-        for t in range(n):
-            ur, ui = y[t] + (pr * ur - pi * ui), 0.0 + (pr * ui + pi * ur)
-            u[2 * t], u[2 * t + 1], v[2 * t], v[2 * t + 1] = ur, ui, ur, -ui
-
-    @staticmethod
-    def bank_real(y, u, n, p):
-        y, u = doubles(y, n).tolist(), doubles(u, 2 * n)
-        ur = 0.0
-        for t in range(n):
-            ur = y[t] + p * ur
-            u[2 * t], u[2 * t + 1] = ur, 0.0
-
-
 class TestImportGuard:
     #: a degree-2 system detected at order 4, as the CLI reads it
     SYSTEM = ('{"sigma_roots": [{"re": 0.17, "im": 0.26}, {"re": 0.17, "im": -0.26}],'
@@ -477,8 +428,8 @@ class TestImportGuard:
     def test_solving_never_loads_scipy_signal(self):
         # importing and solving load no scipy module at all and no numpy.fft,
         # and compile nothing (importing loads no subprocess module either;
-        # conftest's pytest does); simulate_arma imports scipy.signal only
-        # where the kernel does not load, and spectral_density numpy.fft
+        # conftest's pytest does); simulating loads no scipy module either,
+        # and spectral_density loads numpy.fft
         script = (
             "import sys\n"
             "import nevpick, nevpick.cli\n"
@@ -496,15 +447,16 @@ class TestImportGuard:
             "assert spectral_density(sol).shape == (256,) and 'numpy.fft' in sys.modules\n"
             "y = simulate_arma(MonicPolynomial([1.0, 0.4]), MonicPolynomial([1.0, -0.5]), 100)\n"
             "assert y.shape == (100,)\n"
-            "assert ('scipy.signal' in sys.modules) == (nevpick.ingestion._kernel() is None)\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert not loaded, loaded\n"
         )
         proc = run_script(script)
         assert proc.returncode == 0, proc.stderr
 
     def test_first_filter_bank_call_leaves_no_file_behind(self, tmp_path):
         # the kernel is compiled in a private directory of the temporary
-        # directory, removed once the library is loaded; the compiled bank
-        # needs no scipy
+        # directory, removed once the library is loaded; the bank needs no
+        # scipy
         script = (
             "import sys\n"
             "import numpy as np\n"
@@ -512,15 +464,14 @@ class TestImportGuard:
             "spec = FilterBankSpec(poles=tuple(default_bank_poles(3)), samples=100)\n"
             "assert filter_bank(np.ones(100), spec).shape == (4, 100)\n"
             "assert ingestion._kernel.cache_info().currsize == 1\n"
-            "assert ingestion._kernel() is None or 'scipy' not in sys.modules\n"
+            "assert 'scipy' not in sys.modules\n"
         )
         proc = run_script(script, TMPDIR=str(tmp_path))
         assert proc.returncode == 0, proc.stderr
         assert list(tmp_path.iterdir()) == []
 
     def test_the_compiled_path_loads_no_scipy(self):
-        # with the kernel loaded, a simulated series and its bank need no
-        # scipy module at all
+        # a simulated series and its bank need no scipy module at all
         script = (
             "import sys\n"
             "from nevpick import (FilterBankSpec, MonicPolynomial, default_bank_poles,\n"
@@ -530,7 +481,7 @@ class TestImportGuard:
             "bank = filter_bank(y, FilterBankSpec(poles=tuple(default_bank_poles(5)), samples=1000))\n"
             "assert y.shape == (1000,) and bank.shape == (6, 1000)\n"
             "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-            "assert ingestion._kernel() is None or not loaded, loaded\n"
+            "assert not loaded, loaded\n"
         )
         proc = run_script(script)
         assert proc.returncode == 0, proc.stderr
@@ -538,7 +489,8 @@ class TestImportGuard:
     def test_a_detect_degree_run_loads_no_scipy_where_the_kernel_loads(self, tmp_path):
         # an exact run filters nothing, so it compiles nothing; a default
         # (Monte Carlo) run then compiles the sections on its first
-        # simulation and needs no scipy module wherever they load
+        # simulation, and a third runs on the Python twin with the same
+        # runs; none loads a scipy module
         system = tmp_path / "system.json"
         system.write_text(self.SYSTEM)
         script = (
@@ -557,60 +509,122 @@ class TestImportGuard:
             "assert not scipy_modules(), scipy_modules()\n"
             f"detect({str(tmp_path / 'mc')!r})\n"
             "assert ingestion._kernel.cache_info().currsize == 1\n"
-            "assert ingestion._kernel() is None or not scipy_modules(), scipy_modules()\n"
+            "assert not scipy_modules(), scipy_modules()\n"
+            "ingestion._kernel = lambda: ingestion._PythonSections\n"
+            f"detect({str(tmp_path / 'twin')!r})\n"
+            "assert not scipy_modules(), scipy_modules()\n"
         )
         proc = run_script(script)
         assert proc.returncode == 0, proc.stderr
-        for run in ("exact", "mc"):
+        for run in ("exact", "mc", "twin"):
             assert (tmp_path / run / "degree_report.json").exists()
+        # the first line records the configuration, the output path included
+        mc, twin = ((tmp_path / run / "runs.csv").read_bytes().split(b"\n", 1)[1]
+                    for run in ("mc", "twin"))
+        assert mc == twin
 
-    def test_a_simulate_run_writes_the_same_bytes_on_the_scipy_path(self, tmp_path):
+    def test_a_simulate_run_writes_the_same_bytes_on_the_python_path(self, tmp_path):
         # a default simulate run, compiled and with the kernel loader made to
-        # find no kernel (the path of a host without a C compiler): the same
-        # files (both into one directory, whose path the files record), and
-        # only the scipy path loads scipy.signal
+        # return the Python twin (the path of a host without a C compiler):
+        # the same files (both into one directory, whose path the files
+        # record), and neither path loads a scipy module
         system = tmp_path / "system.json"
         system.write_text(self.SYSTEM)
         written = {}
-        for path in ("compiled", "scipy"):
+        for path in ("compiled", "python"):
             script = (
                 "import sys\n"
                 "from nevpick import cli, ingestion\n"
-                + ("ingestion._kernel = lambda: None\n" if path == "scipy" else "")
+                + ("ingestion._kernel = lambda: ingestion._PythonSections\n"
+                   if path == "python" else "")
                 + "try:\n"
                 f"    cli.main(['simulate', '--input', {str(system)!r},\n"
                 f"              '--output', {str(tmp_path / 'out')!r}], standalone_mode=False)\n"
                 "except SystemExit as exc:\n"
                 "    assert exc.code == 0, exc.code\n"
-                "assert ('scipy.signal' in sys.modules) == (ingestion._kernel() is None)\n"
+                f"assert (ingestion._kernel() is ingestion._PythonSections) == {path == 'python'}\n"
+                "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
             )
             proc = run_script(script)
             assert proc.returncode == 0, (path, proc.stderr)
             written[path] = [(tmp_path / "out" / name).read_bytes()
                              for name in ("problem.json", "series.csv")]
-        assert written["compiled"] == written["scipy"]
+        assert written["compiled"] == written["python"]
 
-    def test_kernel_digest_is_the_recursion_in_double_arithmetic(self):
-        # the constant the loaded sections are checked against is the bits of
-        # the same recursion in Python floats, written through the addresses
-        # the C sections get
-        assert ingestion._kernel_digest(PythonSections) == ingestion._KERNEL_DIGEST
-
-    def test_a_kernel_of_other_bits_is_not_used(self, monkeypatch):
-        # a compiler that contracts, reorders or flushes subnormals loads a
-        # library whose digest differs: the scipy path runs instead
-        monkeypatch.setattr(ingestion, "_KERNEL_DIGEST", "0" * 64)
+    @pytest.fixture
+    def fresh_kernel(self):
+        # the kernel loader runs again in the test, and again after it
         ingestion._kernel.cache_clear()
-        try:
-            assert ingestion._kernel() is None
-        finally:
+        yield
+        ingestion._kernel.cache_clear()
+
+    @pytest.mark.parametrize("cc", ["", "false", "true"])
+    def test_a_host_without_a_working_compiler_takes_the_twin(self, cc, monkeypatch,
+                                                              fresh_kernel):
+        # no CC (as on CPython's Windows builds), a compile that fails, and
+        # one that writes no library, so the load fails: the Python twin
+        # runs, with the bytes of the path taken where the compiler works
+        sigma, a = arma_system(4, seed=3)
+        spec = FilterBankSpec(poles=tuple(default_bank_poles(5)), samples=2000)
+
+        def outputs():
+            y = simulate_arma(sigma, a, 2000, 100, seed=8)
+            return y.tobytes(), filter_bank(y, spec).tobytes()
+
+        compiled = outputs()
+        config = sysconfig.get_config_var
+        monkeypatch.setattr(sysconfig, "get_config_var",
+                            lambda name: cc if name == "CC" else config(name))
+        ingestion._kernel.cache_clear()
+        assert ingestion._kernel() is ingestion._PythonSections
+        assert outputs() == compiled
+
+    #: edits of the source that keep it compiling and change its bits
+    OTHER_BITS = [
+        # a pair's zero imaginary part takes the other sign
+        ("s[1] = 0.0 + (p[0] * s[1] + p[1] * s[0]);", "s[1] = p[0] * s[1] + p[1] * s[0];"),
+        # arma's delays summed in another order
+        ("z[k - 1] = (z[k] + x * b[k]) - w * a[k];", "z[k - 1] = z[k] + (x * b[k] - w * a[k]);"),
+        # the real pole's section contracted into a fused multiply-add
+        ("ur = y[i] + p * ur;", "ur = __builtin_fma(p, ur, y[i]);"),
+    ]
+
+    def test_a_kernel_of_other_bits_is_not_used(self, monkeypatch, fresh_kernel):
+        # a library that compiles and loads but disagrees with the twin on
+        # the fixed series, as one from a compiler that contracts, reorders
+        # or flushes subnormals would: the twin runs instead
+        interpreter_cc()
+        source, check = ingestion._KERNEL_SOURCE, ingestion._kernel_outputs
+        checked = []
+        monkeypatch.setattr(ingestion, "_kernel_outputs",
+                            lambda kernel: checked.append(kernel) or check(kernel))
+        for old, new in self.OTHER_BITS:
+            assert old in source
+            monkeypatch.setattr(ingestion, "_KERNEL_SOURCE", source.replace(old, new))
             ingestion._kernel.cache_clear()
+            checked.clear()
+            assert ingestion._kernel() is ingestion._PythonSections, new
+            assert isinstance(checked[0], ctypes.CDLL), new
+
+    def test_the_loaded_sections_agree_with_the_twin(self, monkeypatch):
+        # beyond the fixed series of the check: a simulation of degree 6 and
+        # a bank of three pairs and a real pole on it, from the library and
+        # from the twin, byte for byte
+        interpreter_cc()
+        sigma, a = arma_system(6, seed=6)
+        spec = FilterBankSpec(poles=tuple(default_bank_poles(7)), samples=20_000)
+        written = []
+        for kernel in (ingestion._kernel(), ingestion._PythonSections):
+            monkeypatch.setattr(ingestion, "_kernel", lambda: kernel)
+            y = simulate_arma(sigma, a, 20_000, 1000, seed=61)
+            written.append((y.tobytes(), filter_bank(y, spec).tobytes()))
+        assert written[0] == written[1]
 
     def test_kernel_loads_where_the_compiler_is_found(self):
         # a failed compile falls back silently, so only this test would see a
         # lost kernel
         interpreter_cc()
-        assert ingestion._kernel() is not None
+        assert ingestion._kernel() is not ingestion._PythonSections
 
     def test_kernel_source_compiles_without_warnings(self, tmp_path):
         # a warning can mark code the compiler reads otherwise than meant,

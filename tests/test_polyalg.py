@@ -564,6 +564,32 @@ def test_no_module_calls_a_numpy_wrapper():
     assert found == []
 
 
+def scipy_imports(path):
+    """Lines of the Python file ``path`` that import scipy or one of its modules."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            and any(alias.name.split(".")[0] == "scipy" for alias in node.names)
+            or isinstance(node, ast.ImportFrom) and node.level == 0
+            and node.module.split(".")[0] == "scipy"]
+
+
+def test_scipy_import_scan_finds_each_form(tmp_path):
+    path = tmp_path / "uses.py"
+    path.write_text("import scipy\nimport numpy, scipy.signal as s\nfrom scipy import linalg\n"
+                    "def f():\n    from scipy.signal._sosfilt import _sosfilt\n"
+                    "import numpy\nimport scipyx\nfrom .scipy import x\nfrom . import scipy\n")
+    assert scipy_imports(path) == [1, 2, 3, 5]
+
+
+def test_no_module_imports_scipy():
+    # numpy and click are the runtime dependencies; scipy is a test oracle
+    package = Path(nevpick.__file__).parent
+    found = [f"{path.name}:{line}" for path in sorted(package.glob("*.py"))
+             for line in scipy_imports(path)]
+    assert found == []
+
+
 def test_no_record_is_built_past_its_constructor():
     # object.__new__ makes an instance that skips __init__ and its checks
     package = Path(nevpick.__file__).parent
