@@ -10,30 +10,31 @@ nodes.  The value of the underlying positive-real function at ``1/p_k`` is
 estimated by the sample second moment of the bank output (the plain
 square, not the squared magnitude, so complex poles produce the complex
 analytic continuation of the real-pole case).  Both recursions, the
-simulation's and the bank's, run in private C functions of about sixty
+simulation's and the bank's, run in private C functions of about fifty
 lines in all.  The simulation's repeats ``scipy.signal.lfilter``'s
 transposed direct form II and writes only the outputs after the burn-in.
 The bank filters each pole's section ``u_t = y_t + p u_(t-1)`` in one
-pass over ``y``: up to three conjugate pairs share a pass, each pair's
-loop writing its row and the partner's row, its exact conjugate,
-together, and a real pole's loop writes its row with imaginary part 0;
-pole 0 passes ``y`` through unfiltered.  The loops form the same
-products and sums, in the same order, as ``lfilter`` and ``sosfilt`` do,
-and are compiled without contraction into fused multiply-adds and
-without ``-ffast-math``, so the series and every bank entry have the
-bits of ``lfilter``'s (a bank zero entry's sign aside, where the series
-itself has exact zeros).  They are compiled with the interpreter's own
-C compiler (about 70 ms with gcc) and loaded with ``ctypes`` on a
-process's first simulation or bank call; nothing is compiled at import.
+pass over ``y``, with one complex step: up to three conjugate pairs or
+real poles share a pass, each pair writing its row and the partner's
+row, its exact conjugate, together, and a real pole is a pair whose two
+rows are one, with imaginary parts +0.0; pole 0 passes ``y`` through
+unfiltered.  The loops form the same products and sums, in the same
+order, as ``lfilter`` and ``sosfilt`` do, and are compiled without
+contraction into fused multiply-adds and without ``-ffast-math``, so the
+series and every bank entry have the bits of ``lfilter``'s (a bank zero
+entry's sign aside, where the series itself has exact zeros).  They are
+compiled with the interpreter's own C compiler (about 70 ms with gcc)
+and loaded with ``ctypes`` on a process's first simulation or bank
+call; nothing is compiled at import.
 ``_PythonSections`` is their twin in Python floats, statement by
 statement, with the same bits.  It is the check: a loaded library is
 used only where its output on a fixed series is the twin's, byte for
 byte.  And it is the fallback: it runs wherever ``sysconfig`` gives no
 compiler (CPython's Windows builds), wherever compiling or loading
 fails, and wherever the library's output differs.  It is slow: per 1e5
-samples, about 50 ms for a degree-2 simulation, 35 ms per conjugate
-pair and 17 ms per real pole of the bank, where the compiled sections
-take about 3 ms for a simulation and 1 ms for a bank of order 6.
+samples, about 50 ms for a degree-2 simulation and 33 ms per conjugate
+pair or real pole of the bank, where the compiled sections take about
+3 ms for a simulation and 1 ms for a bank of order 6.
 No path imports scipy.  An exact, noise-free
 variant evaluates ``f`` directly from the filter, for tests and sharp
 degree detection.  The Monte Carlo driver repeats the full pipeline
@@ -195,7 +196,12 @@ def simulate_arma(
 #: u_(t-1)`` is the complex sum ``(y_t, 0) + p u_(t-1)``, as in
 #: ``sosfilt``'s section: the ``0.0 +`` keeps its zero imaginary parts
 #: positive, as ``sosfilt``'s are, where ``p`` has a negative imaginary
-#: part.
+#: part.  A real pole ``p`` is a pair of pole ``(p, 0.0)`` whose two row
+#: addresses are its one row, and the step then has ``lfilter``'s real
+#: bits: the state's imaginary part starts at +0.0 and the ``0.0 +`` keeps
+#: it there, ``x - 0.0 * (+0.0)`` is ``x`` for every ``x`` (``-0.0``
+#: included), so ``t`` is ``y_t + p u_(t-1)``, and the partner's row is
+#: stored first, so the pole's own +0.0 overwrites the partner's -0.0.
 _KERNEL_SOURCE = r"""
 #include <stddef.h>
 
@@ -219,17 +225,17 @@ void arma(const double *e, double *y, ptrdiff_t n, ptrdiff_t skip,
     }
 }
 
-/* sample i of the pair of pole (p[0], p[1]) and state s, into the pair's
-   row u[0] and the partner's conjugate row u[1] */
+/* sample i of the pair of pole (p[0], p[1]) and state s, into the partner's
+   conjugate row u[1], then the pair's row u[0] */
 static inline void pair_step(double y, const double *p, double *s, double *const *u, ptrdiff_t i)
 {
     double t = y + (p[0] * s[0] - p[1] * s[1]);
     s[1] = 0.0 + (p[0] * s[1] + p[1] * s[0]);
     s[0] = t;
-    u[0][2 * i] = t;
-    u[0][2 * i + 1] = s[1];
     u[1][2 * i] = t;
     u[1][2 * i + 1] = -s[1];
+    u[0][2 * i] = t;
+    u[0][2 * i + 1] = s[1];
 }
 
 /* pair k of the w has pole (p[2k], p[2k+1]) and rows u[2k], u[2k+1] */
@@ -242,16 +248,6 @@ void bank_pairs(const double *y, ptrdiff_t n, ptrdiff_t w, const double *p, doub
             pair_step(y[i], p + 2, s + 2, u + 2, i);
         if (w > 2)
             pair_step(y[i], p + 4, s + 4, u + 4, i);
-    }
-}
-
-void bank_real(const double *y, double *u, ptrdiff_t n, double p)
-{
-    double ur = 0.0;
-    for (ptrdiff_t i = 0; i < n; i++) {
-        ur = y[i] + p * ur;
-        u[2 * i] = ur;
-        u[2 * i + 1] = 0.0;
     }
 }
 """
@@ -289,7 +285,9 @@ class _PythonSections:
     statements, on the addresses the C gets; ``arma`` keeps the register
     ``z_0`` in ``z[0]`` of a list of its own, which folds the C's three
     branches into one loop, and ``bank_pairs`` runs its pairs one after
-    another, which the independent pairs allow.  Python's float arithmetic
+    another, which the independent pairs allow, and stores the partner's
+    row first, as the C does, so a real pole's two views of its one row
+    end with its own +0.0 imaginary parts.  Python's float arithmetic
     is IEEE double and never contracts, so the outputs have the C's bits.
     The series are read and the rows written one double at a time, the
     bank's in ``_blocks``, so no copy of either is made.
@@ -318,18 +316,10 @@ class _PythonSections:
                     t = ys[i] + (p0 * s0 - p1 * s1)
                     s1 = 0.0 + (p0 * s1 + p1 * s0)
                     s0 = t
-                    row[2 * i] = t
-                    row[2 * i + 1] = s1
                     partner[2 * i] = t
                     partner[2 * i + 1] = -s1
-
-    def bank_real(y, u, n, p):
-        ur = 0.0
-        for ys, us in _blocks(n, (y, 1), (u, 2)):
-            for i in range(len(ys)):
-                ur = ys[i] + p * ur
-                us[2 * i] = ur
-                us[2 * i + 1] = 0.0
+                    row[2 * i] = t
+                    row[2 * i + 1] = s1
 
 
 @functools.cache
@@ -343,11 +333,12 @@ def _kernel():
     ``_kernel_outputs``' fixed series are the twin's, byte for byte (the
     twin's share of the first call is about 2 ms, the compile's about 70).
     Elsewhere the twin runs, with the same bits and about 20 to 120 times
-    slower (per 1e5 samples, 50 ms for a degree-2 simulation and 35 ms a
-    bank pair): where there is no ``CC`` (CPython's Windows builds), where
-    compiling or loading fails (the compiler's output is captured, nothing
-    is raised), and where the library's outputs differ (a compiler whose
-    default floating-point mode reorders, contracts or flushes).
+    slower (per 1e5 samples, 50 ms for a degree-2 simulation and 33 ms a
+    bank pair or real pole): where there is no ``CC`` (CPython's Windows
+    builds), where compiling or loading fails (the compiler's output is
+    captured, nothing is raised), and where the library's outputs differ
+    (a compiler whose default floating-point mode reorders, contracts or
+    flushes).
     """
     # imported here, not at module level: import nevpick starts no process
     import shlex
@@ -366,11 +357,10 @@ def _kernel():
             kernel = ctypes.CDLL(library)
     except (OSError, ValueError, subprocess.SubprocessError):
         return _PythonSections
-    pointer, size, real = ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_double
+    pointer, size = ctypes.c_void_p, ctypes.c_ssize_t
     kernel.arma.argtypes = (pointer, pointer, size, size, pointer, pointer, size, pointer)
     kernel.bank_pairs.argtypes = (pointer, size, size, pointer, pointer)
-    kernel.bank_real.argtypes = (pointer, pointer, size, real)
-    for section in (kernel.arma, kernel.bank_pairs, kernel.bank_real):
+    for section in (kernel.arma, kernel.bank_pairs):
         section.restype = None
     same = list(_kernel_outputs(kernel)) == list(_kernel_outputs(_PythonSections))
     return kernel if same else _PythonSections
@@ -385,29 +375,28 @@ def _kernel_outputs(kernel):
     """The bytes of the sections' outputs on a fixed series, one output at
     a time.
 
-    The series (256 samples), the poles (three pairs, filtered as blocks
-    of one, two and three, and a negative real pole) and the coefficients
-    of the two filters (degree 1, and degree 5 on ``arma``'s loop over
-    ``z``) are dyadic, so exact on every host, and each output rounds
+    The series (256 samples), the poles (two pairs and a negative real
+    pole, filtered as blocks of one, two and three, the real pole's two
+    addresses on its one row, so no row is left unwritten) and the
+    coefficients of the two filters (degree 1, and degree 5 on ``arma``'s
+    loop over ``z``) are dyadic, so exact on every host, and each output rounds
     from between the 12th and the 48th sample on: contraction, reordering
     or extended precision changes their bits, and so does flushing the
     subnormal copy of the series to zero.
     """
     base = (np.arange(1, 257) * 37 % 101 - 50) / 16.0
-    pairs = np.array([-0.625, -0.6875, 0.5, 0.75, 0.875, -0.25])
+    pairs = np.array([-0.625, -0.6875, 0.5, 0.75, -0.8125, 0.0])
     filters = [(np.array([1.0, 0.25]), np.array([1.0, -0.5])),
                (np.array([1.0, -0.375, -0.46875, 0.2109375, -0.033203125, 0.0146484375]),
                 np.array([1.0, -0.75, -0.3125, 0.234375, 0.015625, -0.01171875]))]
     skip = 16
     for y in (base, base * 2.0 ** -1060):
         for w in (1, 2, 3):
-            rows = np.empty((2 * w, y.size), dtype=complex)
-            addresses = _row_addresses(rows, range(2 * w))
+            at = (0, 1, 2, 3, 4, 4)[:2 * w]
+            rows = np.empty((at[-1] + 1, y.size), dtype=complex)
+            addresses = _row_addresses(rows, at)
             kernel.bank_pairs(y.ctypes.data, y.size, w, pairs.ctypes.data, addresses.ctypes.data)
             yield rows.tobytes()
-        row = np.empty(y.size, dtype=complex)
-        kernel.bank_real(y.ctypes.data, row.ctypes.data, y.size, -0.8125)
-        yield row.tobytes()
         for b, a in filters:
             out, state = np.empty(y.size - skip), np.zeros(a.size - 1)
             kernel.arma(y.ctypes.data, out.ctypes.data, y.size, skip, b.ctypes.data,
@@ -422,11 +411,12 @@ def filter_bank(y, spec: FilterBankSpec) -> np.ndarray:
     ``ValueError``.  Returns an array of shape ``(n + 1, len(y))``.  The row
     of pole 0 is ``y`` itself; every other row is written in one pass over
     ``y`` by the compiled sections of the module docstring, compiled on
-    the process's first simulation or bank call: a real pole's in real
-    arithmetic, and the conjugate pairs up to three to a pass, each pair
-    once, with the partner's row the exact conjugate of its row.  The
+    the process's first simulation or bank call: the conjugate pairs and
+    the real poles up to three to a pass, each pair once, with the
+    partner's row the exact conjugate of its row, and a real pole as a pair
+    of pole ``(p.real, 0.0)`` whose two rows are its one row.  The
     sections' Python twin runs where they do not load (per 1e5 samples,
-    about 35 ms a pair and 17 ms a real pole), with the same bits.  The
+    about 33 ms a pair or a real pole), with the same bits.  The
     bits are ``lfilter``'s, but for the sign of a zero entry where ``y``
     has exact zeros.
     """
@@ -439,17 +429,14 @@ def filter_bank(y, spec: FilterBankSpec) -> np.ndarray:
         # an infinite sample leaves only inf and nan in its rows after it
         raise ValueError("y must be finite")
     out = np.empty((len(spec.poles), y.size), dtype=complex)
-    for k, j in enumerate(spec.partners):
-        p = spec.poles[k]
-        if p == 0:
-            out[k] = y
-        elif j == k:
-            _kernel().bank_real(y.ctypes.data, out[k].ctypes.data, y.size, p.real)
-    pairs = [k for k, j in enumerate(spec.partners) if k < j]
-    for first in range(0, len(pairs), 3):
-        block = pairs[first:first + 3]
-        poles = np.array([(spec.poles[k].real, spec.poles[k].imag) for k in block])
-        rows = _row_addresses(out, [r for k in block for r in (k, spec.partners[k])])
+    out[0] = y
+    # a real pole is a pair of imaginary part +0.0 whose two rows are one
+    members = [(k, j) for k, j in enumerate(spec.partners) if 0 < k <= j]
+    for first in range(0, len(members), 3):
+        block = members[first:first + 3]
+        poles = np.array([(spec.poles[k].real, spec.poles[k].imag if k < j else 0.0)
+                          for k, j in block])
+        rows = _row_addresses(out, [r for pair in block for r in pair])
         _kernel().bank_pairs(y.ctypes.data, y.size, len(block), poles.ctypes.data, rows.ctypes.data)
     return out
 

@@ -257,7 +257,7 @@ class TestFilterBank:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_per_pole_oracle(self, n):
-        # odd n has a real pole at +0.7, filtered in real arithmetic
+        # odd n has a real pole at +0.7, filtered as a pair whose two rows are one
         spec = FilterBankSpec(poles=tuple(default_bank_poles(n)), samples=5000)
         y = np.random.default_rng(n).standard_normal(5000)
         u = assert_matches_oracle(spec, y)
@@ -342,15 +342,21 @@ class TestFilterBank:
 
     @pytest.mark.parametrize("pairs", range(1, 8))
     def test_pairs_in_blocks_of_three_bytewise(self, pairs):
-        # the compiled path filters the pairs three to a pass, the last pass
-        # taking what is left; the pairs are listed in shuffled order, some
-        # with the negative-imaginary pole first, beside two real poles
+        # the sections filter the pairs and the real poles three to a pass,
+        # the last pass taking what is left; the pairs are listed in shuffled
+        # order, some with the negative-imaginary pole first, among two real
+        # poles, and two poles that are their own partners without being
+        # exactly real come last: one within TOL_NODE of the real axis, one
+        # with imaginary part -0.0; each of their rows is lfilter's real
+        # row of the real part, imaginary parts +0.0
         rng = np.random.default_rng(4100 + pairs)
         p = rng.uniform(0.1, 0.999, pairs) * np.exp(1j * rng.uniform(0.01, np.pi - 0.01, pairs))
         poles = [*p, *np.conj(p), -0.4, 0.6]
         order = rng.permutation(len(poles))
         y = rng.standard_normal(3000)
-        spec = FilterBankSpec(poles=(0.0, *(poles[k] for k in order)), samples=y.size)
+        own = (0.5 + 1e-14j, complex(-0.3, -0.0))
+        spec = FilterBankSpec(poles=(0.0, *(poles[k] for k in order), *own), samples=y.size)
+        assert spec.partners[-2:] == (len(poles) + 1, len(poles) + 2)
         assert filter_bank(y, spec).tobytes() == public_bank(y, spec).tobytes()
 
     def test_signed_zeros_in_the_series_keep_the_values(self):
@@ -585,8 +591,15 @@ class TestImportGuard:
         ("s[1] = 0.0 + (p[0] * s[1] + p[1] * s[0]);", "s[1] = p[0] * s[1] + p[1] * s[0];"),
         # arma's delays summed in another order
         ("z[k - 1] = (z[k] + x * b[k]) - w * a[k];", "z[k - 1] = z[k] + (x * b[k] - w * a[k]);"),
-        # the real pole's section contracted into a fused multiply-add
-        ("ur = y[i] + p * ur;", "ur = __builtin_fma(p, ur, y[i]);"),
+        # the pair step's sample contracted into a fused multiply-add
+        ("double t = y + (p[0] * s[0] - p[1] * s[1]);",
+         "double t = y + __builtin_fma(p[0], s[0], -(p[1] * s[1]));"),
+        # the pair's own row stored before the partner's, so a real pole's
+        # one row keeps the partner's -0.0 imaginary parts
+        ("    u[1][2 * i] = t;\n    u[1][2 * i + 1] = -s[1];\n"
+         "    u[0][2 * i] = t;\n    u[0][2 * i + 1] = s[1];\n",
+         "    u[0][2 * i] = t;\n    u[0][2 * i + 1] = s[1];\n"
+         "    u[1][2 * i] = t;\n    u[1][2 * i + 1] = -s[1];\n"),
     ]
 
     def test_a_kernel_of_other_bits_is_not_used(self, monkeypatch, fresh_kernel):
